@@ -17,7 +17,6 @@ from .features import (
     generate_hypotheses,
     mcfs,
     misclassification_error,
-    point_to_circle_distance,
     reduce_hypotheses,
     refine_coverage,
     residual_matrix,
@@ -26,10 +25,8 @@ from .features import (
 from .geometry import (
     PointCloud,
     RigidTransform,
-    SpatialIndex,
     TriangleMesh,
     estimate_normals_and_curvature,
-    point_to_mesh_distance,
     remove_outliers,
     sample_mesh,
 )
@@ -55,7 +52,6 @@ from .primitives import (
     fit_primitive,
     merge,
     part_level_error,
-    primitive_distance,
     refine,
     region_grow,
     split,

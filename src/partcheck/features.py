@@ -13,13 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from numpy.typing import NDArray
 from scipy.optimize import least_squares, linear_sum_assignment
 from scipy.spatial import cKDTree
 
 from .geometry import PointCloud, Points, Vec3, as_points, canonical_sign, median_spacing, unit
-from .primitives import FitError
+from .primitives import FitError, _pratt_circle_2d
 
 TENSOR_SIGMA = 0.5
 EDGE_SCORE_THRESHOLD = 1.05
@@ -29,37 +28,15 @@ EDGE_SCORE_THRESHOLD = 1.05
 # Tensor voting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class VoteTensor:
-    """Symmetric PSD 3x3 vote with eigenvalues sorted descending."""
-
-    matrix: NDArray[np.float64]
-    eigenvalues: NDArray[np.float64]
-    eigenvectors: NDArray[np.float64]   # columns pair with eigenvalues
-
-
-class VoteField:
-    """Per-point vote tensors stored as packed arrays."""
-
-    def __init__(self, matrices, eigenvalues, eigenvectors):
-        self.matrices = matrices
-        self.eigenvalues = eigenvalues
-        self.eigenvectors = eigenvectors
-
-    def __len__(self) -> int:
-        return len(self.matrices)
-
-    def __getitem__(self, i: int) -> VoteTensor:
-        return VoteTensor(self.matrices[i], self.eigenvalues[i], self.eigenvectors[i])
-
-
-def tensor_vote(cloud: PointCloud, radius: float, sigma: float = TENSOR_SIGMA) -> VoteField:
+def tensor_vote(cloud: PointCloud, radius: float,
+                sigma: float = TENSOR_SIGMA) -> NDArray[np.float64]:
     """Accumulate curvature-difference weighted projector votes per point.
 
     Each neighbor j of point i contributes
     ``exp(-|q|/sigma^2) * |k_i - k_j| * (I - q q^T / |q|^2)`` with
     q the offset vector between the two points. The projector is symmetric in
     q, so each unordered pair is evaluated once and credited to both ends.
+    Returns the (n, 3, 3) array of symmetric positive semi-definite tensors.
     """
     if cloud.curvatures is None:
         raise ValueError("tensor voting needs per-point curvatures")
@@ -93,16 +70,17 @@ def tensor_vote(cloud: PointCloud, radius: float, sigma: float = TENSOR_SIGMA) -
             if a != b:
                 tensors[:, b, a] += acc
 
-    evals, evecs = np.linalg.eigh(tensors)
-    evals = np.clip(evals[:, ::-1], 0.0, None)           # descending, PSD-clamped
-    evecs = np.ascontiguousarray(evecs[:, :, ::-1])
-    return VoteField(tensors, evals, evecs)
+    return tensors
 
 
-def edge_scores(field: VoteField) -> NDArray[np.float64]:
-    """Per-point (lam2 + lam3) / lam1 ratio; NaN where the tensor vanishes."""
-    lam = field.eigenvalues
-    out = np.full(len(field), np.nan)
+def edge_scores(tensors: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Per-point (lam2 + lam3) / lam1 ratio; NaN where the tensor vanishes.
+
+    The eigenvalues of each ``tensor_vote`` tensor are sorted descending and
+    clamped at 0, since round-off can push a PSD tensor's smallest one below.
+    """
+    lam = np.clip(np.linalg.eigvalsh(tensors)[:, ::-1], 0.0, None)
+    out = np.full(len(tensors), np.nan)
     ok = lam[:, 0] > 0.0
     out[ok] = (lam[ok, 1] + lam[ok, 2]) / lam[ok, 0]
     return out
@@ -155,11 +133,6 @@ class Circle3D:
         pts = self.center + self.radius * (np.outer(np.cos(t), u) + np.outer(np.sin(t), v))
         edges = np.column_stack([np.arange(segments), (np.arange(segments) + 1) % segments])
         return pts, edges.astype(np.int64)
-
-
-def point_to_circle_distance(p, circle: Circle3D) -> float:
-    """Distance combining axial offset and in-plane radial deviation."""
-    return float(circle.distance(as_points(p))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,41 +428,6 @@ def _jlinkage_merge(ps: NDArray[np.float64], members: list[list[int]]) -> list[l
 # ---------------------------------------------------------------------------
 # Circle fitting
 # ---------------------------------------------------------------------------
-
-def _pratt_circle_2d(xy: NDArray[np.float64]) -> tuple[float, float, float]:
-    """Algebraic circle fit minimizing the Pratt-normalized residual."""
-    x = xy[:, 0]
-    y = xy[:, 1]
-    z = x * x + y * y
-    d = np.column_stack([z, x, y, np.ones(len(xy))])
-    # Exact or nearly exact data: take the null direction directly.
-    _, svals, vt = np.linalg.svd(d, full_matrices=True)
-    if len(svals) < 4 or svals[-1] < 1e-12 * svals[0]:
-        coef = vt[-1]
-    else:
-        scatter = (d.T @ d) / len(xy)
-        constraint = np.array([
-            [0.0, 0.0, 0.0, -2.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [-2.0, 0.0, 0.0, 0.0],
-        ])
-        evals, evecs = scipy.linalg.eig(scatter, constraint)
-        real = np.isfinite(evals.real) & (np.abs(evals.imag) < 1e-8 * (1 + np.abs(evals.real)))
-        candidates = np.nonzero(real & (evals.real > -1e-12))[0]
-        if len(candidates) == 0:
-            raise FitError("degenerate circle (no algebraic solution)")
-        coef = evecs[:, candidates[np.argmin(evals.real[candidates])]].real
-    a0, b1, c1, d1 = coef
-    if abs(a0) < 1e-14 * max(1.0, abs(b1), abs(c1)):
-        raise FitError("degenerate circle (fit collapsed to a line)")
-    cx = -b1 / (2.0 * a0)
-    cy = -c1 / (2.0 * a0)
-    r2 = (b1 * b1 + c1 * c1 - 4.0 * a0 * d1) / (4.0 * a0 * a0)
-    if not np.isfinite(r2) or r2 <= 0:
-        raise FitError("degenerate circle (non-positive radius)")
-    return float(cx), float(cy), float(np.sqrt(r2))
-
 
 def fit_circle_lsq(points) -> Circle3D:
     """Plane-projected least-squares circle (algebraic seed + geometric polish)."""

@@ -130,10 +130,6 @@ class PointCloud:
             normals=None if self.normals is None else t.apply_directions(self.normals),
         )
 
-    def bbox_diagonal(self) -> float:
-        span = self.points.max(axis=0) - self.points.min(axis=0)
-        return float(np.linalg.norm(span))
-
 
 @dataclass(eq=False)
 class TriangleMesh:
@@ -170,10 +166,6 @@ class TriangleMesh:
 
     def surface_area(self) -> float:
         return float(self.areas().sum())
-
-    def bbox_diagonal(self) -> float:
-        span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
-        return float(np.linalg.norm(span))
 
     def distance_index(self) -> "MeshDistance":
         """Lazy shared acceleration structure for exact surface distances."""
@@ -256,40 +248,6 @@ class RigidTransform:
 # ---------------------------------------------------------------------------
 # Spatial queries
 # ---------------------------------------------------------------------------
-
-class SpatialIndex:
-    """Exact k-NN and radius queries over a fixed point set (kd-tree backed)."""
-
-    def __init__(self, points):
-        self._points = as_points(points)
-        self._tree = cKDTree(self._points)
-
-    @property
-    def points(self) -> Points:
-        return self._points
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def knn(self, query, k: int):
-        """Distances and indices of the true k nearest points to each query."""
-        if k < 1 or k > len(self._points):
-            raise ValueError(f"k must be in [1, {len(self._points)}]")
-        d, i = self._tree.query(as_points(query), k=k)
-        if k == 1:
-            d = d[:, None]
-            i = i[:, None]
-        return d, i
-
-    def radius(self, query, r: float) -> list[list[int]]:
-        """Indices of all points within ``r`` of each query point (inclusive)."""
-        q = as_points(query)
-        return self._tree.query_ball_point(q, r)
-
-    @property
-    def tree(self) -> cKDTree:
-        return self._tree
-
 
 def median_spacing(points) -> float:
     """Median nearest-neighbor distance; the cloud's intrinsic resolution."""
@@ -388,6 +346,9 @@ class MeshDistance:
     result equals the brute-force minimum over all triangles. Oversized
     triangles are split (same surface, finer pieces) so one large facet cannot
     poison the candidate bound for the whole mesh.
+
+    Query a whole cloud once with ``query`` and index the result: the global
+    RMSE and every per-patch mean read the same distance array.
     """
 
     def __init__(self, mesh: TriangleMesh, candidates: int = 16):
@@ -399,15 +360,13 @@ class MeshDistance:
         self._k = min(candidates, len(self._tri))
 
     def query(self, points, chunk: int = 20000) -> NDArray[np.float64]:
+        """Distance from each point to the surface, ``chunk`` points at a time."""
         pts = as_points(points)
         out = np.empty(len(pts))
         for lo in range(0, len(pts), chunk):
             hi = min(lo + chunk, len(pts))
             out[lo:hi] = self._query_chunk(pts[lo:hi])
         return out
-
-    def query_one(self, point) -> float:
-        return float(self.query(as_points(point))[0])
 
     def _query_chunk(self, pts: Points) -> NDArray[np.float64]:
         k = self._k
@@ -458,11 +417,6 @@ def _subdivide_for_queries(tri: NDArray[np.float64], max_count: int = 400_000) -
         work.append(np.stack([mid, t[b], t[other]]))
     out.extend(work)
     return np.stack(out)
-
-
-def point_to_mesh_distance(p, mesh: TriangleMesh) -> float:
-    """Exact Euclidean distance from one point to the mesh surface."""
-    return mesh.distance_index().query_one(p)
 
 
 # ---------------------------------------------------------------------------

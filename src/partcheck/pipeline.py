@@ -96,8 +96,17 @@ class PipelineConfig:
             key, value = (part.strip() for part in stripped.split("=", 1))
             if key not in valid:
                 raise ValueError(f"{path}: line {lineno}: unknown key '{key}'")
-            caster = int if valid[key] in ("int", int) else float
-            overrides[key] = caster(float(value))
+            try:
+                number = float(value)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: '{key}' must be a number, got '{value}'") from None
+            if valid[key] in ("int", int):
+                if not number.is_integer():
+                    raise ValueError(
+                        f"{path}: line {lineno}: '{key}' must be an integer, got '{value}'")
+                number = int(number)
+            overrides[key] = number
         return PipelineConfig(**overrides)
 
     def to_items(self) -> OrderedDict:
@@ -331,10 +340,13 @@ def read_circles_table(path: str | Path) -> list[feat.Circle3D]:
 # Stage helpers
 # ---------------------------------------------------------------------------
 
-def global_error(registered: PointCloud, mesh: TriangleMesh) -> float:
-    """Root mean square point-to-surface distance of the registered scan."""
-    d = mesh.distance_index().query(registered.points)
-    return float(np.sqrt(np.mean(d * d)))
+def global_error(surface_dist: np.ndarray) -> float:
+    """Root mean square of the registered scan's point-to-surface distances.
+
+    ``surface_dist`` is ``MeshDistance.query`` over every registered point;
+    the part level takes its patch means from the same array.
+    """
+    return float(np.sqrt(np.mean(surface_dist * surface_dist)))
 
 
 _PALETTE = np.array([
@@ -451,7 +463,8 @@ def run_pipeline(
     time_registration = timer.lap()
 
     with _stage("global"):
-        e_global = global_error(registered, mesh)
+        surface_dist = mesh.distance_index().query(registered.points)
+        e_global = global_error(surface_dist)
     time_global = timer.lap()
 
     with _stage("part"):
@@ -467,12 +480,12 @@ def run_pipeline(
             inlier_eps=config.inlier_eps,
         )
         refined = prim.refine(coarse_config)
+        # ``enriched`` holds the registered points in the same order, so the
+        # global stage's distances index directly by inlier.
+        patch_dists = prim.patch_distances(refined, surface_dist)
         if refined.primitives:
-            patch_dists = prim.patch_distances(refined, enriched, mesh)
-            e_part_avg = float(patch_dists.mean())
-            e_part_max = float(patch_dists.max())
+            e_part_avg, e_part_max = prim.part_level_error(refined, surface_dist)
         else:
-            patch_dists = np.empty(0)
             e_part_avg = e_part_max = 0.0
     time_part = timer.lap()
 
@@ -493,18 +506,14 @@ def run_pipeline(
             reference = _derive_reference_circles(mesh, cad_samples, config)
         reference = reference or []
 
-        matches = feat.match_circles(fitted, reference, config.circle_match_tol)
-        if matches:
-            radius_err = np.array([abs(fitted[i].radius - reference[j].radius)
-                                   for i, j in matches])
-            centroid_err = np.array([np.linalg.norm(fitted[i].center - reference[j].center)
-                                     for i, j in matches])
-            e_radius_avg, e_radius_max = float(radius_err.mean()), float(radius_err.max())
-            e_centroid_avg, e_centroid_max = float(centroid_err.mean()), float(centroid_err.max())
+        f_n, f_p = feat.fn_fp_counts(fitted, reference, config.circle_match_tol)
+        # With no matched pair the errors read 0.0; the report has no field
+        # yet that says nothing matched.
+        if f_n < len(reference):
+            e_radius_avg, e_radius_max, e_centroid_avg, e_centroid_max = \
+                feat.feature_level_error(fitted, reference, config.circle_match_tol)
         else:
             e_radius_avg = e_radius_max = e_centroid_avg = e_centroid_max = 0.0
-        f_n = len(reference) - len(matches)
-        f_p = len(fitted) - len(matches)
     time_feature = timer.lap()
     time_total = total_timer.lap()
 
@@ -513,7 +522,7 @@ def run_pipeline(
             index=i,
             kind=p.kind.value,
             inlier_count=len(p.inliers),
-            patch_distance=float(patch_dists[i]) if len(patch_dists) else 0.0,
+            patch_distance=float(patch_dists[i]),
             params=_shape_params(p.shape),
         )
         for i, p in enumerate(refined.primitives)

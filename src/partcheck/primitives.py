@@ -17,6 +17,7 @@ from enum import Enum
 from typing import NamedTuple, TypeAlias, Union
 
 import numpy as np
+import scipy.linalg
 from numpy.typing import NDArray
 from scipy.optimize import least_squares
 from scipy.spatial import cKDTree
@@ -25,10 +26,10 @@ from .geometry import (
     PointCloud,
     Points,
     RigidTransform,
-    TriangleMesh,
     Vec3,
     as_points,
     canonical_sign,
+    estimate_normals_and_curvature,
     unit,
 )
 
@@ -169,12 +170,6 @@ class Primitive:
         object.__setattr__(self, "inliers", np.asarray(self.inliers, dtype=np.int64).reshape(-1))
 
 
-def primitive_distance(p, prim: Primitive | Shape) -> float:
-    """Unsigned geometric distance from one point to a primitive surface."""
-    shape = prim.shape if isinstance(prim, Primitive) else prim
-    return float(shape.distance(as_points(p))[0])
-
-
 # ---------------------------------------------------------------------------
 # Fitting
 # ---------------------------------------------------------------------------
@@ -241,34 +236,52 @@ def _fit_sphere(pts: Points, init: Sphere | None = None):
     return shape, rms
 
 
-def _kasa_circle_2d(xy: NDArray[np.float64]):
-    a = np.column_stack([2.0 * xy, np.ones(len(xy))])
-    b = (xy * xy).sum(axis=1)
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    cx, cy = sol[0], sol[1]
-    r2 = sol[2] + cx * cx + cy * cy
+def _pratt_circle_2d(xy: NDArray[np.float64]) -> tuple[float, float, float]:
+    """Algebraic circle fit minimizing the Pratt-normalized residual.
+
+    Pratt, "Direct least-squares fitting of algebraic surfaces" (SIGGRAPH
+    1987). Unlike the Kasa fit it is not biased toward small radii on short
+    arcs, so it seeds both the cylinder and the feature-level circle fits.
+    """
+    x = xy[:, 0]
+    y = xy[:, 1]
+    z = x * x + y * y
+    d = np.column_stack([z, x, y, np.ones(len(xy))])
+    # Exact or nearly exact data: take the null direction directly.
+    _, svals, vt = np.linalg.svd(d, full_matrices=True)
+    if len(svals) < 4 or svals[-1] < 1e-12 * svals[0]:
+        coef = vt[-1]
+    else:
+        scatter = (d.T @ d) / len(xy)
+        constraint = np.array([
+            [0.0, 0.0, 0.0, -2.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0],
+            [-2.0, 0.0, 0.0, 0.0],
+        ])
+        evals, evecs = scipy.linalg.eig(scatter, constraint)
+        real = np.isfinite(evals.real) & (np.abs(evals.imag) < 1e-8 * (1 + np.abs(evals.real)))
+        candidates = np.nonzero(real & (evals.real > -1e-12))[0]
+        if len(candidates) == 0:
+            raise FitError("degenerate circle (no algebraic solution)")
+        coef = evecs[:, candidates[np.argmin(evals.real[candidates])]].real
+    a0, b1, c1, d1 = coef
+    if abs(a0) < 1e-14 * max(1.0, abs(b1), abs(c1)):
+        raise FitError("degenerate circle (fit collapsed to a line)")
+    cx = -b1 / (2.0 * a0)
+    cy = -c1 / (2.0 * a0)
+    r2 = (b1 * b1 + c1 * c1 - 4.0 * a0 * d1) / (4.0 * a0 * a0)
     if not np.isfinite(r2) or r2 <= 0:
-        raise FitError("degenerate circle (algebraic fit collapsed)")
+        raise FitError("degenerate circle (non-positive radius)")
     return float(cx), float(cy), float(np.sqrt(r2))
 
 
 def _normal_moments(pts: Points, normals: Points | None):
     if normals is None:
-        normals = _estimate_subset_normals(pts)
+        cloud = PointCloud(points=pts)
+        normals = estimate_normals_and_curvature(cloud, k=min(10, len(pts) - 1)).normals
     m = normals.T @ normals / len(normals)
     return normals, m
-
-
-def _estimate_subset_normals(pts: Points, k: int = 10) -> Points:
-    k = min(k, len(pts) - 1)
-    if k < 2:
-        raise FitError("too few points to estimate normals")
-    _, idx = cKDTree(pts).query(pts, k=k + 1)
-    nb = pts[idx]
-    centered = nb - nb.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered)
-    _, evecs = np.linalg.eigh(cov)
-    return np.ascontiguousarray(evecs[:, :, 0])
 
 
 def _fit_cylinder(pts: Points, normals: Points | None, init: Cylinder | None = None):
@@ -283,7 +296,7 @@ def _fit_cylinder(pts: Points, normals: Points | None, init: Cylinder | None = N
         u0, v0 = _ortho_basis(w0)
         xy = np.column_stack([(pts - centroid) @ u0, (pts - centroid) @ v0])
         try:
-            cx, cy, r0 = _kasa_circle_2d(xy)
+            cx, cy, r0 = _pratt_circle_2d(xy)
         except FitError:
             cx = cy = 0.0
             r0 = float(np.linalg.norm(xy, axis=1).mean())
@@ -899,23 +912,21 @@ class _RefineState:
 # Part-level error
 # ---------------------------------------------------------------------------
 
-def patch_distances(config: Configuration, cloud: PointCloud, mesh: TriangleMesh,
-                    per_patch: str = "mean") -> NDArray[np.float64]:
-    """Per-primitive distance to the CAD surface (mean or max over inliers)."""
-    if per_patch not in ("mean", "max"):
-        raise ValueError("per_patch must be 'mean' or 'max'")
-    index = mesh.distance_index()
-    out = np.empty(len(config.primitives))
-    for i, prim in enumerate(config.primitives):
-        d = index.query(cloud.points[prim.inliers])
-        out[i] = d.mean() if per_patch == "mean" else d.max()
-    return out
+def patch_distances(config: Configuration,
+                    surface_dist: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Per-primitive mean distance to the CAD surface.
+
+    ``surface_dist`` holds one point-to-surface distance per point of the
+    cloud the configuration indexes (``MeshDistance.query`` over the whole
+    cloud), so the patch means reuse the global stage's distances.
+    """
+    return np.array([surface_dist[prim.inliers].mean() for prim in config.primitives])
 
 
-def part_level_error(config: Configuration, cloud: PointCloud, mesh: TriangleMesh,
-                     per_patch: str = "mean") -> tuple[float, float]:
+def part_level_error(config: Configuration,
+                     surface_dist: NDArray[np.float64]) -> tuple[float, float]:
     """Average and maximum patch-to-CAD distance over all primitives."""
     if not config.primitives:
         raise ValueError("empty configuration")
-    dists = patch_distances(config, cloud, mesh, per_patch=per_patch)
+    dists = patch_distances(config, surface_dist)
     return float(dists.mean()), float(dists.max())

@@ -81,6 +81,18 @@ def coarse_register(source: PointCloud, target: PointCloud) -> RigidTransform:
     degenerate subspace, so extra in-plane rotations are scored as well. A
     rank-deficient covariance falls back to a centroid-only translation.
     """
+    return coarse_candidates(source, target, count=1)[0]
+
+
+def coarse_candidates(source: PointCloud, target: PointCloud,
+                      count: int = 3) -> list[RigidTransform]:
+    """The best few coarse alignments, ranked by nearest-neighbor cost.
+
+    Near-symmetric parts can fool the coarse cost (a flipped pose of a plate
+    scores almost identically when the scan misses one face); running the
+    fine stage from each candidate and keeping the best result resolves it.
+    A rank-deficient covariance warns and yields the centroid translation.
+    """
     ps, pt = source.points, target.points
     cs, axes_s, evals_s = _principal_axes(ps)
     ct, axes_t, evals_t = _principal_axes(pt)
@@ -91,25 +103,6 @@ def coarse_register(source: PointCloud, target: PointCloud) -> RigidTransform:
             "falling back to centroid translation",
             stacklevel=2,
         )
-        return RigidTransform(np.eye(3), ct - cs)
-
-    ranked = _ranked_candidates(ps, pt, cs, ct, axes_s, axes_t, evals_s, evals_t)
-    return ranked[0]
-
-
-def coarse_candidates(source: PointCloud, target: PointCloud,
-                      count: int = 3) -> list[RigidTransform]:
-    """The best few coarse alignments, ranked by nearest-neighbor cost.
-
-    Near-symmetric parts can fool the coarse cost (a flipped pose of a plate
-    scores almost identically when the scan misses one face); running the
-    fine stage from each candidate and keeping the best result resolves it.
-    """
-    ps, pt = source.points, target.points
-    cs, axes_s, evals_s = _principal_axes(ps)
-    ct, axes_t, evals_t = _principal_axes(pt)
-    scale = max(evals_s[0], evals_t[0], np.finfo(float).tiny)
-    if len(ps) < 4 or len(pt) < 4 or min(evals_s[2], evals_t[2]) < 1e-12 * scale:
         return [RigidTransform(np.eye(3), ct - cs)]
     ranked = _ranked_candidates(ps, pt, cs, ct, axes_s, axes_t, evals_s, evals_t)
     # Keep rotations that genuinely differ from better-ranked ones.

@@ -21,7 +21,6 @@ from partcheck.features import (
     match_circles,
     mcfs,
     misclassification_error,
-    point_to_circle_distance,
     reduce_hypotheses,
     refine_coverage,
     residual_matrix,
@@ -54,15 +53,14 @@ class TestTensorVoting:
         rng = np.random.default_rng(0)
         pts = rng.uniform(0, 1, size=(50, 3))
         cloud = PointCloud(points=pts, curvatures=np.full(50, 0.25))
-        field = tensor_vote(cloud, radius=0.5)
-        assert np.abs(field.matrices).max() == 0.0
-        assert np.isnan(edge_scores(field)).all()
+        tensors = tensor_vote(cloud, radius=0.5)
+        assert np.abs(tensors).max() == 0.0
+        assert np.isnan(edge_scores(tensors)).all()
 
     def test_isolated_point_undefined(self):
         pts = np.array([[0, 0, 0], [10, 0, 0], [0, 10, 0.0]])
         cloud = PointCloud(points=pts, curvatures=np.array([0.1, 0.2, 0.3]))
-        field = tensor_vote(cloud, radius=0.5)
-        scores = edge_scores(field)
+        scores = edge_scores(tensor_vote(cloud, radius=0.5))
         assert np.isnan(scores).all()
 
     def test_two_neighbor_hand_case(self):
@@ -71,7 +69,7 @@ class TestTensorVoting:
         curv = np.array([0.30, 0.10, 0.05])
         sigma = 0.5
         cloud = PointCloud(points=pts, curvatures=curv)
-        field = tensor_vote(cloud, radius=1.0, sigma=sigma)
+        tensors = tensor_vote(cloud, radius=1.0, sigma=sigma)
 
         expected = np.zeros((3, 3))
         for j, q in ((1, np.array([-0.3, 0.0, 0.0])), (2, np.array([0.0, -0.4, 0.0]))):
@@ -80,21 +78,15 @@ class TestTensorVoting:
             dk = abs(curv[0] - curv[j])
             projector = np.eye(3) - np.outer(q, q) / (qn * qn)
             expected += mu * dk * projector
-        assert np.abs(field.matrices[0] - expected).max() < 1e-12
+        assert np.abs(tensors[0] - expected).max() < 1e-12
 
     def test_tensors_are_psd_and_reconstruct(self):
         rng = np.random.default_rng(1)
         pts = rng.uniform(0, 1, size=(200, 3))
         cloud = PointCloud(points=pts, curvatures=rng.uniform(0, 0.3, 200))
-        field = tensor_vote(cloud, radius=0.3)
-        assert field.eigenvalues.min() >= 0.0
-        assert (np.diff(field.eigenvalues, axis=1) <= 1e-12).all()
-        for i in range(0, 200, 37):
-            t = field[i]
-            rebuilt = sum(t.eigenvalues[k] * np.outer(t.eigenvectors[:, k],
-                                                      t.eigenvectors[:, k])
-                          for k in range(3))
-            assert np.abs(rebuilt - t.matrix).max() < 1e-9
+        tensors = tensor_vote(cloud, radius=0.3)
+        assert np.array_equal(tensors, tensors.transpose(0, 2, 1))
+        assert np.linalg.eigvalsh(tensors).min() >= -1e-12
 
     def test_requires_curvatures(self):
         cloud = PointCloud(points=np.zeros((5, 3)))
@@ -150,11 +142,11 @@ class TestDetectEdgePoints:
 class TestCircleDistance:
     def test_on_circle_zero(self):
         c = Circle3D(np.zeros(3), 2.0, np.array([0.0, 0.0, 1.0]))
-        assert point_to_circle_distance((2.0, 0.0, 0.0), c) == pytest.approx(0.0)
+        assert c.distance((2.0, 0.0, 0.0))[0] == pytest.approx(0.0)
 
     def test_center_gives_radius(self):
         c = Circle3D(np.zeros(3), 2.0, np.array([0.0, 0.0, 1.0]))
-        assert point_to_circle_distance((0.0, 0.0, 0.0), c) == pytest.approx(2.0)
+        assert c.distance((0.0, 0.0, 0.0))[0] == pytest.approx(2.0)
 
     def test_against_dense_parameterization(self):
         rng = np.random.default_rng(5)
@@ -163,7 +155,7 @@ class TestCircleDistance:
         for _ in range(8):
             p = rng.uniform(-3, 3, 3)
             dense = np.linalg.norm(ring - p, axis=1).min()
-            assert point_to_circle_distance(p, c) == pytest.approx(dense, abs=1e-5)
+            assert c.distance(p)[0] == pytest.approx(dense, abs=1e-5)
 
     def test_zero_iff_on_circle(self):
         rng = np.random.default_rng(6)

@@ -9,12 +9,10 @@ from partcheck.geometry import (
     MeshDistance,
     PointCloud,
     RigidTransform,
-    SpatialIndex,
     TriangleMesh,
     clean_triangles,
     estimate_normals_and_curvature,
     median_spacing,
-    point_to_mesh_distance,
     remove_outliers,
     sample_mesh,
 )
@@ -132,28 +130,6 @@ class TestCarriers:
 # ---------------------------------------------------------------------------
 
 class TestSpatialIndex:
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(0)
-        for cloud_trial in range(5):
-            pts = rng.uniform(-1, 1, size=(rng.integers(50, 2000), 3))
-            index = SpatialIndex(pts)
-            queries = rng.uniform(-1.2, 1.2, size=(200, 3))
-            k = int(rng.integers(1, 8))
-            d, idx = index.knn(queries, k)
-            r = float(rng.uniform(0.05, 0.6))
-            balls = index.radius(queries, r)
-            all_d = np.linalg.norm(queries[:, None, :] - pts[None, :, :], axis=2)
-            for qi in range(len(queries)):
-                order = np.argsort(all_d[qi], kind="stable")[:k]
-                assert np.allclose(np.sort(d[qi]), np.sort(all_d[qi][order]), atol=1e-12)
-                expect = set(np.nonzero(all_d[qi] <= r)[0])
-                assert set(balls[qi]) == expect
-
-    def test_knn_bounds(self):
-        index = SpatialIndex(np.zeros((4, 3)))
-        with pytest.raises(ValueError):
-            index.knn(np.zeros((1, 3)), 5)
-
     def test_median_spacing_grid(self):
         xs = np.arange(10) * 0.5
         grid = np.array([(x, y, 0.0) for x in xs for y in xs])
@@ -166,10 +142,12 @@ class TestSpatialIndex:
 
 class TestMeshDistance:
     def test_perpendicular_drop(self):
-        assert point_to_mesh_distance((0.5, 0.5, 2.0), UNIT_SQUARE) == pytest.approx(2.0)
+        d = UNIT_SQUARE.distance_index().query((0.5, 0.5, 2.0))
+        assert d[0] == pytest.approx(2.0)
 
     def test_vertex_on_mesh(self):
-        assert point_to_mesh_distance((0.0, 0.0, 0.0), UNIT_SQUARE) == pytest.approx(0.0)
+        d = UNIT_SQUARE.distance_index().query((0.0, 0.0, 0.0))
+        assert d[0] == pytest.approx(0.0)
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(3)

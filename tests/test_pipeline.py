@@ -1,0 +1,87 @@
+"""End to end: the report's round trip and the command line's exit codes."""
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from partcheck import meshio
+from partcheck.cli import EXIT_INPUT_ERROR, EXIT_STAGE_ERROR, main
+from partcheck.pipeline import (
+    PipelineConfig,
+    emit_report,
+    generate_synthetic_scene,
+    parse_report,
+    parse_scene_spec,
+    report_fields,
+    run_pipeline,
+)
+
+# Two primitives and 444 points: the smallest scene that runs every stage.
+SPEC = "collage count=2 spacing=0.2 noise=0.01 rot_deg=20 trans_frac=0.1"
+
+
+@pytest.fixture(scope="module")
+def scene():
+    return generate_synthetic_scene(parse_scene_spec(SPEC), seed=1)
+
+
+@pytest.fixture(scope="module")
+def report(scene):
+    return run_pipeline(scene.cloud, scene.mesh, PipelineConfig())
+
+
+@pytest.fixture(scope="module")
+def scene_files(scene, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("scene")
+    meshio.save_point_cloud(directory / "scan.ply", scene.cloud)
+    meshio.save_mesh(directory / "mesh.ply", scene.mesh)
+    return directory
+
+
+def assess(*args):
+    return CliRunner().invoke(main, ["assess", *map(str, args)])
+
+
+def test_report_round_trips(report, tmp_path):
+    path = tmp_path / "report.txt"
+    emit_report(report, path)
+    assert parse_report(path) == report_fields(report)
+
+
+@pytest.mark.parametrize("value", ["3", "3.0"])
+def test_config_accepts_integral_ints(tmp_path, value):
+    path = tmp_path / "config.txt"
+    path.write_text(f"min_points = {value}\n")
+    config = PipelineConfig.from_file(path)
+    assert config.min_points == 3 and isinstance(config.min_points, int)
+
+
+def test_config_rejects_fractional_int(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_text("# comment\nmin_points = 1.7\n")
+    with pytest.raises(ValueError, match="line 2: 'min_points'"):
+        PipelineConfig.from_file(path)
+
+
+def test_missing_scan_exits_2(scene_files, tmp_path):
+    result = assess(tmp_path / "absent.ply", scene_files / "mesh.ply", "--out", tmp_path)
+    assert result.exit_code == EXIT_INPUT_ERROR
+
+
+@pytest.mark.parametrize("line", ["no_such_key = 1", "min_points = 1.7", "seed = abc"])
+def test_bad_config_exits_2(scene_files, tmp_path, line):
+    config = tmp_path / "config.txt"
+    config.write_text(line + "\n")
+    result = assess(scene_files / "scan.ply", scene_files / "mesh.ply",
+                    "--config", config, "--out", tmp_path)
+    assert result.exit_code == EXIT_INPUT_ERROR
+    assert "line 1" in result.output
+
+
+def test_tiny_scan_exits_3(scene, scene_files, tmp_path):
+    # Normals need k + 1 = 17 points, so ten points fail the part stage.
+    scan = tmp_path / "tiny.ply"
+    meshio.save_point_cloud(scan, scene.cloud.select(np.arange(0, 440, 44)))
+    result = assess(scan, scene_files / "mesh.ply", "--out", tmp_path)
+    assert result.exit_code == EXIT_STAGE_ERROR
+    assert "stage 'part'" in result.output

@@ -20,11 +20,11 @@ from partcheck.primitives import (
     merge,
     part_level_error,
     patch_distances,
-    primitive_distance,
     refine,
     region_grow,
     split,
 )
+from partcheck.synth import plate_scene
 
 
 def random_rigid(rng) -> RigidTransform:
@@ -145,10 +145,10 @@ class TestFitPrimitive:
 class TestPrimitiveDistance:
     def test_plane_and_sphere_basics(self):
         plane = fit_primitive(PrimitiveKind.PLANE, plane_points(np.random.default_rng(0)))
-        assert primitive_distance((0.0, 0.0, 5.0), plane) == pytest.approx(5.0)
+        assert plane.shape.distance((0.0, 0.0, 5.0))[0] == pytest.approx(5.0)
         sphere = fit_primitive(PrimitiveKind.SPHERE, np.array(
             [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1.0]]))
-        assert primitive_distance((2.0, 0.0, 0.0), sphere) == pytest.approx(1.0)
+        assert sphere.shape.distance((2.0, 0.0, 0.0))[0] == pytest.approx(1.0)
 
     def test_against_dense_sampling(self):
         # Distances agree with the minimum over a dense surface sampling.
@@ -161,7 +161,7 @@ class TestPrimitiveDistance:
         for _ in range(5):
             p = rng.uniform(-2, 2, 3)
             dense = np.linalg.norm(surf - p, axis=1).min()
-            got = primitive_distance(p, cyl)
+            got = cyl.shape.distance(p)[0]
             if abs(p[2]) < 3.0:   # inside the densely sampled span
                 assert abs(got - dense) < 5e-3
 
@@ -172,12 +172,12 @@ class TestPrimitiveDistance:
         for _ in range(5):
             p = rng.uniform(-1, 3, 3)
             dense = np.linalg.norm(surf - p, axis=1).min()
-            assert abs(primitive_distance(p, cone) - dense) < 5e-3
+            assert abs(cone.shape.distance(p)[0] - dense) < 5e-3
 
     def test_cone_apex_clamp(self):
         cone = fit_primitive(PrimitiveKind.CONE, cone_points(np.random.default_rng(7)))
         # Behind the apex the nearest surface point is the apex itself.
-        assert primitive_distance((0, 0, -2.0), cone) == pytest.approx(2.0, abs=1e-3)
+        assert cone.shape.distance((0, 0, -2.0))[0] == pytest.approx(2.0, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -492,26 +492,27 @@ class TestPartLevelError:
             groups.append(np.arange(at, at + 60))
             at += 60
         pts = np.vstack(chunks)
-        return PointCloud(points=pts), plane_config(pts, groups, min_points=30, eps=1.0)
+        surface_dist = SQUARE.distance_index().query(pts)
+        return surface_dist, plane_config(pts, groups, min_points=30, eps=1.0)
 
     def test_two_patch_arithmetic(self):
         rng = np.random.default_rng(21)
-        cloud, config = self._config_at_offsets(rng, [0.1, 0.3])
-        avg, worst = part_level_error(config, cloud, SQUARE)
+        surface_dist, config = self._config_at_offsets(rng, [0.1, 0.3])
+        avg, worst = part_level_error(config, surface_dist)
         assert avg == pytest.approx(0.2, abs=1e-9)
         assert worst == pytest.approx(0.3, abs=1e-9)
 
     def test_on_mesh_is_zero(self):
         rng = np.random.default_rng(22)
-        cloud, config = self._config_at_offsets(rng, [0.0, 0.0])
-        avg, worst = part_level_error(config, cloud, SQUARE)
+        surface_dist, config = self._config_at_offsets(rng, [0.0, 0.0])
+        avg, worst = part_level_error(config, surface_dist)
         assert avg == pytest.approx(0.0, abs=1e-12)
         assert worst == pytest.approx(0.0, abs=1e-12)
 
     def test_offset_plane(self):
         rng = np.random.default_rng(23)
-        cloud, config = self._config_at_offsets(rng, [0.05])
-        avg, worst = part_level_error(config, cloud, SQUARE)
+        surface_dist, config = self._config_at_offsets(rng, [0.05])
+        avg, worst = part_level_error(config, surface_dist)
         assert avg == pytest.approx(0.05, abs=1e-3)
         assert worst == pytest.approx(0.05, abs=1e-3)
 
@@ -519,11 +520,18 @@ class TestPartLevelError:
         pts = np.random.default_rng(0).normal(size=(10, 3))
         config = Configuration(points=pts, primitives=[], min_points=3)
         with pytest.raises(ValueError):
-            part_level_error(config, PointCloud(points=pts), SQUARE)
+            part_level_error(config, SQUARE.distance_index().query(pts))
 
-    def test_max_variant(self):
-        rng = np.random.default_rng(24)
-        cloud, config = self._config_at_offsets(rng, [0.1])
-        per_mean = patch_distances(config, cloud, SQUARE, per_patch="mean")
-        per_max = patch_distances(config, cloud, SQUARE, per_patch="max")
-        assert per_max[0] >= per_mean[0]
+    def test_one_query_serves_every_patch(self):
+        # The part level indexes one whole-cloud query by inlier; each patch
+        # mean must equal a fresh query of that patch's points alone.
+        scene = plate_scene(width=20, height=20, thickness=3, holes=2, hole_r_min=2,
+                            hole_r_max=3, spacing=0.8, noise=0.02, seed=0)
+        pts = scene.cloud.points
+        groups = np.array_split(np.random.default_rng(24).permutation(len(pts)), 5)
+        config = plane_config(pts, groups, min_points=30, eps=1.0)
+        index = scene.mesh.distance_index()
+        whole = index.query(pts, chunk=97)
+        per_set = np.array([index.query(pts[g]).mean() for g in groups])
+        assert len(scene.mesh) > 100 and len(pts) > 10 * 97
+        assert np.abs(patch_distances(config, whole) - per_set).max() <= 1e-12

@@ -49,12 +49,16 @@ class TestCoarse:
         nn = np.linalg.norm(moved - target.points, axis=1)
         assert nn.mean() < 1e-6
 
-    def test_coplanar_fallback(self):
+    @pytest.mark.parametrize("coarse", [
+        coarse_register,
+        lambda source, target: coarse_candidates(source, target)[0],
+    ], ids=["coarse_register", "coarse_candidates"])
+    def test_coplanar_fallback(self, coarse):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0.0]])
         source = PointCloud(points=pts)
         target = PointCloud(points=pts + (2.0, 3.0, 4.0))
         with pytest.warns(UserWarning, match="degenerate covariance"):
-            t = coarse_register(source, target)
+            t = coarse(source, target)
         assert np.allclose(t.rotation, np.eye(3))
         assert np.allclose(t.translation, (2.0, 3.0, 4.0), atol=1e-9)
 
