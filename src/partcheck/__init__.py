@@ -58,7 +58,6 @@ from .primitives import (
 )
 from .registration import (
     RegistrationResult,
-    coarse_register,
     icp_refine,
     registration_error,
 )

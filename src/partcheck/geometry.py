@@ -258,6 +258,13 @@ def median_spacing(points) -> float:
     return float(np.median(d[:, 1]))
 
 
+def strided_indices(n: int, cap: int) -> NDArray[np.int64]:
+    """Every ``ceil(n / cap)``-th index of ``range(n)``, so at most ``cap`` of
+    them; all of them when ``n <= cap`` or ``cap <= 0``."""
+    stride = int(np.ceil(n / cap)) if n > cap > 0 else 1
+    return np.arange(0, n, stride)
+
+
 # ---------------------------------------------------------------------------
 # Mesh sampling and exact surface distance
 # ---------------------------------------------------------------------------

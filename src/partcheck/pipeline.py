@@ -1,7 +1,11 @@
 """Pipeline orchestration and the three-level assessment report.
 
-Stages run in a fixed order (pre-filter, registration, global, part,
-feature); each stage is timed and any failure aborts with the stage name.
+``run_pipeline`` is a chain of stage functions: load the inputs, register
+(outlier filter, CAD sampling, coarse search and ICP), the global error,
+the part level (segmentation and patch errors), the feature level (rim
+circles against the reference), then the report and its output files. Each
+stage is timed, and any failure aborts with the stage name; a scan too small
+to estimate normals on is rejected as input before registration.
 The report serializes to a stable key/value document or an aligned
 human-readable table.
 """
@@ -11,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -27,6 +32,7 @@ from .geometry import (
     median_spacing,
     remove_outliers,
     sample_mesh,
+    strided_indices,
 )
 from .synth import SyntheticScene, generate_synthetic_scene, parse_scene_spec
 
@@ -331,8 +337,12 @@ def read_circles_table(path: str | Path) -> list[feat.Circle3D]:
         tokens = stripped.split()
         if len(tokens) < 8:
             raise ValueError(f"{path}: line {lineno}: expected >= 8 columns")
-        values = [float(t) for t in tokens[1:8]]
-        circles.append(feat.Circle3D(np.array(values[0:3]), values[3], np.array(values[4:7])))
+        try:
+            values = [float(t) for t in tokens[1:8]]
+            circles.append(
+                feat.Circle3D(np.array(values[0:3]), values[3], np.array(values[4:7])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return circles
 
 
@@ -369,28 +379,19 @@ def _checksum(path: str | Path) -> str:
     return f"sha256:{digest}"
 
 
-class _Timer:
-    def __init__(self):
-        self.start = time.perf_counter()
-
-    def lap(self) -> float:
-        now = time.perf_counter()
-        elapsed = now - self.start
-        self.start = now
-        return elapsed
-
-
-def _stage(name: str):
-    class _StageGuard:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, StageError):
-                raise StageError(name, exc) from exc
-            return False
-
-    return _StageGuard()
+@contextmanager
+def _stage(name: str, times: dict[str, float]):
+    """Record the stage's seconds in ``times[name]``; a failure inside it
+    is raised as a StageError naming the stage."""
+    start = time.perf_counter()
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+    finally:
+        times[name] = time.perf_counter() - start
 
 
 # ---------------------------------------------------------------------------
@@ -415,178 +416,159 @@ def run_pipeline(
     are derived by running the feature detector on the CAD-side samples.
     Output files are only written after every stage succeeds.
     """
-    total_timer = _Timer()
+    start = time.perf_counter()
+    times: dict[str, float] = {}
     scan_checksum = mesh_checksum = "-"
-    with _stage("input"):
+    with _stage("input", times):
         if isinstance(scan, (str, Path)):
             scan_checksum = _checksum(scan)
             scan = meshio.load_point_cloud(scan)
         if isinstance(mesh, (str, Path)):
             mesh_checksum = _checksum(mesh)
             mesh = meshio.load_mesh(mesh)
-
-    timer = _Timer()
-    with _stage("registration"):
-        filtered, removed = remove_outliers(
-            scan, k=config.outlier_k, stddev_mult=config.outlier_stddev_mult)
-        n = len(filtered)
-        n_samples = config.mesh_samples or max(50_000, 2 * n)
-        cad_samples = sample_mesh(mesh, n_samples, seed=config.seed)
-        icp_source = filtered
-        if n > config.registration_subsample > 0:
-            stride = int(np.ceil(n / config.registration_subsample))
-            icp_source = filtered.select(np.arange(0, n, stride))
-        # Partial scans of near-symmetric parts can tie the coarse cost for
-        # very different poses, and the trimmed ICP RMSE is equally blind (the
-        # trim rejects exactly the tell-tale mismatched feature points), so
-        # completed candidates are compared by untrimmed mean NN distance
-        # (capped so hopeless poses do not pay for exact far lookups).
-        from scipy.spatial import cKDTree
-
-        target_tree = cKDTree(cad_samples.points)
-        span = cad_samples.points.max(axis=0) - cad_samples.points.min(axis=0)
-        cap = max(0.05 * float(np.linalg.norm(span)), 1e-9)
-        result = None
-        result_cost = np.inf
-        for candidate in reg.coarse_candidates(filtered, cad_samples, count=3):
-            attempt = reg.icp_refine(icp_source, cad_samples, init=candidate,
-                                     max_iter=config.icp_max_iter, tol=config.icp_tol,
-                                     target_tree=target_tree)
-            moved = attempt.transform.apply(icp_source.points)
-            d, _ = target_tree.query(moved, distance_upper_bound=cap)
-            cost = float(np.minimum(d, cap).mean())
-            if result is None or cost < result_cost:
-                result = attempt
-                result_cost = cost
-        registered = filtered.transformed(result.transform)
-        e_reg = reg.registration_error(registered, cad_samples, target_tree=target_tree)
-    time_registration = timer.lap()
-
-    with _stage("global"):
+    with _stage("registration", times):
+        fit, registered, cad_samples, e_reg, removed = _register(scan, mesh, config)
+    with _stage("global", times):
         surface_dist = mesh.distance_index().query(registered.points)
         e_global = global_error(surface_dist)
-    time_global = timer.lap()
+    with _stage("part", times):
+        enriched, refined, patch_dists, e_part = _part(registered, surface_dist, config)
+    with _stage("feature", times):
+        edge_idx, labeling, f_n, f_p, e_comp = _feature(
+            enriched, cad_samples, truth_circles, config)
 
-    with _stage("part"):
-        enriched = estimate_normals_and_curvature(registered, k=config.normals_k)
-        min_points = config.min_points or max(30, len(enriched) // 500)
-        coarse_config = prim.region_grow(
-            enriched,
-            k=config.region_k,
-            angle_thresh=np.deg2rad(config.region_angle_deg),
-            curv_thresh=config.region_curv_thresh,
-            min_points=min_points,
-            weights=(config.omega_f, config.omega_s, config.omega_c),
-            inlier_eps=config.inlier_eps,
-        )
-        refined = prim.refine(coarse_config)
-        # ``enriched`` holds the registered points in the same order, so the
-        # global stage's distances index directly by inlier.
-        patch_dists = prim.patch_distances(refined, surface_dist)
-        if refined.primitives:
-            e_part_avg, e_part_max = prim.part_level_error(refined, surface_dist)
-        else:
-            e_part_avg = e_part_max = 0.0
-    time_part = timer.lap()
-
-    with _stage("feature"):
-        radius = config.tensor_radius_factor * median_spacing(enriched.points)
-        edge_idx = feat.detect_edge_points(
-            enriched, radius=radius, threshold=config.edge_threshold,
-            sigma=config.tensor_sigma)
-        edge_pts = enriched.points[edge_idx]
-        if len(edge_idx) >= 3:
-            labeling = feat.mcfs(edge_pts, config.mcfs_params())
-        else:
-            labeling = feat.CircleLabeling(np.full(len(edge_idx), -1, dtype=np.int64), [])
-        fitted = labeling.circles
-
-        reference = truth_circles
-        if reference is None and config.derive_reference_circles:
-            reference = _derive_reference_circles(mesh, cad_samples, config)
-        reference = reference or []
-
-        f_n, f_p = feat.fn_fp_counts(fitted, reference, config.circle_match_tol)
-        # With no matched pair the errors read 0.0; the report has no field
-        # yet that says nothing matched.
-        if f_n < len(reference):
-            e_radius_avg, e_radius_max, e_centroid_avg, e_centroid_max = \
-                feat.feature_level_error(fitted, reference, config.circle_match_tol)
-        else:
-            e_radius_avg = e_radius_max = e_centroid_avg = e_centroid_max = 0.0
-    time_feature = timer.lap()
-    time_total = total_timer.lap()
-
-    primitive_rows = [
-        PrimitiveRow(
-            index=i,
-            kind=p.kind.value,
-            inlier_count=len(p.inliers),
-            patch_distance=float(patch_dists[i]),
-            params=_shape_params(p.shape),
-        )
-        for i, p in enumerate(refined.primitives)
-    ]
-    circle_counts = [int((labeling.labels == i).sum()) for i in range(len(fitted))]
-    circle_rows = [
-        CircleRow(index=i, center=c.center, radius=c.radius, normal=c.normal,
-                  inlier_count=circle_counts[i])
-        for i, c in enumerate(fitted)
-    ]
     report = AssessmentReport(
         e_reg=e_reg,
         e_global=e_global,
-        e_part_avg=e_part_avg,
-        e_part_max=e_part_max,
-        e_comp_radius_avg=e_radius_avg,
-        e_comp_radius_max=e_radius_max,
-        e_comp_centroid_avg=e_centroid_avg,
-        e_comp_centroid_max=e_centroid_max,
+        e_part_avg=e_part[0],
+        e_part_max=e_part[1],
+        e_comp_radius_avg=e_comp[0],
+        e_comp_radius_max=e_comp[1],
+        e_comp_centroid_avg=e_comp[2],
+        e_comp_centroid_max=e_comp[3],
         f_n=f_n,
         f_p=f_p,
-        time_registration=time_registration,
-        time_global=time_global,
-        time_part=time_part,
-        time_feature=time_feature,
-        time_total=time_total,
+        time_registration=times["registration"],
+        time_global=times["global"],
+        time_part=times["part"],
+        time_feature=times["feature"],
+        time_total=time.perf_counter() - start,
         scan_points=len(scan),
         outliers_removed=removed,
-        registration_iterations=result.iterations,
-        registration_converged=result.converged,
-        primitive_rows=primitive_rows,
-        circle_rows=circle_rows,
+        registration_iterations=fit.iterations,
+        registration_converged=fit.converged,
+        primitive_rows=[
+            PrimitiveRow(index=i, kind=p.kind.value, inlier_count=len(p.inliers),
+                         patch_distance=float(patch_dists[i]), params=_shape_params(p.shape))
+            for i, p in enumerate(refined.primitives)
+        ],
+        circle_rows=[
+            CircleRow(index=i, center=c.center, radius=c.radius, normal=c.normal,
+                      inlier_count=int((labeling.labels == i).sum()))
+            for i, c in enumerate(labeling.circles)
+        ],
         config=config,
         scan_checksum=scan_checksum,
         mesh_checksum=mesh_checksum,
     )
-
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        emit_report(report, out_dir / "report.txt", "structured")
-        emit_report(report, out_dir / "report_human.txt", "human")
-        if dump_segments:
-            labels = refined.labels()
-            meshio.save_point_cloud(out_dir / "segments.ply", enriched,
-                                    ascii_mode=ascii_output, colors=_label_colors(labels))
-        if dump_edges:
-            if len(edge_idx):
-                meshio.save_point_cloud(out_dir / "edges.ply", enriched.select(edge_idx),
-                                        ascii_mode=ascii_output)
-        if dump_circles:
-            write_circles_table(out_dir / "circles.txt", fitted, circle_counts)
-            if fitted:
-                pts_all = []
-                edges_all = []
-                offset = 0
-                for c in fitted:
-                    ring, ring_edges = c.ring()
-                    pts_all.append(ring)
-                    edges_all.append(ring_edges + offset)
-                    offset += len(ring)
-                meshio.save_polylines(out_dir / "circles.ply", np.vstack(pts_all),
-                                      np.vstack(edges_all), ascii_mode=ascii_output)
+        _write_outputs(report, Path(out_dir), enriched, refined, edge_idx, labeling,
+                       dump_segments, dump_edges, dump_circles, ascii_output)
     return report
+
+
+def _register(scan: PointCloud, mesh: TriangleMesh, config: PipelineConfig):
+    """Filter the scan's outliers, sample the CAD and register the scan to it."""
+    filtered, removed = remove_outliers(
+        scan, k=config.outlier_k, stddev_mult=config.outlier_stddev_mult)
+    if len(filtered) < config.normals_k + 1:
+        raise StageError("input", ValueError(
+            f"{len(filtered)} scan points remain after outlier removal; "
+            f"normals need at least normals_k + 1 = {config.normals_k + 1}"))
+    n_samples = config.mesh_samples or max(50_000, 2 * len(filtered))
+    cad_samples = sample_mesh(mesh, n_samples, seed=config.seed)
+    fit, registered, e_reg = reg.register(
+        filtered, cad_samples, subsample=config.registration_subsample,
+        max_iter=config.icp_max_iter, tol=config.icp_tol)
+    return fit, registered, cad_samples, e_reg, removed
+
+
+def _part(registered: PointCloud, surface_dist: np.ndarray, config: PipelineConfig):
+    """Segment the registered scan into primitives and measure each patch."""
+    enriched = estimate_normals_and_curvature(registered, k=config.normals_k)
+    coarse_config = prim.region_grow(
+        enriched,
+        k=config.region_k,
+        angle_thresh=np.deg2rad(config.region_angle_deg),
+        curv_thresh=config.region_curv_thresh,
+        min_points=config.min_points or max(30, len(enriched) // 500),
+        weights=(config.omega_f, config.omega_s, config.omega_c),
+        inlier_eps=config.inlier_eps,
+    )
+    refined = prim.refine(coarse_config)
+    # ``enriched`` holds the registered points in the same order, so the
+    # global stage's distances index directly by inlier.
+    patch_dists = prim.patch_distances(refined, surface_dist)
+    e_part = prim.part_level_error(refined, surface_dist) if refined.primitives else (0.0, 0.0)
+    return enriched, refined, patch_dists, e_part
+
+
+def _feature(enriched: PointCloud, cad_samples: PointCloud,
+             truth_circles: list[feat.Circle3D] | None, config: PipelineConfig):
+    """Fit the scan's rim circles and score them against the reference."""
+    edge_idx, labeling = _detect_circles(enriched, config, config.seed)
+    reference = truth_circles
+    if reference is None and config.derive_reference_circles:
+        reference = _derive_reference_circles(cad_samples, config)
+    reference = reference or []
+    f_n, f_p = feat.fn_fp_counts(labeling.circles, reference, config.circle_match_tol)
+    # With no matched pair the errors read 0.0; the report has no field
+    # yet that says nothing matched.
+    if f_n < len(reference):
+        e_comp = feat.feature_level_error(labeling.circles, reference, config.circle_match_tol)
+    else:
+        e_comp = (0.0, 0.0, 0.0, 0.0)
+    return edge_idx, labeling, f_n, f_p, e_comp
+
+
+def _detect_circles(cloud: PointCloud, config: PipelineConfig, seed: int):
+    """Tensor-voting edge points of a cloud with normals, and their MCFS circles."""
+    radius = config.tensor_radius_factor * median_spacing(cloud.points)
+    edge_idx = feat.detect_edge_points(
+        cloud, radius=radius, threshold=config.edge_threshold, sigma=config.tensor_sigma)
+    if len(edge_idx) < 3:
+        return edge_idx, feat.CircleLabeling(np.full(len(edge_idx), -1, dtype=np.int64), [])
+    return edge_idx, feat.mcfs(cloud.points[edge_idx], replace(config.mcfs_params(), seed=seed))
+
+
+def _write_outputs(report: AssessmentReport, out_dir: Path, enriched: PointCloud,
+                   refined: prim.Configuration, edge_idx: np.ndarray,
+                   labeling: feat.CircleLabeling, dump_segments: bool, dump_edges: bool,
+                   dump_circles: bool, ascii_output: bool) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    emit_report(report, out_dir / "report.txt", "structured")
+    emit_report(report, out_dir / "report_human.txt", "human")
+    if dump_segments:
+        meshio.save_point_cloud(out_dir / "segments.ply", enriched, ascii_mode=ascii_output,
+                                colors=_label_colors(refined.labels()))
+    if dump_edges and len(edge_idx):
+        meshio.save_point_cloud(out_dir / "edges.ply", enriched.select(edge_idx),
+                                ascii_mode=ascii_output)
+    if dump_circles:
+        fitted = labeling.circles
+        write_circles_table(out_dir / "circles.txt", fitted,
+                            [row.inlier_count for row in report.circle_rows])
+        if fitted:
+            pts_all = []
+            edges_all = []
+            offset = 0
+            for c in fitted:
+                ring, ring_edges = c.ring()
+                pts_all.append(ring)
+                edges_all.append(ring_edges + offset)
+                offset += len(ring)
+            meshio.save_polylines(out_dir / "circles.ply", np.vstack(pts_all),
+                                  np.vstack(edges_all), ascii_mode=ascii_output)
 
 
 def _shape_params(shape) -> str:
@@ -605,26 +587,15 @@ def _shape_params(shape) -> str:
             f"axis {a[0]:.6g} {a[1]:.6g} {a[2]:.6g} half_angle {shape.half_angle:.6g}")
 
 
-def _derive_reference_circles(mesh: TriangleMesh, cad_samples: PointCloud,
+def _derive_reference_circles(cad_samples: PointCloud,
                               config: PipelineConfig) -> list[feat.Circle3D]:
     """Detect the CAD model's own circular rims from its sampled surface."""
-    cap = 100_000
-    reference_cloud = cad_samples
-    if len(cad_samples) > cap:
-        stride = int(np.ceil(len(cad_samples) / cap))
-        reference_cloud = cad_samples.select(np.arange(0, len(cad_samples), stride))
+    reference_cloud = cad_samples.select(strided_indices(len(cad_samples), 100_000))
     enriched = estimate_normals_and_curvature(reference_cloud, k=config.normals_k)
-    radius = config.tensor_radius_factor * median_spacing(enriched.points)
-    edge_idx = feat.detect_edge_points(
-        enriched, radius=radius, threshold=config.edge_threshold, sigma=config.tensor_sigma)
-    if len(edge_idx) < 3:
-        return []
-    params = replace(config.mcfs_params(), seed=config.seed + 1)
     try:
-        labeling = feat.mcfs(enriched.points[edge_idx], params)
+        return _detect_circles(enriched, config, config.seed + 1)[1].circles
     except ValueError:
         return []
-    return labeling.circles
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ A configuration of primitives is scored by a weighted energy with three
 terms: fidelity (mean inlier-to-surface distance), simplicity (primitive
 count relative to the maximum supportable count) and completeness (fraction
 of points left unassigned). Refinement applies the split or merge operation
-with the largest energy decrease until no operation helps.
+with the largest energy decrease until no operation helps; each round
+rescores every candidate from refits cached by the primitives it involves.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -30,20 +30,13 @@ from .geometry import (
     as_points,
     canonical_sign,
     estimate_normals_and_curvature,
+    strided_indices,
     unit,
 )
 
 
 class FitError(RuntimeError):
     """Primitive fitting failed (insufficient or degenerate data)."""
-
-
-class FitNonConvergenceError(FitError):
-    """Geometric refinement ran out of iterations; carries the last iterate."""
-
-    def __init__(self, message: str, last=None):
-        super().__init__(message)
-        self.last = last
 
 
 class PrimitiveKind(str, Enum):
@@ -230,7 +223,7 @@ def _fit_sphere(pts: Points, init: Sphere | None = None):
     x, rms, converged = _polish(residual, x0)
     shape = Sphere(x[:3].copy(), float(x[3]))
     if not converged:
-        raise FitNonConvergenceError("sphere fit did not converge", last=shape)
+        raise FitError("sphere fit did not converge")
     if shape.radius <= 0 or shape.radius > _SIZE_LIMIT_FACTOR * max(extent, 1e-12):
         raise FitError("degenerate sphere (radius out of range)")
     return shape, rms
@@ -321,15 +314,30 @@ def _fit_cylinder(pts: Points, normals: Points | None, init: Cylinder | None = N
     anchor = c + ((centroid - c) @ w) * w
     shape = Cylinder(anchor, canonical_sign(w), float(x[4]))
     if not converged:
-        raise FitNonConvergenceError("cylinder fit did not converge", last=shape)
+        raise FitError("cylinder fit did not converge")
     if shape.radius > _SIZE_LIMIT_FACTOR * max(extent, 1e-12):
         raise FitError("degenerate cylinder (radius out of range)")
     return shape, rms
 
 
-def _cone_from_params(apex, w0, u0, v0, x) -> Cone:
+def _cone_from_params(w0, u0, v0, x) -> Cone:
     w = unit(w0 + x[3] * u0 + x[4] * v0)
     return Cone(np.asarray(x[:3], dtype=float).copy(), w, float(x[5]))
+
+
+def _polish_cone(pts: Points, w0: Vec3, x0: NDArray[np.float64]):
+    """Least-squares cone from x0 = (apex, two axis tilts, half-angle)."""
+    u0, v0 = _ortho_basis(w0)
+
+    def residual(x):
+        return _cone_from_params(w0, u0, v0, x).distance(pts)
+
+    lower = np.array([-np.inf] * 5 + [0.01])
+    upper = np.array([np.inf] * 5 + [np.pi / 2 - 0.01])
+    x, rms, converged = _polish(residual, x0, bounds=(lower, upper))
+    if not converged:
+        raise FitError("cone fit did not converge")
+    return _cone_from_params(w0, u0, v0, x), rms
 
 
 def _fit_cone_once(pts: Points, normals: Points, w0: Vec3, extent: float):
@@ -342,18 +350,8 @@ def _fit_cone_once(pts: Points, normals: Points, w0: Vec3, extent: float):
         w0 = -w0
     sin_a = float(np.clip(np.abs(normals @ w0).mean(), 0.02, 0.999))
     alpha0 = float(np.arcsin(sin_a))
-    u0, v0 = _ortho_basis(w0)
     x0 = np.array([apex0[0], apex0[1], apex0[2], 0.0, 0.0, alpha0])
-
-    def residual(x):
-        return _cone_from_params(None, w0, u0, v0, x).distance(pts)
-
-    lower = np.array([-np.inf] * 5 + [0.01])
-    upper = np.array([np.inf] * 5 + [np.pi / 2 - 0.01])
-    x, rms, converged = _polish(residual, x0, bounds=(lower, upper))
-    shape = _cone_from_params(None, w0, u0, v0, x)
-    if not converged:
-        raise FitNonConvergenceError("cone fit did not converge", last=shape)
+    shape, rms = _polish_cone(pts, w0, x0)
     centroid = pts.mean(axis=0)
     if float(np.linalg.norm(shape.apex - centroid)) > _SIZE_LIMIT_FACTOR * max(extent, 1e-12):
         raise FitError("degenerate cone (apex out of range)")
@@ -363,21 +361,9 @@ def _fit_cone_once(pts: Points, normals: Points, w0: Vec3, extent: float):
 def _fit_cone(pts: Points, normals: Points | None, init: Cone | None = None):
     extent = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
     if init is not None:
-        u0, v0 = _ortho_basis(unit(init.axis))
         x0 = np.array([*init.apex, 0.0, 0.0,
                        float(np.clip(init.half_angle, 0.011, np.pi / 2 - 0.011))])
-        w0 = unit(init.axis)
-
-        def residual(x):
-            return _cone_from_params(None, w0, u0, v0, x).distance(pts)
-
-        lower = np.array([-np.inf] * 5 + [0.01])
-        upper = np.array([np.inf] * 5 + [np.pi / 2 - 0.01])
-        x, rms, converged = _polish(residual, x0, bounds=(lower, upper))
-        shape = _cone_from_params(None, w0, u0, v0, x)
-        if not converged:
-            raise FitNonConvergenceError("cone fit did not converge", last=shape)
-        return shape, rms
+        return _polish_cone(pts, unit(init.axis), x0)
 
     normals_, m = _normal_moments(pts, normals)
     evals, evecs = np.linalg.eigh(m)
@@ -416,9 +402,8 @@ def _fit_shape(kind: PrimitiveKind, pts: Points, normals: Points | None = None,
 def fit_primitive(kind: PrimitiveKind, points, normals=None) -> Primitive:
     """Least-squares fit of one primitive kind to a point subset.
 
-    Raises FitError on insufficient or degenerate data and
-    FitNonConvergenceError (carrying the last iterate) when the geometric
-    refinement exhausts its step budget.
+    Raises FitError on insufficient or degenerate data, or when the
+    geometric refinement exhausts its step budget.
     """
     pts = as_points(points)
     nrm = None if normals is None else as_points(normals)
@@ -494,13 +479,15 @@ class EnergyTerms(NamedTuple):
 
 def energy(config: Configuration) -> EnergyTerms:
     """Weighted fidelity + simplicity + completeness score of a configuration."""
-    dist_total = 0.0
-    for p in config.primitives:
-        dist_total += float(p.shape.distance(config.points[p.inliers]).sum())
+    dist_total = sum(_dist_sum(config.points, p) for p in config.primitives)
     return _energy_terms(
         dist_total, config.n_assigned, len(config.primitives),
         config.n, config.max_primitives, config.weights,
     )
+
+
+def _dist_sum(points: Points, prim: Primitive) -> float:
+    return float(prim.shape.distance(points[prim.inliers]).sum())
 
 
 def _energy_terms(dist_sum, n_assigned, count, n, n_max, weights) -> EnergyTerms:
@@ -592,12 +579,9 @@ def region_grow(
 _FIT_SAMPLE_CAP = 2000
 
 
-def _fit_subset(pts: Points, normals: Points | None, cap: int = _FIT_SAMPLE_CAP):
+def _fit_subset(pts: Points, normals: Points | None):
     """Evenly strided subsample; parameter fits do not need every point."""
-    if len(pts) <= cap:
-        return pts, normals
-    stride = int(np.ceil(len(pts) / cap))
-    idx = np.arange(0, len(pts), stride)
+    idx = strided_indices(len(pts), _FIT_SAMPLE_CAP)
     return pts[idx], None if normals is None else normals[idx]
 
 
@@ -723,189 +707,83 @@ _MIN_GAIN = 1e-12
 def refine(config: Configuration, on_apply=None, max_ops: int | None = None) -> Configuration:
     """Apply the best energy-decreasing split/merge until none remains.
 
-    Candidate operations live in a max-priority queue keyed by energy
-    decrease; stale entries (scored before the configuration last changed)
-    are re-scored when popped. Every applied operation strictly decreases the
+    Each round scores every candidate, a split of each primitive and a merge
+    of each same-kind pair, from refits cached by the primitives they
+    involve, and applies the one with the largest energy decrease (ties go to
+    the first in that order). Surviving primitives keep their order and new
+    ones are appended. Every applied operation strictly decreases the
     energy, which bounds the run; ``max_ops`` is a hard safety cap.
     """
-    state = _RefineState(config)
     if max_ops is None:
         max_ops = 20 * max(1, len(config.primitives)) + 200
+    ids = itertools.count()
+    live = {next(ids): p for p in config.primitives}
+    dist = {uid: _dist_sum(config.points, p) for uid, p in live.items()}
+    # (primitive ids) -> None, or (new primitives, their distance sums).
+    refits: dict[tuple[int, ...], tuple | None] = {}
+
+    def total_energy(dist_sum: float, n_assigned: int, count: int) -> float:
+        return _energy_terms(dist_sum, n_assigned, count, config.n,
+                             config.max_primitives, config.weights).total
 
     applied = 0
-    swept = False
     while True:
-        item = state.pop_best()
-        if item is None or item[0] <= _MIN_GAIN:
-            # Stored gains can drift as the global terms evolve; confirm
-            # exhaustion with one fresh scoring pass over every candidate.
-            if swept:
-                break
-            state.full_rescore()
-            swept = True
-            continue
-        swept = False
-        gain, key, payload = item
+        dist_sum = sum(dist.values())
+        n_assigned = sum(len(p.inliers) for p in live.values())
+        e_before = total_energy(dist_sum, n_assigned, len(live))
+        best_gain, best_key = _MIN_GAIN, None
+        pairs = [(a, b) for a, b in itertools.combinations(live, 2)
+                 if live[a].kind == live[b].kind]
+        for key in [(uid,) for uid in live] + pairs:
+            if key not in refits:
+                refits[key] = _refit_candidate(config, [live[u] for u in key])
+            if refits[key] is None:
+                continue
+            new, new_dists = refits[key]
+            e_after = total_energy(
+                dist_sum - sum(dist[u] for u in key) + sum(new_dists),
+                n_assigned - sum(len(live[u].inliers) for u in key)
+                + sum(len(p.inliers) for p in new),
+                len(live) - len(key) + len(new),
+            )
+            if e_before - e_after > best_gain:
+                best_gain, best_key = e_before - e_after, key
+        if best_key is None:
+            break
         if applied >= max_ops:
             raise RuntimeError("refine exceeded the operation cap")
-        e_before = state.current_energy()
-        state.apply(key, payload)
+        new, new_dists = refits[best_key]
+        for uid in best_key:
+            del live[uid], dist[uid]
+        for p, d in zip(new, new_dists):
+            uid = next(ids)
+            live[uid], dist[uid] = p, d
         applied += 1
-        e_after = state.current_energy()
-        scratch = energy(state.to_configuration()).total
-        if abs(scratch - e_after) > 1e-9:
+        refits = {k: v for k, v in refits.items() if all(u in live for u in k)}
+        e_after = total_energy(sum(dist.values()),
+                               sum(len(p.inliers) for p in live.values()), len(live))
+        recomputed = energy(replace(config, primitives=list(live.values()))).total
+        if abs(recomputed - e_after) > 1e-9:
             raise AssertionError(
-                f"incremental energy {e_after} disagrees with recomputed {scratch}"
+                f"incremental energy {e_after} disagrees with recomputed {recomputed}"
             )
         if e_after >= e_before:
             raise AssertionError("applied operation did not decrease the energy")
         if on_apply is not None:
-            on_apply(key[0], e_before, e_after)
-    return state.to_configuration()
+            on_apply("split" if len(best_key) == 1 else "merge", e_before, e_after)
+    return replace(config, primitives=list(live.values()))
 
 
-class _RefineState:
-    """Mutable bookkeeping for refine(): live primitives, sums, candidates."""
-
-    def __init__(self, config: Configuration):
-        self.config = config
-        self.n = config.n
-        self.n_max = config.max_primitives
-        self.weights = config.weights
-        self.prims: dict[int, Primitive] = {}
-        self.created: dict[int, int] = {}
-        self.dist_sum: dict[int, float] = {}
-        self._uid = itertools.count()
-        self._seq = itertools.count()
-        self.version = 0
-        self.total_dist = 0.0
-        self.total_assigned = 0
-        self.heap: list = []
-        self.payloads: dict[tuple, object] = {}
-        self.keys: set[tuple] = set()
-        for prim in config.primitives:
-            self._admit(prim)
-        for uid in list(self.prims):
-            self._push_candidates_for(uid, existing_only_before=uid)
-
-    # -- primitive bookkeeping ------------------------------------------------
-
-    def _admit(self, prim: Primitive) -> int:
-        uid = next(self._uid)
-        self.prims[uid] = prim
-        self.created[uid] = uid
-        s = float(prim.shape.distance(self.config.points[prim.inliers]).sum())
-        self.dist_sum[uid] = s
-        self.total_dist += s
-        self.total_assigned += len(prim.inliers)
-        return uid
-
-    def _retire(self, uid: int) -> None:
-        prim = self.prims.pop(uid)
-        self.total_dist -= self.dist_sum.pop(uid)
-        self.total_assigned -= len(prim.inliers)
-        self.created.pop(uid)
-
-    def current_energy(self) -> float:
-        return _energy_terms(self.total_dist, self.total_assigned, len(self.prims),
-                             self.n, self.n_max, self.weights).total
-
-    def to_configuration(self) -> Configuration:
-        ordered = [self.prims[u] for u in sorted(self.prims, key=self.created.get)]
-        return replace(self.config, primitives=ordered)
-
-    # -- candidate scoring ----------------------------------------------------
-
-    def _payload(self, key: tuple):
-        if key in self.payloads:
-            return self.payloads[key]
-        kind, *uids = key
-        cfg = replace(self.config, primitives=[])  # carries points/normals/eps
-        if kind == "split":
-            result = _split_primitive(cfg, self.prims[uids[0]])
-        else:
-            result = _merge_primitives(cfg, self.prims[uids[0]], self.prims[uids[1]])
-        self.payloads[key] = result
-        return result
-
-    def _gain(self, key: tuple, payload) -> float:
-        if payload is None:
-            return -np.inf
-        kind, *uids = key
-        new_prims = list(payload) if kind == "split" else [payload]
-        removed_dist = sum(self.dist_sum[u] for u in uids)
-        removed_pts = sum(len(self.prims[u].inliers) for u in uids)
-        added_dist = sum(
-            float(p.shape.distance(self.config.points[p.inliers]).sum()) for p in new_prims
-        )
-        added_pts = sum(len(p.inliers) for p in new_prims)
-        new_total = _energy_terms(
-            self.total_dist - removed_dist + added_dist,
-            self.total_assigned - removed_pts + added_pts,
-            len(self.prims) - len(uids) + len(new_prims),
-            self.n, self.n_max, self.weights,
-        ).total
-        return self.current_energy() - new_total
-
-    def _push(self, key: tuple) -> None:
-        payload = self._payload(key)
-        if payload is None:
-            return
-        self.keys.add(key)
-        gain = self._gain(key, payload)
-        heapq.heappush(self.heap, (-gain, next(self._seq), self.version, key))
-
-    def full_rescore(self) -> None:
-        """Rebuild the queue with fresh gains for every live candidate."""
-        self.heap = []
-        self.keys = {k for k in self.keys if self._alive(k)}
-        for key in sorted(self.keys):
-            gain = self._gain(key, self._payload(key))
-            heapq.heappush(self.heap, (-gain, next(self._seq), self.version, key))
-
-    def _push_candidates_for(self, uid: int, existing_only_before: int | None = None) -> None:
-        prim = self.prims[uid]
-        self._push(("split", uid))
-        for other, oprim in self.prims.items():
-            if other == uid or oprim.kind != prim.kind:
-                continue
-            if existing_only_before is not None and other >= existing_only_before:
-                continue
-            pair = ("merge", min(uid, other), max(uid, other))
-            self._push(pair)
-
-    def _alive(self, key: tuple) -> bool:
-        return all(u in self.prims for u in key[1:])
-
-    def pop_best(self):
-        """Return the best currently-valid candidate, re-scoring stale entries."""
-        while self.heap:
-            neg_gain, _, stamp, key = heapq.heappop(self.heap)
-            if not self._alive(key):
-                self.payloads.pop(key, None)
-                self.keys.discard(key)
-                continue
-            payload = self._payload(key)
-            if stamp != self.version:
-                gain = self._gain(key, payload)
-                heapq.heappush(self.heap, (-gain, next(self._seq), self.version, key))
-                continue
-            return -neg_gain, key, payload
+def _refit_candidate(config: Configuration, prims: list[Primitive]):
+    """Split one primitive or merge two: (new primitives, distance sums) or None."""
+    if len(prims) == 1:
+        new = _split_primitive(config, prims[0])
+    else:
+        merged = _merge_primitives(config, *prims)
+        new = None if merged is None else (merged,)
+    if new is None:
         return None
-
-    def apply(self, key: tuple, payload) -> None:
-        kind, *uids = key
-        for u in uids:
-            self._retire(u)
-        new_prims = list(payload) if kind == "split" else [payload]
-        new_uids = [self._admit(p) for p in new_prims]
-        self.version += 1
-        # Dead keys are discarded lazily by pop_best; drop their payloads now.
-        for cached in [k for k in self.payloads if not self._alive(k)]:
-            self.payloads.pop(cached, None)
-        self.keys = {k for k in self.keys if self._alive(k)}
-        for uid in new_uids:
-            self._push_candidates_for(uid)
+    return new, [_dist_sum(config.points, p) for p in new]
 
 
 # ---------------------------------------------------------------------------

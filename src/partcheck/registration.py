@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import PointCloud, Points, RigidTransform
+from .geometry import PointCloud, Points, RigidTransform, strided_indices
 
 
 class NoCorrespondencesError(RuntimeError):
@@ -72,25 +72,15 @@ def _axis_rotation(axis: int, angle: float) -> np.ndarray:
     return m
 
 
-def coarse_register(source: PointCloud, target: PointCloud) -> RigidTransform:
-    """Centroid + principal-axes alignment with sign disambiguation.
-
-    Among the four proper sign assignments of the matched axes the candidate
-    with the lowest mean nearest-neighbor distance wins. Near-equal
-    covariance eigenvalues leave the principal frame free to spin inside the
-    degenerate subspace, so extra in-plane rotations are scored as well. A
-    rank-deficient covariance falls back to a centroid-only translation.
-    """
-    return coarse_candidates(source, target, count=1)[0]
-
-
 def coarse_candidates(source: PointCloud, target: PointCloud,
                       count: int = 3) -> list[RigidTransform]:
     """The best few coarse alignments, ranked by nearest-neighbor cost.
 
-    Near-symmetric parts can fool the coarse cost (a flipped pose of a plate
-    scores almost identically when the scan misses one face); running the
-    fine stage from each candidate and keeping the best result resolves it.
+    Centroids and principal axes are matched under the four proper axis
+    sign assignments, plus in-plane spins where near-equal eigenvalues leave
+    the frame free. Near-symmetric parts can fool the coarse cost (a flipped
+    pose of a plate scores almost identically when the scan misses one
+    face), so ``register`` runs the fine stage from each candidate.
     A rank-deficient covariance warns and yields the centroid translation.
     """
     ps, pt = source.points, target.points
@@ -121,6 +111,15 @@ def _rotation_gap(r1: np.ndarray, r2: np.ndarray) -> float:
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
+def _capped_cost(tree: cKDTree, points: Points) -> float:
+    """Mean nearest-neighbor distance to the tree's points, each distance
+    capped at 5% of their bounding-box diagonal so hopeless poses saturate
+    instead of paying for exact lookups far from the target."""
+    cap = max(0.05 * float(np.linalg.norm(tree.maxes - tree.mins)), 1e-9)
+    d, _ = tree.query(points, distance_upper_bound=cap)
+    return float(np.minimum(d, cap).mean())
+
+
 def _ranked_candidates(ps, pt, cs, ct, axes_s, axes_t, evals_s, evals_t):
     spins: list[np.ndarray] = [np.eye(3)]
     for axis, (a, b) in ((0, (1, 2)), (1, (0, 2)), (2, (0, 1))):
@@ -133,14 +132,10 @@ def _ranked_candidates(ps, pt, cs, ct, axes_s, axes_t, evals_s, evals_t):
                          for deg in np.arange(2.0, 360.0, 2.0))
 
     # Score candidates on an evenly strided subsample for speed; choosing
-    # among rigid candidates does not need every point. The query radius is
-    # capped so hopeless candidates saturate instead of paying for exact
-    # distances far from the target.
+    # among rigid candidates does not need every point.
     stride = max(1, len(ps) // 2000)
     probe = ps[::stride]
     tree = cKDTree(pt)
-    span = pt.max(axis=0) - pt.min(axis=0)
-    cap = max(0.05 * float(np.linalg.norm(span)), 1e-9)
     scored: list[tuple[float, int, RigidTransform]] = []
     for si, signs in enumerate(_SIGN_COMBOS):
         for pi, spin in enumerate(spins):
@@ -148,8 +143,7 @@ def _ranked_candidates(ps, pt, cs, ct, axes_s, axes_t, evals_s, evals_t):
             # sorted by descending eigenvalue as indexed above.
             r = axes_t @ spin @ signs @ axes_s.T
             candidate = RigidTransform(r, ct - r @ cs)
-            d, _ = tree.query(candidate.apply(probe), distance_upper_bound=cap)
-            cost = float(np.minimum(d, cap).mean())
+            cost = _capped_cost(tree, candidate.apply(probe))
             scored.append((cost, si * len(spins) + pi, candidate))
     scored.sort(key=lambda item: (item[0], item[1]))
     return [item[2] for item in scored]
@@ -222,3 +216,31 @@ def registration_error(registered: PointCloud, cad_samples: PointCloud,
     tree = cKDTree(cad_samples.points) if target_tree is None else target_tree
     d, _ = tree.query(registered.points)
     return float(d.mean())
+
+
+def register(source: PointCloud, target: PointCloud, subsample: int = 30000,
+             max_iter: int = 100, tol: float = 1e-6,
+             ) -> tuple[RegistrationResult, PointCloud, float]:
+    """Coarse-to-fine registration of ``source`` onto the ``target`` samples.
+
+    ICP runs on at most ``subsample`` evenly strided source points from each
+    coarse candidate. Returns the winning result, the whole source moved by
+    it, and its ``registration_error``.
+    """
+    icp_source = source.select(strided_indices(len(source), subsample))
+    tree = cKDTree(target.points)
+    # Partial scans of near-symmetric parts can tie the coarse cost for very
+    # different poses, and the trimmed ICP RMSE is equally blind (the trim
+    # rejects exactly the tell-tale mismatched feature points), so completed
+    # candidates are compared by untrimmed mean NN distance.
+    best = None
+    best_cost = np.inf
+    for candidate in coarse_candidates(source, target, count=3):
+        attempt = icp_refine(icp_source, target, init=candidate, max_iter=max_iter,
+                             tol=tol, target_tree=tree)
+        cost = _capped_cost(tree, attempt.transform.apply(icp_source.points))
+        if best is None or cost < best_cost:
+            best = attempt
+            best_cost = cost
+    registered = source.transformed(best.transform)
+    return best, registered, registration_error(registered, target, target_tree=tree)

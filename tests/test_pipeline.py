@@ -78,10 +78,31 @@ def test_bad_config_exits_2(scene_files, tmp_path, line):
     assert "line 1" in result.output
 
 
-def test_tiny_scan_exits_3(scene, scene_files, tmp_path):
-    # Normals need k + 1 = 17 points, so ten points fail the part stage.
+def test_tiny_scan_exits_2(scene, scene_files, tmp_path):
+    # Normals need k + 1 = 17 points, so a ten-point scan is rejected as input
+    # before registration.
     scan = tmp_path / "tiny.ply"
     meshio.save_point_cloud(scan, scene.cloud.select(np.arange(0, 440, 44)))
     result = assess(scan, scene_files / "mesh.ply", "--out", tmp_path)
+    assert result.exit_code == EXIT_INPUT_ERROR
+    assert "10 scan points remain after outlier removal" in result.output
+
+
+def test_failing_stage_exits_3(scene_files, tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("region growing failed")
+
+    monkeypatch.setattr("partcheck.primitives.region_grow", fail)
+    result = assess(scene_files / "scan.ply", scene_files / "mesh.ply", "--out", tmp_path)
     assert result.exit_code == EXIT_STAGE_ERROR
     assert "stage 'part'" in result.output
+
+
+@pytest.mark.parametrize("radius", ["x", "-1"])
+def test_bad_circle_table_exits_2(scene_files, tmp_path, radius):
+    table = tmp_path / "circles.txt"
+    table.write_text(f"0 1 2 3 {radius} 0 0 1 0\n")
+    result = assess(scene_files / "scan.ply", scene_files / "mesh.ply",
+                    "--truth-circles", table, "--out", tmp_path)
+    assert result.exit_code == EXIT_INPUT_ERROR
+    assert f"{table}: line 1:" in result.output

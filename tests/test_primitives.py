@@ -411,6 +411,26 @@ class TestMerge:
 # Refinement
 # ---------------------------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def oversegmented_cube():
+    """Region-grown cube faces with the first three splittable ones cut in two."""
+    from partcheck.synth import cube_scene
+    scene = cube_scene(side=8.0, spacing=0.28, noise=0.004, seed=3)
+    cloud = estimate_normals_and_curvature(scene.cloud, k=16)
+    config = region_grow(cloud, min_points=30)
+    work = config
+    forced = 0
+    for index in range(len(config.primitives)):
+        if forced >= 3:
+            break
+        out, applied = split(work, index)
+        if applied:
+            work = out
+            forced += 1
+    assert len(work.primitives) == 6 + forced
+    return work
+
+
 class TestRefine:
     def test_ground_truth_is_fixed_point(self):
         rng = np.random.default_rng(18)
@@ -424,26 +444,23 @@ class TestRefine:
         assert ops == []
         assert len(refined.primitives) == 2
 
-    def test_oversegmented_cube_recovers_six_faces(self):
-        from partcheck.synth import cube_scene
-        scene = cube_scene(side=8.0, spacing=0.28, noise=0.004, seed=3)
-        cloud = estimate_normals_and_curvature(scene.cloud, k=16)
-        config = region_grow(cloud, min_points=30)
-        # Over-segment: cut three patches in two.
-        work = config
-        forced = 0
-        for index in range(len(config.primitives)):
-            if forced >= 3:
-                break
-            out, applied = split(work, index)
-            if applied:
-                work = out
-                forced += 1
-        assert len(work.primitives) == 6 + forced
+    def test_oversegmented_cube_recovers_six_faces(self, oversegmented_cube):
         log = []
-        refined = refine(work, on_apply=lambda op, e0, e1: log.append((op, e0, e1)))
+        refined = refine(oversegmented_cube,
+                         on_apply=lambda op, e0, e1: log.append((op, e0, e1)))
         assert len(refined.primitives) == 6
         assert all(e1 < e0 for _, e0, e1 in log)
+
+    def test_result_is_a_fixed_point(self, oversegmented_cube):
+        # No split or merge that applies to the refined result lowers its energy.
+        out = refine(oversegmented_cube)
+        floor = energy(out).total - 1e-9
+        for i in range(len(out.primitives)):
+            after, applied = split(out, i)
+            assert not applied or energy(after).total >= floor
+            for j in range(i + 1, len(out.primitives)):
+                after, applied = merge(out, i, j)
+                assert not applied or energy(after).total >= floor
 
     def test_undersegmented_two_planes_split(self):
         rng = np.random.default_rng(19)

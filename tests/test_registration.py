@@ -6,8 +6,8 @@ import pytest
 from partcheck.geometry import PointCloud, RigidTransform
 from partcheck.registration import (
     coarse_candidates,
-    coarse_register,
     icp_refine,
+    register,
     registration_error,
 )
 
@@ -35,7 +35,7 @@ class TestCoarse:
     def test_identity_for_same_cloud(self):
         rng = np.random.default_rng(0)
         cloud = blob_cloud(rng)
-        t = coarse_register(cloud, cloud)
+        t = coarse_candidates(cloud, cloud, count=1)[0]
         assert np.abs(t.rotation - np.eye(3)).max() < 1e-9
         assert np.abs(t.translation).max() < 1e-9
 
@@ -44,21 +44,17 @@ class TestCoarse:
         source = blob_cloud(rng)
         truth = RigidTransform(rotation_about_z(90.0), np.array([5.0, 0.0, 0.0]))
         target = PointCloud(points=truth.apply(source.points))
-        t = coarse_register(source, target)
+        t = coarse_candidates(source, target, count=1)[0]
         moved = t.apply(source.points)
         nn = np.linalg.norm(moved - target.points, axis=1)
         assert nn.mean() < 1e-6
 
-    @pytest.mark.parametrize("coarse", [
-        coarse_register,
-        lambda source, target: coarse_candidates(source, target)[0],
-    ], ids=["coarse_register", "coarse_candidates"])
-    def test_coplanar_fallback(self, coarse):
+    def test_coplanar_fallback(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0.0]])
         source = PointCloud(points=pts)
         target = PointCloud(points=pts + (2.0, 3.0, 4.0))
         with pytest.warns(UserWarning, match="degenerate covariance"):
-            t = coarse(source, target)
+            t = coarse_candidates(source, target, count=1)[0]
         assert np.allclose(t.rotation, np.eye(3))
         assert np.allclose(t.translation, (2.0, 3.0, 4.0), atol=1e-9)
 
@@ -67,7 +63,7 @@ class TestCoarse:
         for _ in range(25):
             a = PointCloud(points=rng.normal(size=(60, 3)) * rng.uniform(0.5, 3.0, 3))
             b = PointCloud(points=rng.normal(size=(60, 3)) * rng.uniform(0.5, 3.0, 3))
-            t = coarse_register(a, b)
+            t = coarse_candidates(a, b, count=1)[0]
             assert np.abs(t.rotation.T @ t.rotation - np.eye(3)).max() < 1e-9
             assert np.linalg.det(t.rotation) == pytest.approx(1.0, abs=1e-9)
 
@@ -144,6 +140,18 @@ class TestICP:
         cloud = PointCloud(points=np.random.default_rng(0).normal(size=(10, 3)))
         with pytest.raises(ValueError):
             icp_refine(cloud, cloud, max_iter=0)
+
+
+class TestRegister:
+    def test_recovers_known_transform_from_subsample(self):
+        rng = np.random.default_rng(10)
+        source = blob_cloud(rng, n=1200)
+        truth = RigidTransform(rotation_about_z(90.0), np.array([5.0, 0.0, 0.0]))
+        target = PointCloud(points=truth.apply(source.points))
+        result, registered, e_reg = register(source, target, subsample=500)
+        assert result.converged
+        assert np.abs(registered.points - target.points).max() < 1e-6
+        assert e_reg < 1e-6
 
 
 class TestRegistrationError:
