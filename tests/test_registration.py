@@ -49,12 +49,18 @@ class TestCoarse:
         nn = np.linalg.norm(moved - target.points, axis=1)
         assert nn.mean() < 1e-6
 
-    def test_coplanar_fallback(self):
+    # "coarse_register" is the single-best call, count=1, that the removed
+    # coarse_register wrapper made; "coarse_candidates" asks for the default
+    # number of candidates. The fallback must give the same pose either way.
+    @pytest.mark.parametrize("count", [1, None],
+                             ids=["coarse_register", "coarse_candidates"])
+    def test_coplanar_fallback(self, count):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0.0]])
         source = PointCloud(points=pts)
         target = PointCloud(points=pts + (2.0, 3.0, 4.0))
+        kwargs = {} if count is None else {"count": count}
         with pytest.warns(UserWarning, match="degenerate covariance"):
-            t = coarse_candidates(source, target, count=1)[0]
+            t = coarse_candidates(source, target, **kwargs)[0]
         assert np.allclose(t.rotation, np.eye(3))
         assert np.allclose(t.translation, (2.0, 3.0, 4.0), atol=1e-9)
 
