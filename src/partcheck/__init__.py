@@ -7,7 +7,6 @@ per-circular-hole feature error.
 
 from .features import (
     Circle3D,
-    CircleHypothesis,
     CircleLabeling,
     MCFSParams,
     detect_edge_points,

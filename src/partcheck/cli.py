@@ -41,7 +41,8 @@ def main():
               help="Directory for the report and optional dumps.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--truth-circles", "truth_path", type=click.Path(),
-              help="Circle table with the reference rim circles.")
+              help="Circle table with the reference rim circles. Without it the feature "
+                   "level has no reference: f_n is 0 and e_comp_* is not measured.")
 @click.option("--dump-segments", is_flag=True, help="Write the colored segmentation PLY.")
 @click.option("--dump-edges", is_flag=True, help="Write the detected edge points PLY.")
 @click.option("--dump-circles", is_flag=True, help="Write fitted circle rings and table.")

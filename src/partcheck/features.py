@@ -22,6 +22,8 @@ from .primitives import FitError, _pratt_circle_2d
 
 TENSOR_SIGMA = 0.5
 EDGE_SCORE_THRESHOLD = 1.05
+# Nearest neighbors a hypothesis draws its second and third point from.
+NEIGHBOR_POOL = 768
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +116,7 @@ class Circle3D:
     normal: Vec3
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("circle radius must be positive")
         object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64).reshape(3))
         object.__setattr__(self, "normal", canonical_sign(unit(self.normal)))
@@ -133,12 +135,6 @@ class Circle3D:
         pts = self.center + self.radius * (np.outer(np.cos(t), u) + np.outer(np.sin(t), v))
         edges = np.column_stack([np.arange(segments), (np.arange(segments) + 1) % segments])
         return pts, edges.astype(np.int64)
-
-
-@dataclass(frozen=True, eq=False)
-class CircleHypothesis:
-    circle: Circle3D
-    sample: tuple[int, int, int]
 
 
 @dataclass(eq=False)
@@ -170,15 +166,14 @@ def circumcircle(a, b, c) -> Circle3D:
     return Circle3D(center, float(np.linalg.norm(center - a)), cr)
 
 
-def generate_hypotheses(edge_points, count: int, seed: int = 0,
-                        neighbor_pool: int = 768) -> list[CircleHypothesis]:
+def generate_hypotheses(edge_points, count: int, seed: int = 0) -> list[Circle3D]:
     """Draw ``count`` random non-collinear triples and their circumcircles.
 
     Sampling is locality-biased: the first point is uniform, its two
     companions come from a randomly sized prefix of its nearest neighbors.
     Points of one structure are spatial neighbors, so this raises the share
     of all-one-circle triples by orders of magnitude over uniform triples
-    while still reaching every scale up to the pool size.
+    while still reaching every scale up to ``NEIGHBOR_POOL`` neighbors.
     """
     pts = as_points(edge_points)
     n = len(pts)
@@ -190,13 +185,13 @@ def generate_hypotheses(edge_points, count: int, seed: int = 0,
         raise ValueError("degenerate edge set")
 
     rng = np.random.default_rng(seed)
-    pool = min(neighbor_pool, n - 1)
+    pool = min(NEIGHBOR_POOL, n - 1)
     neighbors = None
     if n > 32:
         _, neighbors = cKDTree(pts).query(pts, k=pool + 1)
     log_lo, log_hi = np.log(16.0), np.log(max(pool, 17))
 
-    out: list[CircleHypothesis] = []
+    out: list[Circle3D] = []
     attempts = 0
     limit = 100 * max(count, 1)
     while len(out) < count:
@@ -214,10 +209,9 @@ def generate_hypotheses(edge_points, count: int, seed: int = 0,
             if j == k or i in (j, k):
                 continue
         try:
-            circle = circumcircle(pts[i], pts[j], pts[k])
+            out.append(circumcircle(pts[i], pts[j], pts[k]))
         except FitError:
             continue
-        out.append(CircleHypothesis(circle, (i, j, k)))
     return out
 
 
@@ -225,43 +219,31 @@ def generate_hypotheses(edge_points, count: int, seed: int = 0,
 # Hypothesis reduction by mean shift
 # ---------------------------------------------------------------------------
 
-def _embed_hypotheses(hyps: list[CircleHypothesis], scale: float) -> NDArray[np.float64]:
-    centers = np.stack([h.circle.center for h in hyps])
-    normals = np.stack([h.circle.normal for h in hyps])
-    radii = np.array([h.circle.radius for h in hyps])
+def _embed_hypotheses(hyps: list[Circle3D], scale: float) -> NDArray[np.float64]:
+    centers = np.stack([h.center for h in hyps])
+    normals = np.stack([h.normal for h in hyps])
+    radii = np.array([h.radius for h in hyps])
     return np.column_stack([centers / scale, normals, radii / scale])
 
 
-def _hypothesis_scale(hyps: list[CircleHypothesis]) -> float:
-    # Quantile-based so a few huge near-collinear circumcircles cannot blow
-    # up the normalization and merge every mode.
-    centers = np.stack([h.circle.center for h in hyps])
-    radii = np.array([h.circle.radius for h in hyps])
-    lo = np.quantile(centers, 0.02, axis=0)
-    hi = np.quantile(centers, 0.98, axis=0)
-    diag = float(np.linalg.norm(hi - lo)) + 2.0 * float(np.median(radii))
-    return diag if diag > 0 else 1.0
-
-
 def reduce_hypotheses(
-    hyps: list[CircleHypothesis],
+    hyps: list[Circle3D],
     bandwidth: float = 0.05,
-    scale: float | None = None,
+    *,
+    scale: float,
     max_modes: int | None = None,
-) -> list[CircleHypothesis]:
+) -> list[Circle3D]:
     """Mean shift with a flat kernel over the 7-d circle parameter space.
 
-    Center and radius coordinates are divided by ``scale`` (by default the
-    diagonal of the hypotheses' bounding volume) so the bandwidth is unitless.
-    Returns the hypothesis nearest to each surviving mode; when ``max_modes``
-    is set, only the most populated modes survive.
+    Center and radius coordinates are divided by ``scale`` (``mcfs`` passes
+    the diagonal of the edge points' bounding box) so the bandwidth is
+    unitless. Returns the hypothesis nearest to each surviving mode; when
+    ``max_modes`` is set, only the most populated modes survive.
     """
     if not hyps:
         raise ValueError("no hypotheses to reduce")
     if len(hyps) == 1:
         return list(hyps)
-    if scale is None:
-        scale = _hypothesis_scale(hyps)
     data = _embed_hypotheses(hyps, scale)
     tree = cKDTree(data)
     modes = data.copy()
@@ -312,17 +294,17 @@ def reduce_hypotheses(
 # Residuals and preference clustering
 # ---------------------------------------------------------------------------
 
-def residual_matrix(edge_points, hyps: list[CircleHypothesis]) -> NDArray[np.float64]:
+def residual_matrix(edge_points, hyps: list[Circle3D]) -> NDArray[np.float64]:
     """Point-to-hypothesis distances, one row per point, one column per circle."""
     pts = as_points(edge_points)
     if not hyps:
         raise ValueError("no hypotheses")
-    return np.column_stack([h.circle.distance(pts) for h in hyps])
+    return np.column_stack([h.distance(pts) for h in hyps])
 
 
 def cluster_labels(
     residuals: NDArray[np.float64],
-    hyps: list[CircleHypothesis],
+    hyps: list[Circle3D],
     inlier_eps: float,
     min_cluster: int,
 ) -> CircleLabeling:
@@ -363,7 +345,7 @@ def cluster_labels(
             mean_res = residuals[np.ix_(mem, best)].mean(axis=0)
             best = best[np.argsort(mean_res, kind="stable")]
         j = int(best[0])
-        circles.append(hyps[j].circle)
+        circles.append(hyps[j])
         labels[mem] = ci
     return CircleLabeling(labels, circles)
 

@@ -2,8 +2,9 @@
 
 ``run_pipeline`` is a chain of stage functions: load the inputs, register
 (outlier filter, CAD sampling, coarse search and ICP), the global error,
-the part level (segmentation and patch errors), the feature level (rim
-circles against the reference), then the report and its output files. Each
+the part level (segmentation and patch errors), the feature level (the
+scan's rim circles against the reference circles, which are a supplied
+table or, without one, none), then the report and its output files. Each
 stage is timed, and any failure aborts with the stage name; a scan too small
 to estimate normals on is rejected as input before registration.
 The report serializes to a stable key/value document or an aligned
@@ -16,7 +17,7 @@ import hashlib
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,6 @@ from .geometry import (
     median_spacing,
     remove_outliers,
     sample_mesh,
-    strided_indices,
 )
 from .synth import SyntheticScene, generate_synthetic_scene, parse_scene_spec
 
@@ -76,16 +76,16 @@ class PipelineConfig:
     cluster_cap: int = 4000
     registration_subsample: int = 30000
     circle_match_tol: float = 1.0
-    derive_reference_circles: int = 1
     seed: int = 0
 
     def __post_init__(self):
         w = np.array([self.omega_f, self.omega_s, self.omega_c])
-        if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("energy weights must be non-negative and sum to 1")
+        if not np.isfinite(w).all() or (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
+            raise ValueError("energy weights must be finite, non-negative and sum to 1")
         for name in ("inlier_eps", "eta", "edge_threshold", "tensor_sigma",
                      "tensor_radius_factor", "icp_tol", "bandwidth", "circle_match_tol"):
-            if getattr(self, name) <= 0:
+            # Written so that NaN fails too.
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
     @staticmethod
@@ -107,6 +107,8 @@ class PipelineConfig:
             except ValueError:
                 raise ValueError(
                     f"{path}: line {lineno}: '{key}' must be a number, got '{value}'") from None
+            if np.isnan(number):
+                raise ValueError(f"{path}: line {lineno}: '{key}' must not be NaN")
             if valid[key] in ("int", int):
                 if not number.is_integer():
                     raise ValueError(
@@ -164,6 +166,7 @@ class AssessmentReport:
     e_comp_centroid_max: float
     f_n: int
     f_p: int
+    n_reference_circles: int
     time_registration: float
     time_global: float
     time_part: float
@@ -178,7 +181,7 @@ class AssessmentReport:
     config: PipelineConfig = field(default_factory=PipelineConfig)
     scan_checksum: str = "-"
     mesh_checksum: str = "-"
-    format_version: int = 1
+    format_version: int = 2
 
     def __post_init__(self):
         for name in ("e_reg", "e_global", "e_part_avg", "e_part_max",
@@ -186,8 +189,10 @@ class AssessmentReport:
                      "e_comp_centroid_avg", "e_comp_centroid_max"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.f_n < 0 or self.f_p < 0:
-            raise ValueError("f_n / f_p must be non-negative")
+        if self.f_n < 0 or self.f_p < 0 or self.n_reference_circles < 0:
+            raise ValueError("f_n / f_p / n_reference_circles must be non-negative")
+        if self.f_n > self.n_reference_circles:
+            raise ValueError("f_n exceeds the number of reference circles")
         stage_sum = (self.time_registration + self.time_global
                      + self.time_part + self.time_feature)
         if self.time_total < stage_sum * 0.99:
@@ -224,6 +229,7 @@ def report_fields(report: AssessmentReport) -> OrderedDict:
         out[key] = _fmt(getattr(report, key))
     out["f_n"] = _fmt(report.f_n)
     out["f_p"] = _fmt(report.f_p)
+    out["n_reference_circles"] = _fmt(report.n_reference_circles)
     for key in _TIME_KEYS:
         out[key] = f"{getattr(report, key):.1f}"
     out["scan_points"] = _fmt(report.scan_points)
@@ -289,7 +295,8 @@ def _render_human(report: AssessmentReport) -> str:
     width = max(len(name) for name, _ in rows)
     lines = ["Manufacturing error (model units, mm by convention)", "-" * 60]
     lines += [f"{name:<{width}}  {value:.6f}" for name, value in rows]
-    lines += ["", f"Missed circles (f_n): {report.f_n}   Spurious circles (f_p): {report.f_p}",
+    lines += ["", f"Reference circles: {report.n_reference_circles}   "
+              f"Missed circles (f_n): {report.f_n}   Spurious circles (f_p): {report.f_p}",
               "", "Running time (seconds)", "-" * 60]
     lines += [
         f"registration {report.time_registration:.1f}  global {report.time_global:.1f}  "
@@ -339,6 +346,8 @@ def read_circles_table(path: str | Path) -> list[feat.Circle3D]:
             raise ValueError(f"{path}: line {lineno}: expected >= 8 columns")
         try:
             values = [float(t) for t in tokens[1:8]]
+            if not np.isfinite(values).all():
+                raise ValueError("values must be finite")
             circles.append(
                 feat.Circle3D(np.array(values[0:3]), values[3], np.array(values[4:7])))
         except ValueError as exc:
@@ -411,10 +420,12 @@ def run_pipeline(
 ) -> AssessmentReport:
     """Run the full assessment and return the report.
 
-    ``scan`` and ``mesh`` may be paths or in-memory objects. When
-    ``truth_circles`` is absent and the config enables it, reference circles
-    are derived by running the feature detector on the CAD-side samples.
-    Output files are only written after every stage succeeds.
+    ``scan`` and ``mesh`` may be paths or in-memory objects. The feature
+    level scores the scan's circles against ``truth_circles``; without them
+    there is no reference, so ``f_n`` is 0, every fitted circle counts in
+    ``f_p`` and the ``e_comp_*`` fields read 0.0 (``n_reference_circles``
+    says which case a report is). Output files are only written after every
+    stage succeeds.
     """
     start = time.perf_counter()
     times: dict[str, float] = {}
@@ -427,15 +438,15 @@ def run_pipeline(
             mesh_checksum = _checksum(mesh)
             mesh = meshio.load_mesh(mesh)
     with _stage("registration", times):
-        fit, registered, cad_samples, e_reg, removed = _register(scan, mesh, config)
+        fit, registered, e_reg, removed = _register(scan, mesh, config)
     with _stage("global", times):
         surface_dist = mesh.distance_index().query(registered.points)
         e_global = global_error(surface_dist)
     with _stage("part", times):
         enriched, refined, patch_dists, e_part = _part(registered, surface_dist, config)
     with _stage("feature", times):
-        edge_idx, labeling, f_n, f_p, e_comp = _feature(
-            enriched, cad_samples, truth_circles, config)
+        edge_idx, labeling, n_reference, f_n, f_p, e_comp = _feature(
+            enriched, truth_circles, config)
 
     report = AssessmentReport(
         e_reg=e_reg,
@@ -448,6 +459,7 @@ def run_pipeline(
         e_comp_centroid_max=e_comp[3],
         f_n=f_n,
         f_p=f_p,
+        n_reference_circles=n_reference,
         time_registration=times["registration"],
         time_global=times["global"],
         time_part=times["part"],
@@ -490,7 +502,7 @@ def _register(scan: PointCloud, mesh: TriangleMesh, config: PipelineConfig):
     fit, registered, e_reg = reg.register(
         filtered, cad_samples, subsample=config.registration_subsample,
         max_iter=config.icp_max_iter, tol=config.icp_tol)
-    return fit, registered, cad_samples, e_reg, removed
+    return fit, registered, e_reg, removed
 
 
 def _part(registered: PointCloud, surface_dist: np.ndarray, config: PipelineConfig):
@@ -513,32 +525,26 @@ def _part(registered: PointCloud, surface_dist: np.ndarray, config: PipelineConf
     return enriched, refined, patch_dists, e_part
 
 
-def _feature(enriched: PointCloud, cad_samples: PointCloud,
-             truth_circles: list[feat.Circle3D] | None, config: PipelineConfig):
-    """Fit the scan's rim circles and score them against the reference."""
-    edge_idx, labeling = _detect_circles(enriched, config, config.seed)
-    reference = truth_circles
-    if reference is None and config.derive_reference_circles:
-        reference = _derive_reference_circles(cad_samples, config)
-    reference = reference or []
+def _feature(enriched: PointCloud, truth_circles: list[feat.Circle3D] | None,
+             config: PipelineConfig):
+    """Fit the scan's rim circles from its tensor-voting edge points with
+    MCFS, and score them against the reference circles."""
+    radius = config.tensor_radius_factor * median_spacing(enriched.points)
+    edge_idx = feat.detect_edge_points(
+        enriched, radius=radius, threshold=config.edge_threshold, sigma=config.tensor_sigma)
+    if len(edge_idx) < 3:
+        labeling = feat.CircleLabeling(np.full(len(edge_idx), -1, dtype=np.int64), [])
+    else:
+        labeling = feat.mcfs(enriched.points[edge_idx], config.mcfs_params())
+    reference = _derive_reference_circles(truth_circles)
     f_n, f_p = feat.fn_fp_counts(labeling.circles, reference, config.circle_match_tol)
-    # With no matched pair the errors read 0.0; the report has no field
-    # yet that says nothing matched.
+    # With no matched pair the errors read 0.0; ``n_reference_circles`` and
+    # ``f_n`` in the report say when that is so.
     if f_n < len(reference):
         e_comp = feat.feature_level_error(labeling.circles, reference, config.circle_match_tol)
     else:
         e_comp = (0.0, 0.0, 0.0, 0.0)
-    return edge_idx, labeling, f_n, f_p, e_comp
-
-
-def _detect_circles(cloud: PointCloud, config: PipelineConfig, seed: int):
-    """Tensor-voting edge points of a cloud with normals, and their MCFS circles."""
-    radius = config.tensor_radius_factor * median_spacing(cloud.points)
-    edge_idx = feat.detect_edge_points(
-        cloud, radius=radius, threshold=config.edge_threshold, sigma=config.tensor_sigma)
-    if len(edge_idx) < 3:
-        return edge_idx, feat.CircleLabeling(np.full(len(edge_idx), -1, dtype=np.int64), [])
-    return edge_idx, feat.mcfs(cloud.points[edge_idx], replace(config.mcfs_params(), seed=seed))
+    return edge_idx, labeling, len(reference), f_n, f_p, e_comp
 
 
 def _write_outputs(report: AssessmentReport, out_dir: Path, enriched: PointCloud,
@@ -587,15 +593,14 @@ def _shape_params(shape) -> str:
             f"axis {a[0]:.6g} {a[1]:.6g} {a[2]:.6g} half_angle {shape.half_angle:.6g}")
 
 
-def _derive_reference_circles(cad_samples: PointCloud,
-                              config: PipelineConfig) -> list[feat.Circle3D]:
-    """Detect the CAD model's own circular rims from its sampled surface."""
-    reference_cloud = cad_samples.select(strided_indices(len(cad_samples), 100_000))
-    enriched = estimate_normals_and_curvature(reference_cloud, k=config.normals_k)
-    try:
-        return _detect_circles(enriched, config, config.seed + 1)[1].circles
-    except ValueError:
-        return []
+def _derive_reference_circles(
+        truth_circles: list[feat.Circle3D] | None) -> list[feat.Circle3D]:
+    """The reference circles: the supplied table, or none without one.
+
+    Kept as its own function so a trace can time and count the reference
+    step, and as the place for circles extracted from the mesh itself.
+    """
+    return truth_circles or []
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,11 @@ def circle_points(circle: Circle3D, n: int, rng=None, noise=0.0):
     return pts
 
 
+def bbox_diagonal(pts) -> float:
+    """The scale ``mcfs`` passes to ``reduce_hypotheses``."""
+    return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+
+
 # ---------------------------------------------------------------------------
 # Tensor voting and edge detection
 # ---------------------------------------------------------------------------
@@ -184,8 +189,8 @@ class TestGenerateHypotheses:
         pts = circle_points(c, 100)
         hyps = generate_hypotheses(pts, 50, seed=1)
         for h in hyps:
-            assert np.abs(h.circle.center - c.center).max() < 1e-9
-            assert h.circle.radius == pytest.approx(2.0, abs=1e-9)
+            assert np.abs(h.center - c.center).max() < 1e-9
+            assert h.radius == pytest.approx(2.0, abs=1e-9)
 
     def test_collinear_set_rejected(self):
         pts = np.outer(np.linspace(0, 1, 50), [1.0, 1.0, 1.0])
@@ -197,7 +202,9 @@ class TestGenerateHypotheses:
         pts = rng.uniform(0, 1, size=(60, 3))
         a = generate_hypotheses(pts, 40, seed=9)
         b = generate_hypotheses(pts, 40, seed=9)
-        assert all(x.sample == y.sample for x, y in zip(a, b))
+        assert len(a) == len(b)
+        assert all(np.array_equal(x.center, y.center) and x.radius == y.radius
+                   for x, y in zip(a, b))
 
 
 class TestReduceHypotheses:
@@ -206,22 +213,24 @@ class TestReduceHypotheses:
         c = Circle3D(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]))
         pts = circle_points(c, 60, rng=rng, noise=1e-4)
         hyps = generate_hypotheses(pts, 100, seed=3)
-        modes = reduce_hypotheses(hyps, bandwidth=0.05)
+        modes = reduce_hypotheses(hyps, bandwidth=0.05, scale=bbox_diagonal(pts))
         assert len(modes) == 1
 
     def test_two_separated_circles_two_modes(self):
         rng = np.random.default_rng(9)
         c1 = Circle3D(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]))
         c2 = Circle3D(np.array([8.0, 0.0, 0.0]), 1.5, np.array([0.0, 0.0, 1.0]))
-        hyps = (generate_hypotheses(circle_points(c1, 50, rng=rng, noise=1e-4), 60, seed=4)
-                + generate_hypotheses(circle_points(c2, 50, rng=rng, noise=1e-4), 60, seed=5))
-        modes = reduce_hypotheses(hyps, bandwidth=0.05)
+        p1 = circle_points(c1, 50, rng=rng, noise=1e-4)
+        p2 = circle_points(c2, 50, rng=rng, noise=1e-4)
+        hyps = generate_hypotheses(p1, 60, seed=4) + generate_hypotheses(p2, 60, seed=5)
+        modes = reduce_hypotheses(hyps, bandwidth=0.05, scale=bbox_diagonal(np.vstack([p1, p2])))
         assert len(modes) == 2
 
     def test_single_hypothesis_is_itself(self):
         c = Circle3D(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]))
-        hyps = generate_hypotheses(circle_points(c, 30), 1, seed=0)
-        assert reduce_hypotheses(hyps, bandwidth=0.05) == hyps
+        pts = circle_points(c, 30)
+        hyps = generate_hypotheses(pts, 1, seed=0)
+        assert reduce_hypotheses(hyps, bandwidth=0.05, scale=bbox_diagonal(pts)) == hyps
 
 
 class TestResidualMatrix:
@@ -237,8 +246,7 @@ class TestResidualMatrix:
         c1 = Circle3D(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]))
         c2 = Circle3D(np.array([5.0, 0.0, 0.0]), 2.0, np.array([0.0, 0.0, 1.0]))
         pts = np.array([[1.0, 0.0, 0.0], [5.0, 0.0, 1.0]])
-        hyps = [type("H", (), {"circle": c1})(), type("H", (), {"circle": c2})()]
-        r = residual_matrix(pts, hyps)
+        r = residual_matrix(pts, [c1, c2])
         assert r[0, 0] == pytest.approx(0.0)
         # point (1,0,0) vs c2: in plane, 4 from the center, |4 - r| = 2
         assert r[0, 1] == pytest.approx(2.0)
@@ -260,7 +268,8 @@ class TestClusterLabels:
         c2 = Circle3D(np.array([6.0, 0.0, 0.0]), 1.4, np.array([0.0, 0.0, 1.0]))
         pts = np.vstack([circle_points(c1, 80), circle_points(c2, 80)])
         truth = np.concatenate([np.zeros(80, int), np.ones(80, int)])
-        hyps = reduce_hypotheses(generate_hypotheses(pts, 600, seed=3), 0.05)
+        hyps = reduce_hypotheses(generate_hypotheses(pts, 600, seed=3), 0.05,
+                                 scale=bbox_diagonal(pts))
         labeling = cluster_labels(residual_matrix(pts, hyps), hyps, 0.1, 10)
         assert len(labeling.circles) == 2
         assert misclassification_error(labeling, truth) == pytest.approx(0.0)
@@ -274,7 +283,8 @@ class TestClusterLabels:
         keep = c.distance(junk) > 0.15
         junk = junk[keep]
         pts = np.vstack([ring, junk])
-        hyps = reduce_hypotheses(generate_hypotheses(pts, 2000, seed=5), 0.05)
+        hyps = reduce_hypotheses(generate_hypotheses(pts, 2000, seed=5), 0.05,
+                                 scale=bbox_diagonal(pts))
         labeling = cluster_labels(residual_matrix(pts, hyps), hyps, 0.1, 10)
         predicted_outlier = labeling.labels[len(ring):] == -1
         assert predicted_outlier.mean() >= 0.9
@@ -283,15 +293,16 @@ class TestClusterLabels:
         rng = np.random.default_rng(13)
         c = Circle3D(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]))
         pts = circle_points(c, 80, rng=rng, noise=0.003)
-        hyps = reduce_hypotheses(generate_hypotheses(pts, 300, seed=6), 0.05)
+        hyps = reduce_hypotheses(generate_hypotheses(pts, 300, seed=6), 0.05,
+                                 scale=bbox_diagonal(pts))
         labeling = cluster_labels(residual_matrix(pts, hyps), hyps, 0.1, 10)
         assert len(labeling.circles) == 1
         assert (labeling.labels == 0).mean() > 0.95
 
     def test_all_empty_preferences(self):
         r = np.full((20, 3), 5.0)
-        hyps = [None, None, None]
-        labeling = cluster_labels(r, [type("H", (), {"circle": None})()] * 3, 0.1, 5)
+        hyps = [Circle3D(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]))] * 3
+        labeling = cluster_labels(r, hyps, 0.1, 5)
         assert (labeling.labels == -1).all()
         assert labeling.circles == []
 

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from partcheck import meshio
+from partcheck.features import Circle3D
 from partcheck.cli import EXIT_INPUT_ERROR, EXIT_STAGE_ERROR, main
 from partcheck.pipeline import (
     PipelineConfig,
@@ -48,6 +49,23 @@ def test_report_round_trips(report, tmp_path):
     assert parse_report(path) == report_fields(report)
 
 
+def test_no_reference_without_truth(report):
+    # Without a circle table nothing is a reference: nothing can be missed
+    # and every fitted circle counts as spurious.
+    assert report.n_reference_circles == 0
+    assert report.f_n == 0
+    assert report.f_p == len(report.circle_rows)
+
+
+def test_truth_circles_are_scored(scene, report):
+    truth = [Circle3D(row.center, row.radius, row.normal) for row in report.circle_rows]
+    truth.append(Circle3D(np.full(3, 100.0), 1.0, np.array([0.0, 0.0, 1.0])))
+    scored = run_pipeline(scene.cloud, scene.mesh, PipelineConfig(), truth_circles=truth)
+    assert scored.n_reference_circles == len(report.circle_rows) + 1 == 2
+    assert (scored.f_n, scored.f_p) == (1, 0)
+    assert scored.e_comp_radius_max == scored.e_comp_centroid_max == 0.0
+
+
 @pytest.mark.parametrize("value", ["3", "3.0"])
 def test_config_accepts_integral_ints(tmp_path, value):
     path = tmp_path / "config.txt"
@@ -68,7 +86,8 @@ def test_missing_scan_exits_2(scene_files, tmp_path):
     assert result.exit_code == EXIT_INPUT_ERROR
 
 
-@pytest.mark.parametrize("line", ["no_such_key = 1", "min_points = 1.7", "seed = abc"])
+@pytest.mark.parametrize("line", ["no_such_key = 1", "min_points = 1.7", "seed = abc",
+                                  "inlier_eps = nan", "omega_f = nan"])
 def test_bad_config_exits_2(scene_files, tmp_path, line):
     config = tmp_path / "config.txt"
     config.write_text(line + "\n")
@@ -98,7 +117,7 @@ def test_failing_stage_exits_3(scene_files, tmp_path, monkeypatch):
     assert "stage 'part'" in result.output
 
 
-@pytest.mark.parametrize("radius", ["x", "-1"])
+@pytest.mark.parametrize("radius", ["x", "-1", "nan", "inf"])
 def test_bad_circle_table_exits_2(scene_files, tmp_path, radius):
     table = tmp_path / "circles.txt"
     table.write_text(f"0 1 2 3 {radius} 0 0 1 0\n")
