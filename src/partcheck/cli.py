@@ -112,6 +112,10 @@ def fit_circles(edge_ply, eps, seed, out_path):
     except meshio.MeshIOError as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(EXIT_INPUT_ERROR)
+    if len(cloud) < 3:
+        click.echo(f"input error: {edge_ply}: {len(cloud)} edge points; "
+                   "circle fitting needs at least 3", err=True)
+        sys.exit(EXIT_INPUT_ERROR)
     try:
         labeling = feat.mcfs(cloud.points, feat.MCFSParams(inlier_eps=eps, seed=seed))
     except ValueError as exc:

@@ -6,6 +6,10 @@ whose eigenvalue ratio flags curvature transitions. Circle candidates are
 generated from random 3-point samples, compressed by mean shift, clustered
 by the similarity of their preference sets, fitted with iterative outlier
 rejection, and finally pruned by a greedy set cover.
+
+The samples are drawn one triple at a time, so the random stream depends on
+the seed alone; their circumcircles are computed in vectorized blocks, and
+the converged mean-shift modes are grouped with one k-d tree query.
 """
 
 from __future__ import annotations
@@ -150,20 +154,33 @@ class CircleLabeling:
             raise ValueError("label references a missing circle")
 
 
-def circumcircle(a, b, c) -> Circle3D:
-    """The unique circle through three non-collinear points."""
-    a, b, c = (np.asarray(x, dtype=np.float64).reshape(3) for x in (a, b, c))
+def _circumcircles(a: Points, b: Points, c: Points):
+    """Circumcircles of the row-wise triples ``(a[i], b[i], c[i])``.
+
+    Returns ``(centers, radii, normals, collinear)``. The normals are the raw
+    cross products ``(b - a) x (c - a)``; ``Circle3D`` normalizes them. A row
+    is collinear when its triangle's area is at most ``1e-9`` times its
+    longest side squared; its center and radius are then meaningless.
+    """
     ab = b - a
     ac = c - a
     cr = np.cross(ab, ac)
-    n2 = float(cr @ cr)
-    span = max(np.linalg.norm(ab), np.linalg.norm(ac), np.linalg.norm(c - b))
-    if np.sqrt(n2) / 2.0 < 1e-9 * span * span:
+    n2, ab2, ac2, bc2 = (np.einsum("ij,ij->i", v, v) for v in (cr, ab, ac, c - b))
+    collinear = np.sqrt(n2) / 2.0 <= 1e-9 * np.maximum(np.maximum(ab2, ac2), bc2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        centers = a + (ac2[:, None] * np.cross(cr, ab)
+                       + ab2[:, None] * np.cross(ac, cr)) / (2.0 * n2[:, None])
+    radii = np.linalg.norm(centers - a, axis=1)
+    return centers, radii, cr, collinear
+
+
+def circumcircle(a, b, c) -> Circle3D:
+    """The unique circle through three non-collinear points."""
+    a, b, c = (np.asarray(x, dtype=np.float64).reshape(1, 3) for x in (a, b, c))
+    centers, radii, normals, collinear = _circumcircles(a, b, c)
+    if collinear[0]:
         raise FitError("collinear sample")
-    center = a + (
-        float(ac @ ac) * np.cross(cr, ab) + float(ab @ ab) * np.cross(ac, cr)
-    ) / (2.0 * n2)
-    return Circle3D(center, float(np.linalg.norm(center - a)), cr)
+    return Circle3D(centers[0], float(radii[0]), normals[0])
 
 
 def generate_hypotheses(edge_points, count: int, seed: int = 0) -> list[Circle3D]:
@@ -174,6 +191,12 @@ def generate_hypotheses(edge_points, count: int, seed: int = 0) -> list[Circle3D
     Points of one structure are spatial neighbors, so this raises the share
     of all-one-circle triples by orders of magnitude over uniform triples
     while still reaching every scale up to ``NEIGHBOR_POOL`` neighbors.
+
+    The draws stay scalar, one triple at a time, so the random stream is
+    fixed by the seed alone; the circumcircles are fitted in blocks. Each
+    block holds as many triples as circles are still missing, so it never
+    draws past the one that completes ``count``, and collinear triples are
+    replaced by a further block.
     """
     pts = as_points(edge_points)
     n = len(pts)
@@ -195,23 +218,26 @@ def generate_hypotheses(edge_points, count: int, seed: int = 0) -> list[Circle3D
     attempts = 0
     limit = 100 * max(count, 1)
     while len(out) < count:
-        attempts += 1
-        if attempts > limit:
-            raise ValueError("degenerate edge set")
-        if neighbors is None:
-            i, j, k = (int(v) for v in rng.choice(n, size=3, replace=False))
-        else:
-            i = int(rng.integers(n))
-            prefix = int(np.exp(rng.uniform(log_lo, log_hi)))
-            prefix = min(max(prefix, 2), pool)
-            j, k = (int(neighbors[i, 1 + v])
-                    for v in rng.choice(prefix, size=2, replace=False))
-            if j == k or i in (j, k):
-                continue
-        try:
-            out.append(circumcircle(pts[i], pts[j], pts[k]))
-        except FitError:
-            continue
+        triples: list[tuple[int, int, int]] = []
+        while len(triples) < count - len(out):
+            attempts += 1
+            if attempts > limit:
+                raise ValueError("degenerate edge set")
+            if neighbors is None:
+                i, j, k = (int(v) for v in rng.choice(n, size=3, replace=False))
+            else:
+                i = int(rng.integers(n))
+                prefix = int(np.exp(rng.uniform(log_lo, log_hi)))
+                prefix = min(max(prefix, 2), pool)
+                j, k = (int(neighbors[i, 1 + v])
+                        for v in rng.choice(prefix, size=2, replace=False))
+                if j == k or i in (j, k):
+                    continue
+            triples.append((i, j, k))
+        a, b, c = pts[np.array(triples).T]
+        centers, radii, normals, collinear = _circumcircles(a, b, c)
+        out.extend(Circle3D(centers[r], float(radii[r]), normals[r])
+                   for r in np.nonzero(~collinear)[0])
     return out
 
 
@@ -224,6 +250,23 @@ def _embed_hypotheses(hyps: list[Circle3D], scale: float) -> NDArray[np.float64]
     normals = np.stack([h.normal for h in hyps])
     radii = np.array([h.radius for h in hyps])
     return np.column_stack([centers / scale, normals, radii / scale])
+
+
+def _group_modes(modes: NDArray[np.float64], radius: float) -> NDArray[np.int64]:
+    """Group id per mode, numbered in order of each group's first mode.
+
+    Greedy in index order: each mode not yet assigned opens a group and takes
+    every unassigned mode within ``radius`` of it.
+    """
+    assigned = np.full(len(modes), -1, dtype=np.int64)
+    groups = 0
+    for i, near in enumerate(cKDTree(modes).query_ball_point(modes, radius)):
+        if assigned[i] >= 0:
+            continue
+        near = np.asarray(near, dtype=np.int64)
+        assigned[near[assigned[near] < 0]] = groups
+        groups += 1
+    return assigned
 
 
 def reduce_hypotheses(
@@ -268,16 +311,8 @@ def reduce_hypotheses(
         moving[settled] = False
 
     # Group converged modes and keep one representative hypothesis each.
-    assigned = np.full(len(modes), -1, dtype=np.int64)
-    reps: list[int] = []
-    for i in range(len(modes)):
-        if assigned[i] >= 0:
-            continue
-        d = np.linalg.norm(modes - modes[i], axis=1)
-        members = (assigned < 0) & (d <= bandwidth / 2.0)
-        assigned[members] = len(reps)
-        reps.append(i)
-    populations = np.bincount(assigned, minlength=len(reps))
+    assigned = _group_modes(modes, bandwidth / 2.0)
+    populations = np.bincount(assigned)
     order = np.argsort(-populations, kind="stable")
     if max_modes is not None:
         order = order[:max_modes]

@@ -9,6 +9,9 @@ from partcheck.features import (
     Circle3D,
     CircleLabeling,
     MCFSParams,
+    _circumcircles,
+    _embed_hypotheses,
+    _group_modes,
     circumcircle,
     cluster_labels,
     detect_edge_points,
@@ -182,6 +185,44 @@ class TestCircumcircle:
         with pytest.raises(FitError):
             circumcircle((0, 0, 0), (1, 1, 1), (2, 2, 2))
 
+    def test_coincident_points_rejected(self):
+        with pytest.raises(FitError):
+            circumcircle((1, 2, 3), (1, 2, 3), (1, 2, 3))
+
+    def test_batched_rows_pass_through_their_points(self):
+        rng = np.random.default_rng(13)
+        a, b, c = (rng.normal(scale=4.0, size=(2000, 3)) for _ in range(3))
+        # Exactly collinear rows, one of them three coincident points, and
+        # rows lifted off their line by 1e-12 or 1e-6 of its length. The
+        # circumcircle of a nearly straight triple is ill-conditioned (its
+        # error grows like radius * eps), so the kept near-line rows sit at
+        # 1e-6, where the radius reaches about 1e5 spans.
+        base, tip = rng.normal(size=(2, 60, 3))
+        t = rng.uniform(0.0, 1.0, size=(60, 1))
+        lift = np.cross(tip - base, rng.normal(size=(60, 3)))
+        lift /= np.linalg.norm(lift, axis=1)[:, None]
+        length = np.linalg.norm(tip - base, axis=1)[:, None]
+        on_line = base + t * (tip - base)
+        a = np.vstack([a, base, base[:1], base, base])
+        b = np.vstack([b, tip, base[:1], tip, tip])
+        c = np.vstack([c, on_line, base[:1], on_line + 1e-12 * length * lift,
+                       on_line + 1e-6 * length * lift])
+        centers, radii, normals, collinear = _circumcircles(a, b, c)
+        assert collinear[2000:2121].all()
+        assert not collinear[2121:].any()
+        for i in range(len(a)):
+            if collinear[i]:
+                with pytest.raises(FitError):
+                    circumcircle(a[i], b[i], c[i])
+                continue
+            single = circumcircle(a[i], b[i], c[i])
+            assert np.array_equal(single.center, centers[i]) and single.radius == radii[i]
+            tri = np.stack([a[i], b[i], c[i]])
+            span = max(np.linalg.norm(b[i] - a[i]), np.linalg.norm(c[i] - a[i]),
+                       np.linalg.norm(c[i] - b[i]))
+            circle = Circle3D(centers[i], radii[i], normals[i])
+            assert circle.distance(tri).max() <= 1e-9 * span
+
 
 class TestGenerateHypotheses:
     def test_exact_circle_gives_identical_hypotheses(self):
@@ -196,6 +237,33 @@ class TestGenerateHypotheses:
         pts = np.outer(np.linspace(0, 1, 50), [1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="degenerate edge set"):
             generate_hypotheses(pts, 10, seed=0)
+
+    def test_random_stream_is_pinned(self):
+        # Values recorded from the scalar one-triple-at-a-time implementation;
+        # a change to the draws moves every row after it and every sum.
+        rng = np.random.default_rng(21)
+        t = np.sort(rng.uniform(0.0, 2.0 * np.pi, 80))
+        u, v = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8])
+        pts = np.array([0.5, -1.0, 2.0]) + 1.5 * (np.outer(np.cos(t), u) + np.outer(np.sin(t), v))
+        pts += rng.normal(scale=0.01, size=pts.shape)
+        hyps = generate_hypotheses(pts, 200, seed=5)
+        assert len(hyps) == 200
+        rows = np.array([[*h.center, h.radius] for h in hyps])
+        expected = {
+            0: [0.49836518403025926, -1.0099534811013653, 1.9873911353165967, 1.503918233795517],
+            1: [0.22906635568180045, -1.3362808624979658, 1.5933199572182777, 0.9317061521007255],
+            2: [0.40367186652453413, 0.11326267974885473, 0.9399141779605695, 2.024389098841222],
+            57: [0.5146925842034686, -1.077274757781398, 2.5880143751191818, 1.1637657144252396],
+            123: [0.49395633978703707, -1.0089493544252868, 2.001581013994946, 1.4966831536412755],
+            198: [0.7155166457880977, -0.5188709496000516, -1.2661831400457153, 4.410535653901912],
+            199: [1.0750066018897046, -0.2509752296312374, 2.942896210171514, 0.1918037452879289],
+        }
+        for i, row in expected.items():
+            np.testing.assert_allclose(rows[i], row, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(
+            rows.sum(axis=0),
+            [120.25850594010682, -181.09065904282073, 409.66804342171787, 306.00704559015395],
+            rtol=0, atol=1e-9)
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
@@ -231,6 +299,33 @@ class TestReduceHypotheses:
         pts = circle_points(c, 30)
         hyps = generate_hypotheses(pts, 1, seed=0)
         assert reduce_hypotheses(hyps, bandwidth=0.05, scale=bbox_diagonal(pts)) == hyps
+
+    def test_grouping_matches_pairwise_scan(self):
+        rng = np.random.default_rng(17)
+        chunks = [circle_points(Circle3D(center, radius, normal), 60, rng=rng, noise=0.01)
+                  for center, radius, normal in (
+                      (np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0])),
+                      (np.array([3.0, 0.5, 0.0]), 0.6, np.array([0.0, 1.0, 1.0])),
+                      (np.array([1.0, 3.0, 0.5]), 1.4, np.array([1.0, 0.0, 0.2])))]
+        pts = np.vstack(chunks)
+        modes = _embed_hypotheses(generate_hypotheses(pts, 1500, seed=2), bbox_diagonal(pts))
+        clutter = rng.uniform(modes.min(axis=0), modes.max(axis=0), size=(300, 7))
+        modes = np.vstack([modes, clutter, modes[:200:7]])
+        radius = 0.025
+
+        expected = np.full(len(modes), -1, dtype=np.int64)
+        groups = 0
+        for i in range(len(modes)):
+            if expected[i] >= 0:
+                continue
+            d = np.linalg.norm(modes - modes[i], axis=1)
+            expected[(expected < 0) & (d <= radius)] = groups
+            groups += 1
+
+        assigned = _group_modes(modes, radius)
+        assert np.array_equal(assigned, expected)
+        # Many groups take more than one mode, so the greedy order matters.
+        assert 1 < groups < len(modes) - 300
 
 
 class TestResidualMatrix:

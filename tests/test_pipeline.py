@@ -7,12 +7,14 @@ from click.testing import CliRunner
 from partcheck import meshio
 from partcheck.features import Circle3D
 from partcheck.cli import EXIT_INPUT_ERROR, EXIT_STAGE_ERROR, main
+from partcheck.geometry import PointCloud
 from partcheck.pipeline import (
     PipelineConfig,
     emit_report,
     generate_synthetic_scene,
     parse_report,
     parse_scene_spec,
+    read_circles_table,
     report_fields,
     run_pipeline,
 )
@@ -41,6 +43,10 @@ def scene_files(scene, tmp_path_factory):
 
 def assess(*args):
     return CliRunner().invoke(main, ["assess", *map(str, args)])
+
+
+def fit_circles(*args):
+    return CliRunner().invoke(main, ["fit-circles", *map(str, args)])
 
 
 def test_report_round_trips(report, tmp_path):
@@ -125,3 +131,32 @@ def test_bad_circle_table_exits_2(scene_files, tmp_path, radius):
                     "--truth-circles", table, "--out", tmp_path)
     assert result.exit_code == EXIT_INPUT_ERROR
     assert f"{table}: line 1:" in result.output
+
+
+def test_fit_circles_writes_table(tmp_path):
+    t = np.linspace(0.0, 2.0 * np.pi, 120, endpoint=False)
+    ring = np.column_stack([np.cos(t), np.sin(t), np.zeros_like(t)])
+    radii = [0.8, 1.0, 1.2]
+    pts = np.vstack([np.array([4.0 * i, 0.0, 0.0]) + r * ring for i, r in enumerate(radii)])
+    edges = tmp_path / "edges.ply"
+    meshio.save_point_cloud(edges, PointCloud(points=pts))
+    table = tmp_path / "circles.txt"
+    result = fit_circles(edges, "--out", table)
+    assert result.exit_code == 0, result.output
+    circles = read_circles_table(table)
+    assert len(circles) == 3
+    np.testing.assert_allclose(sorted(c.radius for c in circles), radii, atol=1e-6)
+
+
+def test_fit_circles_too_few_points_exits_2(tmp_path):
+    edges = tmp_path / "two.ply"
+    meshio.save_point_cloud(edges, PointCloud(points=np.array([[0.0, 0, 0], [1.0, 0, 0]])))
+    result = fit_circles(edges, "--out", tmp_path / "circles.txt")
+    assert result.exit_code == EXIT_INPUT_ERROR
+    assert "input error" in result.output and "2 edge points" in result.output
+
+
+def test_fit_circles_missing_file_exits_2(tmp_path):
+    result = fit_circles(tmp_path / "absent.ply", "--out", tmp_path / "circles.txt")
+    assert result.exit_code == EXIT_INPUT_ERROR
+    assert "input error" in result.output
