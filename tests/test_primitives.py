@@ -4,6 +4,7 @@ refinement and the part-level error."""
 import numpy as np
 import pytest
 
+from partcheck import primitives
 from partcheck.geometry import (
     PointCloud,
     RigidTransform,
@@ -11,6 +12,7 @@ from partcheck.geometry import (
     estimate_normals_and_curvature,
 )
 from partcheck.primitives import (
+    Cone,
     Configuration,
     FitError,
     Primitive,
@@ -105,6 +107,18 @@ class TestFitPrimitive:
         rng = np.random.default_rng(3)
         with pytest.raises(FitError):
             fit_primitive(PrimitiveKind.SPHERE, plane_points(rng, n=100))
+
+    def test_cone_refit_rejects_runaway_apex(self):
+        # A cylinder is a cone with its apex at infinity. A fresh cone fit
+        # rejects the far apex; a refit from a distant seed must as well.
+        rng = np.random.default_rng(0)
+        pts = cylinder_points(rng, radius=1.0, n=600, z_range=(0, 3))
+        pts += rng.normal(scale=0.005, size=pts.shape)
+        with pytest.raises(FitError, match="apex out of range"):
+            primitives._fit_shape(PrimitiveKind.CONE, pts)
+        seed = Cone(np.array([0.0, 0.0, -20.0]), np.array([0.0, 0.0, 1.0]), 0.05)
+        with pytest.raises(FitError, match="apex out of range"):
+            primitives._fit_shape(PrimitiveKind.CONE, pts, init=seed)
 
     def test_rigid_equivariance(self):
         rng = np.random.default_rng(4)
@@ -222,6 +236,36 @@ class TestRegionGrow:
         pts = pts[np.linalg.norm(pts, axis=1) < 1.0]
         config = region_grow(enriched_cloud(pts), min_points=30, curv_thresh=0.04)
         assert len(config.primitives) == 0
+
+    def test_all_four_kinds_with_one_cone_fit(self, monkeypatch):
+        # Four surfaces 10 apart; only the cone region is left unexplained
+        # by a plane, sphere or cylinder, so only it gets a cone fit.
+        rng = np.random.default_rng(11)
+        g = np.linspace(0, 4, 40)
+        plane = np.array([(x, y, 0.0) for x in g for y in g])
+        t, z = np.meshgrid(np.linspace(0, 2 * np.pi, 60, endpoint=False),
+                           np.linspace(0, 3, 30))
+        cylinder = np.column_stack([np.cos(t.ravel()), np.sin(t.ravel()), z.ravel()])
+        i = np.arange(1500) + 0.5
+        polar = np.arccos(1 - 2 * i / 1500)
+        azimuth = np.pi * (1 + 5 ** 0.5) * i
+        sphere = 1.5 * np.column_stack([np.sin(polar) * np.cos(azimuth),
+                                        np.sin(polar) * np.sin(azimuth), np.cos(polar)])
+        t, h = np.meshgrid(np.linspace(0, 2 * np.pi, 60, endpoint=False),
+                           np.linspace(1, 3, 30))
+        r = h.ravel() * np.tan(np.pi / 6)
+        cone = np.column_stack([r * np.cos(t.ravel()), r * np.sin(t.ravel()), h.ravel()])
+        shift = np.array([10.0, 0.0, 0.0])
+        pts = np.vstack([plane, cylinder + shift, sphere + 2 * shift, cone + 3 * shift])
+        pts += rng.normal(scale=0.005, size=pts.shape)
+
+        calls = []
+        fit_cone = primitives._fit_cone
+        monkeypatch.setattr(primitives, "_fit_cone",
+                            lambda *a, **k: calls.append(1) or fit_cone(*a, **k))
+        config = region_grow(enriched_cloud(pts), min_points=30)
+        assert {p.kind for p in config.primitives} == set(PrimitiveKind)
+        assert len(calls) == 1
 
     def test_requires_channels(self):
         cloud = PointCloud(points=np.random.default_rng(0).normal(size=(100, 3)))
