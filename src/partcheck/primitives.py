@@ -243,8 +243,10 @@ def _pratt_circle_2d(xy: NDArray[np.float64]) -> tuple[float, float, float]:
     y = xy[:, 1]
     z = x * x + y * y
     d = np.column_stack([z, x, y, np.ones(len(xy))])
-    # Exact or nearly exact data: take the null direction directly.
-    _, svals, vt = np.linalg.svd(d, full_matrices=True)
+    # Exact or nearly exact data: take the null direction directly. Only V is
+    # needed: a full U would hold len(xy)^2 floats (32 MB at 2,000 points),
+    # so it is asked for only below 4 points, where the null row needs it.
+    _, svals, vt = np.linalg.svd(d, full_matrices=len(xy) < 4)
     if len(svals) < 4 or svals[-1] < 1e-12 * svals[0]:
         coef = vt[-1]
     else:

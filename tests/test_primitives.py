@@ -1,6 +1,8 @@
 """Primitive fitting, region growing, the segmentation energy, split/merge
 refinement and the part-level error."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,28 @@ class TestFitPrimitive:
         seed = Cone(np.array([0.0, 0.0, -20.0]), np.array([0.0, 0.0, 1.0]), 0.05)
         with pytest.raises(FitError, match="apex out of range"):
             primitives._fit_shape(PrimitiveKind.CONE, pts, init=seed)
+
+    def test_pratt_circle_memory_is_linear_in_points(self):
+        # The fit needs only V of its SVD; a full U would be n^2 floats,
+        # 32 MB at the 2,000 points a region's fit subset holds.
+        rng = np.random.default_rng(6)
+        t = rng.uniform(0.0, 2.0 * np.pi, 2000)
+        xy = np.column_stack([3.0 + 2.0 * np.cos(t), -1.0 + 2.0 * np.sin(t)])
+        xy += rng.normal(scale=1e-3, size=xy.shape)
+        tracemalloc.start()
+        try:
+            cx, cy, r = primitives._pratt_circle_2d(xy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (cx, cy, r) == pytest.approx((3.0, -1.0, 2.0), abs=1e-3)
+        assert peak < 4_000_000
+
+    def test_pratt_circle_three_points(self):
+        # Below 4 points the null row of V comes from the full SVD.
+        xy = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]) * 2.0 + (0.5, -0.5)
+        cx, cy, r = primitives._pratt_circle_2d(xy)
+        assert (cx, cy, r) == pytest.approx((0.5, -0.5, 2.0), abs=1e-12)
 
     def test_rigid_equivariance(self):
         rng = np.random.default_rng(4)
