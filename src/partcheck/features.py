@@ -454,7 +454,7 @@ def fit_circle_lsq(points) -> Circle3D:
     centroid = pts.mean(axis=0)
     centered = pts - centroid
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    normal = vt[2] if vt.shape[0] >= 3 else np.cross(vt[0], vt[1])
+    normal = vt[2]
     u = unit(vt[0])
     v = np.cross(normal, u)
     v = unit(v)
@@ -531,7 +531,6 @@ def refine_coverage(
     edge_points,
     inlier_eps: float,
     min_cluster: int = 10,
-    duplicate_tol: float | None = None,
 ) -> CircleLabeling:
     """Greedy set cover over the fitted circles, dropping redundant ones.
 
@@ -539,18 +538,17 @@ def refine_coverage(
     they explain; a selection adding fewer than ``min_cluster`` new points
     stops the process. A later circle is discarded as a duplicate when its
     covered set is >= 80% contained in an earlier selection, or when its
-    parameters agree with an earlier circle within ``duplicate_tol`` (default:
-    the edge band thickness, two point spacings). The latter catches the
-    stacked rim circles a thick edge band produces, whose cover sets barely
-    overlap even though they describe one physical feature.
+    parameters agree with an earlier circle within the edge band thickness
+    (``inlier_eps`` or three point spacings, whichever is larger). The latter
+    catches the stacked rim circles a thick edge band produces, whose cover
+    sets barely overlap even though they describe one physical feature.
     """
     pts = as_points(edge_points)
     n = len(pts)
     labels = np.full(n, -1, dtype=np.int64)
     if not labeling.circles:
         return CircleLabeling(labels, [])
-    if duplicate_tol is None:
-        duplicate_tol = max(inlier_eps, 3.0 * median_spacing(pts))
+    duplicate_tol = max(inlier_eps, 3.0 * median_spacing(pts))
     cover = np.column_stack([c.distance(pts) <= inlier_eps for c in labeling.circles])
 
     chosen: list[int] = []
@@ -681,18 +679,20 @@ class MCFSParams:
     bandwidth: float = 0.05
     min_cluster: int = 10
     cluster_cap: int = 4000
-    max_rounds: int = 16
-    max_radius_factor: float = 2.0
-    max_models: int = 64
-    # Accepted circles must carry at least this fraction of the inlier count
-    # a fully sampled rim of their size would have; rejects sparse apparent
-    # circles assembled from scattered outliers.
-    min_arc_density: float = 0.4
-    # ... and their support must occupy at least this fraction of the angular
-    # bins around the circle; rejects circles that merely graze a dense arc.
-    min_arc_coverage: float = 0.6
-    coverage_bins: int = 24
     seed: int = 0
+
+
+_MAX_ROUNDS = 16
+_MAX_RADIUS_FACTOR = 2.0
+_MAX_MODELS = 64
+# Accepted circles must carry at least this fraction of the inlier count a
+# fully sampled rim of their size would have; rejects sparse apparent circles
+# assembled from scattered outliers.
+_MIN_ARC_DENSITY = 0.4
+# ... and their support must occupy at least this fraction of the angular bins
+# around the circle; rejects circles that merely graze a dense arc.
+_MIN_ARC_COVERAGE = 0.6
+_COVERAGE_BINS = 24
 
 
 def mcfs(edge_points, params: MCFSParams = MCFSParams()) -> CircleLabeling:
@@ -708,7 +708,7 @@ def mcfs(edge_points, params: MCFSParams = MCFSParams()) -> CircleLabeling:
     if n < 3:
         raise ValueError("need at least 3 edge points")
     diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-    max_radius = params.max_radius_factor * max(diag, np.finfo(float).tiny)
+    max_radius = _MAX_RADIUS_FACTOR * max(diag, np.finfo(float).tiny)
     spacing = median_spacing(pts)
     rng = np.random.default_rng(params.seed)
 
@@ -718,15 +718,15 @@ def mcfs(edge_points, params: MCFSParams = MCFSParams()) -> CircleLabeling:
             return False
         if spacing > 0:
             expected = 2.0 * np.pi * circle.radius / spacing
-            if count < params.min_arc_density * expected:
+            if count < _MIN_ARC_DENSITY * expected:
                 return False
         u = unit(np.cross(circle.normal, np.eye(3)[int(np.argmin(np.abs(circle.normal)))]))
         v = np.cross(circle.normal, u)
         rel = supporters - circle.center
         angles = np.arctan2(rel @ v, rel @ u)
-        bins = ((angles + np.pi) / (2 * np.pi) * params.coverage_bins).astype(int)
-        occupied = len(np.unique(np.clip(bins, 0, params.coverage_bins - 1)))
-        return occupied >= params.min_arc_coverage * params.coverage_bins
+        bins = ((angles + np.pi) / (2 * np.pi) * _COVERAGE_BINS).astype(int)
+        occupied = len(np.unique(np.clip(bins, 0, _COVERAGE_BINS - 1)))
+        return occupied >= _MIN_ARC_COVERAGE * _COVERAGE_BINS
 
     circles: list[Circle3D] = []
     remaining = np.arange(n, dtype=np.int64)
@@ -735,7 +735,7 @@ def mcfs(edge_points, params: MCFSParams = MCFSParams()) -> CircleLabeling:
     # on structures not yet found.
     band = max(params.inlier_eps, 2.0 * spacing)
     idle_rounds = 0
-    for round_no in range(params.max_rounds):
+    for round_no in range(_MAX_ROUNDS):
         if len(remaining) < max(3, params.min_cluster):
             break
         subset = pts[remaining]
@@ -747,7 +747,7 @@ def mcfs(edge_points, params: MCFSParams = MCFSParams()) -> CircleLabeling:
                 raise
             break
         hyps = reduce_hypotheses(hyps, params.bandwidth, scale=max(diag, 1e-12),
-                                 max_modes=params.max_models)
+                                 max_modes=_MAX_MODELS)
 
         cluster_idx = remaining
         if len(remaining) > params.cluster_cap:
@@ -803,19 +803,7 @@ def mcfs(edge_points, params: MCFSParams = MCFSParams()) -> CircleLabeling:
                 circles.append(circle)
 
     provisional = CircleLabeling(np.full(n, -1, dtype=np.int64), circles)
-    final = refine_coverage(provisional, pts, params.inlier_eps, params.min_cluster)
-    # A circle accepted before its neighbors were known may have leaned on
-    # support that a better circle now owns; every survivor must justify
-    # itself on the points assigned exclusively to it.
-    for _ in range(3):
-        keep = [i for i, c in enumerate(final.circles)
-                if sufficient_support(c, pts[final.labels == i])]
-        if len(keep) == len(final.circles):
-            break
-        survivors = CircleLabeling(np.full(n, -1, dtype=np.int64),
-                                   [final.circles[i] for i in keep])
-        final = refine_coverage(survivors, pts, params.inlier_eps, params.min_cluster)
-    return final
+    return refine_coverage(provisional, pts, params.inlier_eps, params.min_cluster)
 
 
 # ---------------------------------------------------------------------------

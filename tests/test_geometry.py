@@ -1,9 +1,12 @@
 """Core geometry: spatial queries, mesh distance, sampling, local estimates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from partcheck import geometry
 from partcheck.geometry import (
     DegenerateNeighborhoodWarning,
     MeshDistance,
@@ -16,6 +19,7 @@ from partcheck.geometry import (
     remove_outliers,
     sample_mesh,
 )
+from partcheck.synth import plate_scene
 
 
 def random_rigid(rng) -> RigidTransform:
@@ -180,6 +184,41 @@ class TestMeshDistance:
         got = mesh.distance_index().query(queries)
         for i, q in enumerate(queries):
             assert got[i] == pytest.approx(reference_mesh_distance(q, mesh), abs=1e-12)
+
+    def test_query_memory_is_bounded(self):
+        # Points are queried in small blocks, so the working set of (point,
+        # triangle) pairs does not grow with the cloud: about 8.5 MB here,
+        # where 20,000-point blocks take 73 MB.
+        scene = plate_scene(width=50, height=40, holes=4, spacing=0.6, seed=0)
+        pts = scene.cloud.points
+        index = scene.mesh.distance_index()
+        tracemalloc.start()
+        try:
+            index.query(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pts) >= 10_000
+        assert peak < 17_000_000
+
+    def test_subdivision_tiles_the_surface(self):
+        # The mesh of test_mixed_triangle_sizes: one giant facet, 40 small ones.
+        rng = np.random.default_rng(5)
+        small = make_random_mesh(rng, n_tris=40)
+        verts = np.vstack([[[0.0, 0, 0], [100, 0, 0], [0, 100, 0]], small.vertices + (0, 0, 5)])
+        tris = np.vstack([[[0, 1, 2]], small.triangles + 3])
+        tv = TriangleMesh(vertices=verts, triangles=tris).triangle_vertices
+
+        def areas(t):
+            return 0.5 * np.linalg.norm(np.cross(t[:, 1] - t[:, 0], t[:, 2] - t[:, 0]), axis=1)
+
+        def radii(t):
+            return np.linalg.norm(t - t.mean(axis=1, keepdims=True), axis=2).max(axis=1)
+
+        pieces = geometry._subdivide_for_queries(tv)
+        assert len(pieces) > len(tv)
+        assert areas(pieces).sum() == pytest.approx(areas(tv).sum(), rel=1e-9)
+        assert radii(pieces).max() <= 4.0 * np.median(radii(tv))
 
 
 # ---------------------------------------------------------------------------
