@@ -2,10 +2,13 @@
 and a hypothesize-and-clusterize scheme that fits multiple circles to them.
 
 Edge detection accumulates, per point, neighbor-weighted projector tensors
-whose eigenvalue ratio flags curvature transitions. Circle candidates are
-generated from random 3-point samples, compressed by mean shift, clustered
-by the similarity of their preference sets, fitted with iterative outlier
-rejection, and finally pruned by a greedy set cover.
+whose eigenvalue ratio flags curvature transitions. The feature level runs
+after the part level and reads its fitted planes: edge points on a straight
+crease between two of them cannot lie on a circle and are dropped
+(``off_crease_mask``). Circle candidates are generated from random 3-point
+samples of the rest, compressed by mean shift, clustered by the similarity
+of their preference sets, fitted with iterative outlier rejection, and
+finally pruned by a greedy set cover.
 
 The samples are drawn one triple at a time, so the random stream depends on
 the seed alone; their circumcircles are computed in vectorized blocks, and
@@ -14,6 +17,7 @@ the converged mean-shift modes are grouped with one k-d tree query.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +26,7 @@ from scipy.optimize import least_squares, linear_sum_assignment
 from scipy.spatial import cKDTree
 
 from .geometry import PointCloud, Points, Vec3, as_points, canonical_sign, median_spacing, unit
-from .primitives import FitError, _pratt_circle_2d
+from .primitives import Configuration, FitError, PrimitiveKind, _adjacent, _pratt_circle_2d
 
 TENSOR_SIGMA = 0.5
 EDGE_SCORE_THRESHOLD = 1.05
@@ -105,6 +109,41 @@ def detect_edge_points(
     with np.errstate(invalid="ignore"):
         mask = ~np.isnan(scores) & (scores >= threshold)
     return np.nonzero(mask)[0].astype(np.int64)
+
+
+def off_crease_mask(points, config: Configuration, radius: float,
+                    min_angle: float) -> NDArray[np.bool_]:
+    """Mask of the points that lie on no straight crease between two planes.
+
+    A crease is the intersection line of two fitted planes of ``config``
+    that are adjacent (inliers within ``radius`` of each other) and whose
+    normals differ by more than ``min_angle`` radians; region growing joins
+    shallower pairs. The line is clipped to the overlap of the two inlier
+    sets' extents along it, widened by ``radius`` at both ends, and every
+    point within ``radius`` of that segment is masked out. A straight crease
+    cannot carry a circle. A plane meeting a cylinder or cone makes a
+    circular rim, so only plane pairs count.
+    """
+    pts = as_points(points)
+    keep = np.ones(len(pts), dtype=bool)
+    planes = [p for p in config.primitives if p.kind is PrimitiveKind.PLANE]
+    for a, b in itertools.combinations(planes, 2):
+        na, nb = a.shape.normal, b.shape.normal
+        if abs(float(na @ nb)) >= np.cos(min_angle) or not _adjacent(config, a, b, radius):
+            continue
+        direction = unit(np.cross(na, nb))
+        origin = np.linalg.solve(np.stack([na, nb, direction]),
+                                 [a.shape.offset, b.shape.offset, 0.0])
+        ta = (config.points[a.inliers] - origin) @ direction
+        tb = (config.points[b.inliers] - origin) @ direction
+        # Adjacency puts an inlier of each within ``radius`` of the other,
+        # so the widened overlap is never empty.
+        lo = max(ta.min(), tb.min()) - radius
+        hi = min(ta.max(), tb.max()) + radius
+        rel = pts - origin
+        along = np.clip(rel @ direction, lo, hi)
+        keep &= np.linalg.norm(rel - along[:, None] * direction, axis=1) > radius
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -590,29 +629,6 @@ def refine_coverage(
     return CircleLabeling(labels, circles)
 
 
-def _trimmed_circle_seed(points: Points, eps: float, max_iter: int = 25) -> Points:
-    """Shrink a point set onto one circle by dropping the worst quarter.
-
-    A band holding two stacked rows defeats the plain discard rule (the mean
-    circle is equidistant from both rows and everything exceeds eps at once);
-    trimming the farthest fraction breaks that tie and locks onto one row.
-    """
-    active = points
-    for _ in range(max_iter):
-        if len(active) < 3:
-            raise FitError("circle collapsed (fewer than 3 inliers)")
-        circle = fit_circle_lsq(active)
-        d = circle.distance(active)
-        if d.max() <= eps:
-            return active
-        cut = max(eps, float(np.quantile(d, 0.75)))
-        keep = d <= cut
-        if keep.all():
-            keep = d <= float(np.quantile(d, 0.75))
-        active = active[keep]
-    return active
-
-
 def _settle_circle(seed_points: Points, field_points: Points,
                    params: "MCFSParams") -> Circle3D | None:
     """Fit a circle to the seed set, then let it center itself on the field.
@@ -622,9 +638,8 @@ def _settle_circle(seed_points: Points, field_points: Points,
     the support arc onto the full rim.
     """
     try:
-        trimmed = _trimmed_circle_seed(seed_points, params.inlier_eps)
         circle, _ = fit_circle_iterative(
-            trimmed, eps=params.inlier_eps,
+            seed_points, eps=params.inlier_eps,
             eta=params.eta, max_iter=params.max_fit_iter,
         )
         best = circle

@@ -3,8 +3,9 @@
 ``run_pipeline`` is a chain of stage functions: load the inputs, register
 (outlier filter, CAD sampling, coarse search and ICP), the global error,
 the part level (segmentation and patch errors), the feature level (the
-scan's rim circles against the reference circles, which are a supplied
-table or, without one, none), then the report and its output files. Each
+scan's rim circles, fitted to the edge points off the part level's plane
+creases, against the reference circles, which are a supplied table or,
+without one, none), then the report and its output files. Each
 stage is timed, and any failure aborts with the stage name; a scan too small
 to estimate normals on is rejected as input before registration.
 The report serializes to a stable key/value document or an aligned
@@ -446,7 +447,7 @@ def run_pipeline(
         enriched, refined, patch_dists, e_part = _part(registered, surface_dist, config)
     with _stage("feature", times):
         edge_idx, labeling, n_reference, f_n, f_p, e_comp = _feature(
-            enriched, truth_circles, config)
+            enriched, refined, truth_circles, config)
 
     report = AssessmentReport(
         e_reg=e_reg,
@@ -525,13 +526,20 @@ def _part(registered: PointCloud, surface_dist: np.ndarray, config: PipelineConf
     return enriched, refined, patch_dists, e_part
 
 
-def _feature(enriched: PointCloud, truth_circles: list[feat.Circle3D] | None,
-             config: PipelineConfig):
-    """Fit the scan's rim circles from its tensor-voting edge points with
-    MCFS, and score them against the reference circles."""
+def _feature(enriched: PointCloud, refined: prim.Configuration,
+             truth_circles: list[feat.Circle3D] | None, config: PipelineConfig):
+    """Fit the scan's rim circles with MCFS and score them against the
+    reference circles.
+
+    The circles come from the tensor-voting edge points, less those on a
+    straight crease between two of the part level's fitted planes
+    (``refined``); the returned edge indices are the ones MCFS labels.
+    """
     radius = config.tensor_radius_factor * median_spacing(enriched.points)
     edge_idx = feat.detect_edge_points(
         enriched, radius=radius, threshold=config.edge_threshold, sigma=config.tensor_sigma)
+    edge_idx = edge_idx[feat.off_crease_mask(
+        enriched.points[edge_idx], refined, radius, np.deg2rad(config.region_angle_deg))]
     if len(edge_idx) < 3:
         labeling = feat.CircleLabeling(np.full(len(edge_idx), -1, dtype=np.int64), [])
     else:

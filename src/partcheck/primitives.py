@@ -683,12 +683,16 @@ def _split_primitive(config: Configuration, prim: Primitive) -> tuple[Primitive,
     return fitted_a, fitted_b
 
 
-def _adjacent(config: Configuration, a: Primitive, b: Primitive) -> bool:
+def _adjacent(config: Configuration, a: Primitive, b: Primitive,
+              gap: float | None = None) -> bool:
+    """Whether an inlier of ``a`` lies within ``gap`` of one of ``b``
+    (default ``2 * inlier_eps``, the gap ``refine``'s merges use)."""
     pa = config.points[a.inliers]
     pb = config.points[b.inliers]
     if len(pa) > len(pb):
         pa, pb = pb, pa
-    gap = 2.0 * config.inlier_eps
+    if gap is None:
+        gap = 2.0 * config.inlier_eps
     d, _ = cKDTree(pa).query(pb, k=1, distance_upper_bound=gap)
     return bool(np.isfinite(d).any())
 

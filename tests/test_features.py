@@ -24,13 +24,14 @@ from partcheck.features import (
     match_circles,
     mcfs,
     misclassification_error,
+    off_crease_mask,
     reduce_hypotheses,
     refine_coverage,
     residual_matrix,
     tensor_vote,
 )
 from partcheck.geometry import PointCloud, RigidTransform, estimate_normals_and_curvature, median_spacing
-from partcheck.primitives import FitError
+from partcheck.primitives import Configuration, FitError, Plane, Primitive
 from partcheck.synth import circles_scene, cube_scene, edge_distance, plate_scene
 
 
@@ -141,6 +142,60 @@ class TestDetectEdgePoints:
         moved = detect_edge_points(moved_cloud, radius=1.0)
         agree = len(np.intersect1d(base, moved)) / max(len(base), len(moved), 1)
         assert agree > 0.99
+
+
+def two_plane_config(angle_deg: float) -> Configuration:
+    """A 10 x 10 floor (z = 0, x in [0, 10]) and a face hinged on its y axis
+    edge, turned ``angle_deg`` from the floor: the crease is x = z = 0,
+    0 <= y <= 10."""
+    grid = np.linspace(0.0, 10.0, 41)
+    u, v = (g.ravel() for g in np.meshgrid(grid, grid))
+    t = np.deg2rad(angle_deg)
+    floor = np.column_stack([u, v, np.zeros_like(u)])
+    face = np.column_stack([-u[u > 0] * np.cos(t), v[u > 0], u[u > 0] * np.sin(t)])
+    floor_n = np.array([0.0, 0.0, 1.0])
+    face_n = np.array([np.sin(t), 0.0, np.cos(t)])
+    n = len(floor)
+    return Configuration(
+        points=np.vstack([floor, face]),
+        primitives=[Primitive(Plane(floor_n, 0.0), np.arange(n), 0.0),
+                    Primitive(Plane(face_n, 0.0), np.arange(n, n + len(face)), 0.0)],
+        min_points=10)
+
+
+class TestOffCreaseMask:
+    RADIUS = 1.0
+    MIN_ANGLE = np.deg2rad(20.0)
+
+    @staticmethod
+    def crease_band():
+        y = np.linspace(0.0, 10.0, 21)
+        return np.vstack([np.column_stack([np.full_like(y, d), y, np.zeros_like(y)])
+                          for d in (0.0, 0.3, 0.6)])
+
+    def test_crease_dropped_and_rim_kept(self):
+        config = two_plane_config(90.0)
+        band = self.crease_band()
+        rim = circle_points(Circle3D(np.array([6.0, 5.0, 0.0]), 1.5,
+                                     np.array([0.0, 0.0, 1.0])), 40)
+        keep = off_crease_mask(np.vstack([band, rim]), config, self.RADIUS, self.MIN_ANGLE)
+        assert not keep[:len(band)].any()
+        assert keep[len(band):].all()
+
+    def test_shallow_fold_drops_nothing(self):
+        config = two_plane_config(10.0)
+        keep = off_crease_mask(self.crease_band(), config, self.RADIUS, self.MIN_ANGLE)
+        assert keep.all()
+
+    def test_ring_past_the_segment_end_kept(self):
+        # Every point of this ring lies within the radius of the crease's
+        # infinite line, but beyond the clipped segment y <= 10 + radius.
+        config = two_plane_config(90.0)
+        ring = circle_points(Circle3D(np.array([0.0, 13.5, 0.0]), 1.0,
+                                      np.array([0.0, 0.0, 1.0])), 40)
+        assert (np.hypot(ring[:, 0], ring[:, 2]) <= self.RADIUS + 1e-12).all()
+        keep = off_crease_mask(ring, config, self.RADIUS, self.MIN_ANGLE)
+        assert keep.all()
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from partcheck.cli import EXIT_INPUT_ERROR, EXIT_STAGE_ERROR, main
 from partcheck.geometry import PointCloud
 from partcheck.pipeline import (
     PipelineConfig,
+    _feature,
+    _part,
     emit_report,
     generate_synthetic_scene,
     parse_report,
@@ -70,6 +72,22 @@ def test_truth_circles_are_scored(scene, report):
     assert scored.n_reference_circles == len(report.circle_rows) + 1 == 2
     assert (scored.f_n, scored.f_p) == (1, 0)
     assert scored.e_comp_radius_max == scored.e_comp_centroid_max == 0.0
+
+
+def test_cube_has_no_circles():
+    # A hole-free cube: its twelve straight creases must not come out as
+    # circles. The scan is taken into the CAD frame by the truth pose, so
+    # registration is skipped.
+    scene = generate_synthetic_scene(
+        parse_scene_spec("cube side=4 spacing=0.25 rot_deg=15"), seed=1)
+    cloud = PointCloud(points=scene.truth.transform.apply(scene.cloud.points))
+    config = PipelineConfig()
+    surface_dist = scene.mesh.distance_index().query(cloud.points)
+    enriched, refined, _, _ = _part(cloud, surface_dist, config)
+    assert [p.kind.value for p in refined.primitives] == ["plane"] * 6
+    _, labeling, n_reference, f_n, f_p, _ = _feature(enriched, refined, None, config)
+    assert (n_reference, f_n, f_p) == (0, 0, 0)
+    assert labeling.circles == []
 
 
 @pytest.mark.parametrize("value", ["3", "3.0"])
