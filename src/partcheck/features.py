@@ -284,6 +284,12 @@ def generate_hypotheses(edge_points, count: int, seed: int = 0) -> list[Circle3D
 # Hypothesis reduction by mean shift
 # ---------------------------------------------------------------------------
 
+# Ball queries run this many rows at a time: their neighbor lists are Python
+# lists of Python ints, about 36 bytes an entry, and the hypotheses of one
+# rim converge together, so a whole-set query can hold tens of megabytes.
+_BALL_BLOCK = 256
+
+
 def _embed_hypotheses(hyps: list[Circle3D], scale: float) -> NDArray[np.float64]:
     centers = np.stack([h.center for h in hyps])
     normals = np.stack([h.normal for h in hyps])
@@ -299,13 +305,35 @@ def _group_modes(modes: NDArray[np.float64], radius: float) -> NDArray[np.int64]
     """
     assigned = np.full(len(modes), -1, dtype=np.int64)
     groups = 0
-    for i, near in enumerate(cKDTree(modes).query_ball_point(modes, radius)):
-        if assigned[i] >= 0:
-            continue
-        near = np.asarray(near, dtype=np.int64)
-        assigned[near[assigned[near] < 0]] = groups
-        groups += 1
+    tree = cKDTree(modes)
+    for lo in range(0, len(modes), _BALL_BLOCK):
+        block = tree.query_ball_point(modes[lo:lo + _BALL_BLOCK], radius)
+        for i, near in enumerate(block, start=lo):
+            if assigned[i] >= 0:
+                continue
+            near = np.asarray(near, dtype=np.int64)
+            assigned[near[assigned[near] < 0]] = groups
+            groups += 1
     return assigned
+
+
+def _ball_means(tree: cKDTree, data: NDArray[np.float64], queries: NDArray[np.float64],
+                radius: float) -> NDArray[np.float64]:
+    """Mean of the ``data`` rows (indexed by ``tree``) within ``radius`` of
+    each query row, or the query row itself where none is."""
+    out = queries.copy()
+    for lo in range(0, len(queries), _BALL_BLOCK):
+        near = tree.query_ball_point(queries[lo:lo + _BALL_BLOCK], radius)
+        counts = np.fromiter(map(len, near), dtype=np.int64, count=len(near))
+        nonempty = counts > 0
+        if not nonempty.any():
+            continue
+        flat = np.fromiter(itertools.chain.from_iterable(near), dtype=np.int64,
+                           count=int(counts.sum()))
+        starts = np.cumsum(counts) - counts
+        sums = np.add.reduceat(data[flat], starts[nonempty], axis=0)
+        out[lo:lo + len(near)][nonempty] = sums / counts[nonempty, None]
+    return out
 
 
 def reduce_hypotheses(
@@ -334,16 +362,7 @@ def reduce_hypotheses(
         if not moving.any():
             break
         idx = np.nonzero(moving)[0]
-        neighborhoods = tree.query_ball_point(modes[idx], bandwidth)
-        counts = np.array([len(nb) for nb in neighborhoods])
-        flat = np.concatenate([np.asarray(nb, dtype=np.int64) for nb in neighborhoods]) \
-            if counts.sum() else np.empty(0, dtype=np.int64)
-        targets = modes[idx].copy()
-        if len(flat):
-            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            nonempty = counts > 0
-            sums = np.add.reduceat(data[flat], starts[nonempty], axis=0)
-            targets[nonempty] = sums / counts[nonempty, None]
+        targets = _ball_means(tree, data, modes[idx], bandwidth)
         shift = np.linalg.norm(targets - modes[idx], axis=1)
         modes[idx] = targets
         settled = idx[shift < 1e-2 * bandwidth]
