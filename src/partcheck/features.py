@@ -12,7 +12,9 @@ finally pruned by a greedy set cover.
 
 The samples are drawn one triple at a time, so the random stream depends on
 the seed alone; their circumcircles are computed in vectorized blocks, and
-the converged mean-shift modes are grouped with one k-d tree query.
+the converged mean-shift modes are grouped through one k-d tree. Mean shift
+and grouping query their balls in blocks of rows, which bounds the memory
+the neighbor lists take.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Tensor voting, edge detection, circle fitting and the multi-circle scheme."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,6 +355,22 @@ class TestReduceHypotheses:
         pts = circle_points(c, 30)
         hyps = generate_hypotheses(pts, 1, seed=0)
         assert reduce_hypotheses(hyps, bandwidth=0.05, scale=bbox_diagonal(pts)) == hyps
+
+    def test_neighbor_lists_stay_bounded(self):
+        # 700 hypotheses of one circle all lie within one bandwidth of each
+        # other, so a whole-set ball query returns 700 x 700 indices as
+        # Python ints (43 MB traced); blocks of rows hold a fraction of that.
+        c = Circle3D(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]))
+        pts = circle_points(c, 80, rng=np.random.default_rng(1), noise=1e-4)
+        hyps = generate_hypotheses(pts, 700, seed=3)
+        tracemalloc.start()
+        try:
+            modes = reduce_hypotheses(hyps, bandwidth=0.05, scale=bbox_diagonal(pts))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(modes) == 1
+        assert peak < 24 * 2**20
 
     def test_grouping_matches_pairwise_scan(self):
         rng = np.random.default_rng(17)
