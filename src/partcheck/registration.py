@@ -1,8 +1,12 @@
 """Coarse-to-fine rigid alignment of a scanned cloud to the CAD frame.
 
-Coarse alignment matches centroids and principal axes, disambiguating axis
-signs by nearest-neighbor cost; the fine stage is trimmed point-to-point ICP
-with a closed-form SVD pose update.
+Coarse alignment matches centroids and principal axes, ranking the axis sign
+assignments and in-plane spins by nearest-neighbor cost on a probe of about
+2,000 scan points. The fine stage is trimmed point-to-point ICP with a
+closed-form SVD pose update: the best coarse candidates race on the same
+probe, and only the winner is fitted on the full subsample (choose on a
+sample, fit on all points, after Rusinkiewicz & Levoy, "Efficient Variants
+of the ICP Algorithm", 3DIM 2001).
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ def _principal_axes(points: Points):
     return centroid, axes, evals[::-1]
 
 
+_PROBE_POINTS = 2000
+
 _SIGN_COMBOS = (
     np.diag([1.0, 1.0, 1.0]),
     np.diag([1.0, -1.0, -1.0]),
@@ -78,9 +84,11 @@ def coarse_candidates(source: PointCloud, target: PointCloud,
 
     Centroids and principal axes are matched under the four proper axis
     sign assignments, plus in-plane spins where near-equal eigenvalues leave
-    the frame free. Near-symmetric parts can fool the coarse cost (a flipped
-    pose of a plate scores almost identically when the scan misses one
-    face), so ``register`` runs the fine stage from each candidate.
+    the frame free. A 180-degree spin about a frame axis is itself a sign
+    flip, so the spins cover a half turn and each rotation is scored once.
+    Near-symmetric parts can fool the coarse cost (a flipped pose of a plate
+    scores almost identically when the scan misses one face), so
+    ``register`` runs the fine stage from each candidate.
     A rank-deficient covariance warns and yields the centroid translation.
     """
     ps, pt = source.points, target.points
@@ -94,7 +102,8 @@ def coarse_candidates(source: PointCloud, target: PointCloud,
             stacklevel=2,
         )
         return [RigidTransform(np.eye(3), ct - cs)]
-    ranked = _ranked_candidates(ps, pt, cs, ct, axes_s, axes_t, evals_s, evals_t)
+    ranked = _ranked_candidates(ps, pt, cs, ct,
+                                _coarse_rotations(axes_s, axes_t, evals_s, evals_t))
     # Keep rotations that genuinely differ from better-ranked ones.
     distinct: list[RigidTransform] = []
     for cand in ranked:
@@ -120,7 +129,13 @@ def _capped_cost(tree: cKDTree, points: Points) -> float:
     return float(np.minimum(d, cap).mean())
 
 
-def _ranked_candidates(ps, pt, cs, ct, axes_s, axes_t, evals_s, evals_t):
+def _probe(points: Points) -> Points:
+    """About 2,000 evenly strided points: enough to rank and race rigid
+    candidates, which does not need every point."""
+    return points[::max(1, len(points) // _PROBE_POINTS)]
+
+
+def _coarse_rotations(axes_s, axes_t, evals_s, evals_t) -> list[np.ndarray]:
     spins: list[np.ndarray] = [np.eye(3)]
     for axis, (a, b) in ((0, (1, 2)), (1, (0, 2)), (2, (0, 1))):
         lo = min(evals_s[b], evals_t[b])
@@ -128,23 +143,22 @@ def _ranked_candidates(ps, pt, cs, ct, axes_s, axes_t, evals_s, evals_t):
         if lo / hi > 0.75:
             # Small distinctive features (hole rims) give the fine stage a
             # narrow pull-in range, so the free angle is sampled densely.
+            # A 180-degree spin about a frame axis is one of the sign
+            # combos, so a half turn of spins reaches every rotation once.
             spins.extend(_axis_rotation(axis, np.deg2rad(deg))
-                         for deg in np.arange(2.0, 360.0, 2.0))
+                         for deg in np.arange(2.0, 180.0, 2.0))
+    # The spin acts inside the target's eigenframe, whose axes are sorted by
+    # descending eigenvalue as indexed above.
+    return [axes_t @ spin @ signs @ axes_s.T for signs in _SIGN_COMBOS for spin in spins]
 
-    # Score candidates on an evenly strided subsample for speed; choosing
-    # among rigid candidates does not need every point.
-    stride = max(1, len(ps) // 2000)
-    probe = ps[::stride]
+
+def _ranked_candidates(ps, pt, cs, ct, rotations) -> list[RigidTransform]:
+    probe = _probe(ps)
     tree = cKDTree(pt)
     scored: list[tuple[float, int, RigidTransform]] = []
-    for si, signs in enumerate(_SIGN_COMBOS):
-        for pi, spin in enumerate(spins):
-            # The spin acts inside the target's eigenframe, whose axes are
-            # sorted by descending eigenvalue as indexed above.
-            r = axes_t @ spin @ signs @ axes_s.T
-            candidate = RigidTransform(r, ct - r @ cs)
-            cost = _capped_cost(tree, candidate.apply(probe))
-            scored.append((cost, si * len(spins) + pi, candidate))
+    for i, r in enumerate(rotations):
+        candidate = RigidTransform(r, ct - r @ cs)
+        scored.append((_capped_cost(tree, candidate.apply(probe)), i, candidate))
     scored.sort(key=lambda item: (item[0], item[1]))
     return [item[2] for item in scored]
 
@@ -207,6 +221,10 @@ def icp_refine(
         prev_transform = transform
         step = kabsch(moved[keep], target.points[idx[keep]])
         transform = step.compose(transform)
+    else:
+        # Out of iterations: the last step was never measured, so return
+        # the last pose that was, the one ``rmse`` belongs to.
+        transform = prev_transform
     return RegistrationResult(transform, rmse, iterations, converged)
 
 
@@ -223,24 +241,33 @@ def register(source: PointCloud, target: PointCloud, subsample: int = 30000,
              ) -> tuple[RegistrationResult, PointCloud, float]:
     """Coarse-to-fine registration of ``source`` onto the ``target`` samples.
 
-    ICP runs on at most ``subsample`` evenly strided source points from each
-    coarse candidate. Returns the winning result, the whole source moved by
-    it, and its ``registration_error``.
+    ICP runs from each coarse candidate on the probe the coarse ranking
+    scores (about 2,000 evenly strided points), and the candidate whose
+    converged pose fits the probe best wins the race. One more ICP run on at
+    most ``subsample`` evenly strided source points then starts from the
+    winner's coarse candidate, so the probe only chooses and the fit uses
+    every subsampled point; when the subsample is no larger than the probe,
+    the race runs on the subsample and is the fit. Returns the winning
+    result, the whole source moved by it, and its ``registration_error``.
     """
     icp_source = source.select(strided_indices(len(source), subsample))
+    probe = _probe(source.points)
+    race = icp_source if len(icp_source) <= len(probe) else PointCloud(points=probe)
     tree = cKDTree(target.points)
     # Partial scans of near-symmetric parts can tie the coarse cost for very
     # different poses, and the trimmed ICP RMSE is equally blind (the trim
     # rejects exactly the tell-tale mismatched feature points), so completed
     # candidates are compared by untrimmed mean NN distance.
-    best = None
+    best = start = None
     best_cost = np.inf
     for candidate in coarse_candidates(source, target, count=3):
-        attempt = icp_refine(icp_source, target, init=candidate, max_iter=max_iter,
+        attempt = icp_refine(race, target, init=candidate, max_iter=max_iter,
                              tol=tol, target_tree=tree)
-        cost = _capped_cost(tree, attempt.transform.apply(icp_source.points))
+        cost = _capped_cost(tree, attempt.transform.apply(race.points))
         if best is None or cost < best_cost:
-            best = attempt
-            best_cost = cost
+            best, start, best_cost = attempt, candidate, cost
+    if race is not icp_source:
+        best = icp_refine(icp_source, target, init=start, max_iter=max_iter,
+                          tol=tol, target_tree=tree)
     registered = source.transformed(best.transform)
     return best, registered, registration_error(registered, target, target_tree=tree)
