@@ -175,8 +175,10 @@ def icp_refine(
 
     Correspondence pairs farther than 3x the median pair distance are
     rejected each iteration. The reported RMSE sequence is non-increasing:
-    a step that would raise it is rolled back and iteration stops. A
-    prebuilt ``target_tree`` may be shared across calls.
+    a step that would raise it is rolled back and iteration stops, and the
+    returned pose is always one whose RMSE was measured, also when
+    ``max_iter`` runs out. A prebuilt ``target_tree`` may be shared across
+    calls.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
