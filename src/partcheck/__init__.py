@@ -8,7 +8,6 @@ per-circular-hole feature error.
 from .features import (
     Circle3D,
     CircleLabeling,
-    MCFSParams,
     detect_edge_points,
     feature_level_error,
     fit_circle_iterative,

@@ -109,7 +109,8 @@ def fit_circles(edge_ply, eps, seed, out_path):
     """Fit circles to an edge-point cloud (feature stage standalone)."""
     try:
         cloud = meshio.load_point_cloud(edge_ply)
-    except meshio.MeshIOError as exc:
+        config = PipelineConfig(inlier_eps=eps, seed=seed)
+    except (meshio.MeshIOError, ValueError) as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(EXIT_INPUT_ERROR)
     if len(cloud) < 3:
@@ -117,7 +118,7 @@ def fit_circles(edge_ply, eps, seed, out_path):
                    "circle fitting needs at least 3", err=True)
         sys.exit(EXIT_INPUT_ERROR)
     try:
-        labeling = feat.mcfs(cloud.points, feat.MCFSParams(inlier_eps=eps, seed=seed))
+        labeling = feat.mcfs(cloud.points, config)
     except ValueError as exc:
         click.echo(f"fitting failed: {exc}", err=True)
         sys.exit(EXIT_STAGE_ERROR)

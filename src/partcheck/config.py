@@ -1,0 +1,85 @@
+"""The pipeline's tunables: one frozen record, validated on construction,
+read from a flat key/value file and written back in the report."""
+
+from __future__ import annotations
+
+from collections import OrderedDict
+from dataclasses import dataclass, fields
+from pathlib import Path
+
+import numpy as np
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """All tunables with their fixed defaults; every field is overridable."""
+
+    omega_f: float = 0.6
+    omega_s: float = 0.25
+    omega_c: float = 0.15
+    inlier_eps: float = 0.1
+    eta: float = 0.03
+    circle_max_iter: int = 150
+    edge_threshold: float = 1.05
+    tensor_sigma: float = 0.5
+    tensor_radius_factor: float = 4.0
+    icp_max_iter: int = 100
+    icp_tol: float = 1e-6
+    min_points: int = 0                 # 0 = max(30, n / 500)
+    outlier_k: int = 8
+    outlier_stddev_mult: float = 2.0
+    normals_k: int = 16
+    region_k: int = 16
+    region_angle_deg: float = 20.0
+    region_curv_thresh: float = 0.04
+    mesh_samples: int = 0               # 0 = max(50000, 2 * n)
+    bandwidth: float = 0.05
+    hypotheses_per_point: int = 20
+    max_hypotheses: int = 5000
+    min_cluster: int = 10
+    cluster_cap: int = 4000
+    registration_subsample: int = 30000
+    circle_match_tol: float = 1.0
+    seed: int = 0
+
+    def __post_init__(self):
+        w = np.array([self.omega_f, self.omega_s, self.omega_c])
+        if not np.isfinite(w).all() or (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
+            raise ValueError("energy weights must be finite, non-negative and sum to 1")
+        for name in ("inlier_eps", "eta", "edge_threshold", "tensor_sigma",
+                     "tensor_radius_factor", "icp_tol", "bandwidth", "circle_match_tol"):
+            # Written so that NaN fails too.
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+
+    @staticmethod
+    def from_file(path: str | Path) -> "PipelineConfig":
+        """Flat key/value text; unknown keys are rejected, missing keys default."""
+        valid = {f.name: f.type for f in fields(PipelineConfig)}
+        overrides = {}
+        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if "=" not in stripped:
+                raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
+            key, value = (part.strip() for part in stripped.split("=", 1))
+            if key not in valid:
+                raise ValueError(f"{path}: line {lineno}: unknown key '{key}'")
+            try:
+                number = float(value)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: '{key}' must be a number, got '{value}'") from None
+            if np.isnan(number):
+                raise ValueError(f"{path}: line {lineno}: '{key}' must not be NaN")
+            if valid[key] in ("int", int):
+                if not number.is_integer():
+                    raise ValueError(
+                        f"{path}: line {lineno}: '{key}' must be an integer, got '{value}'")
+                number = int(number)
+            overrides[key] = number
+        return PipelineConfig(**overrides)
+
+    def to_items(self) -> OrderedDict:
+        return OrderedDict((f.name, getattr(self, f.name)) for f in fields(self))

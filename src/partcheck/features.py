@@ -27,8 +27,10 @@ from numpy.typing import NDArray
 from scipy.optimize import least_squares, linear_sum_assignment
 from scipy.spatial import cKDTree
 
+from .config import PipelineConfig
 from .geometry import PointCloud, Points, Vec3, as_points, canonical_sign, median_spacing, unit
-from .primitives import Configuration, FitError, PrimitiveKind, _adjacent, _pratt_circle_2d
+from .primitives import (Configuration, FitError, PrimitiveKind, _adjacent, _ortho_basis,
+                         _pratt_circle_2d)
 
 TENSOR_SIGMA = 0.5
 EDGE_SCORE_THRESHOLD = 1.05
@@ -174,8 +176,7 @@ class Circle3D:
 
     def ring(self, segments: int = 64) -> tuple[Points, NDArray[np.int64]]:
         """Polyline approximation for visualization exports."""
-        u = unit(np.cross(self.normal, np.eye(3)[np.argmin(np.abs(self.normal))]))
-        v = np.cross(self.normal, u)
+        u, v = _ortho_basis(self.normal)
         t = np.linspace(0.0, 2.0 * np.pi, segments, endpoint=False)
         pts = self.center + self.radius * (np.outer(np.cos(t), u) + np.outer(np.sin(t), v))
         edges = np.column_stack([np.arange(segments), (np.arange(segments) + 1) % segments])
@@ -399,27 +400,23 @@ def residual_matrix(edge_points, hyps: list[Circle3D]) -> NDArray[np.float64]:
 
 def cluster_labels(
     residuals: NDArray[np.float64],
-    hyps: list[Circle3D],
     inlier_eps: float,
     min_cluster: int,
-) -> CircleLabeling:
+) -> NDArray[np.int64]:
     """Agglomerate points whose preference sets overlap (J-linkage style).
 
     A point prefers every hypothesis within ``inlier_eps``; clusters carry the
     intersection of their members' preferences and merge greedily by smallest
-    Jaccard distance until every remaining pair is disjoint. Clusters smaller
-    than ``min_cluster`` become outliers; survivors take the hypothesis that
-    covers most of their members.
+    Jaccard distance until every remaining pair is disjoint. Returns one label
+    per residual row: clusters smaller than ``min_cluster`` become outliers
+    (-1), and survivors are numbered by falling size, ties broken by their
+    lowest row.
     """
-    residuals = np.asarray(residuals, dtype=np.float64)
-    n, m = residuals.shape
-    if m != len(hyps):
-        raise ValueError("residual matrix width must match hypothesis count")
-    prefs = residuals <= inlier_eps
-    labels = np.full(n, -1, dtype=np.int64)
+    prefs = np.asarray(residuals, dtype=np.float64) <= inlier_eps
+    labels = np.full(len(prefs), -1, dtype=np.int64)
     active = np.nonzero(prefs.any(axis=1))[0]
     if len(active) == 0:
-        return CircleLabeling(labels, [])
+        return labels
 
     # Collapse identical preference rows first; they merge immediately anyway.
     uniq, inverse = np.unique(prefs[active], axis=0, return_inverse=True)
@@ -431,18 +428,9 @@ def cluster_labels(
 
     clusters = [mem for mem in merged if len(mem) >= min_cluster]
     clusters.sort(key=lambda mem: (-len(mem), min(mem)))
-    circles: list[Circle3D] = []
     for ci, mem in enumerate(clusters):
-        rows = prefs[mem]
-        coverage = rows.sum(axis=0)
-        best = np.nonzero(coverage == coverage.max())[0]
-        if len(best) > 1:
-            mean_res = residuals[np.ix_(mem, best)].mean(axis=0)
-            best = best[np.argsort(mean_res, kind="stable")]
-        j = int(best[0])
-        circles.append(hyps[j])
         labels[mem] = ci
-    return CircleLabeling(labels, circles)
+    return labels
 
 
 def _jlinkage_merge(ps: NDArray[np.float64], members: list[list[int]]) -> list[list[int]]:
@@ -454,39 +442,27 @@ def _jlinkage_merge(ps: NDArray[np.float64], members: list[list[int]]) -> list[l
     stamp = np.zeros(len(members), dtype=np.int64)
     heap: list = []
 
-    def row_best(i: int):
+    def push(i: int) -> None:
+        """Queue row ``i`` with its nearest live partner, the first on ties."""
         others = np.nonzero(alive)[0]
         others = others[others != i]
         if len(others) == 0:
-            return None
+            return
         inter = ps[others] @ ps[i]
         union = sizes[others] + sizes[i] - inter
         with np.errstate(divide="ignore", invalid="ignore"):
             dist = 1.0 - np.where(union > 0, inter / union, 0.0)
-        j = int(np.argmin(dist))
-        return float(dist[j]), int(others[j])
+        k = int(np.argmin(dist))
+        j = int(others[k])
+        heapq.heappush(heap, (float(dist[k]), i, j, stamp[i], stamp[j]))
 
-    # Seed the queue with each row's best partner in one matrix product.
-    c = len(members)
-    if c > 1:
-        inter = ps @ ps.T
-        union = sizes[:, None] + sizes[None, :] - inter
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dist = 1.0 - np.where(union > 0, inter / union, 0.0)
-        np.fill_diagonal(dist, np.inf)
-        best_j = np.argmin(dist, axis=1)
-        for i in range(c):
-            j = int(best_j[i])
-            heapq.heappush(heap, (float(dist[i, j]), i, j, stamp[i], stamp[j]))
-        del inter, union, dist
-
+    for i in range(len(members)):
+        push(i)
     while heap:
         dist, i, j, si, sj = heapq.heappop(heap)
         if not alive[i] or not alive[j] or stamp[i] != si or stamp[j] != sj:
             if alive[i] and stamp[i] == si:
-                best = row_best(i)
-                if best is not None:
-                    heapq.heappush(heap, (best[0], i, best[1], stamp[i], stamp[best[1]]))
+                push(i)
             continue
         if dist >= 1.0 - 1e-12:
             break
@@ -496,9 +472,7 @@ def _jlinkage_merge(ps: NDArray[np.float64], members: list[list[int]]) -> list[l
         members[i].extend(members[j])
         alive[j] = False
         stamp[i] += 1
-        best = row_best(i)
-        if best is not None:
-            heapq.heappush(heap, (best[0], i, best[1], stamp[i], stamp[best[1]]))
+        push(i)
     return [members[i] for i in np.nonzero(alive)[0]]
 
 
@@ -587,7 +561,7 @@ def fit_circle_iterative(
 # ---------------------------------------------------------------------------
 
 def refine_coverage(
-    labeling: CircleLabeling,
+    circles: list[Circle3D],
     edge_points,
     inlier_eps: float,
     min_cluster: int = 10,
@@ -606,14 +580,14 @@ def refine_coverage(
     pts = as_points(edge_points)
     n = len(pts)
     labels = np.full(n, -1, dtype=np.int64)
-    if not labeling.circles:
+    if not circles:
         return CircleLabeling(labels, [])
     duplicate_tol = max(inlier_eps, 3.0 * median_spacing(pts))
-    cover = np.column_stack([c.distance(pts) <= inlier_eps for c in labeling.circles])
+    cover = np.column_stack([c.distance(pts) <= inlier_eps for c in circles])
 
     chosen: list[int] = []
     covered = np.zeros(n, dtype=bool)
-    available = list(range(len(labeling.circles)))
+    available = list(range(len(circles)))
     while available:
         gains = np.array([np.count_nonzero(cover[:, c] & ~covered) for c in available])
         at = int(np.argmax(gains))
@@ -626,13 +600,13 @@ def refine_coverage(
     kept: list[int] = []
     for c in chosen:
         total = int(cover[:, c].sum())
-        circle = labeling.circles[c]
+        circle = circles[c]
         redundant = False
         for b in kept:
             if int((cover[:, c] & cover[:, b]).sum()) >= 0.8 * total:
                 redundant = True
                 break
-            other = labeling.circles[b]
+            other = circles[b]
             if (np.linalg.norm(circle.center - other.center) <= duplicate_tol
                     and abs(circle.radius - other.radius) <= duplicate_tol):
                 redundant = True
@@ -641,17 +615,15 @@ def refine_coverage(
             kept.append(c)
 
     assigned = np.zeros(n, dtype=bool)
-    circles: list[Circle3D] = []
     for new_id, c in enumerate(kept):
         take = cover[:, c] & ~assigned
         labels[take] = new_id
         assigned |= take
-        circles.append(labeling.circles[c])
-    return CircleLabeling(labels, circles)
+    return CircleLabeling(labels, [circles[c] for c in kept])
 
 
 def _settle_circle(seed_points: Points, field_points: Points,
-                   params: "MCFSParams") -> Circle3D | None:
+                   config: PipelineConfig) -> Circle3D | None:
     """Fit a circle to the seed set, then let it center itself on the field.
 
     The seed is often a skewed subset of the structure; alternating between
@@ -660,23 +632,23 @@ def _settle_circle(seed_points: Points, field_points: Points,
     """
     try:
         circle, _ = fit_circle_iterative(
-            seed_points, eps=params.inlier_eps,
-            eta=params.eta, max_iter=params.max_fit_iter,
+            seed_points, eps=config.inlier_eps,
+            eta=config.eta, max_iter=config.circle_max_iter,
         )
         best = circle
-        best_support = int((circle.distance(field_points) <= params.inlier_eps).sum())
+        best_support = int((circle.distance(field_points) <= config.inlier_eps).sum())
         for _ in range(6):
-            support = circle.distance(field_points) <= params.inlier_eps
+            support = circle.distance(field_points) <= config.inlier_eps
             if support.sum() < 3:
                 break
             updated, _ = fit_circle_iterative(
-                field_points[support], eps=params.inlier_eps,
-                eta=params.eta, max_iter=params.max_fit_iter,
+                field_points[support], eps=config.inlier_eps,
+                eta=config.eta, max_iter=config.circle_max_iter,
             )
-            count = int((updated.distance(field_points) <= params.inlier_eps).sum())
+            count = int((updated.distance(field_points) <= config.inlier_eps).sum())
             if count > best_support:
                 best, best_support = updated, count
-            done = _parameter_change(updated, circle) < params.eta
+            done = _parameter_change(updated, circle) < config.eta
             circle = updated
             if done:
                 break
@@ -703,21 +675,6 @@ def _leftover_components(points: Points, radius: float, min_size: int):
             yield members
 
 
-@dataclass(frozen=True)
-class MCFSParams:
-    """Tunables for the multi-circle fitting scheme."""
-
-    inlier_eps: float = 0.1
-    eta: float = 0.03
-    max_fit_iter: int = 150
-    hypotheses_per_point: int = 20
-    max_hypotheses: int = 5000
-    bandwidth: float = 0.05
-    min_cluster: int = 10
-    cluster_cap: int = 4000
-    seed: int = 0
-
-
 _MAX_ROUNDS = 16
 _MAX_RADIUS_FACTOR = 2.0
 _MAX_MODELS = 64
@@ -731,13 +688,15 @@ _MIN_ARC_COVERAGE = 0.6
 _COVERAGE_BINS = 24
 
 
-def mcfs(edge_points, params: MCFSParams = MCFSParams()) -> CircleLabeling:
+def mcfs(edge_points, config: PipelineConfig = PipelineConfig()) -> CircleLabeling:
     """Detect all circles among the edge points.
 
     Each round runs hypothesis generation, residual calculation, preference
     clustering and outlier-rejecting fits on the still-unlabeled points, and
     stops once a round contributes no new circle. A final greedy set cover
-    removes near-duplicate circles and produces the labeling.
+    removes near-duplicate circles and produces the labeling. ``config``
+    supplies ``inlier_eps``, ``eta``, ``circle_max_iter``, the hypothesis
+    budget, ``bandwidth``, ``min_cluster``, ``cluster_cap`` and ``seed``.
     """
     pts = as_points(edge_points)
     n = len(pts)
@@ -746,100 +705,94 @@ def mcfs(edge_points, params: MCFSParams = MCFSParams()) -> CircleLabeling:
     diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
     max_radius = _MAX_RADIUS_FACTOR * max(diag, np.finfo(float).tiny)
     spacing = median_spacing(pts)
-    rng = np.random.default_rng(params.seed)
+    eps = config.inlier_eps
+    min_cluster = config.min_cluster
+    rng = np.random.default_rng(config.seed)
 
     def sufficient_support(circle: Circle3D, supporters: Points) -> bool:
         count = len(supporters)
-        if count < params.min_cluster:
+        if count < min_cluster:
             return False
         if spacing > 0:
             expected = 2.0 * np.pi * circle.radius / spacing
             if count < _MIN_ARC_DENSITY * expected:
                 return False
-        u = unit(np.cross(circle.normal, np.eye(3)[int(np.argmin(np.abs(circle.normal)))]))
-        v = np.cross(circle.normal, u)
+        u, v = _ortho_basis(circle.normal)
         rel = supporters - circle.center
         angles = np.arctan2(rel @ v, rel @ u)
         bins = ((angles + np.pi) / (2 * np.pi) * _COVERAGE_BINS).astype(int)
         occupied = len(np.unique(np.clip(bins, 0, _COVERAGE_BINS - 1)))
         return occupied >= _MIN_ARC_COVERAGE * _COVERAGE_BINS
 
+    def accept(seed: Points, field: Points) -> Circle3D | None:
+        """The circle settled from ``seed`` on ``field``, if ``field`` supports it."""
+        circle = _settle_circle(seed, field, config)
+        if circle is None or circle.radius > max_radius:
+            return None
+        supporters = field[circle.distance(field) <= eps]
+        return circle if sufficient_support(circle, supporters) else None
+
     circles: list[Circle3D] = []
     remaining = np.arange(n, dtype=np.int64)
     # Points this close to an accepted circle belong to its edge band and are
     # considered explained; pruning the whole band keeps later rounds focused
     # on structures not yet found.
-    band = max(params.inlier_eps, 2.0 * spacing)
+    band = max(eps, 2.0 * spacing)
     idle_rounds = 0
     for round_no in range(_MAX_ROUNDS):
-        if len(remaining) < max(3, params.min_cluster):
+        if len(remaining) < max(3, min_cluster):
             break
         subset = pts[remaining]
-        count = min(params.hypotheses_per_point * len(remaining), params.max_hypotheses)
+        count = min(config.hypotheses_per_point * len(remaining), config.max_hypotheses)
         try:
-            hyps = generate_hypotheses(subset, count, seed=params.seed + 7919 * round_no)
+            hyps = generate_hypotheses(subset, count, seed=config.seed + 7919 * round_no)
         except ValueError:
             if round_no == 0:
                 raise
             break
-        hyps = reduce_hypotheses(hyps, params.bandwidth, scale=max(diag, 1e-12),
+        hyps = reduce_hypotheses(hyps, config.bandwidth, scale=max(diag, 1e-12),
                                  max_modes=_MAX_MODELS)
 
         cluster_idx = remaining
-        if len(remaining) > params.cluster_cap:
-            pick = rng.choice(len(remaining), size=params.cluster_cap, replace=False)
+        if len(remaining) > config.cluster_cap:
+            pick = rng.choice(len(remaining), size=config.cluster_cap, replace=False)
             cluster_idx = remaining[np.sort(pick)]
-        residuals = residual_matrix(pts[cluster_idx], hyps)
-        provisional = cluster_labels(residuals, hyps, params.inlier_eps, params.min_cluster)
+        labels = cluster_labels(residual_matrix(pts[cluster_idx], hyps), eps, min_cluster)
 
         # Clusters come ordered by size; accepted circles immediately claim
         # their edge band so a weaker candidate cannot ride on support that a
         # better circle already explains.
-        added = 0
         claimed = np.zeros(len(remaining), dtype=bool)
-        for ci in range(len(provisional.circles)):
-            member_idx = cluster_idx[provisional.labels == ci]
-            if len(member_idx) < params.min_cluster:
-                continue
-            field = pts[remaining][~claimed]
-            if len(field) < params.min_cluster:
+        for ci in range(labels.max(initial=-1) + 1):
+            field = subset[~claimed]
+            if len(field) < min_cluster:
                 break
-            circle = _settle_circle(pts[member_idx], field, params)
-            if circle is None or circle.radius > max_radius:
-                continue
-            supporters = field[circle.distance(field) <= params.inlier_eps]
-            if not sufficient_support(circle, supporters):
-                continue
-            circles.append(circle)
-            claimed |= circle.distance(pts[remaining]) <= band
-            added += 1
-        if added == 0:
-            # The hypothesis/subsample draw can miss a structure; allow one
-            # retry with fresh seeds before concluding there is nothing left.
+            circle = accept(pts[cluster_idx[labels == ci]], field)
+            if circle is not None:
+                circles.append(circle)
+                claimed |= circle.distance(subset) <= band
+        # An accepted circle claims at least its supporters. The earlier
+        # rounds' bands are already gone from ``remaining``.
+        if not claimed.any():
+            # The hypothesis/subsample draw can miss a structure; allow two
+            # retries with fresh seeds before concluding there is nothing left.
             idle_rounds += 1
             if idle_rounds >= 3:
                 break
             continue
         idle_rounds = 0
-        keep_mask = np.ones(len(remaining), dtype=bool)
-        for circle in circles:
-            keep_mask &= circle.distance(pts[remaining]) > band
-        remaining = remaining[keep_mask]
+        remaining = remaining[~claimed]
 
     # Recovery sweep: a structure the preference clustering kept missing is
     # still present as a dense leftover component; fit those directly.
-    if len(remaining) >= params.min_cluster:
-        for component in _leftover_components(pts[remaining], 2.5 * spacing,
-                                              params.min_cluster):
-            circle = _settle_circle(pts[remaining][component], pts[remaining], params)
-            if circle is None or circle.radius > max_radius:
-                continue
-            supporters = pts[remaining][circle.distance(pts[remaining]) <= params.inlier_eps]
-            if sufficient_support(circle, supporters):
+    if len(remaining) >= min_cluster:
+        field = pts[remaining]
+        for component in _leftover_components(field, 2.5 * spacing, min_cluster):
+            circle = accept(field[component], field)
+            if circle is not None:
                 circles.append(circle)
 
-    provisional = CircleLabeling(np.full(n, -1, dtype=np.int64), circles)
-    return refine_coverage(provisional, pts, params.inlier_eps, params.min_cluster)
+    return refine_coverage(circles, pts, eps, min_cluster)
 
 
 # ---------------------------------------------------------------------------

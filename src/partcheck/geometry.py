@@ -75,14 +75,12 @@ def canonical_sign(v: Vec3) -> Vec3:
 class PointCloud:
     """Ordered 3D points with optional per-point channels.
 
-    Optional channels must match the point count. Normals are unit length;
-    the label -1 marks unassigned/outlier points.
+    Optional channels must match the point count. Normals are unit length.
     """
 
     points: Points
     normals: Points | None = None
     curvatures: NDArray[np.float64] | None = None
-    labels: NDArray[np.int64] | None = None
 
     def __post_init__(self):
         pts = as_points(self.points)
@@ -107,11 +105,6 @@ class PointCloud:
             if (cur < 0).any():
                 raise ValueError("curvatures must be non-negative")
             object.__setattr__(self, "curvatures", cur)
-        if self.labels is not None:
-            lab = np.asarray(self.labels, dtype=np.int64).reshape(-1)
-            if len(lab) != n:
-                raise ValueError("labels length does not match point count")
-            object.__setattr__(self, "labels", lab)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -122,7 +115,6 @@ class PointCloud:
             points=self.points[which],
             normals=None if self.normals is None else self.normals[which],
             curvatures=None if self.curvatures is None else self.curvatures[which],
-            labels=None if self.labels is None else self.labels[which],
         )
 
     def transformed(self, t: "RigidTransform") -> "PointCloud":
@@ -165,9 +157,6 @@ class TriangleMesh:
 
     def areas(self) -> NDArray[np.float64]:
         return _triangle_areas(self.vertices, self.triangles)
-
-    def surface_area(self) -> float:
-        return float(self.areas().sum())
 
     def distance_index(self) -> "MeshDistance":
         """Lazy shared acceleration structure for exact surface distances."""

@@ -25,7 +25,6 @@ from scipy.spatial import cKDTree
 from .geometry import (
     PointCloud,
     Points,
-    RigidTransform,
     Vec3,
     as_points,
     canonical_sign,
@@ -72,14 +71,6 @@ class Plane:
     def distance(self, points) -> NDArray[np.float64]:
         return np.abs(as_points(points) @ self.normal - self.offset)
 
-    def transformed(self, t: RigidTransform) -> "Plane":
-        n = t.apply_directions(self.normal.reshape(1, 3))[0]
-        offset = self.offset + float(n @ t.translation)
-        n2 = canonical_sign(n)
-        if float(n2 @ n) < 0:
-            offset = -offset
-        return Plane(n2, offset)
-
 
 @dataclass(frozen=True, eq=False)
 class Sphere:
@@ -90,9 +81,6 @@ class Sphere:
 
     def distance(self, points) -> NDArray[np.float64]:
         return np.abs(np.linalg.norm(as_points(points) - self.center, axis=1) - self.radius)
-
-    def transformed(self, t: RigidTransform) -> "Sphere":
-        return Sphere(t.apply(self.center.reshape(1, 3))[0], self.radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,13 +96,6 @@ class Cylinder:
         h = u @ self.axis
         radial = np.linalg.norm(u - h[:, None] * self.axis, axis=1)
         return np.abs(radial - self.radius)
-
-    def transformed(self, t: RigidTransform) -> "Cylinder":
-        return Cylinder(
-            t.apply(self.point.reshape(1, 3))[0],
-            canonical_sign(t.apply_directions(self.axis.reshape(1, 3))[0]),
-            self.radius,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,13 +116,6 @@ class Cone:
         # Behind the apex the nearest surface point is the apex itself.
         perp = np.abs(rho * cos_a - h * sin_a)
         return np.where(along <= 0.0, np.sqrt(rho * rho + h * h), perp)
-
-    def transformed(self, t: RigidTransform) -> "Cone":
-        return Cone(
-            t.apply(self.apex.reshape(1, 3))[0],
-            t.apply_directions(self.axis.reshape(1, 3))[0],
-            self.half_angle,
-        )
 
 
 Shape: TypeAlias = Union[Plane, Sphere, Cylinder, Cone]

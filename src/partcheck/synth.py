@@ -9,6 +9,7 @@ the pipeline against.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,7 +72,13 @@ def generate_synthetic_scene(spec: SceneSpec | str, seed: int = 0) -> SyntheticS
     }
     if spec.kind not in makers:
         raise ValueError(f"unknown scene kind '{spec.kind}'")
-    return makers[spec.kind](seed=seed, **spec.options)
+    maker = makers[spec.kind]
+    accepted = set(inspect.signature(maker).parameters) - {"seed"}
+    for key in spec.options:
+        if key not in accepted:
+            raise ValueError(f"unknown {spec.kind} option '{key}'; "
+                             f"expected one of {', '.join(sorted(accepted))}")
+    return maker(seed=seed, **spec.options)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from partcheck.config import PipelineConfig
 from partcheck.features import (
     Circle3D,
-    CircleLabeling,
-    MCFSParams,
     _circumcircles,
     _embed_hypotheses,
     _group_modes,
@@ -437,9 +436,9 @@ class TestClusterLabels:
         truth = np.concatenate([np.zeros(80, int), np.ones(80, int)])
         hyps = reduce_hypotheses(generate_hypotheses(pts, 600, seed=3), 0.05,
                                  scale=bbox_diagonal(pts))
-        labeling = cluster_labels(residual_matrix(pts, hyps), hyps, 0.1, 10)
-        assert len(labeling.circles) == 2
-        assert misclassification_error(labeling, truth) == pytest.approx(0.0)
+        labels = cluster_labels(residual_matrix(pts, hyps), 0.1, 10)
+        assert labels.max() == 1
+        assert misclassification_error(labels, truth) == pytest.approx(0.0)
 
     def test_outliers_unassigned(self):
         rng = np.random.default_rng(12)
@@ -452,8 +451,8 @@ class TestClusterLabels:
         pts = np.vstack([ring, junk])
         hyps = reduce_hypotheses(generate_hypotheses(pts, 2000, seed=5), 0.05,
                                  scale=bbox_diagonal(pts))
-        labeling = cluster_labels(residual_matrix(pts, hyps), hyps, 0.1, 10)
-        predicted_outlier = labeling.labels[len(ring):] == -1
+        labels = cluster_labels(residual_matrix(pts, hyps), 0.1, 10)
+        predicted_outlier = labels[len(ring):] == -1
         assert predicted_outlier.mean() >= 0.9
 
     def test_single_circle_single_cluster(self):
@@ -462,16 +461,13 @@ class TestClusterLabels:
         pts = circle_points(c, 80, rng=rng, noise=0.003)
         hyps = reduce_hypotheses(generate_hypotheses(pts, 300, seed=6), 0.05,
                                  scale=bbox_diagonal(pts))
-        labeling = cluster_labels(residual_matrix(pts, hyps), hyps, 0.1, 10)
-        assert len(labeling.circles) == 1
-        assert (labeling.labels == 0).mean() > 0.95
+        labels = cluster_labels(residual_matrix(pts, hyps), 0.1, 10)
+        assert labels.max() == 0
+        assert (labels == 0).mean() > 0.95
 
     def test_all_empty_preferences(self):
         r = np.full((20, 3), 5.0)
-        hyps = [Circle3D(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]))] * 3
-        labeling = cluster_labels(r, hyps, 0.1, 5)
-        assert (labeling.labels == -1).all()
-        assert labeling.circles == []
+        assert (cluster_labels(r, 0.1, 5) == -1).all()
 
 
 class TestIterativeCircleFit:
@@ -524,8 +520,7 @@ class TestRefineCoverage:
         c = Circle3D(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]))
         pts = circle_points(c, 80, rng=rng, noise=0.005)
         dup = Circle3D(c.center + (0.003, 0, 0), 1.001, c.normal)
-        labeling = CircleLabeling(np.full(len(pts), -1), [c, dup])
-        out = refine_coverage(labeling, pts, 0.1)
+        out = refine_coverage([c, dup], pts, 0.1)
         assert len(out.circles) == 1
 
     def test_disjoint_circles_survive(self):
@@ -534,8 +529,7 @@ class TestRefineCoverage:
         c2 = Circle3D(np.array([7.0, 0.0, 0.0]), 1.2, np.array([0.0, 0.0, 1.0]))
         pts = np.vstack([circle_points(c1, 60, rng=rng, noise=0.004),
                          circle_points(c2, 60, rng=rng, noise=0.004)])
-        labeling = CircleLabeling(np.full(len(pts), -1), [c1, c2])
-        out = refine_coverage(labeling, pts, 0.1)
+        out = refine_coverage([c1, c2], pts, 0.1)
         assert len(out.circles) == 2
         assert (out.labels >= 0).all()
 
@@ -547,8 +541,7 @@ class TestRefineCoverage:
         c3 = Circle3D(np.array([0.6, 0.9, 0.0]), 1.0, np.array([0.0, 0.0, 1.0]))
         circles = [c1, c2, c3]
         pts = np.vstack([circle_points(c, 4, rng=rng, noise=0.01) for c in circles])
-        labeling = CircleLabeling(np.full(len(pts), -1), circles)
-        out = refine_coverage(labeling, pts, inlier_eps=0.1, min_cluster=2)
+        out = refine_coverage(circles, pts, inlier_eps=0.1, min_cluster=2)
         covered = {i for i in range(len(pts)) if out.labels[i] >= 0}
         best_size = None
         cover_sets = [set(np.nonzero(c.distance(pts) <= 0.1)[0]) for c in circles]
@@ -567,7 +560,7 @@ class TestMCFS:
     def test_four_circles_with_noise_and_outliers(self):
         scene = circles_scene(circles=4, points_per=150, noise=0.02,
                               outlier_frac=0.5, seed=0)
-        labeling = mcfs(scene.cloud.points, MCFSParams(seed=100))
+        labeling = mcfs(scene.cloud.points, PipelineConfig(seed=100))
         assert len(labeling.circles) == 4
         fn, fp = fn_fp_counts(labeling.circles, scene.truth.circles, match_tol=0.3)
         assert fn == 0 and fp == 0
@@ -579,7 +572,7 @@ class TestMCFS:
         scene = plate_scene(holes=16, spacing=0.45, noise=0.005, seed=0)
         cloud = estimate_normals_and_curvature(scene.cloud, k=16)
         idx = detect_edge_points(cloud)
-        labeling = mcfs(cloud.points[idx], MCFSParams(seed=7))
+        labeling = mcfs(cloud.points[idx], PipelineConfig(seed=7))
         fn, fp = fn_fp_counts(labeling.circles, scene.truth.circles, match_tol=1.0)
         assert fn == 0 and fp == 0
 
@@ -592,13 +585,13 @@ class TestMCFS:
         idx = detect_edge_points(cloud)
         assert len(idx) == 0
         with pytest.raises(ValueError):
-            mcfs(pts[idx], MCFSParams())
+            mcfs(pts[idx], PipelineConfig())
 
     def test_deterministic(self):
         scene = circles_scene(circles=3, points_per=120, noise=0.015,
                               outlier_frac=0.3, seed=3)
-        a = mcfs(scene.cloud.points, MCFSParams(seed=42))
-        b = mcfs(scene.cloud.points, MCFSParams(seed=42))
+        a = mcfs(scene.cloud.points, PipelineConfig(seed=42))
+        b = mcfs(scene.cloud.points, PipelineConfig(seed=42))
         assert np.array_equal(a.labels, b.labels)
         assert len(a.circles) == len(b.circles)
         for ca, cb in zip(a.circles, b.circles):
@@ -615,7 +608,7 @@ class TestMCFS:
             truth.append(c)
             chunks.append(circle_points(c, 120))
         pts = np.vstack(chunks)
-        labeling = mcfs(pts, MCFSParams(seed=11))
+        labeling = mcfs(pts, PipelineConfig(seed=11))
         assert len(labeling.circles) == 5
         _, r_max, _, c_max = feature_level_error(labeling.circles, truth, match_tol=0.2)
         assert r_max < 1e-6

@@ -178,3 +178,43 @@ def test_fit_circles_missing_file_exits_2(tmp_path):
     result = fit_circles(tmp_path / "absent.ply", "--out", tmp_path / "circles.txt")
     assert result.exit_code == EXIT_INPUT_ERROR
     assert "input error" in result.output
+
+
+@pytest.mark.parametrize("eps", ["0", "-1", "nan"])
+def test_fit_circles_bad_eps_exits_2(tmp_path, eps):
+    edges = tmp_path / "edges.ply"
+    t = np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False)
+    meshio.save_point_cloud(edges, PointCloud(
+        points=np.column_stack([np.cos(t), np.sin(t), np.zeros_like(t)])))
+    result = fit_circles(edges, "--eps", eps, "--out", tmp_path / "circles.txt")
+    assert result.exit_code == EXIT_INPUT_ERROR
+    assert "inlier_eps must be positive" in result.output
+
+
+def test_assess_writes_every_output(scene_files, tmp_path):
+    result = assess(scene_files / "scan.ply", scene_files / "mesh.ply", "--out", tmp_path,
+                    "--dump-segments", "--dump-edges", "--dump-circles", "--ascii")
+    assert result.exit_code == 0, result.output
+    fields = parse_report(tmp_path / "report.txt")
+    assert (tmp_path / "report_human.txt").read_text().startswith("Manufacturing error")
+    segments = meshio.load_point_cloud(tmp_path / "segments.ply")
+    assert len(segments) == int(fields["scan_points"]) - int(fields["outliers_removed"])
+    assert len(meshio.load_point_cloud(tmp_path / "edges.ply")) > 0
+    n_circles = int(fields["n_circles"])
+    assert n_circles > 0
+    assert len(read_circles_table(tmp_path / "circles.txt")) == n_circles
+    assert len(meshio.load_point_cloud(tmp_path / "circles.ply")) == 64 * n_circles
+
+
+def test_synth_writes_the_scene(scene, tmp_path):
+    result = CliRunner().invoke(main, ["synth", SPEC, "--seed", "1", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    scan = meshio.load_point_cloud(tmp_path / "scan.ply")
+    assert np.array_equal(scan.points, scene.cloud.points)
+
+
+@pytest.mark.parametrize("spec", ["plate foo=1", "plate seed=3"])
+def test_synth_unknown_option_exits_2(tmp_path, spec):
+    result = CliRunner().invoke(main, ["synth", spec, "--out", str(tmp_path)])
+    assert result.exit_code == EXIT_INPUT_ERROR
+    assert "unknown plate option" in result.output

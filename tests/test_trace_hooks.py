@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from partcheck import features
+from partcheck.config import PipelineConfig
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -36,7 +37,7 @@ def test_hypothesis_spans_open_under_mcfs(spans):
     t = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
     ring = np.column_stack([np.cos(t), np.sin(t), np.zeros_like(t)])
     pts = np.vstack([ring, np.array([5.0, 0.0, 0.0]) + 1.5 * ring])
-    params = features.MCFSParams(seed=3)
+    params = PipelineConfig(seed=3)
     tracer = spans.Tracer()
     with tracer.installed():
         labeling = features.mcfs(pts, params)
