@@ -10,6 +10,17 @@ from pathlib import Path
 import numpy as np
 
 
+# Least valid value of each integer field. A 0 in min_points or mesh_samples
+# asks for the value derived from the scan; in registration_subsample, for
+# every point. The normal estimator needs a k of at least 3.
+_INT_MINIMUMS = {
+    "circle_max_iter": 1, "icp_max_iter": 1, "outlier_k": 1, "region_k": 1,
+    "hypotheses_per_point": 1, "max_hypotheses": 1, "min_cluster": 1, "cluster_cap": 1,
+    "normals_k": 3,
+    "min_points": 0, "mesh_samples": 0, "registration_subsample": 0, "seed": 0,
+}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """All tunables with their fixed defaults; every field is overridable."""
@@ -51,6 +62,9 @@ class PipelineConfig:
             # Written so that NaN fails too.
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        for name, low in _INT_MINIMUMS.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
 
     @staticmethod
     def from_file(path: str | Path) -> "PipelineConfig":

@@ -738,7 +738,6 @@ def mcfs(edge_points, config: PipelineConfig = PipelineConfig()) -> CircleLabeli
     # considered explained; pruning the whole band keeps later rounds focused
     # on structures not yet found.
     band = max(eps, 2.0 * spacing)
-    idle_rounds = 0
     for round_no in range(_MAX_ROUNDS):
         if len(remaining) < max(3, min_cluster):
             break
@@ -774,13 +773,7 @@ def mcfs(edge_points, config: PipelineConfig = PipelineConfig()) -> CircleLabeli
         # An accepted circle claims at least its supporters. The earlier
         # rounds' bands are already gone from ``remaining``.
         if not claimed.any():
-            # The hypothesis/subsample draw can miss a structure; allow two
-            # retries with fresh seeds before concluding there is nothing left.
-            idle_rounds += 1
-            if idle_rounds >= 3:
-                break
-            continue
-        idle_rounds = 0
+            break
         remaining = remaining[~claimed]
 
     # Recovery sweep: a structure the preference clustering kept missing is

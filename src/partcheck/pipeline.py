@@ -427,7 +427,7 @@ def _part(registered: PointCloud, surface_dist: np.ndarray, config: PipelineConf
         k=config.region_k,
         angle_thresh=np.deg2rad(config.region_angle_deg),
         curv_thresh=config.region_curv_thresh,
-        min_points=config.min_points or max(30, len(enriched) // 500),
+        min_points=config.min_points or None,
         weights=(config.omega_f, config.omega_s, config.omega_c),
         inlier_eps=config.inlier_eps,
     )

@@ -5,8 +5,7 @@ A configuration of primitives is scored by a weighted energy with three
 terms: fidelity (mean inlier-to-surface distance), simplicity (primitive
 count relative to the maximum supportable count) and completeness (fraction
 of points left unassigned). Refinement applies the split or merge operation
-with the largest energy decrease until no operation helps; each round
-rescores every candidate from refits cached by the primitives it involves.
+with the largest energy decrease until no operation helps.
 """
 
 from __future__ import annotations
@@ -426,7 +425,7 @@ class Configuration:
             if self.primitives else np.empty(0, dtype=np.int64)
         if len(all_inliers) and (all_inliers.min() < 0 or all_inliers.max() >= n):
             raise ValueError("inlier index out of range")
-        if len(np.unique(all_inliers)) != len(all_inliers):
+        if len(all_inliers) and np.bincount(all_inliers).max() > 1:
             raise ValueError("inlier sets of distinct primitives must be disjoint")
         for p in self.primitives:
             if len(p.inliers) < self.min_points:
@@ -462,22 +461,14 @@ class EnergyTerms(NamedTuple):
 
 def energy(config: Configuration) -> EnergyTerms:
     """Weighted fidelity + simplicity + completeness score of a configuration."""
-    dist_total = sum(_dist_sum(config.points, p) for p in config.primitives)
-    return _energy_terms(
-        dist_total, config.n_assigned, len(config.primitives),
-        config.n, config.max_primitives, config.weights,
-    )
-
-
-def _dist_sum(points: Points, prim: Primitive) -> float:
-    return float(prim.shape.distance(points[prim.inliers]).sum())
-
-
-def _energy_terms(dist_sum, n_assigned, count, n, n_max, weights) -> EnergyTerms:
+    dist_sum = sum(float(p.shape.distance(config.points[p.inliers]).sum())
+                   for p in config.primitives)
+    n_assigned = config.n_assigned
+    n_max = config.max_primitives
     fidelity = dist_sum / n_assigned if n_assigned else 0.0
-    simplicity = count / n_max if n_max else 0.0
-    completeness = 1.0 - n_assigned / n
-    wf, ws, wc = weights
+    simplicity = len(config.primitives) / n_max if n_max else 0.0
+    completeness = 1.0 - n_assigned / config.n
+    wf, ws, wc = config.weights
     total = wf * fidelity + ws * simplicity + wc * completeness
     return EnergyTerms(total, fidelity, simplicity, completeness)
 
@@ -715,86 +706,34 @@ def merge(config: Configuration, i: int, j: int) -> tuple[Configuration, bool]:
 _MIN_GAIN = 1e-12
 
 
-def refine(config: Configuration, on_apply=None, max_ops: int | None = None) -> Configuration:
+def refine(config: Configuration, on_apply=None) -> Configuration:
     """Apply the best energy-decreasing split/merge until none remains.
 
-    Each round scores every candidate, a split of each primitive and a merge
-    of each same-kind pair, from refits cached by the primitives they
-    involve, and applies the one with the largest energy decrease (ties go to
-    the first in that order). Surviving primitives keep their order and new
-    ones are appended. Every applied operation strictly decreases the
-    energy, which bounds the run; ``max_ops`` is a hard safety cap.
+    Each round tries ``split`` on every primitive, then ``merge`` on every
+    pair i < j, scores each applied result with ``energy``, and keeps the
+    lowest (ties go to the first in that order). A split puts its two halves
+    in place of the primitive; a merge puts the merged primitive at the lower
+    index. ``on_apply(op, e_before, e_after)`` sees every applied operation.
+    When nothing lowers the energy the input object itself is returned.
+    Every applied operation strictly decreases the energy, which bounds the
+    run; a cap of ``20 * n + 200`` operations on n input primitives is a
+    hard safety net.
     """
-    if max_ops is None:
-        max_ops = 20 * max(1, len(config.primitives)) + 200
-    ids = itertools.count()
-    live = {next(ids): p for p in config.primitives}
-    dist = {uid: _dist_sum(config.points, p) for uid, p in live.items()}
-    # (primitive ids) -> None, or (new primitives, their distance sums).
-    refits: dict[tuple[int, ...], tuple | None] = {}
-
-    def total_energy(dist_sum: float, n_assigned: int, count: int) -> float:
-        return _energy_terms(dist_sum, n_assigned, count, config.n,
-                             config.max_primitives, config.weights).total
-
-    applied = 0
-    while True:
-        dist_sum = sum(dist.values())
-        n_assigned = sum(len(p.inliers) for p in live.values())
-        e_before = total_energy(dist_sum, n_assigned, len(live))
-        best_gain, best_key = _MIN_GAIN, None
-        pairs = [(a, b) for a, b in itertools.combinations(live, 2)
-                 if live[a].kind == live[b].kind]
-        for key in [(uid,) for uid in live] + pairs:
-            if key not in refits:
-                refits[key] = _refit_candidate(config, [live[u] for u in key])
-            if refits[key] is None:
-                continue
-            new, new_dists = refits[key]
-            e_after = total_energy(
-                dist_sum - sum(dist[u] for u in key) + sum(new_dists),
-                n_assigned - sum(len(live[u].inliers) for u in key)
-                + sum(len(p.inliers) for p in new),
-                len(live) - len(key) + len(new),
-            )
-            if e_before - e_after > best_gain:
-                best_gain, best_key = e_before - e_after, key
-        if best_key is None:
-            break
-        if applied >= max_ops:
+    cap = 20 * max(1, len(config.primitives)) + 200
+    current = energy(config).total
+    for applied in itertools.count():
+        n = len(config.primitives)
+        tried = [("split", split(config, i)) for i in range(n)]
+        tried += [("merge", merge(config, i, j)) for i, j in itertools.combinations(range(n), 2)]
+        scored = [(energy(after).total, op, after) for op, (after, ok) in tried if ok]
+        e_after, op, after = min(scored, key=lambda item: item[0], default=(current, None, None))
+        if e_after >= current - _MIN_GAIN:
+            return config
+        if applied >= cap:
             raise RuntimeError("refine exceeded the operation cap")
-        new, new_dists = refits[best_key]
-        for uid in best_key:
-            del live[uid], dist[uid]
-        for p, d in zip(new, new_dists):
-            uid = next(ids)
-            live[uid], dist[uid] = p, d
-        applied += 1
-        refits = {k: v for k, v in refits.items() if all(u in live for u in k)}
-        e_after = total_energy(sum(dist.values()),
-                               sum(len(p.inliers) for p in live.values()), len(live))
-        recomputed = energy(replace(config, primitives=list(live.values()))).total
-        if abs(recomputed - e_after) > 1e-9:
-            raise AssertionError(
-                f"incremental energy {e_after} disagrees with recomputed {recomputed}"
-            )
-        if e_after >= e_before:
-            raise AssertionError("applied operation did not decrease the energy")
         if on_apply is not None:
-            on_apply("split" if len(best_key) == 1 else "merge", e_before, e_after)
-    return replace(config, primitives=list(live.values()))
-
-
-def _refit_candidate(config: Configuration, prims: list[Primitive]):
-    """Split one primitive or merge two: (new primitives, distance sums) or None."""
-    if len(prims) == 1:
-        new = _split_primitive(config, prims[0])
-    else:
-        merged = _merge_primitives(config, *prims)
-        new = None if merged is None else (merged,)
-    if new is None:
-        return None
-    return new, [_dist_sum(config.points, p) for p in new]
+            on_apply(op, current, e_after)
+        config, current = after, e_after
 
 
 # ---------------------------------------------------------------------------

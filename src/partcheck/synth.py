@@ -198,16 +198,8 @@ def _tube_points(center, axis_u, axis_v, axis_w, radius, h0, h1, spacing,
     return np.vstack(rows)
 
 
-def _revolve_mesh(center, axis_u, axis_v, axis_w, radius, h0, h1,
-                  taper: float = 0.0, segments: int = 48, rings: int = 8):
-    center = np.asarray(center, dtype=float)
-    t = np.linspace(0.0, 2 * np.pi, segments, endpoint=False)
-    verts = []
-    for h in np.linspace(h0, h1, rings):
-        r = max(radius + taper * h, 1e-6)
-        verts.append(center + r * (np.outer(np.cos(t), axis_u) + np.outer(np.sin(t), axis_v))
-                     + h * np.asarray(axis_w))
-    verts = np.vstack(verts)
+def _ring_strip(rings: int, segments: int) -> list[list[int]]:
+    """Two triangles per quad between consecutive rings of ``segments`` vertices."""
     tris = []
     for i in range(rings - 1):
         for j in range(segments):
@@ -217,7 +209,19 @@ def _revolve_mesh(center, axis_u, axis_v, axis_w, radius, h0, h1,
             d = (i + 1) * segments + (j + 1) % segments
             tris.append([a, b, d])
             tris.append([a, d, c])
-    return verts, np.asarray(tris)
+    return tris
+
+
+def _revolve_mesh(center, axis_u, axis_v, axis_w, radius, h0, h1,
+                  taper: float = 0.0, segments: int = 48, rings: int = 8):
+    center = np.asarray(center, dtype=float)
+    t = np.linspace(0.0, 2 * np.pi, segments, endpoint=False)
+    verts = []
+    for h in np.linspace(h0, h1, rings):
+        r = max(radius + taper * h, 1e-6)
+        verts.append(center + r * (np.outer(np.cos(t), axis_u) + np.outer(np.sin(t), axis_v))
+                     + h * np.asarray(axis_w))
+    return np.vstack(verts), np.asarray(_ring_strip(rings, segments))
 
 
 def _sphere_cap_points(center, frame, radius, cap_angle, spacing,
@@ -250,15 +254,7 @@ def _sphere_cap_mesh(center, frame, radius, cap_angle, segments: int = 48, rings
         verts.append(center + ring_r * (np.outer(np.cos(t), u) + np.outer(np.sin(t), v))
                      + radius * np.cos(theta) * np.asarray(w))
     verts = np.vstack(verts)
-    tris = []
-    for i in range(rings - 1):
-        for j in range(segments):
-            a = i * segments + j
-            b = i * segments + (j + 1) % segments
-            c = (i + 1) * segments + j
-            d = (i + 1) * segments + (j + 1) % segments
-            tris.append([a, b, d])
-            tris.append([a, d, c])
+    tris = _ring_strip(rings, segments)
     apex = len(verts)
     verts = np.vstack([verts, center + radius * np.asarray(w)])
     for j in range(segments):

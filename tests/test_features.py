@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from partcheck import features
 from partcheck.config import PipelineConfig
 from partcheck.features import (
     Circle3D,
@@ -575,6 +576,23 @@ class TestMCFS:
         labeling = mcfs(cloud.points[idx], PipelineConfig(seed=7))
         fn, fp = fn_fp_counts(labeling.circles, scene.truth.circles, match_tol=1.0)
         assert fn == 0 and fp == 0
+
+    def test_stops_at_first_idle_round(self, monkeypatch):
+        # One circle: round 0 claims it, and round 1 claims nothing and ends
+        # the loop.
+        scene = circles_scene(circles=1, points_per=150, noise=0.01,
+                              outlier_frac=0.3, seed=0)
+        calls = []
+        original = features.generate_hypotheses
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("seed"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(features, "generate_hypotheses", counted)
+        labeling = mcfs(scene.cloud.points, PipelineConfig(seed=1))
+        assert len(labeling.circles) == 1
+        assert len(calls) == 2
 
     def test_flat_plane_has_no_edges_to_fit(self):
         rng = np.random.default_rng(19)

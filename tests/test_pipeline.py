@@ -121,6 +121,28 @@ def test_bad_config_exits_2(scene_files, tmp_path, line):
     assert "line 1" in result.output
 
 
+@pytest.mark.parametrize("field, value", [
+    ("circle_max_iter", 0), ("icp_max_iter", 0), ("outlier_k", 0), ("region_k", 0),
+    ("hypotheses_per_point", 0), ("max_hypotheses", 0), ("min_cluster", 0),
+    ("cluster_cap", 0), ("normals_k", 2), ("min_points", -1), ("mesh_samples", -1),
+    ("registration_subsample", -1), ("seed", -1),
+])
+def test_out_of_range_int_config_exits_2(scene_files, tmp_path, field, value):
+    config = tmp_path / "config.txt"
+    config.write_text(f"{field} = {value}\n")
+    result = assess(scene_files / "scan.ply", scene_files / "mesh.ply",
+                    "--config", config, "--out", tmp_path)
+    assert result.exit_code == EXIT_INPUT_ERROR
+    assert f"{field} must be at least" in result.output
+
+
+def test_negative_seed_option_exits_2(scene_files, tmp_path):
+    result = assess(scene_files / "scan.ply", scene_files / "mesh.ply",
+                    "--seed", -1, "--out", tmp_path)
+    assert result.exit_code == EXIT_INPUT_ERROR
+    assert "seed must be at least 0" in result.output
+
+
 def test_tiny_scan_exits_2(scene, scene_files, tmp_path):
     # Normals need k + 1 = 17 points, so a ten-point scan is rejected as input
     # before registration.

@@ -511,6 +511,7 @@ class TestRefine:
         refined = refine(config, on_apply=lambda *args: ops.append(args))
         assert ops == []
         assert len(refined.primitives) == 2
+        assert all(a is b for a, b in zip(refined.primitives, config.primitives))
 
     def test_oversegmented_cube_recovers_six_faces(self, oversegmented_cube):
         log = []
@@ -518,6 +519,18 @@ class TestRefine:
                          on_apply=lambda op, e0, e1: log.append((op, e0, e1)))
         assert len(refined.primitives) == 6
         assert all(e1 < e0 for _, e0, e1 in log)
+
+    def test_applied_energies_chain(self, oversegmented_cube):
+        # Each operation starts from the energy the previous one left, from the
+        # input's energy to the result's.
+        log = []
+        refined = refine(oversegmented_cube,
+                         on_apply=lambda op, e0, e1: log.append((e0, e1)))
+        assert log
+        assert log[0][0] == pytest.approx(energy(oversegmented_cube).total, abs=1e-12)
+        for (_, prev_e1), (e0, _) in zip(log, log[1:]):
+            assert e0 == pytest.approx(prev_e1, abs=1e-12)
+        assert log[-1][1] == pytest.approx(energy(refined).total, abs=1e-12)
 
     def test_result_is_a_fixed_point(self, oversegmented_cube):
         # No split or merge that applies to the refined result lowers its energy.
