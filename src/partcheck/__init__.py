@@ -47,7 +47,6 @@ from .primitives import (
     PrimitiveKind,
     Sphere,
     energy,
-    fit_primitive,
     merge,
     part_level_error,
     refine,

@@ -216,15 +216,6 @@ def _circumcircles(a: Points, b: Points, c: Points):
     return centers, radii, cr, collinear
 
 
-def circumcircle(a, b, c) -> Circle3D:
-    """The unique circle through three non-collinear points."""
-    a, b, c = (np.asarray(x, dtype=np.float64).reshape(1, 3) for x in (a, b, c))
-    centers, radii, normals, collinear = _circumcircles(a, b, c)
-    if collinear[0]:
-        raise FitError("collinear sample")
-    return Circle3D(centers[0], float(radii[0]), normals[0])
-
-
 def generate_hypotheses(edge_points, count: int, seed: int = 0) -> list[Circle3D]:
     """Draw ``count`` random non-collinear triples and their circumcircles.
 
@@ -232,7 +223,8 @@ def generate_hypotheses(edge_points, count: int, seed: int = 0) -> list[Circle3D
     companions come from a randomly sized prefix of its nearest neighbors.
     Points of one structure are spatial neighbors, so this raises the share
     of all-one-circle triples by orders of magnitude over uniform triples
-    while still reaching every scale up to ``NEIGHBOR_POOL`` neighbors.
+    while still reaching every scale up to ``NEIGHBOR_POOL`` neighbors (all
+    ``n - 1`` others on a smaller set).
 
     The draws stay scalar, one triple at a time, so the random stream is
     fixed by the seed alone; the circumcircles are fitted in blocks. Each
@@ -251,9 +243,7 @@ def generate_hypotheses(edge_points, count: int, seed: int = 0) -> list[Circle3D
 
     rng = np.random.default_rng(seed)
     pool = min(NEIGHBOR_POOL, n - 1)
-    neighbors = None
-    if n > 32:
-        _, neighbors = cKDTree(pts).query(pts, k=pool + 1)
+    _, neighbors = cKDTree(pts).query(pts, k=pool + 1)
     log_lo, log_hi = np.log(16.0), np.log(max(pool, 17))
 
     out: list[Circle3D] = []
@@ -265,16 +255,13 @@ def generate_hypotheses(edge_points, count: int, seed: int = 0) -> list[Circle3D
             attempts += 1
             if attempts > limit:
                 raise ValueError("degenerate edge set")
-            if neighbors is None:
-                i, j, k = (int(v) for v in rng.choice(n, size=3, replace=False))
-            else:
-                i = int(rng.integers(n))
-                prefix = int(np.exp(rng.uniform(log_lo, log_hi)))
-                prefix = min(max(prefix, 2), pool)
-                j, k = (int(neighbors[i, 1 + v])
-                        for v in rng.choice(prefix, size=2, replace=False))
-                if j == k or i in (j, k):
-                    continue
+            i = int(rng.integers(n))
+            prefix = int(np.exp(rng.uniform(log_lo, log_hi)))
+            prefix = min(max(prefix, 2), pool)
+            j, k = (int(neighbors[i, 1 + v])
+                    for v in rng.choice(prefix, size=2, replace=False))
+            if j == k or i in (j, k):
+                continue
             triples.append((i, j, k))
         a, b, c = pts[np.array(triples).T]
         centers, radii, normals, collinear = _circumcircles(a, b, c)

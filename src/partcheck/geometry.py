@@ -10,7 +10,6 @@ share a mesh across threads only after calling ``distance_index()``.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import TypeAlias
@@ -435,7 +434,10 @@ def estimate_normals_and_curvature(cloud: PointCloud, k: int = 16) -> PointCloud
     The normal at a point is the smallest-eigenvalue direction of its
     (k+1)-neighborhood covariance; curvature is lam_min / (lam1+lam2+lam3),
     a scale-free measure of how far the neighborhood departs from a plane.
-    Normals are made consistent by flood-fill across the neighbor graph.
+    Normals are unoriented, with the sign their eigenvector came with: every
+    consumer reads them up to sign (region growing compares ``|n_i . n_j|``,
+    the cylinder axis comes from their second moment and the cone apex from
+    tangent planes).
     """
     if k < 3:
         raise ValueError("k must be >= 3")
@@ -471,32 +473,7 @@ def estimate_normals_and_curvature(cloud: PointCloud, k: int = 16) -> PointCloud
         normals[degenerate] = (0.0, 0.0, 1.0)
         curv[degenerate] = 0.0
 
-    _orient_normals(normals, idx, pts)
     return replace(cloud, normals=normals, curvatures=curv)
-
-
-def _orient_normals(normals: Points, neighbor_idx: NDArray, pts: Points) -> None:
-    """Flip signs in place so normals agree within each neighbor-graph component."""
-    n = len(normals)
-    visited = np.zeros(n, dtype=bool)
-    # Seed components from the top down so the +z hemisphere wins on flat parts.
-    order = np.argsort(-pts[:, 2], kind="stable")
-    for seed in order:
-        if visited[seed]:
-            continue
-        visited[seed] = True
-        normals[seed] = canonical_sign(normals[seed])
-        queue = deque([seed])
-        while queue:
-            i = queue.popleft()
-            ni = normals[i]
-            for j in neighbor_idx[i, 1:]:
-                if visited[j]:
-                    continue
-                visited[j] = True
-                if float(ni @ normals[j]) < 0.0:
-                    normals[j] = -normals[j]
-                queue.append(j)
 
 
 def remove_outliers(

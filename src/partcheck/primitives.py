@@ -122,11 +122,11 @@ Shape: TypeAlias = Union[Plane, Sphere, Cylinder, Cone]
 
 @dataclass(frozen=True, eq=False)
 class Primitive:
-    """A fitted shape together with its inlier indices into the host cloud."""
+    """A fitted shape together with its inlier indices into the host cloud;
+    every consumer measures distances from the shape, so no residual is kept."""
 
     shape: Shape
     inliers: NDArray[np.int64]
-    fit_rms: float
 
     @property
     def kind(self) -> PrimitiveKind:
@@ -381,18 +381,6 @@ def _fit_shape(kind: PrimitiveKind, pts: Points, normals: Points | None = None,
     raise ValueError(f"unknown primitive kind {kind!r}")
 
 
-def fit_primitive(kind: PrimitiveKind, points, normals=None) -> Primitive:
-    """Least-squares fit of one primitive kind to a point subset.
-
-    Raises FitError on insufficient or degenerate data, or when the
-    geometric refinement exhausts its step budget.
-    """
-    pts = as_points(points)
-    nrm = None if normals is None else as_points(normals)
-    shape, rms = _fit_shape(kind, pts, nrm)
-    return Primitive(shape, np.arange(len(pts)), rms)
-
-
 # ---------------------------------------------------------------------------
 # Configurations and the segmentation energy
 # ---------------------------------------------------------------------------
@@ -527,24 +515,12 @@ def region_grow(
                     stack.append(int(j))
         regions.append(np.asarray(members, dtype=np.int64))
 
-    primitives: list[Primitive] = []
-    for members in regions:
-        if len(members) < min_points:
-            continue
-        fitted = _best_kind_fit(pts[members], normals[members], inlier_eps)
-        if fitted is None:
-            continue
-        shape, _ = fitted
-        keep = shape.distance(pts[members]) <= inlier_eps
-        if keep.sum() < min_points:
-            continue
-        inliers = members[keep]
-        rms = _rms(shape.distance(pts[inliers]))
-        primitives.append(Primitive(shape, inliers, rms))
-
+    kinds = tuple(PrimitiveKind)
+    fitted = (_band_fit(pts, normals, members, inlier_eps, min_points, kinds)
+              for members in regions)
     return Configuration(
         points=pts,
-        primitives=primitives,
+        primitives=[p for p in fitted if p is not None],
         min_points=min_points,
         weights=weights,
         inlier_eps=inlier_eps,
@@ -568,85 +544,68 @@ def _fit_subset(pts: Points, normals: Points | None):
     return pts[idx], None if normals is None else normals[idx]
 
 
-def _best_kind_fit(pts: Points, normals: Points | None, inlier_eps: float):
-    """Keep the fitted kind with the lowest geometric RMS, with a 5% plane edge.
+def _best_kind_fit(pts: Points, normals: Points | None, inlier_eps: float,
+                   kinds: tuple[PrimitiveKind, ...], init: Shape | None = None):
+    """Fit each of ``kinds`` and keep the lowest geometric RMS, with a 5% plane
+    edge; returns ``(shape, distance of every point)`` or None if none fits.
 
-    Plane, sphere and cylinder are fitted first. The cone, the costliest fit,
-    is tried only when none of them succeeds or the best leaves an RMS above
+    ``kinds`` are tried in declared order (plane, sphere, cylinder, cone),
+    whatever order they come in. The cone, the costliest fit, is tried only
+    when no earlier kind succeeds or the best leaves an RMS above
     ``inlier_eps / 4`` (Schnabel, Wahl & Klein, "Efficient RANSAC for
-    Point-Cloud Shape Detection", CGF 2007: the cheapest adequate kind).
-    So a cone shallow enough for a cylinder to fit within ``inlier_eps / 4``
-    is labelled a cylinder: over a length l, a half-angle below about
+    Point-Cloud Shape Detection", CGF 2007: the cheapest adequate kind). So a
+    cone shallow enough for a cylinder to fit within ``inlier_eps / 4`` is
+    labelled a cylinder: over a length l, a half-angle below about
     ``0.87 * inlier_eps / l`` rad, against the cone fit's own lower bound of
     0.01 rad. If the scan's noise exceeds ``inlier_eps / 4``, the cone is
-    always tried.
+    always tried. ``init`` warm-starts the fit of its own kind. ``normals``
+    may carry either sign at each point: the cylinder and cone fits read them
+    only up to sign.
     """
     fit_pts, fit_normals = _fit_subset(pts, normals)
-    results: dict[PrimitiveKind, tuple[Shape, float]] = {}
+    fits: dict[PrimitiveKind, tuple[Shape, NDArray[np.float64]]] = {}
+    rms: dict[PrimitiveKind, float] = {}
     adequate = _ADEQUATE_RMS_FRACTION * inlier_eps
     for kind in PrimitiveKind:  # declared plane, sphere, cylinder, cone
-        if kind is PrimitiveKind.CONE and results and min(
-                rms for _, rms in results.values()) <= adequate:
-            break
-        if len(fit_pts) < MIN_SAMPLE[kind]:
+        if kind not in kinds or len(fit_pts) < MIN_SAMPLE[kind]:
             continue
+        if kind is PrimitiveKind.CONE and rms and min(rms.values()) <= adequate:
+            break
         try:
-            shape, _ = _fit_shape(kind, fit_pts, fit_normals)
+            shape, _ = _fit_shape(kind, fit_pts, fit_normals, init=init)
         except FitError:
             continue
-        results[kind] = (shape, _rms(shape.distance(pts)))
-    if not results:
+        fits[kind] = (shape, shape.distance(pts))
+        rms[kind] = _rms(fits[kind][1])
+    if not fits:
         return None
-    best_kind = min(results, key=lambda k: results[k][1])
-    if PrimitiveKind.PLANE in results:
-        plane_rms = results[PrimitiveKind.PLANE][1]
-        if plane_rms <= 1.05 * results[best_kind][1]:
-            best_kind = PrimitiveKind.PLANE
-    return results[best_kind]
+    best = min(rms, key=rms.get)
+    if PrimitiveKind.PLANE in rms and rms[PrimitiveKind.PLANE] <= 1.05 * rms[best]:
+        best = PrimitiveKind.PLANE
+    return fits[best]
+
+
+def _band_fit(points: Points, normals: Points | None, indices: NDArray[np.int64],
+              inlier_eps: float, min_points: int, kinds: tuple[PrimitiveKind, ...],
+              init: Shape | None = None) -> Primitive | None:
+    """Fit the best of ``kinds`` to ``points[indices]`` and keep the points
+    within ``inlier_eps`` of it; None if fewer than ``min_points`` remain."""
+    if len(indices) < min_points:
+        return None
+    fitted = _best_kind_fit(points[indices], None if normals is None else normals[indices],
+                            inlier_eps, kinds, init)
+    if fitted is None:
+        return None
+    shape, dist = fitted
+    keep = dist <= inlier_eps
+    if keep.sum() < min_points:
+        return None
+    return Primitive(shape, indices[keep])
 
 
 # ---------------------------------------------------------------------------
 # Split and merge
 # ---------------------------------------------------------------------------
-
-def _refit_group(config: Configuration, kind: PrimitiveKind,
-                 indices: NDArray[np.int64], init: Shape) -> Primitive | None:
-    """Fit ``kind`` to the index group, filter inliers to the eps band."""
-    if len(indices) < MIN_SAMPLE[kind]:
-        return None
-    pts = config.points[indices]
-    nrm = None if config.normals is None else config.normals[indices]
-    fit_pts, fit_nrm = _fit_subset(pts, nrm)
-    try:
-        shape, _ = _fit_shape(kind, fit_pts, fit_nrm, init=init)
-    except FitError:
-        return None
-    keep = shape.distance(pts) <= config.inlier_eps
-    if keep.sum() < config.min_points:
-        return None
-    inliers = indices[keep]
-    return Primitive(shape, inliers, _rms(shape.distance(config.points[inliers])))
-
-
-def _split_primitive(config: Configuration, prim: Primitive) -> tuple[Primitive, Primitive] | None:
-    if len(prim.inliers) < 2 * config.min_points:
-        return None
-    pts = config.points[prim.inliers]
-    centered = pts - pts.mean(axis=0)
-    _, evecs = np.linalg.eigh(centered.T @ centered)
-    along = centered @ evecs[:, 2]
-    # Approximate farthest pair: the extremes along the principal direction.
-    pa = pts[np.argmin(along)]
-    pb = pts[np.argmax(along)]
-    to_a = np.linalg.norm(pts - pa, axis=1) <= np.linalg.norm(pts - pb, axis=1)
-    group_a = prim.inliers[to_a]
-    group_b = prim.inliers[~to_a]
-    fitted_a = _refit_group(config, prim.kind, group_a, prim.shape)
-    fitted_b = _refit_group(config, prim.kind, group_b, prim.shape)
-    if fitted_a is None or fitted_b is None:
-        return None
-    return fitted_a, fitted_b
-
 
 def _adjacent(config: Configuration, a: Primitive, b: Primitive,
               gap: float | None = None) -> bool:
@@ -662,26 +621,32 @@ def _adjacent(config: Configuration, a: Primitive, b: Primitive,
     return bool(np.isfinite(d).any())
 
 
-def _merge_primitives(config: Configuration, a: Primitive, b: Primitive) -> Primitive | None:
-    if a.kind != b.kind or not _adjacent(config, a, b):
-        return None
-    union = np.concatenate([a.inliers, b.inliers])
-    init = a.shape if len(a.inliers) >= len(b.inliers) else b.shape
-    return _refit_group(config, a.kind, union, init)
-
-
 def split(config: Configuration, prim_index: int) -> tuple[Configuration, bool]:
     """Divide one primitive in two; returns (config, applied).
 
-    The original configuration is returned unchanged with ``applied=False``
-    when the primitive is too small or either side loses its support.
+    Each side is refitted with the primitive's kind, warm-started from its
+    shape. The original configuration is returned unchanged with
+    ``applied=False`` when the primitive is too small or either side loses
+    its support.
     """
     prim = config.primitives[prim_index]
-    result = _split_primitive(config, prim)
-    if result is None:
+    if len(prim.inliers) < 2 * config.min_points:
+        return config, False
+    pts = config.points[prim.inliers]
+    centered = pts - pts.mean(axis=0)
+    _, evecs = np.linalg.eigh(centered.T @ centered)
+    along = centered @ evecs[:, 2]
+    # Approximate farthest pair: the extremes along the principal direction.
+    pa = pts[np.argmin(along)]
+    pb = pts[np.argmax(along)]
+    to_a = np.linalg.norm(pts - pa, axis=1) <= np.linalg.norm(pts - pb, axis=1)
+    halves = [_band_fit(config.points, config.normals, group, config.inlier_eps,
+                        config.min_points, (prim.kind,), prim.shape)
+              for group in (prim.inliers[to_a], prim.inliers[~to_a])]
+    if any(half is None for half in halves):
         return config, False
     prims = list(config.primitives)
-    prims[prim_index:prim_index + 1] = list(result)
+    prims[prim_index:prim_index + 1] = halves
     return replace(config, primitives=prims), True
 
 
@@ -689,7 +654,12 @@ def merge(config: Configuration, i: int, j: int) -> tuple[Configuration, bool]:
     """Fuse two same-kind adjacent primitives; returns (config, applied)."""
     if i == j:
         raise ValueError("cannot merge a primitive with itself")
-    merged = _merge_primitives(config, config.primitives[i], config.primitives[j])
+    a, b = config.primitives[i], config.primitives[j]
+    if a.kind != b.kind or not _adjacent(config, a, b):
+        return config, False
+    init = a.shape if len(a.inliers) >= len(b.inliers) else b.shape
+    merged = _band_fit(config.points, config.normals, np.concatenate([a.inliers, b.inliers]),
+                       config.inlier_eps, config.min_points, (a.kind,), init)
     if merged is None:
         return config, False
     lo, hi = sorted((i, j))

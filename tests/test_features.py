@@ -13,7 +13,6 @@ from partcheck.features import (
     _circumcircles,
     _embed_hypotheses,
     _group_modes,
-    circumcircle,
     cluster_labels,
     detect_edge_points,
     edge_scores,
@@ -159,8 +158,8 @@ def two_plane_config(angle_deg: float) -> Configuration:
     n = len(floor)
     return Configuration(
         points=np.vstack([floor, face]),
-        primitives=[Primitive(Plane(floor_n, 0.0), np.arange(n), 0.0),
-                    Primitive(Plane(face_n, 0.0), np.arange(n, n + len(face)), 0.0)],
+        primitives=[Primitive(Plane(floor_n, 0.0), np.arange(n)),
+                    Primitive(Plane(face_n, 0.0), np.arange(n, n + len(face)))],
         min_points=10)
 
 
@@ -230,20 +229,26 @@ class TestCircleDistance:
         assert c.distance(off).min() > 1e-3
 
 
+def one_circumcircle(a, b, c):
+    """``_circumcircles`` on a single row: (center, radius, normal, collinear)."""
+    rows = (np.asarray(p, dtype=np.float64).reshape(1, 3) for p in (a, b, c))
+    return tuple(out[0] for out in _circumcircles(*rows))
+
+
 class TestCircumcircle:
     def test_symmetric_triple(self):
-        c = circumcircle((1, 0, 0), (0, 1, 0), (-1, 0, 0))
+        center, radius, normal, collinear = one_circumcircle((1, 0, 0), (0, 1, 0), (-1, 0, 0))
+        c = Circle3D(center, radius, normal)
+        assert not collinear
         assert np.abs(c.center).max() < 1e-12
         assert c.radius == pytest.approx(1.0)
         assert abs(abs(c.normal[2]) - 1.0) < 1e-12
 
     def test_collinear_rejected(self):
-        with pytest.raises(FitError):
-            circumcircle((0, 0, 0), (1, 1, 1), (2, 2, 2))
+        assert one_circumcircle((0, 0, 0), (1, 1, 1), (2, 2, 2))[3]
 
     def test_coincident_points_rejected(self):
-        with pytest.raises(FitError):
-            circumcircle((1, 2, 3), (1, 2, 3), (1, 2, 3))
+        assert one_circumcircle((1, 2, 3), (1, 2, 3), (1, 2, 3))[3]
 
     def test_batched_rows_pass_through_their_points(self):
         rng = np.random.default_rng(13)
@@ -266,13 +271,7 @@ class TestCircumcircle:
         centers, radii, normals, collinear = _circumcircles(a, b, c)
         assert collinear[2000:2121].all()
         assert not collinear[2121:].any()
-        for i in range(len(a)):
-            if collinear[i]:
-                with pytest.raises(FitError):
-                    circumcircle(a[i], b[i], c[i])
-                continue
-            single = circumcircle(a[i], b[i], c[i])
-            assert np.array_equal(single.center, centers[i]) and single.radius == radii[i]
+        for i in np.nonzero(~collinear)[0]:
             tri = np.stack([a[i], b[i], c[i]])
             span = max(np.linalg.norm(b[i] - a[i]), np.linalg.norm(c[i] - a[i]),
                        np.linalg.norm(c[i] - b[i]))

@@ -2,6 +2,7 @@
 refinement and the part-level error."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from partcheck.primitives import (
     FitError,
     Primitive,
     PrimitiveKind,
+    _fit_shape,
     energy,
-    fit_primitive,
     merge,
     part_level_error,
     patch_distances,
@@ -28,7 +29,7 @@ from partcheck.primitives import (
     region_grow,
     split,
 )
-from partcheck.synth import plate_scene
+from partcheck.synth import generate_synthetic_scene, plate_scene
 
 
 def random_rigid(rng) -> RigidTransform:
@@ -75,40 +76,40 @@ def plane_points(rng, n=300, extent=2.0):
 class TestFitPrimitive:
     def test_plane_exact(self):
         rng = np.random.default_rng(0)
-        prim = fit_primitive(PrimitiveKind.PLANE, plane_points(rng))
-        assert abs(abs(prim.shape.normal[2]) - 1.0) < 1e-12
-        assert abs(prim.shape.offset) < 1e-12
-        assert prim.fit_rms < 1e-12
+        plane, rms = _fit_shape(PrimitiveKind.PLANE, plane_points(rng))
+        assert abs(abs(plane.normal[2]) - 1.0) < 1e-12
+        assert abs(plane.offset) < 1e-12
+        assert rms < 1e-12
 
     def test_sphere_symmetric_six(self):
         pts = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
                         [0, -1, 0], [0, 0, 1], [0, 0, -1.0]])
-        prim = fit_primitive(PrimitiveKind.SPHERE, pts)
-        assert np.abs(prim.shape.center).max() < 1e-9
-        assert prim.shape.radius == pytest.approx(1.0, abs=1e-9)
+        sphere, _ = _fit_shape(PrimitiveKind.SPHERE, pts)
+        assert np.abs(sphere.center).max() < 1e-9
+        assert sphere.radius == pytest.approx(1.0, abs=1e-9)
 
     def test_cylinder_noiseless(self):
         rng = np.random.default_rng(1)
-        prim = fit_primitive(PrimitiveKind.CYLINDER, cylinder_points(rng))
-        assert prim.shape.radius == pytest.approx(2.0, abs=1e-6)
-        assert abs(abs(prim.shape.axis[2]) - 1.0) < 1e-6
+        cyl, _ = _fit_shape(PrimitiveKind.CYLINDER, cylinder_points(rng))
+        assert cyl.radius == pytest.approx(2.0, abs=1e-6)
+        assert abs(abs(cyl.axis[2]) - 1.0) < 1e-6
 
     def test_cone_noiseless(self):
         rng = np.random.default_rng(2)
-        prim = fit_primitive(PrimitiveKind.CONE, cone_points(rng))
-        assert prim.shape.half_angle == pytest.approx(np.pi / 6, abs=1e-4)
-        assert np.abs(prim.shape.apex).max() < 1e-3
+        cone, _ = _fit_shape(PrimitiveKind.CONE, cone_points(rng))
+        assert cone.half_angle == pytest.approx(np.pi / 6, abs=1e-4)
+        assert np.abs(cone.apex).max() < 1e-3
 
     def test_insufficient_points(self):
         with pytest.raises(FitError):
-            fit_primitive(PrimitiveKind.CYLINDER, np.zeros((4, 3)))
+            _fit_shape(PrimitiveKind.CYLINDER, np.zeros((4, 3)))
         with pytest.raises(FitError):
-            fit_primitive(PrimitiveKind.PLANE, np.zeros((2, 3)))
+            _fit_shape(PrimitiveKind.PLANE, np.zeros((2, 3)))
 
     def test_degenerate_data_raises(self):
         rng = np.random.default_rng(3)
         with pytest.raises(FitError):
-            fit_primitive(PrimitiveKind.SPHERE, plane_points(rng, n=100))
+            _fit_shape(PrimitiveKind.SPHERE, plane_points(rng, n=100))
 
     def test_cone_refit_rejects_runaway_apex(self):
         # A cylinder is a cone with its apex at infinity. A fresh cone fit
@@ -117,10 +118,10 @@ class TestFitPrimitive:
         pts = cylinder_points(rng, radius=1.0, n=600, z_range=(0, 3))
         pts += rng.normal(scale=0.005, size=pts.shape)
         with pytest.raises(FitError, match="apex out of range"):
-            primitives._fit_shape(PrimitiveKind.CONE, pts)
+            _fit_shape(PrimitiveKind.CONE, pts)
         seed = Cone(np.array([0.0, 0.0, -20.0]), np.array([0.0, 0.0, 1.0]), 0.05)
         with pytest.raises(FitError, match="apex out of range"):
-            primitives._fit_shape(PrimitiveKind.CONE, pts, init=seed)
+            _fit_shape(PrimitiveKind.CONE, pts, init=seed)
 
     def test_pratt_circle_memory_is_linear_in_points(self):
         # The fit needs only V of its SVD; a full U would be n^2 floats,
@@ -148,18 +149,18 @@ class TestFitPrimitive:
         rng = np.random.default_rng(4)
         transform = random_rigid(rng)
         cyl_pts = cylinder_points(rng, radius=1.3, n=300)
-        base = fit_primitive(PrimitiveKind.CYLINDER, cyl_pts)
-        moved = fit_primitive(PrimitiveKind.CYLINDER, transform.apply(cyl_pts))
-        assert moved.shape.radius == pytest.approx(base.shape.radius, abs=1e-9)
-        expected_axis = transform.apply_directions(base.shape.axis.reshape(1, 3))[0]
-        assert abs(abs(expected_axis @ moved.shape.axis) - 1.0) < 1e-9
+        base, _ = _fit_shape(PrimitiveKind.CYLINDER, cyl_pts)
+        moved, _ = _fit_shape(PrimitiveKind.CYLINDER, transform.apply(cyl_pts))
+        assert moved.radius == pytest.approx(base.radius, abs=1e-9)
+        expected_axis = transform.apply_directions(base.axis.reshape(1, 3))[0]
+        assert abs(abs(expected_axis @ moved.axis) - 1.0) < 1e-9
 
         cone_pts = cone_points(rng, half_angle=0.5, n=300)
-        base_c = fit_primitive(PrimitiveKind.CONE, cone_pts)
-        moved_c = fit_primitive(PrimitiveKind.CONE, transform.apply(cone_pts))
-        assert moved_c.shape.half_angle == pytest.approx(base_c.shape.half_angle, abs=1e-9)
-        assert np.allclose(moved_c.shape.apex,
-                           transform.apply(base_c.shape.apex.reshape(1, 3))[0], atol=1e-6)
+        base_c, _ = _fit_shape(PrimitiveKind.CONE, cone_pts)
+        moved_c, _ = _fit_shape(PrimitiveKind.CONE, transform.apply(cone_pts))
+        assert moved_c.half_angle == pytest.approx(base_c.half_angle, abs=1e-9)
+        assert np.allclose(moved_c.apex,
+                           transform.apply(base_c.apex.reshape(1, 3))[0], atol=1e-6)
 
     def test_model_selection_sanity(self):
         # On each kind's own noiseless surface, nothing else fits better.
@@ -171,10 +172,10 @@ class TestFitPrimitive:
             PrimitiveKind.CONE: cone_points(rng),
         }
         for true_kind, pts in generators.items():
-            own = fit_primitive(true_kind, pts).fit_rms
+            _, own = _fit_shape(true_kind, pts)
             for other in PrimitiveKind:
                 try:
-                    rms = fit_primitive(other, pts).fit_rms
+                    _, rms = _fit_shape(other, pts)
                 except FitError:
                     continue
                 assert own <= rms + 1e-9
@@ -182,40 +183,40 @@ class TestFitPrimitive:
 
 class TestPrimitiveDistance:
     def test_plane_and_sphere_basics(self):
-        plane = fit_primitive(PrimitiveKind.PLANE, plane_points(np.random.default_rng(0)))
-        assert plane.shape.distance((0.0, 0.0, 5.0))[0] == pytest.approx(5.0)
-        sphere = fit_primitive(PrimitiveKind.SPHERE, np.array(
+        plane, _ = _fit_shape(PrimitiveKind.PLANE, plane_points(np.random.default_rng(0)))
+        assert plane.distance((0.0, 0.0, 5.0))[0] == pytest.approx(5.0)
+        sphere, _ = _fit_shape(PrimitiveKind.SPHERE, np.array(
             [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1.0]]))
-        assert sphere.shape.distance((2.0, 0.0, 0.0))[0] == pytest.approx(1.0)
+        assert sphere.distance((2.0, 0.0, 0.0))[0] == pytest.approx(1.0)
 
     def test_against_dense_sampling(self):
         # Distances agree with the minimum over a dense surface sampling.
         rng = np.random.default_rng(6)
         u = rng.uniform(0, 2 * np.pi, 1_000_000)
 
-        cyl = fit_primitive(PrimitiveKind.CYLINDER, cylinder_points(rng, radius=1.5))
+        cyl, _ = _fit_shape(PrimitiveKind.CYLINDER, cylinder_points(rng, radius=1.5))
         z = rng.uniform(-4, 4, len(u))
         surf = np.column_stack([1.5 * np.cos(u), 1.5 * np.sin(u), z])
         for _ in range(5):
             p = rng.uniform(-2, 2, 3)
             dense = np.linalg.norm(surf - p, axis=1).min()
-            got = cyl.shape.distance(p)[0]
+            got = cyl.distance(p)[0]
             if abs(p[2]) < 3.0:   # inside the densely sampled span
                 assert abs(got - dense) < 5e-3
 
-        cone = fit_primitive(PrimitiveKind.CONE, cone_points(rng, half_angle=0.5))
+        cone, _ = _fit_shape(PrimitiveKind.CONE, cone_points(rng, half_angle=0.5))
         h = rng.uniform(0.0, 5.0, len(u))
         r = h * np.tan(0.5)
         surf = np.column_stack([r * np.cos(u), r * np.sin(u), h])
         for _ in range(5):
             p = rng.uniform(-1, 3, 3)
             dense = np.linalg.norm(surf - p, axis=1).min()
-            assert abs(cone.shape.distance(p)[0] - dense) < 5e-3
+            assert abs(cone.distance(p)[0] - dense) < 5e-3
 
     def test_cone_apex_clamp(self):
-        cone = fit_primitive(PrimitiveKind.CONE, cone_points(np.random.default_rng(7)))
+        cone, _ = _fit_shape(PrimitiveKind.CONE, cone_points(np.random.default_rng(7)))
         # Behind the apex the nearest surface point is the apex itself.
-        assert cone.shape.distance((0, 0, -2.0))[0] == pytest.approx(2.0, abs=1e-3)
+        assert cone.distance((0, 0, -2.0))[0] == pytest.approx(2.0, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +292,22 @@ class TestRegionGrow:
         assert {p.kind for p in config.primitives} == set(PrimitiveKind)
         assert len(calls) == 1
 
+    def test_normal_signs_do_not_matter(self):
+        # Normals are unoriented: flipping any of them must leave every fit,
+        # the cone's and the cylinder's included, unchanged bit for bit.
+        scene = generate_synthetic_scene("collage count=2 spacing=0.2 noise=0.01", seed=2)
+        cloud = estimate_normals_and_curvature(scene.cloud)
+        signs = np.random.default_rng(25).choice([-1.0, 1.0], size=len(cloud))
+        flipped = replace(cloud, normals=cloud.normals * signs[:, None])
+        base = region_grow(cloud).primitives
+        other = region_grow(flipped).primitives
+        assert {p.kind for p in base} == {PrimitiveKind.CONE, PrimitiveKind.CYLINDER}
+        assert [p.kind for p in other] == [p.kind for p in base]
+        for a, b in zip(base, other):
+            assert np.array_equal(a.inliers, b.inliers)
+            for name, value in vars(a.shape).items():
+                assert np.array_equal(getattr(b.shape, name), value), name
+
     def test_requires_channels(self):
         cloud = PointCloud(points=np.random.default_rng(0).normal(size=(100, 3)))
         with pytest.raises(ValueError):
@@ -306,8 +323,8 @@ def plane_config(points, groups, min_points, weights=(0.6, 0.25, 0.15), eps=0.1,
     prims = []
     for idx in groups:
         idx = np.asarray(idx, dtype=np.int64)
-        fitted = fit_primitive(kind, points[idx])
-        prims.append(Primitive(fitted.shape, idx, fitted.fit_rms))
+        shape, _ = _fit_shape(kind, points[idx])
+        prims.append(Primitive(shape, idx))
     return Configuration(points=points, primitives=prims, min_points=min_points,
                          weights=weights, inlier_eps=eps)
 
@@ -375,11 +392,11 @@ class TestEnergy:
         with pytest.raises(ValueError):
             Configuration(points=pts, primitives=[], min_points=10,
                           weights=(0.5, 0.5, 0.5))
-        plane = fit_primitive(PrimitiveKind.PLANE,
+        plane, _ = _fit_shape(PrimitiveKind.PLANE,
                               np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0.0]]))
         overlapping = [
-            Primitive(plane.shape, np.array([0, 1, 2]), 0.0),
-            Primitive(plane.shape, np.array([2, 3, 4]), 0.0),
+            Primitive(plane, np.array([0, 1, 2])),
+            Primitive(plane, np.array([2, 3, 4])),
         ]
         pts = np.random.default_rng(0).normal(size=(20, 3))
         with pytest.raises(ValueError, match="disjoint"):
@@ -402,10 +419,10 @@ class TestSplit:
         rng = np.random.default_rng(12)
         pts = two_parallel_planes(rng)
         n = len(pts)
-        merged_fit = fit_primitive(PrimitiveKind.PLANE, pts)
+        merged_fit, _ = _fit_shape(PrimitiveKind.PLANE, pts)
         config = Configuration(
             points=pts,
-            primitives=[Primitive(merged_fit.shape, np.arange(n), merged_fit.fit_rms)],
+            primitives=[Primitive(merged_fit, np.arange(n))],
             min_points=20,
         )
         out, applied = split(config, 0)
@@ -442,23 +459,26 @@ class TestMerge:
         left = np.nonzero(pts[:, 0] <= 0)[0]
         right = np.nonzero(pts[:, 0] > 0)[0]
         config = plane_config(pts, [left, right], min_points=30)
-        halves_rms = max(p.fit_rms for p in config.primitives)
+        def inlier_rms(prim):
+            return np.sqrt(np.mean(prim.shape.distance(pts[prim.inliers]) ** 2))
+
+        halves_rms = max(inlier_rms(p) for p in config.primitives)
         out, applied = merge(config, 0, 1)
         assert applied
         assert len(out.primitives) == 1
-        assert out.primitives[0].fit_rms == pytest.approx(halves_rms, abs=5e-3)
+        assert inlier_rms(out.primitives[0]) == pytest.approx(halves_rms, abs=5e-3)
 
     def test_kind_mismatch_rejected(self):
         rng = np.random.default_rng(16)
         pts = np.vstack([plane_points(rng, n=100),
                          cylinder_points(rng, radius=1.0, n=100) + (0, 0, 5.0)])
-        plane_fit = fit_primitive(PrimitiveKind.PLANE, pts[:100])
-        cyl_fit = fit_primitive(PrimitiveKind.CYLINDER, pts[100:])
+        plane_fit, _ = _fit_shape(PrimitiveKind.PLANE, pts[:100])
+        cyl_fit, _ = _fit_shape(PrimitiveKind.CYLINDER, pts[100:])
         config = Configuration(
             points=pts,
             primitives=[
-                Primitive(plane_fit.shape, np.arange(100), plane_fit.fit_rms),
-                Primitive(cyl_fit.shape, np.arange(100, 200), cyl_fit.fit_rms),
+                Primitive(plane_fit, np.arange(100)),
+                Primitive(cyl_fit, np.arange(100, 200)),
             ],
             min_points=20,
         )
@@ -546,11 +566,10 @@ class TestRefine:
     def test_undersegmented_two_planes_split(self):
         rng = np.random.default_rng(19)
         pts = two_parallel_planes(rng)
-        merged_fit = fit_primitive(PrimitiveKind.PLANE, pts)
+        merged_fit, _ = _fit_shape(PrimitiveKind.PLANE, pts)
         config = Configuration(
             points=pts,
-            primitives=[Primitive(merged_fit.shape, np.arange(len(pts)),
-                                  merged_fit.fit_rms)],
+            primitives=[Primitive(merged_fit, np.arange(len(pts)))],
             min_points=20,
         )
         refined = refine(config)
