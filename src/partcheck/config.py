@@ -60,8 +60,16 @@ class PipelineConfig:
         for name in ("inlier_eps", "eta", "edge_threshold", "tensor_sigma",
                      "tensor_radius_factor", "icp_tol", "bandwidth", "circle_match_tol"):
             # Written so that NaN fails too.
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        # An infinite stddev multiple keeps every point; no other field has a
+        # meaning at infinity.
+        if not self.outlier_stddev_mult >= 0:
+            raise ValueError(
+                f"outlier_stddev_mult must be at least 0, got {self.outlier_stddev_mult}")
+        for f in fields(self):
+            if f.name != "outlier_stddev_mult" and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name, low in _INT_MINIMUMS.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")

@@ -11,10 +11,12 @@ of their preference sets, fitted with iterative outlier rejection, and
 finally pruned by a greedy set cover.
 
 The samples are drawn one triple at a time, so the random stream depends on
-the seed alone; their circumcircles are computed in vectorized blocks, and
-the converged mean-shift modes are grouped through one k-d tree. Mean shift
-and grouping query their balls in blocks of rows, which bounds the memory
-the neighbor lists take.
+the seed alone; their circumcircles are computed in vectorized blocks as the
+rows ``[cx, cy, cz, nx, ny, nz, r]`` (center, unit normal, radius) of one
+array, and only the mean-shift representatives become ``Circle3D``. The
+converged modes are grouped through one k-d tree. Mean shift and grouping
+query their balls in blocks of rows, which bounds the memory the neighbor
+lists take.
 """
 
 from __future__ import annotations
@@ -216,8 +218,11 @@ def _circumcircles(a: Points, b: Points, c: Points):
     return centers, radii, cr, collinear
 
 
-def generate_hypotheses(edge_points, count: int, seed: int = 0) -> list[Circle3D]:
+def generate_hypotheses(edge_points, count: int, seed: int = 0) -> NDArray[np.float64]:
     """Draw ``count`` random non-collinear triples and their circumcircles.
+
+    Returns a ``(count, 7)`` array of rows ``[cx, cy, cz, nx, ny, nz, r]``
+    whose normals are unit and signed by ``canonical_sign``, as in ``Circle3D``.
 
     Sampling is locality-biased: the first point is uniform, its two
     companions come from a randomly sized prefix of its nearest neighbors.
@@ -246,7 +251,7 @@ def generate_hypotheses(edge_points, count: int, seed: int = 0) -> list[Circle3D
     _, neighbors = cKDTree(pts).query(pts, k=pool + 1)
     log_lo, log_hi = np.log(16.0), np.log(max(pool, 17))
 
-    out: list[Circle3D] = []
+    out = np.empty((0, 7))
     attempts = 0
     limit = 100 * max(count, 1)
     while len(out) < count:
@@ -265,8 +270,10 @@ def generate_hypotheses(edge_points, count: int, seed: int = 0) -> list[Circle3D
             triples.append((i, j, k))
         a, b, c = pts[np.array(triples).T]
         centers, radii, normals, collinear = _circumcircles(a, b, c)
-        out.extend(Circle3D(centers[r], float(radii[r]), normals[r])
-                   for r in np.nonzero(~collinear)[0])
+        keep = ~collinear
+        normals = normals[keep] / np.linalg.norm(normals[keep], axis=1)[:, None]
+        rows = np.column_stack([centers[keep], canonical_sign(normals), radii[keep]])
+        out = np.vstack([out, rows])
     return out
 
 
@@ -278,13 +285,6 @@ def generate_hypotheses(edge_points, count: int, seed: int = 0) -> list[Circle3D
 # lists of Python ints, about 36 bytes an entry, and the hypotheses of one
 # rim converge together, so a whole-set query can hold tens of megabytes.
 _BALL_BLOCK = 256
-
-
-def _embed_hypotheses(hyps: list[Circle3D], scale: float) -> NDArray[np.float64]:
-    centers = np.stack([h.center for h in hyps])
-    normals = np.stack([h.normal for h in hyps])
-    radii = np.array([h.radius for h in hyps])
-    return np.column_stack([centers / scale, normals, radii / scale])
 
 
 def _group_modes(modes: NDArray[np.float64], radius: float) -> NDArray[np.int64]:
@@ -327,7 +327,7 @@ def _ball_means(tree: cKDTree, data: NDArray[np.float64], queries: NDArray[np.fl
 
 
 def reduce_hypotheses(
-    hyps: list[Circle3D],
+    hyps: NDArray[np.float64],
     bandwidth: float = 0.05,
     *,
     scale: float,
@@ -335,16 +335,15 @@ def reduce_hypotheses(
 ) -> list[Circle3D]:
     """Mean shift with a flat kernel over the 7-d circle parameter space.
 
-    Center and radius coordinates are divided by ``scale`` (``mcfs`` passes
-    the diagonal of the edge points' bounding box) so the bandwidth is
-    unitless. Returns the hypothesis nearest to each surviving mode; when
+    ``hyps`` holds ``generate_hypotheses`` rows ``[cx, cy, cz, nx, ny, nz, r]``;
+    center and radius are divided by ``scale`` (``mcfs`` passes the diagonal
+    of the edge points' bounding box) so the bandwidth is unitless. Returns
+    the circle of the hypothesis nearest to each surviving mode; when
     ``max_modes`` is set, only the most populated modes survive.
     """
-    if not hyps:
+    if len(hyps) == 0:
         raise ValueError("no hypotheses to reduce")
-    if len(hyps) == 1:
-        return list(hyps)
-    data = _embed_hypotheses(hyps, scale)
+    data = hyps / [scale, scale, scale, 1.0, 1.0, 1.0, scale]
     tree = cKDTree(data)
     modes = data.copy()
     moving = np.ones(len(modes), dtype=bool)
@@ -369,7 +368,7 @@ def reduce_hypotheses(
         members = np.nonzero(assigned == gi)[0]
         mode_mean = modes[members].mean(axis=0)
         nearest = members[np.argmin(np.linalg.norm(data[members] - mode_mean, axis=1))]
-        out.append(hyps[int(nearest)])
+        out.append(Circle3D(hyps[nearest, :3], float(hyps[nearest, 6]), hyps[nearest, 3:6]))
     return out
 
 

@@ -55,15 +55,13 @@ def unit(v) -> Vec3:
     return v / n
 
 
-def canonical_sign(v: Vec3) -> Vec3:
-    """Flip ``v`` so its first nonzero component in (z, y, x) order is positive."""
-    v = as_vec3(v)
-    for c in (2, 1, 0):
-        if v[c] > 0.0:
-            return v
-        if v[c] < 0.0:
-            return -v
-    return v
+def canonical_sign(v) -> NDArray[np.float64]:
+    """Flip ``v``, or each row of it, so its first nonzero component in
+    (z, y, x) order is positive; ``-0.0`` and NaN count as zero."""
+    v = np.asarray(v, dtype=np.float64)
+    zyx = v[..., ::-1]
+    first = np.argmax((zyx > 0.0) | (zyx < 0.0), axis=-1)
+    return np.where(np.take_along_axis(zyx, first[..., None], axis=-1) < 0.0, -v, v)
 
 
 # ---------------------------------------------------------------------------

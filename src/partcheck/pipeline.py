@@ -196,19 +196,24 @@ def parse_report(path: str | Path) -> OrderedDict:
 
 
 def _render_human(report: AssessmentReport) -> str:
-    rows = [
+    # With no reference circle matched, the structured report keeps 0.0 in
+    # the E_comp fields; the table says there is nothing to measure.
+    matched = report.f_n < report.n_reference_circles
+    rows = [(name, f"{value:.6f}") for name, value in (
         ("Registration error (E_reg)", report.e_reg),
         ("Global RMSE (E_global)", report.e_global),
         ("Part avg (E_part_avg)", report.e_part_avg),
         ("Part max (E_part_max)", report.e_part_max),
+    )]
+    rows += [(name, f"{value:.6f}" if matched else "n/a") for name, value in (
         ("Radius avg (E_comp_radius_avg)", report.e_comp_radius_avg),
         ("Radius max (E_comp_radius_max)", report.e_comp_radius_max),
         ("Centroid avg (E_comp_centroid_avg)", report.e_comp_centroid_avg),
         ("Centroid max (E_comp_centroid_max)", report.e_comp_centroid_max),
-    ]
+    )]
     width = max(len(name) for name, _ in rows)
     lines = ["Manufacturing error (model units, mm by convention)", "-" * 60]
-    lines += [f"{name:<{width}}  {value:.6f}" for name, value in rows]
+    lines += [f"{name:<{width}}  {value}" for name, value in rows]
     lines += ["", f"Reference circles: {report.n_reference_circles}   "
               f"Missed circles (f_n): {report.f_n}   Spurious circles (f_p): {report.f_p}",
               "", "Running time (seconds)", "-" * 60]

@@ -617,6 +617,13 @@ def _adjacent(config: Configuration, a: Primitive, b: Primitive,
         pa, pb = pb, pa
     if gap is None:
         gap = 2.0 * config.inlier_eps
+    # The distance between the two bounding boxes bounds every pair's from
+    # below, so boxes farther apart than ``gap`` need no tree.
+    lo = np.maximum(pa.min(axis=0), pb.min(axis=0))
+    hi = np.minimum(pa.max(axis=0), pb.max(axis=0))
+    box = np.maximum(lo - hi, 0.0)
+    if box @ box > gap * gap:
+        return False
     d, _ = cKDTree(pa).query(pb, k=1, distance_upper_bound=gap)
     return bool(np.isfinite(d).any())
 

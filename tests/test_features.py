@@ -5,13 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from partcheck import features
 from partcheck.config import PipelineConfig
 from partcheck.features import (
     Circle3D,
     _circumcircles,
-    _embed_hypotheses,
     _group_modes,
     cluster_labels,
     detect_edge_points,
@@ -30,7 +32,8 @@ from partcheck.features import (
     residual_matrix,
     tensor_vote,
 )
-from partcheck.geometry import PointCloud, RigidTransform, estimate_normals_and_curvature, median_spacing
+from partcheck.geometry import (PointCloud, RigidTransform, canonical_sign,
+                                estimate_normals_and_curvature, median_spacing)
 from partcheck.primitives import Configuration, FitError, Plane, Primitive
 from partcheck.synth import circles_scene, cube_scene, edge_distance, plate_scene
 
@@ -46,6 +49,11 @@ def circle_points(circle: Circle3D, n: int, rng=None, noise=0.0):
     if noise and rng is not None:
         pts = pts + rng.normal(scale=noise, size=pts.shape)
     return pts
+
+
+def as_circles(rows) -> list[Circle3D]:
+    """``generate_hypotheses`` rows as circles, for ``residual_matrix``."""
+    return [Circle3D(row[:3], row[6], row[3:6]) for row in rows]
 
 
 def bbox_diagonal(pts) -> float:
@@ -284,9 +292,10 @@ class TestGenerateHypotheses:
         c = Circle3D(np.array([1.0, 2.0, 3.0]), 2.0, np.array([0.0, 0.0, 1.0]))
         pts = circle_points(c, 100)
         hyps = generate_hypotheses(pts, 50, seed=1)
+        assert hyps.shape == (50, 7)
         for h in hyps:
-            assert np.abs(h.center - c.center).max() < 1e-9
-            assert h.radius == pytest.approx(2.0, abs=1e-9)
+            assert np.abs(h[:3] - c.center).max() < 1e-9
+            assert h[6] == pytest.approx(2.0, abs=1e-9)
 
     def test_collinear_set_rejected(self):
         pts = np.outer(np.linspace(0, 1, 50), [1.0, 1.0, 1.0])
@@ -303,7 +312,7 @@ class TestGenerateHypotheses:
         pts += rng.normal(scale=0.01, size=pts.shape)
         hyps = generate_hypotheses(pts, 200, seed=5)
         assert len(hyps) == 200
-        rows = np.array([[*h.center, h.radius] for h in hyps])
+        rows = hyps[:, [0, 1, 2, 6]]
         expected = {
             0: [0.49836518403025926, -1.0099534811013653, 1.9873911353165967, 1.503918233795517],
             1: [0.22906635568180045, -1.3362808624979658, 1.5933199572182777, 0.9317061521007255],
@@ -326,8 +335,33 @@ class TestGenerateHypotheses:
         a = generate_hypotheses(pts, 40, seed=9)
         b = generate_hypotheses(pts, 40, seed=9)
         assert len(a) == len(b)
-        assert all(np.array_equal(x.center, y.center) and x.radius == y.radius
-                   for x, y in zip(a, b))
+        assert np.array_equal(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=arrays(np.float64, st.tuples(st.integers(1, 12), st.just(3)),
+                       elements=st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                                          st.floats(-1e6, 1e6))),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_carry_canonical_unit_normals(self, rows, seed):
+        def scalar_rule(v):
+            # The one-vector rule: the first nonzero of (z, y, x) is positive.
+            for c in (2, 1, 0):
+                if v[c] > 0.0:
+                    return v
+                if v[c] < 0.0:
+                    return -v
+            return v
+
+        expected = np.array([scalar_rule(v) for v in rows])
+        # Bytes, so that 0.0 and -0.0 count as different.
+        assert canonical_sign(rows).tobytes() == expected.tobytes()
+        for v, e in zip(rows, expected):
+            assert canonical_sign(v).tobytes() == e.tobytes()
+
+        pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(40, 3))
+        normals = generate_hypotheses(pts, 60, seed=seed)[:, 3:6]
+        np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, rtol=0, atol=1e-12)
+        assert canonical_sign(normals).tobytes() == normals.tobytes()
 
 
 class TestReduceHypotheses:
@@ -345,7 +379,7 @@ class TestReduceHypotheses:
         c2 = Circle3D(np.array([8.0, 0.0, 0.0]), 1.5, np.array([0.0, 0.0, 1.0]))
         p1 = circle_points(c1, 50, rng=rng, noise=1e-4)
         p2 = circle_points(c2, 50, rng=rng, noise=1e-4)
-        hyps = generate_hypotheses(p1, 60, seed=4) + generate_hypotheses(p2, 60, seed=5)
+        hyps = np.vstack([generate_hypotheses(p1, 60, seed=4), generate_hypotheses(p2, 60, seed=5)])
         modes = reduce_hypotheses(hyps, bandwidth=0.05, scale=bbox_diagonal(np.vstack([p1, p2])))
         assert len(modes) == 2
 
@@ -353,7 +387,10 @@ class TestReduceHypotheses:
         c = Circle3D(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]))
         pts = circle_points(c, 30)
         hyps = generate_hypotheses(pts, 1, seed=0)
-        assert reduce_hypotheses(hyps, bandwidth=0.05, scale=bbox_diagonal(pts)) == hyps
+        (mode,) = reduce_hypotheses(hyps, bandwidth=0.05, scale=bbox_diagonal(pts))
+        assert np.array_equal(mode.center, hyps[0, :3])
+        assert np.array_equal(mode.normal, hyps[0, 3:6])
+        assert mode.radius == hyps[0, 6]
 
     def test_neighbor_lists_stay_bounded(self):
         # 700 hypotheses of one circle all lie within one bandwidth of each
@@ -379,7 +416,8 @@ class TestReduceHypotheses:
                       (np.array([3.0, 0.5, 0.0]), 0.6, np.array([0.0, 1.0, 1.0])),
                       (np.array([1.0, 3.0, 0.5]), 1.4, np.array([1.0, 0.0, 0.2])))]
         pts = np.vstack(chunks)
-        modes = _embed_hypotheses(generate_hypotheses(pts, 1500, seed=2), bbox_diagonal(pts))
+        modes = generate_hypotheses(pts, 1500, seed=2)
+        modes[:, [0, 1, 2, 6]] /= bbox_diagonal(pts)
         clutter = rng.uniform(modes.min(axis=0), modes.max(axis=0), size=(300, 7))
         modes = np.vstack([modes, clutter, modes[:200:7]])
         radius = 0.025
@@ -403,7 +441,7 @@ class TestResidualMatrix:
     def test_zero_for_points_on_hypothesis(self):
         c = Circle3D(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]))
         pts = circle_points(c, 20)
-        hyps = generate_hypotheses(pts, 5, seed=1)
+        hyps = as_circles(generate_hypotheses(pts, 5, seed=1))
         r = residual_matrix(pts, hyps)
         assert r.shape == (20, 5)
         assert r.max() < 1e-9
@@ -423,7 +461,7 @@ class TestResidualMatrix:
         rng = np.random.default_rng(10)
         pts = rng.uniform(-2, 2, size=(40, 3))
         c = Circle3D(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]))
-        hyps = generate_hypotheses(circle_points(c, 30), 10, seed=2)
+        hyps = as_circles(generate_hypotheses(circle_points(c, 30), 10, seed=2))
         r = residual_matrix(pts, hyps)
         assert np.isfinite(r).all() and (r >= 0).all()
 

@@ -12,6 +12,7 @@ from partcheck.pipeline import (
     PipelineConfig,
     _feature,
     _part,
+    _render_human,
     emit_report,
     generate_synthetic_scene,
     parse_report,
@@ -65,6 +66,12 @@ def test_no_reference_without_truth(report):
     assert report.f_p == len(report.circle_rows)
 
 
+def _comp_rows(report):
+    """The values of the human table's four E_comp rows."""
+    lines = _render_human(report).splitlines()
+    return [line.split()[-1] for line in lines if "(E_comp_" in line]
+
+
 def test_truth_circles_are_scored(scene, report):
     truth = [Circle3D(row.center, row.radius, row.normal) for row in report.circle_rows]
     truth.append(Circle3D(np.full(3, 100.0), 1.0, np.array([0.0, 0.0, 1.0])))
@@ -72,6 +79,14 @@ def test_truth_circles_are_scored(scene, report):
     assert scored.n_reference_circles == len(report.circle_rows) + 1 == 2
     assert (scored.f_n, scored.f_p) == (1, 0)
     assert scored.e_comp_radius_max == scored.e_comp_centroid_max == 0.0
+    assert _comp_rows(scored) == ["0.000000"] * 4
+
+
+def test_unscored_circle_errors_read_na(report):
+    # No reference circle, so nothing was matched: the table must not print
+    # the structured report's placeholder 0.0 as a measured error.
+    assert report.f_n == report.n_reference_circles == 0
+    assert _comp_rows(report) == ["n/a"] * 4
 
 
 def test_cube_has_no_circles():
@@ -161,6 +176,30 @@ def test_out_of_range_int_config_exits_2(scene_files, tmp_path, field, value):
     assert f"{field} must be at least" in result.output
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("icp_tol", "inf", "icp_tol must be positive and finite"),
+    ("tensor_radius_factor", "inf", "tensor_radius_factor must be positive and finite"),
+    ("region_angle_deg", "inf", "region_angle_deg must be finite"),
+    ("region_curv_thresh", "-inf", "region_curv_thresh must be finite"),
+    ("outlier_stddev_mult", "-3", "outlier_stddev_mult must be at least 0"),
+    ("outlier_stddev_mult", "-inf", "outlier_stddev_mult must be at least 0"),
+])
+def test_meaningless_float_config_exits_2(scene_files, tmp_path, field, value, message):
+    config = tmp_path / "config.txt"
+    config.write_text(f"{field} = {value}\n")
+    result = assess(scene_files / "scan.ply", scene_files / "mesh.ply",
+                    "--config", config, "--out", tmp_path)
+    assert result.exit_code == EXIT_INPUT_ERROR
+    assert message in result.output
+
+
+def test_infinite_stddev_mult_is_accepted(tmp_path):
+    # remove_outliers reads an infinite multiple as "keep every point".
+    path = tmp_path / "config.txt"
+    path.write_text("outlier_stddev_mult = inf\n")
+    assert PipelineConfig.from_file(path).outlier_stddev_mult == np.inf
+
+
 def test_negative_seed_option_exits_2(scene_files, tmp_path):
     result = assess(scene_files / "scan.ply", scene_files / "mesh.ply",
                     "--seed", -1, "--out", tmp_path)
@@ -227,7 +266,7 @@ def test_fit_circles_missing_file_exits_2(tmp_path):
     assert "input error" in result.output
 
 
-@pytest.mark.parametrize("eps", ["0", "-1", "nan"])
+@pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
 def test_fit_circles_bad_eps_exits_2(tmp_path, eps):
     edges = tmp_path / "edges.ply"
     t = np.linspace(0.0, 2.0 * np.pi, 60, endpoint=False)

@@ -20,6 +20,7 @@ from partcheck.primitives import (
     FitError,
     Primitive,
     PrimitiveKind,
+    _adjacent,
     _fit_shape,
     energy,
     merge,
@@ -484,6 +485,28 @@ class TestMerge:
         )
         _, applied = merge(config, 0, 1)
         assert not applied
+
+    @pytest.mark.parametrize("offset, adjacent, needs_tree", [
+        ((0.0, 0.0, 0.0), True, True),      # the same plane sampled twice
+        ((4.15, 0.0, 0.0), True, True),     # side by side, 0.15 apart
+        ((0.1, 0.1, 0.15), False, True),    # interleaved, boxes overlap: 0.206 apart
+        ((4.0, 0.0, 0.5), False, False),    # beside and 0.5 above
+        ((0.0, 0.0, 10.0), False, False),   # far above
+    ])
+    def test_adjacent_matches_pairwise_distances(self, monkeypatch, offset, adjacent,
+                                                 needs_tree):
+        a = np.stack(np.meshgrid(np.linspace(-2, 2, 21), np.linspace(-2, 2, 21), [0.0]),
+                     axis=-1).reshape(-1, 3)
+        pts = np.vstack([a, a + offset])
+        config = plane_config(pts, [np.arange(441), np.arange(441, 882)], min_points=30)
+        gap = 0.2
+        pair = np.linalg.norm(pts[:441, None] - pts[None, 441:], axis=2).min()
+        assert (pair < gap) == adjacent
+        if not needs_tree:
+            def no_tree(*args, **kwargs):
+                raise AssertionError("the bounding boxes already rule this pair out")
+            monkeypatch.setattr(primitives, "cKDTree", no_tree)
+        assert _adjacent(config, *config.primitives, gap) == adjacent
 
     def test_distant_planes_not_adjacent(self):
         rng = np.random.default_rng(17)
