@@ -9,15 +9,14 @@ from .features import (
     Circle3D,
     CircleLabeling,
     detect_edge_points,
-    feature_level_error,
     fit_circle_iterative,
-    fn_fp_counts,
     generate_hypotheses,
     mcfs,
     misclassification_error,
     reduce_hypotheses,
     refine_coverage,
     residual_matrix,
+    score_circles,
     tensor_vote,
 )
 from .geometry import (

@@ -41,7 +41,10 @@ def main():
               help="Directory for the report and optional dumps.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 @click.option("--truth-circles", "truth_path", type=click.Path(),
-              help="Circle table with the reference rim circles. Without it the feature "
+              help="Circle table with the reference rim circles. A fitted circle matches "
+                   "one when its centroid offset and radius difference are both within "
+                   "circle_match_tol; the one-to-one matching takes the most such pairs, "
+                   "then the least total centroid offset. Without a table the feature "
                    "level has no reference: f_n is 0 and e_comp_* is not measured.")
 @click.option("--dump-segments", is_flag=True, help="Write the colored segmentation PLY.")
 @click.option("--dump-edges", is_flag=True, help="Write the detected edge points PLY.")

@@ -780,59 +780,54 @@ def mcfs(edge_points, config: PipelineConfig = PipelineConfig()) -> CircleLabeli
 
 def match_circles(
     fitted: list[Circle3D],
-    truth: list[Circle3D],
-    match_tol: float | None = None,
-) -> list[tuple[int, int]]:
-    """Greedy one-to-one pairing by centroid distance, optionally gated.
-
-    With a tolerance, a pair only matches when both the centroid offset and
-    the radius difference stay within ``match_tol``.
-    """
-    pairs = []
-    for i, f in enumerate(fitted):
-        for j, t in enumerate(truth):
-            d = float(np.linalg.norm(f.center - t.center))
-            if match_tol is not None:
-                if d > match_tol or abs(f.radius - t.radius) > match_tol:
-                    continue
-            pairs.append((d, i, j))
-    pairs.sort(key=lambda p: (p[0], p[1], p[2]))
-    used_f: set[int] = set()
-    used_t: set[int] = set()
-    out: list[tuple[int, int]] = []
-    for _, i, j in pairs:
-        if i in used_f or j in used_t:
-            continue
-        used_f.add(i)
-        used_t.add(j)
-        out.append((i, j))
-    return out
-
-
-def feature_level_error(
-    fitted: list[Circle3D],
-    truth: list[Circle3D],
-    match_tol: float | None = None,
-) -> tuple[float, float, float, float]:
-    """(radius_avg, radius_max, centroid_avg, centroid_max) over matched pairs."""
-    matches = match_circles(fitted, truth, match_tol)
-    if not matches:
-        raise ValueError("no matched circle pairs")
-    dr = np.array([abs(fitted[i].radius - truth[j].radius) for i, j in matches])
-    dc = np.array([np.linalg.norm(fitted[i].center - truth[j].center) for i, j in matches])
-    return float(dr.mean()), float(dr.max()), float(dc.mean()), float(dc.max())
-
-
-def fn_fp_counts(
-    fitted: list[Circle3D],
-    truth: list[Circle3D],
+    reference: list[Circle3D],
     match_tol: float,
-) -> tuple[int, int]:
-    """Missed true circles (f_n) and spurious fitted circles (f_p)."""
+) -> list[tuple[int, int]]:
+    """The largest one-to-one set of admissible (fitted, reference) pairs,
+    with the least total centroid offset among sets of that size.
+
+    A pair is admissible when both its centroid offset and its radius
+    difference are within ``match_tol``. The pairs solve one assignment
+    problem (Kuhn, "The Hungarian method for the assignment problem", 1955).
+    """
     if match_tol <= 0:
         raise ValueError("match_tol must be positive")
-    matches = match_circles(fitted, truth, match_tol)
-    return len(truth) - len(matches), len(fitted) - len(matches)
+    if not fitted or not reference:
+        return []
+    fc = np.array([c.center for c in fitted])
+    rc = np.array([c.center for c in reference])
+    offset = np.linalg.norm(fc[:, None, :] - rc[None, :, :], axis=2)
+    dr = np.abs(np.array([c.radius for c in fitted])[:, None]
+                - np.array([c.radius for c in reference])[None, :])
+    admissible = (offset <= match_tol) & (dr <= match_tol)
+    # An inadmissible pair costs more than any full set of admissible ones,
+    # so the assignment maximizes the number of admissible pairs first.
+    penalty = 1.0 + match_tol * min(len(fitted), len(reference))
+    rows, cols = linear_sum_assignment(np.where(admissible, offset, penalty))
+    return [(int(i), int(j)) for i, j in zip(rows, cols) if admissible[i, j]]
+
+
+def score_circles(
+    fitted: list[Circle3D],
+    reference: list[Circle3D],
+    match_tol: float,
+) -> tuple[int, int, tuple[float, float, float, float] | None]:
+    """Score the fitted circles against the reference circles.
+
+    Returns the missed reference circles (f_n), the spurious fitted circles
+    (f_p), and (radius_avg, radius_max, centroid_avg, centroid_max) over the
+    matched pairs, or None when nothing matched. The pairs are
+    ``match_circles``': the most pairs whose centroid offset and radius
+    difference are both within ``match_tol``, and among those the least
+    total centroid offset.
+    """
+    pairs = match_circles(fitted, reference, match_tol)
+    f_n, f_p = len(reference) - len(pairs), len(fitted) - len(pairs)
+    if not pairs:
+        return f_n, f_p, None
+    dr = np.array([abs(fitted[i].radius - reference[j].radius) for i, j in pairs])
+    dc = np.array([np.linalg.norm(fitted[i].center - reference[j].center) for i, j in pairs])
+    return f_n, f_p, (float(dr.mean()), float(dr.max()), float(dc.mean()), float(dc.max()))
 
 
 def misclassification_error(labels, truth_labels) -> float:

@@ -728,10 +728,8 @@ def patch_distances(config: Configuration,
     return np.array([surface_dist[prim.inliers].mean() for prim in config.primitives])
 
 
-def part_level_error(config: Configuration,
-                     surface_dist: NDArray[np.float64]) -> tuple[float, float]:
-    """Average and maximum patch-to-CAD distance over all primitives."""
-    if not config.primitives:
-        raise ValueError("empty configuration")
-    dists = patch_distances(config, surface_dist)
-    return float(dists.mean()), float(dists.max())
+def part_level_error(patch_dists: NDArray[np.float64]) -> tuple[float, float] | None:
+    """Average and maximum of the ``patch_distances``; None with no patch."""
+    if len(patch_dists) == 0:
+        return None
+    return float(patch_dists.mean()), float(patch_dists.max())

@@ -59,8 +59,22 @@ def parse_scene_spec(text: str) -> SceneSpec:
     return SceneSpec(tokens[0], options)
 
 
+# What each option must be beyond finite; the others may take any finite value.
+_COUNT = (lambda v: v >= 1 and v == int(v), "a whole number >= 1")
+_OPTION_RULES = {
+    "spacing": (lambda v: v > 0, "finite and positive"),
+    "noise": (lambda v: v >= 0, "finite and at least 0"),
+    "outlier_frac": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "holes": _COUNT,
+    "count": _COUNT,
+    "circles": _COUNT,
+    "points_per": _COUNT,
+}
+
+
 def generate_synthetic_scene(spec: SceneSpec | str, seed: int = 0) -> SyntheticScene:
-    """Build the named scene; unknown kinds or options raise ValueError."""
+    """Build the named scene; unknown kinds, unknown options and option values
+    out of range raise ValueError."""
     if isinstance(spec, str):
         spec = parse_scene_spec(spec)
     makers = {
@@ -74,10 +88,13 @@ def generate_synthetic_scene(spec: SceneSpec | str, seed: int = 0) -> SyntheticS
         raise ValueError(f"unknown scene kind '{spec.kind}'")
     maker = makers[spec.kind]
     accepted = set(inspect.signature(maker).parameters) - {"seed"}
-    for key in spec.options:
+    for key, value in spec.options.items():
         if key not in accepted:
             raise ValueError(f"unknown {spec.kind} option '{key}'; "
                              f"expected one of {', '.join(sorted(accepted))}")
+        valid, wanted = _OPTION_RULES.get(key, (lambda v: True, "finite"))
+        if not (np.isfinite(value) and valid(value)):
+            raise ValueError(f"{spec.kind} option {key}={value:g} must be {wanted}")
     return maker(seed=seed, **spec.options)
 
 

@@ -1,7 +1,11 @@
-"""Tensor voting, edge detection, circle fitting and the multi-circle scheme."""
+"""Tensor voting, edge detection, circle fitting, the multi-circle scheme and
+the feature-level scoring."""
 
+import functools
+import importlib.util
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +22,8 @@ from partcheck.features import (
     cluster_labels,
     detect_edge_points,
     edge_scores,
-    feature_level_error,
     fit_circle_iterative,
     fit_circle_lsq,
-    fn_fp_counts,
     generate_hypotheses,
     match_circles,
     mcfs,
@@ -30,6 +32,7 @@ from partcheck.features import (
     reduce_hypotheses,
     refine_coverage,
     residual_matrix,
+    score_circles,
     tensor_vote,
 )
 from partcheck.geometry import (PointCloud, RigidTransform, canonical_sign,
@@ -600,10 +603,9 @@ class TestMCFS:
                               outlier_frac=0.5, seed=0)
         labeling = mcfs(scene.cloud.points, PipelineConfig(seed=100))
         assert len(labeling.circles) == 4
-        fn, fp = fn_fp_counts(labeling.circles, scene.truth.circles, match_tol=0.3)
+        fn, fp, errors = score_circles(labeling.circles, scene.truth.circles, match_tol=0.3)
         assert fn == 0 and fp == 0
-        r_avg, r_max, _, _ = feature_level_error(labeling.circles, scene.truth.circles,
-                                                 match_tol=0.3)
+        r_avg, r_max, _, _ = errors
         assert r_max < 3 * 0.02
 
     def test_sixteen_hole_plate(self):
@@ -611,7 +613,7 @@ class TestMCFS:
         cloud = estimate_normals_and_curvature(scene.cloud, k=16)
         idx = detect_edge_points(cloud)
         labeling = mcfs(cloud.points[idx], PipelineConfig(seed=7))
-        fn, fp = fn_fp_counts(labeling.circles, scene.truth.circles, match_tol=1.0)
+        fn, fp, _ = score_circles(labeling.circles, scene.truth.circles, match_tol=1.0)
         assert fn == 0 and fp == 0
 
     def test_stops_at_first_idle_round(self, monkeypatch):
@@ -665,7 +667,7 @@ class TestMCFS:
         pts = np.vstack(chunks)
         labeling = mcfs(pts, PipelineConfig(seed=11))
         assert len(labeling.circles) == 5
-        _, r_max, _, c_max = feature_level_error(labeling.circles, truth, match_tol=0.2)
+        _, _, (_, r_max, _, c_max) = score_circles(labeling.circles, truth, match_tol=0.2)
         assert r_max < 1e-6
         assert c_max < 1e-6
         truth_labels = np.repeat(np.arange(5), 120)
@@ -676,12 +678,17 @@ class TestMCFS:
 # Metrics
 # ---------------------------------------------------------------------------
 
+def _errors(fitted, truth, match_tol=1.0):
+    """(radius_avg, radius_max, centroid_avg, centroid_max) over the matched pairs."""
+    return score_circles(fitted, truth, match_tol)[2]
+
+
 class TestFeatureLevelError:
     def test_radius_offset(self):
         z = np.array([0.0, 0.0, 1.0])
         fitted = [Circle3D(np.zeros(3), 1.1, z)]
         truth = [Circle3D(np.zeros(3), 1.0, z)]
-        r_avg, r_max, c_avg, c_max = feature_level_error(fitted, truth)
+        r_avg, r_max, c_avg, c_max = _errors(fitted, truth)
         assert (r_avg, r_max) == (pytest.approx(0.1), pytest.approx(0.1))
         assert (c_avg, c_max) == (0.0, 0.0)
 
@@ -689,7 +696,7 @@ class TestFeatureLevelError:
         z = np.array([0.0, 0.0, 1.0])
         circles = [Circle3D(np.array([float(i), 0, 0]), 1.0 + 0.1 * i, z)
                    for i in range(4)]
-        out = feature_level_error(circles, circles)
+        out = _errors(circles, circles)
         assert out == (0.0, 0.0, 0.0, 0.0)
 
     def test_three_pair_hand_case(self):
@@ -700,26 +707,101 @@ class TestFeatureLevelError:
         fitted = [Circle3D(np.array([0.1, 0, 0]), 1.2, z),
                   Circle3D(np.array([5.0, 0.2, 0]), 1.9, z),
                   Circle3D(np.array([10.0, 0, 0.3]), 3.4, z)]
-        r_avg, r_max, c_avg, c_max = feature_level_error(fitted, truth)
+        r_avg, r_max, c_avg, c_max = _errors(fitted, truth)
         assert r_avg == pytest.approx((0.2 + 0.1 + 0.4) / 3)
         assert r_max == pytest.approx(0.4)
         assert c_avg == pytest.approx((0.1 + 0.2 + 0.3) / 3)
         assert c_max == pytest.approx(0.3)
 
-    def test_no_matches_raises(self):
+    def test_nothing_matched_gives_no_errors(self):
         z = np.array([0.0, 0.0, 1.0])
-        with pytest.raises(ValueError):
-            feature_level_error([Circle3D(np.zeros(3), 1.0, z)],
-                                [Circle3D(np.array([50.0, 0, 0]), 1.0, z)],
-                                match_tol=1.0)
+        out = score_circles([Circle3D(np.zeros(3), 1.0, z)],
+                            [Circle3D(np.array([50.0, 0, 0]), 1.0, z)], match_tol=1.0)
+        assert out == (1, 1, None)
 
     def test_matching_is_one_to_one(self):
         z = np.array([0.0, 0.0, 1.0])
         truth = [Circle3D(np.zeros(3), 1.0, z)]
         fitted = [Circle3D(np.array([0.1, 0, 0]), 1.0, z),
                   Circle3D(np.array([0.2, 0, 0]), 1.0, z)]
-        pairs = match_circles(fitted, truth)
+        pairs = match_circles(fitted, truth, match_tol=1.0)
         assert pairs == [(0, 0)]
+
+    def test_nearest_first_would_miss_a_pair(self):
+        # The two rims of a hole through a thin sheet, 0.6 apart: pairing
+        # the nearest centroids first (0.1 away) leaves the other two 1.2
+        # apart, past the tolerance, but both references can be matched.
+        z = np.array([0.0, 0.0, 1.0])
+        truth = [Circle3D(np.array([0.0, 0, 0]), 3.0, z),
+                 Circle3D(np.array([0.6, 0, 0]), 3.0, z)]
+        fitted = [Circle3D(np.array([0.1, 0, 0]), 3.0, z),
+                  Circle3D(np.array([-0.6, 0, 0]), 3.0, z)]
+        assert sorted(match_circles(fitted, truth, match_tol=1.0)) == [(0, 1), (1, 0)]
+        f_n, f_p, (r_avg, r_max, c_avg, c_max) = score_circles(fitted, truth, match_tol=1.0)
+        assert (f_n, f_p, r_avg, r_max) == (0, 0, 0.0, 0.0)
+        assert (c_avg, c_max) == (pytest.approx(0.55), pytest.approx(0.6))
+
+
+_circle_sets = st.lists(
+    st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(1.0, 2.5)),
+    min_size=0, max_size=4)
+
+
+def _as_circles(rows):
+    z = np.array([0.0, 0.0, 1.0])
+    return [Circle3D(np.array([x, y, 0.0]), r, z) for x, y, r in rows]
+
+
+class TestMatchCircles:
+    @settings(max_examples=200, deadline=None)
+    @given(_circle_sets, _circle_sets)
+    def test_most_pairs_then_least_offset(self, fitted_rows, truth_rows):
+        fitted, truth = _as_circles(fitted_rows), _as_circles(truth_rows)
+        tol = 1.0
+        offset = [[float(np.linalg.norm(f.center - t.center)) for t in truth] for f in fitted]
+        ok = [[offset[i][j] <= tol and abs(f.radius - t.radius) <= tol
+               for j, t in enumerate(truth)] for i, f in enumerate(fitted)]
+        # Brute force: every fitted circle takes a distinct reference or none.
+        best = (0, 0.0)
+        for choice in itertools.product([None, *range(len(truth))], repeat=len(fitted)):
+            taken = [j for j in choice if j is not None]
+            if len(set(taken)) < len(taken):
+                continue
+            if not all(ok[i][j] for i, j in enumerate(choice) if j is not None):
+                continue
+            total = sum(offset[i][j] for i, j in enumerate(choice) if j is not None)
+            if len(taken) > best[0] or (len(taken) == best[0] and total < best[1]):
+                best = (len(taken), total)
+
+        pairs = match_circles(fitted, truth, tol)
+        assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+        assert all(ok[i][j] for i, j in pairs)
+        assert len(pairs) == best[0]
+        assert sum(offset[i][j] for i, j in pairs) <= best[1] + 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(_circle_sets, _circle_sets)
+    def test_agrees_with_the_benchmark_scorer(self, fitted_rows, truth_rows):
+        # The benchmark scores a report's circles against the truth by its
+        # own copy of the rule; the two must pair the same circles.
+        fitted, truth = _as_circles(fitted_rows), _as_circles(truth_rows)
+        expected = _benchmark_score().match_circles(
+            [(c.center, c.radius) for c in fitted], [(c.center, c.radius) for c in truth])
+        assert match_circles(fitted, truth, 1.0) == expected
+
+    def test_tolerance_must_be_positive(self):
+        with pytest.raises(ValueError, match="match_tol must be positive"):
+            match_circles([], [], 0.0)
+
+
+@functools.cache
+def _benchmark_score():
+    """``perfbench/score.py``, loaded by path (it imports only numpy and scipy)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "score.py"
+    spec = importlib.util.spec_from_file_location("perfbench_score", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestMisclassificationError:
@@ -773,19 +855,19 @@ class TestFnFp:
 
     def test_all_matched(self):
         circles = [self._ring(i) for i in range(4)]
-        assert fn_fp_counts(circles, circles, match_tol=0.5) == (0, 0)
+        assert score_circles(circles, circles, match_tol=0.5)[:2] == (0, 0)
 
     def test_missed_truth(self):
         truth = [self._ring(i) for i in range(16)]
         fitted = truth[:15]
-        assert fn_fp_counts(fitted, truth, match_tol=0.5) == (1, 0)
+        assert score_circles(fitted, truth, match_tol=0.5)[:2] == (1, 0)
 
     def test_spurious_fit(self):
         truth = [self._ring(i) for i in range(16)]
         fitted = truth + [self._ring(40)]
-        assert fn_fp_counts(fitted, truth, match_tol=0.5) == (0, 1)
+        assert score_circles(fitted, truth, match_tol=0.5)[:2] == (0, 1)
 
     def test_tolerance_gates_radius(self):
         truth = [self._ring(0, r=1.0)]
         fitted = [self._ring(0, r=2.0)]
-        assert fn_fp_counts(fitted, truth, match_tol=0.5) == (1, 1)
+        assert score_circles(fitted, truth, match_tol=0.5)[:2] == (1, 1)

@@ -89,6 +89,49 @@ def test_unscored_circle_errors_read_na(report):
     assert _comp_rows(report) == ["n/a"] * 4
 
 
+def _part_rows(report):
+    """The values of the human table's two E_part rows."""
+    lines = _render_human(report).splitlines()
+    return [line.split()[-1] for line in lines if "(E_part_" in line]
+
+
+def test_no_primitive_errors_read_na():
+    # 30 points in the unit square: the outlier filter drops 2 and the other
+    # 28 are fewer than min_points (30), so no primitive is found and there
+    # is no patch error to print.
+    pts = np.random.default_rng(0).random((30, 3))
+    pts[:, 2] = 0.0
+    mesh = generate_synthetic_scene(parse_scene_spec("cube spacing=0.5")).mesh
+    report = run_pipeline(PointCloud(points=pts), mesh, PipelineConfig())
+    assert (report.outliers_removed, report.primitive_rows) == (2, [])
+    assert report.e_part_avg == report.e_part_max == 0.0
+    assert _part_rows(report) == ["n/a"] * 2
+
+
+def test_measured_part_errors_are_printed(report):
+    assert report.primitive_rows
+    assert _part_rows(report) == [f"{report.e_part_avg:.6f}", f"{report.e_part_max:.6f}"]
+
+
+def test_repeated_scan_points_are_dropped(scene, report):
+    # Every point twice: only the first copies are assessed, so the report
+    # is the single scan's but for the loaded point count.
+    doubled = PointCloud(points=np.vstack([scene.cloud.points, scene.cloud.points]))
+    twice = run_pipeline(doubled, scene.mesh, PipelineConfig())
+    single, again = report_fields(report), report_fields(twice)
+    assert int(again.pop("scan_points")) == 2 * int(single.pop("scan_points"))
+    assert ({k: v for k, v in again.items() if not k.startswith("time_")}
+            == {k: v for k, v in single.items() if not k.startswith("time_")})
+
+
+def test_one_repeated_point_exits_2(scene_files, tmp_path):
+    scan = tmp_path / "one.ply"
+    meshio.save_point_cloud(scan, PointCloud(points=np.tile([1.0, 2.0, 3.0], (50, 1))))
+    result = assess(scan, scene_files / "mesh.ply", "--out", tmp_path)
+    assert result.exit_code == EXIT_INPUT_ERROR
+    assert "1 scan points remain after outlier removal and dropping repeated" in result.output
+
+
 def test_cube_has_no_circles():
     # A hole-free cube: its twelve straight creases must not come out as
     # circles. The scan is taken into the CAD frame by the truth pose, so
@@ -304,3 +347,13 @@ def test_synth_unknown_option_exits_2(tmp_path, spec):
     result = CliRunner().invoke(main, ["synth", spec, "--out", str(tmp_path)])
     assert result.exit_code == EXIT_INPUT_ERROR
     assert "unknown plate option" in result.output
+
+
+@pytest.mark.parametrize("spec", ["plate holes=0", "plate spacing=0", "cube outlier_frac=1",
+                                  "plate spacing=-1", "bracket noise=-1", "plate noise=nan",
+                                  "plate holes=2.5"])
+def test_synth_bad_option_value_exits_2(tmp_path, spec):
+    result = CliRunner().invoke(main, ["synth", spec, "--out", str(tmp_path)])
+    assert result.exit_code == EXIT_INPUT_ERROR, result.output
+    key = spec.split()[1].split("=")[0]
+    assert f"input error: {spec.split()[0]} option {key}=" in result.output

@@ -638,29 +638,28 @@ class TestPartLevelError:
     def test_two_patch_arithmetic(self):
         rng = np.random.default_rng(21)
         surface_dist, config = self._config_at_offsets(rng, [0.1, 0.3])
-        avg, worst = part_level_error(config, surface_dist)
+        avg, worst = part_level_error(patch_distances(config, surface_dist))
         assert avg == pytest.approx(0.2, abs=1e-9)
         assert worst == pytest.approx(0.3, abs=1e-9)
 
     def test_on_mesh_is_zero(self):
         rng = np.random.default_rng(22)
         surface_dist, config = self._config_at_offsets(rng, [0.0, 0.0])
-        avg, worst = part_level_error(config, surface_dist)
+        avg, worst = part_level_error(patch_distances(config, surface_dist))
         assert avg == pytest.approx(0.0, abs=1e-12)
         assert worst == pytest.approx(0.0, abs=1e-12)
 
     def test_offset_plane(self):
         rng = np.random.default_rng(23)
         surface_dist, config = self._config_at_offsets(rng, [0.05])
-        avg, worst = part_level_error(config, surface_dist)
+        avg, worst = part_level_error(patch_distances(config, surface_dist))
         assert avg == pytest.approx(0.05, abs=1e-3)
         assert worst == pytest.approx(0.05, abs=1e-3)
 
-    def test_empty_configuration_errors(self):
+    def test_no_patch_gives_none(self):
         pts = np.random.default_rng(0).normal(size=(10, 3))
         config = Configuration(points=pts, primitives=[], min_points=3)
-        with pytest.raises(ValueError):
-            part_level_error(config, SQUARE.distance_index().query(pts))
+        assert part_level_error(patch_distances(config, SQUARE.distance_index().query(pts))) is None
 
     def test_one_query_serves_every_patch(self):
         # The part level indexes one whole-cloud query by inlier; each patch
