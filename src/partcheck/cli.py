@@ -103,9 +103,9 @@ def synth(spec, out_dir, seed, ascii_output):
 
 @main.command("fit-circles")
 @click.argument("edge_ply", type=click.Path())
-@click.option("--eps", type=float, default=0.1, show_default=True,
+@click.option("--eps", type=float, default=PipelineConfig.inlier_eps, show_default=True,
               help="Inlier distance for the circle fits.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=PipelineConfig.seed, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default="circles.txt",
               show_default=True, help="Output circle table.")
 def fit_circles(edge_ply, eps, seed, out_path):

@@ -3,6 +3,7 @@ read from a flat key/value file and written back in the report."""
 
 from __future__ import annotations
 
+import re
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -23,7 +24,30 @@ _INT_MINIMUMS = {
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """All tunables with their fixed defaults; every field is overridable."""
+    """All tunables with their fixed defaults; every field is overridable.
+
+    Stages take this record, or the one field they read; no other module
+    restates a default. The readers, stage by stage:
+
+    - registration: ``pipeline._register`` (``outlier_k``,
+      ``outlier_stddev_mult``, ``normals_k`` as the least scan size,
+      ``mesh_samples``, ``seed`` for CAD sampling), ``registration.register``
+      (``registration_subsample``), ``registration.icp_refine``
+      (``icp_max_iter``, ``icp_tol``).
+    - part: ``pipeline._part`` (``normals_k``), ``primitives.region_grow``
+      (``min_points``, ``region_k``, ``region_angle_deg``,
+      ``region_curv_thresh``, ``inlier_eps``); the ``Configuration`` it
+      returns carries the record to ``energy`` (``omega_f``, ``omega_s``,
+      ``omega_c``) and to ``split`` and ``merge`` (``inlier_eps``).
+    - feature: ``pipeline._feature`` (``tensor_radius_factor``,
+      ``region_angle_deg`` as the least crease angle, ``circle_match_tol``),
+      ``features.detect_edge_points`` (``edge_threshold``, ``tensor_sigma``),
+      ``features.mcfs`` (``inlier_eps``, ``bandwidth``,
+      ``hypotheses_per_point``, ``max_hypotheses``, ``min_cluster``,
+      ``cluster_cap``, ``seed``), ``fit_circle_iterative`` (``inlier_eps``,
+      ``eta``, ``circle_max_iter``), ``refine_coverage`` (``inlier_eps``,
+      ``min_cluster``).
+    """
 
     omega_f: float = 0.6
     omega_s: float = 0.25
@@ -56,7 +80,8 @@ class PipelineConfig:
     def __post_init__(self):
         w = np.array([self.omega_f, self.omega_s, self.omega_c])
         if not np.isfinite(w).all() or (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("energy weights must be finite, non-negative and sum to 1")
+            raise ValueError("omega_f, omega_s and omega_c must be finite, non-negative and "
+                             f"sum to 1, got {self.omega_f}, {self.omega_s}, {self.omega_c}")
         for name in ("inlier_eps", "eta", "edge_threshold", "tensor_sigma",
                      "tensor_radius_factor", "icp_tol", "bandwidth", "circle_match_tol"):
             # Written so that NaN fails too.
@@ -79,6 +104,7 @@ class PipelineConfig:
         """Flat key/value text; unknown keys are rejected, missing keys default."""
         valid = {f.name: f.type for f in fields(PipelineConfig)}
         overrides = {}
+        lines = {}
         for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -101,7 +127,14 @@ class PipelineConfig:
                         f"{path}: line {lineno}: '{key}' must be an integer, got '{value}'")
                 number = int(number)
             overrides[key] = number
-        return PipelineConfig(**overrides)
+            lines[key] = lineno
+        try:
+            return PipelineConfig(**overrides)
+        except ValueError as exc:
+            # Name the lines that set a field the range check names.
+            named = [str(n) for key, n in lines.items() if re.search(rf"\b{key}\b", str(exc))]
+            where = f"line {', '.join(named)}: " if named else ""
+            raise ValueError(f"{path}: {where}{exc}") from None
 
     def to_items(self) -> OrderedDict:
         return OrderedDict((f.name, getattr(self, f.name)) for f in fields(self))

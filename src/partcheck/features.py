@@ -34,8 +34,6 @@ from .geometry import PointCloud, Points, Vec3, as_points, canonical_sign, media
 from .primitives import (Configuration, FitError, PrimitiveKind, _adjacent, _ortho_basis,
                          _pratt_circle_2d)
 
-TENSOR_SIGMA = 0.5
-EDGE_SCORE_THRESHOLD = 1.05
 # Nearest neighbors a hypothesis draws its second and third point from.
 NEIGHBOR_POOL = 768
 
@@ -44,8 +42,7 @@ NEIGHBOR_POOL = 768
 # Tensor voting
 # ---------------------------------------------------------------------------
 
-def tensor_vote(cloud: PointCloud, radius: float,
-                sigma: float = TENSOR_SIGMA) -> NDArray[np.float64]:
+def tensor_vote(cloud: PointCloud, radius: float, sigma: float) -> NDArray[np.float64]:
     """Accumulate curvature-difference weighted projector votes per point.
 
     Each neighbor j of point i contributes
@@ -102,18 +99,14 @@ def edge_scores(tensors: NDArray[np.float64]) -> NDArray[np.float64]:
     return out
 
 
-def detect_edge_points(
-    cloud: PointCloud,
-    radius: float | None = None,
-    threshold: float = EDGE_SCORE_THRESHOLD,
-    sigma: float = TENSOR_SIGMA,
-) -> NDArray[np.int64]:
-    """Indices of points whose edge score is defined and >= threshold."""
-    if radius is None:
-        radius = 4.0 * median_spacing(cloud.points)
-    scores = edge_scores(tensor_vote(cloud, radius, sigma=sigma))
+def detect_edge_points(cloud: PointCloud, radius: float,
+                       config: PipelineConfig = PipelineConfig()) -> NDArray[np.int64]:
+    """Indices of points whose edge score is defined and at least
+    ``config.edge_threshold``, voting over ``radius`` with
+    ``config.tensor_sigma``."""
+    scores = edge_scores(tensor_vote(cloud, radius, config.tensor_sigma))
     with np.errstate(invalid="ignore"):
-        mask = ~np.isnan(scores) & (scores >= threshold)
+        mask = ~np.isnan(scores) & (scores >= config.edge_threshold)
     return np.nonzero(mask)[0].astype(np.int64)
 
 
@@ -218,7 +211,7 @@ def _circumcircles(a: Points, b: Points, c: Points):
     return centers, radii, cr, collinear
 
 
-def generate_hypotheses(edge_points, count: int, seed: int = 0) -> NDArray[np.float64]:
+def generate_hypotheses(edge_points, count: int, seed: int) -> NDArray[np.float64]:
     """Draw ``count`` random non-collinear triples and their circumcircles.
 
     Returns a ``(count, 7)`` array of rows ``[cx, cy, cz, nx, ny, nz, r]``
@@ -328,18 +321,18 @@ def _ball_means(tree: cKDTree, data: NDArray[np.float64], queries: NDArray[np.fl
 
 def reduce_hypotheses(
     hyps: NDArray[np.float64],
-    bandwidth: float = 0.05,
+    bandwidth: float,
     *,
     scale: float,
-    max_modes: int | None = None,
+    max_modes: int,
 ) -> list[Circle3D]:
     """Mean shift with a flat kernel over the 7-d circle parameter space.
 
     ``hyps`` holds ``generate_hypotheses`` rows ``[cx, cy, cz, nx, ny, nz, r]``;
     center and radius are divided by ``scale`` (``mcfs`` passes the diagonal
     of the edge points' bounding box) so the bandwidth is unitless. Returns
-    the circle of the hypothesis nearest to each surviving mode; when
-    ``max_modes`` is set, only the most populated modes survive.
+    the circle of the hypothesis nearest to each of the ``max_modes`` most
+    populated modes.
     """
     if len(hyps) == 0:
         raise ValueError("no hypotheses to reduce")
@@ -360,9 +353,7 @@ def reduce_hypotheses(
     # Group converged modes and keep one representative hypothesis each.
     assigned = _group_modes(modes, bandwidth / 2.0)
     populations = np.bincount(assigned)
-    order = np.argsort(-populations, kind="stable")
-    if max_modes is not None:
-        order = order[:max_modes]
+    order = np.argsort(-populations, kind="stable")[:max_modes]
     out = []
     for gi in order:
         members = np.nonzero(assigned == gi)[0]
@@ -503,21 +494,21 @@ def _parameter_change(a: Circle3D, b: Circle3D) -> float:
 
 def fit_circle_iterative(
     points,
-    eps: float = 0.1,
-    eta: float = 0.03,
-    max_iter: int = 150,
+    config: PipelineConfig = PipelineConfig(),
 ) -> tuple[Circle3D, NDArray[np.int64]]:
     """Circle fit with iterative outlier rejection.
 
-    Fits on the current inlier set, discards points farther than ``eps`` from
-    the circle, and repeats until the parameter change drops below ``eta`` or
-    ``max_iter`` is reached. The inlier set never grows back.
+    Fits on the current inlier set, discards points farther than
+    ``config.inlier_eps`` from the circle, and repeats until the parameter
+    change drops below ``config.eta`` or ``config.circle_max_iter`` fits are
+    made. The inlier set never grows back.
     """
+    eps, eta = config.inlier_eps, config.eta
     pts = as_points(points)
     active = np.arange(len(pts), dtype=np.int64)
     previous: Circle3D | None = None
     circle: Circle3D | None = None
-    for _ in range(max_iter):
+    for _ in range(config.circle_max_iter):
         if len(active) < 3:
             raise FitError("circle collapsed (fewer than 3 inliers)")
         circle = fit_circle_lsq(pts[active])
@@ -549,20 +540,21 @@ def fit_circle_iterative(
 def refine_coverage(
     circles: list[Circle3D],
     edge_points,
-    inlier_eps: float,
-    min_cluster: int = 10,
+    config: PipelineConfig = PipelineConfig(),
 ) -> CircleLabeling:
     """Greedy set cover over the fitted circles, dropping redundant ones.
 
     Circles are selected in order of how many still-uncovered edge points
-    they explain; a selection adding fewer than ``min_cluster`` new points
-    stops the process. A later circle is discarded as a duplicate when its
-    covered set is >= 80% contained in an earlier selection, or when its
-    parameters agree with an earlier circle within the edge band thickness
-    (``inlier_eps`` or three point spacings, whichever is larger). The latter
-    catches the stacked rim circles a thick edge band produces, whose cover
-    sets barely overlap even though they describe one physical feature.
+    they explain (within ``inlier_eps``); a selection adding fewer than
+    ``min_cluster`` new points stops the process. A later circle is discarded
+    as a duplicate when its covered set is >= 80% contained in an earlier
+    selection, or when its parameters agree with an earlier circle within the
+    edge band thickness (``inlier_eps`` or three point spacings, whichever is
+    larger). The latter catches the stacked rim circles a thick edge band
+    produces, whose cover sets barely overlap even though they describe one
+    physical feature. Both values come from ``config``.
     """
+    inlier_eps, min_cluster = config.inlier_eps, config.min_cluster
     pts = as_points(edge_points)
     n = len(pts)
     labels = np.full(n, -1, dtype=np.int64)
@@ -617,20 +609,14 @@ def _settle_circle(seed_points: Points, field_points: Points,
     the support arc onto the full rim.
     """
     try:
-        circle, _ = fit_circle_iterative(
-            seed_points, eps=config.inlier_eps,
-            eta=config.eta, max_iter=config.circle_max_iter,
-        )
+        circle, _ = fit_circle_iterative(seed_points, config)
         best = circle
         best_support = int((circle.distance(field_points) <= config.inlier_eps).sum())
         for _ in range(6):
             support = circle.distance(field_points) <= config.inlier_eps
             if support.sum() < 3:
                 break
-            updated, _ = fit_circle_iterative(
-                field_points[support], eps=config.inlier_eps,
-                eta=config.eta, max_iter=config.circle_max_iter,
-            )
+            updated, _ = fit_circle_iterative(field_points[support], config)
             count = int((updated.distance(field_points) <= config.inlier_eps).sum())
             if count > best_support:
                 best, best_support = updated, count
@@ -771,7 +757,7 @@ def mcfs(edge_points, config: PipelineConfig = PipelineConfig()) -> CircleLabeli
             if circle is not None:
                 circles.append(circle)
 
-    return refine_coverage(circles, pts, eps, min_cluster)
+    return refine_coverage(circles, pts, config)
 
 
 # ---------------------------------------------------------------------------

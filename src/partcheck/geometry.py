@@ -257,7 +257,7 @@ def strided_indices(n: int, cap: int) -> NDArray[np.int64]:
 # Mesh sampling and exact surface distance
 # ---------------------------------------------------------------------------
 
-def sample_mesh(mesh: TriangleMesh, count: int, seed: int = 0) -> PointCloud:
+def sample_mesh(mesh: TriangleMesh, count: int, seed: int) -> PointCloud:
     """Sample ``count`` points uniformly by area over the mesh surface.
 
     Deterministic for a fixed seed: identical calls return identical clouds.
@@ -426,7 +426,7 @@ def _subdivide_for_queries(tri: NDArray[np.float64]) -> NDArray[np.float64]:
 # Local surface estimates and pre-filtering
 # ---------------------------------------------------------------------------
 
-def estimate_normals_and_curvature(cloud: PointCloud, k: int = 16) -> PointCloud:
+def estimate_normals_and_curvature(cloud: PointCloud, k: int) -> PointCloud:
     """Attach PCA normals and surface-variation curvature to a cloud.
 
     The normal at a point is the smallest-eigenvalue direction of its
@@ -474,9 +474,8 @@ def estimate_normals_and_curvature(cloud: PointCloud, k: int = 16) -> PointCloud
     return replace(cloud, normals=normals, curvatures=curv)
 
 
-def remove_outliers(
-    cloud: PointCloud, k: int = 8, stddev_mult: float = 2.0
-) -> tuple[PointCloud, int]:
+def remove_outliers(cloud: PointCloud, k: int,
+                    stddev_mult: float) -> tuple[PointCloud, int]:
     """Statistical outlier removal by mean k-NN distance thresholding.
 
     Drops every point whose mean distance to its k nearest neighbors exceeds

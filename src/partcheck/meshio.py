@@ -114,11 +114,14 @@ def _read_ply(path: str | Path):
                                 f"{path}: declared {elem.count} {elem.name} rows, "
                                 f"data ends at row {row}"
                             )
-                        n = int(tokens[pos]); pos += 1
-                        if pos + n > len(tokens):
+                        try:
+                            n = int(tokens[pos])
+                            values = [int(t) for t in tokens[pos + 1:pos + 1 + n]]
+                        except ValueError as exc:
+                            raise MeshIOError(f"{path}: {elem.name} {row}: {exc}") from exc
+                        pos += 1 + n
+                        if pos > len(tokens):
                             raise MeshIOError(f"{path}: truncated list in {elem.name} {row}")
-                        values = [int(t) for t in tokens[pos:pos + n]]
-                        pos += n
                         if elem.name == "face":
                             faces.append(values)
                     else:
@@ -266,6 +269,12 @@ def load_mesh(path: str | Path) -> TriangleMesh:
     if not faces:
         raise MeshIOError(f"{path}: empty mesh (no faces)")
     tris = _fan_triangulate(faces, str(path))
+    n = len(vertices)
+    if tris.min() < 0 or tris.max() >= n:
+        # Every vertex of a face is a corner of one of its triangles.
+        i, v = next((i, v) for i, face in enumerate(faces) for v in face if not 0 <= v < n)
+        raise MeshIOError(f"{path}: face {i} names vertex {v} (counted from 0), "
+                          f"but the file has {n} vertices")
     tris = clean_triangles(vertices, tris)
     if len(tris) == 0:
         raise MeshIOError(f"{path}: empty mesh (all faces degenerate)")

@@ -425,33 +425,21 @@ def _register(scan: PointCloud, mesh: TriangleMesh, config: PipelineConfig):
     _, first = np.unique(scan.points, axis=0, return_index=True)
     if len(first) < len(scan):
         scan = scan.select(np.sort(first))
-    filtered, removed = remove_outliers(
-        scan, k=config.outlier_k, stddev_mult=config.outlier_stddev_mult)
+    filtered, removed = remove_outliers(scan, config.outlier_k, config.outlier_stddev_mult)
     if len(filtered) < config.normals_k + 1:
         raise StageError("input", ValueError(
             f"{len(filtered)} scan points remain after outlier removal and dropping "
             f"repeated points; normals need at least normals_k + 1 = {config.normals_k + 1}"))
     n_samples = config.mesh_samples or max(50_000, 2 * len(filtered))
     cad_samples = sample_mesh(mesh, n_samples, seed=config.seed)
-    fit, registered, e_reg = reg.register(
-        filtered, cad_samples, subsample=config.registration_subsample,
-        max_iter=config.icp_max_iter, tol=config.icp_tol)
+    fit, registered, e_reg = reg.register(filtered, cad_samples, config)
     return fit, registered, e_reg, removed
 
 
 def _part(registered: PointCloud, surface_dist: np.ndarray, config: PipelineConfig):
     """Segment the registered scan into primitives and measure each patch."""
-    enriched = estimate_normals_and_curvature(registered, k=config.normals_k)
-    coarse_config = prim.region_grow(
-        enriched,
-        k=config.region_k,
-        angle_thresh=np.deg2rad(config.region_angle_deg),
-        curv_thresh=config.region_curv_thresh,
-        min_points=config.min_points or None,
-        weights=(config.omega_f, config.omega_s, config.omega_c),
-        inlier_eps=config.inlier_eps,
-    )
-    refined = prim.refine(coarse_config)
+    enriched = estimate_normals_and_curvature(registered, config.normals_k)
+    refined = prim.refine(prim.region_grow(enriched, config))
     # ``enriched`` holds the registered points in the same order, so the
     # global stage's distances index directly by inlier.
     patch_dists = prim.patch_distances(refined, surface_dist)
@@ -468,8 +456,7 @@ def _feature(enriched: PointCloud, refined: prim.Configuration,
     (``refined``); the returned edge indices are the ones MCFS labels.
     """
     radius = config.tensor_radius_factor * median_spacing(enriched.points)
-    edge_idx = feat.detect_edge_points(
-        enriched, radius=radius, threshold=config.edge_threshold, sigma=config.tensor_sigma)
+    edge_idx = feat.detect_edge_points(enriched, radius, config)
     edge_idx = edge_idx[feat.off_crease_mask(
         enriched.points[edge_idx], refined, radius, np.deg2rad(config.region_angle_deg))]
     if len(edge_idx) < 3:

@@ -21,16 +21,8 @@ from numpy.typing import NDArray
 from scipy.optimize import least_squares
 from scipy.spatial import cKDTree
 
-from .geometry import (
-    PointCloud,
-    Points,
-    Vec3,
-    as_points,
-    canonical_sign,
-    estimate_normals_and_curvature,
-    strided_indices,
-    unit,
-)
+from .config import PipelineConfig
+from .geometry import PointCloud, Points, Vec3, as_points, canonical_sign, strided_indices, unit
 
 
 class FitError(RuntimeError):
@@ -247,12 +239,12 @@ def _pratt_circle_2d(xy: NDArray[np.float64]) -> tuple[float, float, float]:
     return float(cx), float(cy), float(np.sqrt(r2))
 
 
-def _normal_moments(pts: Points, normals: Points | None):
+def _normal_moments(normals: Points | None) -> NDArray[np.float64]:
+    """Second moment of the unoriented normals; the cylinder and cone fits
+    read their axis from it."""
     if normals is None:
-        cloud = PointCloud(points=pts)
-        normals = estimate_normals_and_curvature(cloud, k=min(10, len(pts) - 1)).normals
-    m = normals.T @ normals / len(normals)
-    return normals, m
+        raise FitError("cylinder and cone fits need point normals")
+    return normals.T @ normals / len(normals)
 
 
 def _fit_cylinder(pts: Points, normals: Points | None, init: Cylinder | None = None):
@@ -261,8 +253,7 @@ def _fit_cylinder(pts: Points, normals: Points | None, init: Cylinder | None = N
     if init is None:
         # Cylinder surface normals are orthogonal to the axis, so the axis is
         # the direction in which the normals' second moment vanishes.
-        _, m = _normal_moments(pts, normals)
-        evals, evecs = np.linalg.eigh(m)
+        _, evecs = np.linalg.eigh(_normal_moments(normals))
         w0 = unit(evecs[:, 0])
         u0, v0 = _ortho_basis(w0)
         xy = np.column_stack([(pts - centroid) @ u0, (pts - centroid) @ v0])
@@ -347,15 +338,14 @@ def _fit_cone(pts: Points, normals: Points | None, init: Cone | None = None):
                        float(np.clip(init.half_angle, 0.011, np.pi / 2 - 0.011))])
         return _polish_cone(pts, unit(init.axis), x0)
 
-    normals_, m = _normal_moments(pts, normals)
-    evals, evecs = np.linalg.eigh(m)
+    _, evecs = np.linalg.eigh(_normal_moments(normals))
     # The axis direction is ambiguous for steep cones; try each moment
     # eigenvector and keep the best converged fit.
     best = None
     last_err: FitError | None = None
     for col in range(3):
         try:
-            shape, rms = _fit_cone_once(pts, normals_, unit(evecs[:, col]))
+            shape, rms = _fit_cone_once(pts, normals, unit(evecs[:, col]))
         except FitError as exc:
             last_err = exc
             continue
@@ -387,13 +377,17 @@ def _fit_shape(kind: PrimitiveKind, pts: Points, normals: Points | None = None,
 
 @dataclass(eq=False)
 class Configuration:
-    """A set of primitives with disjoint inlier index sets over one cloud."""
+    """A set of primitives with disjoint inlier index sets over one cloud.
+
+    ``tunables`` is the record the set was grown under: ``energy`` reads its
+    weights, and ``split`` and ``merge`` its inlier band. ``min_points`` is
+    the least primitive size, resolved from ``tunables.min_points``.
+    """
 
     points: Points
     primitives: list[Primitive]
     min_points: int
-    weights: tuple[float, float, float] = (0.6, 0.25, 0.15)
-    inlier_eps: float = 0.1
+    tunables: PipelineConfig = PipelineConfig()
     normals: Points | None = None
 
     def __post_init__(self):
@@ -402,12 +396,6 @@ class Configuration:
             self.normals = as_points(self.normals)
         if self.min_points < 1:
             raise ValueError("min_points must be >= 1")
-        if self.inlier_eps <= 0:
-            raise ValueError("inlier_eps must be positive")
-        w = np.asarray(self.weights, dtype=float)
-        if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be non-negative and sum to 1")
-        self.weights = (float(w[0]), float(w[1]), float(w[2]))
         n = len(self.points)
         all_inliers = np.concatenate([p.inliers for p in self.primitives]) \
             if self.primitives else np.empty(0, dtype=np.int64)
@@ -456,8 +444,8 @@ def energy(config: Configuration) -> EnergyTerms:
     fidelity = dist_sum / n_assigned if n_assigned else 0.0
     simplicity = len(config.primitives) / n_max if n_max else 0.0
     completeness = 1.0 - n_assigned / config.n
-    wf, ws, wc = config.weights
-    total = wf * fidelity + ws * simplicity + wc * completeness
+    t = config.tunables
+    total = t.omega_f * fidelity + t.omega_s * simplicity + t.omega_c * completeness
     return EnergyTerms(total, fidelity, simplicity, completeness)
 
 
@@ -465,34 +453,28 @@ def energy(config: Configuration) -> EnergyTerms:
 # Region growing
 # ---------------------------------------------------------------------------
 
-def region_grow(
-    cloud: PointCloud,
-    k: int = 16,
-    angle_thresh: float = 0.35,
-    curv_thresh: float = 0.04,
-    min_points: int | None = None,
-    weights: tuple[float, float, float] = (0.6, 0.25, 0.15),
-    inlier_eps: float = 0.1,
-) -> Configuration:
+def region_grow(cloud: PointCloud, config: PipelineConfig = PipelineConfig()) -> Configuration:
     """Coarse segmentation by curvature-seeded region growing.
 
-    Seeds are visited in ascending curvature order; a neighbor joins when its
-    normal is within ``angle_thresh`` of the current point's and its own
-    curvature is below ``curv_thresh``. Each surviving region is fitted with
-    whichever primitive kind explains it best, trying plane, sphere and
-    cylinder first and the cone only when none of them fits the region to
-    within ``inlier_eps / 4`` RMS (see ``_best_kind_fit``).
+    Seeds are visited in ascending curvature order; of each point's
+    ``region_k`` neighbors, one joins when its normal is within
+    ``region_angle_deg`` of the point's and its curvature is below
+    ``region_curv_thresh``. Each region is fitted with whichever primitive
+    kind explains it best, trying plane, sphere and cylinder first and the
+    cone only when none of them fits the region to within ``inlier_eps / 4``
+    RMS (see ``_best_kind_fit``). All values come from ``config``; a
+    ``min_points`` of 0 there means max(30, n / 500).
     """
     if cloud.normals is None or cloud.curvatures is None:
         raise ValueError("region_grow needs normals and curvatures")
     pts = cloud.points
     n = len(pts)
-    if min_points is None:
-        min_points = max(30, n // 500)
-    _, idx = cKDTree(pts).query(pts, k=min(k, n - 1) + 1)
+    min_points = config.min_points or max(30, n // 500)
+    _, idx = cKDTree(pts).query(pts, k=min(config.region_k, n - 1) + 1)
     normals = cloud.normals
     curv = cloud.curvatures
-    cos_thresh = np.cos(angle_thresh)
+    cos_thresh = np.cos(np.deg2rad(config.region_angle_deg))
+    curv_thresh = config.region_curv_thresh
 
     assigned = np.full(n, -1, dtype=np.int64)
     regions: list[np.ndarray] = []
@@ -516,14 +498,13 @@ def region_grow(
         regions.append(np.asarray(members, dtype=np.int64))
 
     kinds = tuple(PrimitiveKind)
-    fitted = (_band_fit(pts, normals, members, inlier_eps, min_points, kinds)
+    fitted = (_band_fit(pts, normals, members, config.inlier_eps, min_points, kinds)
               for members in regions)
     return Configuration(
         points=pts,
         primitives=[p for p in fitted if p is not None],
         min_points=min_points,
-        weights=weights,
-        inlier_eps=inlier_eps,
+        tunables=config,
         normals=normals,
     )
 
@@ -616,7 +597,7 @@ def _adjacent(config: Configuration, a: Primitive, b: Primitive,
     if len(pa) > len(pb):
         pa, pb = pb, pa
     if gap is None:
-        gap = 2.0 * config.inlier_eps
+        gap = 2.0 * config.tunables.inlier_eps
     # The distance between the two bounding boxes bounds every pair's from
     # below, so boxes farther apart than ``gap`` need no tree.
     lo = np.maximum(pa.min(axis=0), pb.min(axis=0))
@@ -647,7 +628,11 @@ def split(config: Configuration, prim_index: int) -> tuple[Configuration, bool]:
     pa = pts[np.argmin(along)]
     pb = pts[np.argmax(along)]
     to_a = np.linalg.norm(pts - pa, axis=1) <= np.linalg.norm(pts - pb, axis=1)
-    halves = [_band_fit(config.points, config.normals, group, config.inlier_eps,
+    # The warm start is for speed: refitted cold, halves and merges give the
+    # same reports on the benchmark's plate, bracket and collage scenes, but
+    # collage's refine takes about 40 times as long (1.3-1.6 s against
+    # 0.03-0.04 s, unscaled, on a shared 2-core machine).
+    halves = [_band_fit(config.points, config.normals, group, config.tunables.inlier_eps,
                         config.min_points, (prim.kind,), prim.shape)
               for group in (prim.inliers[to_a], prim.inliers[~to_a])]
     if any(half is None for half in halves):
@@ -664,9 +649,10 @@ def merge(config: Configuration, i: int, j: int) -> tuple[Configuration, bool]:
     a, b = config.primitives[i], config.primitives[j]
     if a.kind != b.kind or not _adjacent(config, a, b):
         return config, False
+    # Warm-started from the larger side's shape, for speed (see ``split``).
     init = a.shape if len(a.inliers) >= len(b.inliers) else b.shape
     merged = _band_fit(config.points, config.normals, np.concatenate([a.inliers, b.inliers]),
-                       config.inlier_eps, config.min_points, (a.kind,), init)
+                       config.tunables.inlier_eps, config.min_points, (a.kind,), init)
     if merged is None:
         return config, False
     lo, hi = sorted((i, j))

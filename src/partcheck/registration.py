@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .config import PipelineConfig
 from .geometry import PointCloud, Points, RigidTransform, strided_indices
 
 
@@ -167,21 +168,20 @@ def icp_refine(
     source: PointCloud,
     target: PointCloud,
     init: RigidTransform | None = None,
-    max_iter: int = 100,
-    tol: float = 1e-6,
+    config: PipelineConfig = PipelineConfig(),
     target_tree: cKDTree | None = None,
 ) -> RegistrationResult:
     """Trimmed point-to-point ICP starting from ``init``.
 
     Correspondence pairs farther than 3x the median pair distance are
-    rejected each iteration. The reported RMSE sequence is non-increasing:
-    a step that would raise it is rolled back and iteration stops, and the
-    returned pose is always one whose RMSE was measured, also when
-    ``max_iter`` runs out. A prebuilt ``target_tree`` may be shared across
-    calls.
+    rejected each iteration. Iteration stops when the RMSE falls by less
+    than ``config.icp_tol`` or after ``config.icp_max_iter`` iterations.
+    The reported RMSE sequence is non-increasing: a step that would raise it
+    is rolled back and iteration stops, and the returned pose is always one
+    whose RMSE was measured, also when the iterations run out. A prebuilt
+    ``target_tree`` may be shared across calls.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    max_iter, tol = config.icp_max_iter, config.icp_tol
     src = source.points
     tree = cKDTree(target.points) if target_tree is None else target_tree
     transform = RigidTransform.identity() if init is None else init
@@ -238,21 +238,21 @@ def registration_error(registered: PointCloud, cad_samples: PointCloud,
     return float(d.mean())
 
 
-def register(source: PointCloud, target: PointCloud, subsample: int = 30000,
-             max_iter: int = 100, tol: float = 1e-6,
+def register(source: PointCloud, target: PointCloud, config: PipelineConfig = PipelineConfig(),
              ) -> tuple[RegistrationResult, PointCloud, float]:
     """Coarse-to-fine registration of ``source`` onto the ``target`` samples.
 
     ICP runs from each coarse candidate on the probe the coarse ranking
     scores (about 2,000 evenly strided points), and the candidate whose
     converged pose fits the probe best wins the race. One more ICP run on at
-    most ``subsample`` evenly strided source points then starts from the
-    winner's coarse candidate, so the probe only chooses and the fit uses
-    every subsampled point; when the subsample is no larger than the probe,
-    the race runs on the subsample and is the fit. Returns the winning
-    result, the whole source moved by it, and its ``registration_error``.
+    most ``config.registration_subsample`` evenly strided source points then
+    starts from the winner's coarse candidate, so the probe only chooses and
+    the fit uses every subsampled point; when the subsample is no larger
+    than the probe, the race runs on the subsample and is the fit. Returns
+    the winning result, the whole source moved by it, and its
+    ``registration_error``.
     """
-    icp_source = source.select(strided_indices(len(source), subsample))
+    icp_source = source.select(strided_indices(len(source), config.registration_subsample))
     probe = _probe(source.points)
     race = icp_source if len(icp_source) <= len(probe) else PointCloud(points=probe)
     tree = cKDTree(target.points)
@@ -263,13 +263,11 @@ def register(source: PointCloud, target: PointCloud, subsample: int = 30000,
     best = start = None
     best_cost = np.inf
     for candidate in coarse_candidates(source, target, count=3):
-        attempt = icp_refine(race, target, init=candidate, max_iter=max_iter,
-                             tol=tol, target_tree=tree)
+        attempt = icp_refine(race, target, init=candidate, config=config, target_tree=tree)
         cost = _capped_cost(tree, attempt.transform.apply(race.points))
         if best is None or cost < best_cost:
             best, start, best_cost = attempt, candidate, cost
     if race is not icp_source:
-        best = icp_refine(icp_source, target, init=start, max_iter=max_iter,
-                          tol=tol, target_tree=tree)
+        best = icp_refine(icp_source, target, init=start, config=config, target_tree=tree)
     registered = source.transformed(best.transform)
     return best, registered, registration_error(registered, target, target_tree=tree)

@@ -61,15 +61,21 @@ def parse_scene_spec(text: str) -> SceneSpec:
 
 # What each option must be beyond finite; the others may take any finite value.
 _COUNT = (lambda v: v >= 1 and v == int(v), "a whole number >= 1")
+_POSITIVE = (lambda v: v > 0, "finite and positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "finite and at least 0")
 _OPTION_RULES = {
-    "spacing": (lambda v: v > 0, "finite and positive"),
-    "noise": (lambda v: v >= 0, "finite and at least 0"),
+    **dict.fromkeys(("spacing", "width", "height", "thickness", "side", "a", "b", "c",
+                     "hole_r_min", "hole_r_max", "r_min", "r_max"), _POSITIVE),
+    "noise": _NON_NEGATIVE,
+    "defect_radius": _NON_NEGATIVE,
     "outlier_frac": (lambda v: 0 <= v < 1, "in [0, 1)"),
     "holes": _COUNT,
     "count": _COUNT,
     "circles": _COUNT,
     "points_per": _COUNT,
 }
+# Radius ranges (low, high): the low end may not pass the high one.
+_RANGES = (("hole_r_min", "hole_r_max"), ("r_min", "r_max"))
 
 
 def generate_synthetic_scene(spec: SceneSpec | str, seed: int = 0) -> SyntheticScene:
@@ -87,14 +93,23 @@ def generate_synthetic_scene(spec: SceneSpec | str, seed: int = 0) -> SyntheticS
     if spec.kind not in makers:
         raise ValueError(f"unknown scene kind '{spec.kind}'")
     maker = makers[spec.kind]
-    accepted = set(inspect.signature(maker).parameters) - {"seed"}
+    defaults = {name: p.default for name, p in inspect.signature(maker).parameters.items()
+                if name != "seed"}
     for key, value in spec.options.items():
-        if key not in accepted:
+        if key not in defaults:
             raise ValueError(f"unknown {spec.kind} option '{key}'; "
-                             f"expected one of {', '.join(sorted(accepted))}")
+                             f"expected one of {', '.join(sorted(defaults))}")
         valid, wanted = _OPTION_RULES.get(key, (lambda v: True, "finite"))
         if not (np.isfinite(value) and valid(value)):
             raise ValueError(f"{spec.kind} option {key}={value:g} must be {wanted}")
+    values = {**defaults, **spec.options}
+    for low, high in _RANGES:
+        if low in values and values[low] > values[high]:
+            if low in spec.options:
+                rule = f"{low}={values[low]:g} must be at most {high}={values[high]:g}"
+            else:
+                rule = f"{high}={values[high]:g} must be at least {low}={values[low]:g}"
+            raise ValueError(f"{spec.kind} option {rule}")
     return maker(seed=seed, **spec.options)
 
 
@@ -452,8 +467,11 @@ def plate_scene(
     """Plate with circular through-holes; the staple feature-level scenario.
 
     The scan covers the top surface, the hole bores and the outer walls (the
-    bottom face is occluded); the mesh models the full solid. An optional
-    disk-shaped defect presses the top surface down by ``defect_depth``.
+    bottom face is occluded); the mesh models the full solid. Each hole's
+    radius is drawn from [``hole_r_min``, ``hole_r_max``] and capped at 0.3
+    times the smaller side of its cell, so a large ``hole_r_max`` gives
+    holes of the cap's size. An optional disk-shaped defect presses the top
+    surface down by ``defect_depth``.
     """
     holes = int(holes)
     rng = np.random.default_rng(seed)

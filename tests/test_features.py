@@ -59,6 +59,11 @@ def as_circles(rows) -> list[Circle3D]:
     return [Circle3D(row[:3], row[6], row[3:6]) for row in rows]
 
 
+def edge_radius(cloud) -> float:
+    """The radius the feature stage votes over."""
+    return PipelineConfig().tensor_radius_factor * median_spacing(cloud.points)
+
+
 def bbox_diagonal(pts) -> float:
     """The scale ``mcfs`` passes to ``reduce_hypotheses``."""
     return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
@@ -73,14 +78,14 @@ class TestTensorVoting:
         rng = np.random.default_rng(0)
         pts = rng.uniform(0, 1, size=(50, 3))
         cloud = PointCloud(points=pts, curvatures=np.full(50, 0.25))
-        tensors = tensor_vote(cloud, radius=0.5)
+        tensors = tensor_vote(cloud, radius=0.5, sigma=0.5)
         assert np.abs(tensors).max() == 0.0
         assert np.isnan(edge_scores(tensors)).all()
 
     def test_isolated_point_undefined(self):
         pts = np.array([[0, 0, 0], [10, 0, 0], [0, 10, 0.0]])
         cloud = PointCloud(points=pts, curvatures=np.array([0.1, 0.2, 0.3]))
-        scores = edge_scores(tensor_vote(cloud, radius=0.5))
+        scores = edge_scores(tensor_vote(cloud, radius=0.5, sigma=0.5))
         assert np.isnan(scores).all()
 
     def test_two_neighbor_hand_case(self):
@@ -104,14 +109,14 @@ class TestTensorVoting:
         rng = np.random.default_rng(1)
         pts = rng.uniform(0, 1, size=(200, 3))
         cloud = PointCloud(points=pts, curvatures=rng.uniform(0, 0.3, 200))
-        tensors = tensor_vote(cloud, radius=0.3)
+        tensors = tensor_vote(cloud, radius=0.3, sigma=0.5)
         assert np.array_equal(tensors, tensors.transpose(0, 2, 1))
         assert np.linalg.eigvalsh(tensors).min() >= -1e-12
 
     def test_requires_curvatures(self):
         cloud = PointCloud(points=np.zeros((5, 3)))
         with pytest.raises(ValueError):
-            tensor_vote(cloud, radius=1.0)
+            tensor_vote(cloud, radius=1.0, sigma=0.5)
 
 
 class TestDetectEdgePoints:
@@ -121,7 +126,7 @@ class TestDetectEdgePoints:
         pts = np.array([(x, y, 0.0) for x in xs for y in xs])
         pts += rng.normal(scale=0.003, size=pts.shape)
         cloud = estimate_normals_and_curvature(PointCloud(points=pts), k=16)
-        assert len(detect_edge_points(cloud)) == 0
+        assert len(detect_edge_points(cloud, edge_radius(cloud))) == 0
 
     def test_plate_rim_concentration(self):
         scene = plate_scene(width=40, height=40, thickness=5, holes=4,
@@ -129,7 +134,7 @@ class TestDetectEdgePoints:
                             noise=0.004, seed=4)
         cloud = estimate_normals_and_curvature(scene.cloud, k=16)
         spacing = median_spacing(scene.cloud.points)
-        idx = detect_edge_points(cloud)
+        idx = detect_edge_points(cloud, edge_radius(cloud))
         assert len(idx) > 100
         d = edge_distance(scene.cloud.points[idx], scene.truth.edges)
         assert (d <= 2 * spacing).mean() >= 0.9
@@ -138,7 +143,7 @@ class TestDetectEdgePoints:
         rng = np.random.default_rng(3)
         pts = rng.uniform(0, 1, size=(300, 3))
         cloud = PointCloud(points=pts, curvatures=rng.uniform(0, 0.3, 300))
-        assert len(detect_edge_points(cloud, radius=0.3, threshold=np.inf)) == 0
+        assert len(detect_edge_points(cloud, 0.3, PipelineConfig(edge_threshold=3.0))) == 0
 
     def test_rigid_invariance(self):
         rng = np.random.default_rng(4)
@@ -373,7 +378,8 @@ class TestReduceHypotheses:
         c = Circle3D(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]))
         pts = circle_points(c, 60, rng=rng, noise=1e-4)
         hyps = generate_hypotheses(pts, 100, seed=3)
-        modes = reduce_hypotheses(hyps, bandwidth=0.05, scale=bbox_diagonal(pts))
+        modes = reduce_hypotheses(hyps, bandwidth=0.05, scale=bbox_diagonal(pts),
+                                  max_modes=len(hyps))
         assert len(modes) == 1
 
     def test_two_separated_circles_two_modes(self):
@@ -383,14 +389,16 @@ class TestReduceHypotheses:
         p1 = circle_points(c1, 50, rng=rng, noise=1e-4)
         p2 = circle_points(c2, 50, rng=rng, noise=1e-4)
         hyps = np.vstack([generate_hypotheses(p1, 60, seed=4), generate_hypotheses(p2, 60, seed=5)])
-        modes = reduce_hypotheses(hyps, bandwidth=0.05, scale=bbox_diagonal(np.vstack([p1, p2])))
+        modes = reduce_hypotheses(hyps, bandwidth=0.05, scale=bbox_diagonal(np.vstack([p1, p2])),
+                                  max_modes=len(hyps))
         assert len(modes) == 2
 
     def test_single_hypothesis_is_itself(self):
         c = Circle3D(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]))
         pts = circle_points(c, 30)
         hyps = generate_hypotheses(pts, 1, seed=0)
-        (mode,) = reduce_hypotheses(hyps, bandwidth=0.05, scale=bbox_diagonal(pts))
+        (mode,) = reduce_hypotheses(hyps, bandwidth=0.05, scale=bbox_diagonal(pts),
+                                    max_modes=len(hyps))
         assert np.array_equal(mode.center, hyps[0, :3])
         assert np.array_equal(mode.normal, hyps[0, 3:6])
         assert mode.radius == hyps[0, 6]
@@ -404,7 +412,8 @@ class TestReduceHypotheses:
         hyps = generate_hypotheses(pts, 700, seed=3)
         tracemalloc.start()
         try:
-            modes = reduce_hypotheses(hyps, bandwidth=0.05, scale=bbox_diagonal(pts))
+            modes = reduce_hypotheses(hyps, bandwidth=0.05, scale=bbox_diagonal(pts),
+                                      max_modes=len(hyps))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -476,7 +485,7 @@ class TestClusterLabels:
         pts = np.vstack([circle_points(c1, 80), circle_points(c2, 80)])
         truth = np.concatenate([np.zeros(80, int), np.ones(80, int)])
         hyps = reduce_hypotheses(generate_hypotheses(pts, 600, seed=3), 0.05,
-                                 scale=bbox_diagonal(pts))
+                                 scale=bbox_diagonal(pts), max_modes=600)
         labels = cluster_labels(residual_matrix(pts, hyps), 0.1, 10)
         assert labels.max() == 1
         assert misclassification_error(labels, truth) == pytest.approx(0.0)
@@ -491,7 +500,7 @@ class TestClusterLabels:
         junk = junk[keep]
         pts = np.vstack([ring, junk])
         hyps = reduce_hypotheses(generate_hypotheses(pts, 2000, seed=5), 0.05,
-                                 scale=bbox_diagonal(pts))
+                                 scale=bbox_diagonal(pts), max_modes=2000)
         labels = cluster_labels(residual_matrix(pts, hyps), 0.1, 10)
         predicted_outlier = labels[len(ring):] == -1
         assert predicted_outlier.mean() >= 0.9
@@ -501,7 +510,7 @@ class TestClusterLabels:
         c = Circle3D(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]))
         pts = circle_points(c, 80, rng=rng, noise=0.003)
         hyps = reduce_hypotheses(generate_hypotheses(pts, 300, seed=6), 0.05,
-                                 scale=bbox_diagonal(pts))
+                                 scale=bbox_diagonal(pts), max_modes=300)
         labels = cluster_labels(residual_matrix(pts, hyps), 0.1, 10)
         assert labels.max() == 0
         assert (labels == 0).mean() > 0.95
@@ -528,7 +537,7 @@ class TestIterativeCircleFit:
         outliers[:, 2] = rng.normal(scale=0.004, size=80)
         outliers = outliers[c.distance(outliers) > 0.2][:40]
         pts = np.vstack([ring, outliers])
-        fitted, inliers = fit_circle_iterative(pts, eps=0.1)
+        fitted, inliers = fit_circle_iterative(pts, PipelineConfig(inlier_eps=0.1))
         assert np.linalg.norm(fitted.center - c.center) < 1e-3
         assert fitted.radius == pytest.approx(1.5, abs=1e-3)
         assert len(inliers) >= 0.8 * len(ring)
@@ -551,7 +560,7 @@ class TestIterativeCircleFit:
         c = Circle3D(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]))
         pts = np.vstack([circle_points(c, 100, rng=rng, noise=0.01),
                          rng.uniform(-2, 2, (50, 3))])
-        _, inliers = fit_circle_iterative(pts, eps=0.1)
+        _, inliers = fit_circle_iterative(pts, PipelineConfig(inlier_eps=0.1))
         assert len(inliers) <= len(pts)
 
 
@@ -561,7 +570,7 @@ class TestRefineCoverage:
         c = Circle3D(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]))
         pts = circle_points(c, 80, rng=rng, noise=0.005)
         dup = Circle3D(c.center + (0.003, 0, 0), 1.001, c.normal)
-        out = refine_coverage([c, dup], pts, 0.1)
+        out = refine_coverage([c, dup], pts, PipelineConfig(inlier_eps=0.1))
         assert len(out.circles) == 1
 
     def test_disjoint_circles_survive(self):
@@ -570,7 +579,7 @@ class TestRefineCoverage:
         c2 = Circle3D(np.array([7.0, 0.0, 0.0]), 1.2, np.array([0.0, 0.0, 1.0]))
         pts = np.vstack([circle_points(c1, 60, rng=rng, noise=0.004),
                          circle_points(c2, 60, rng=rng, noise=0.004)])
-        out = refine_coverage([c1, c2], pts, 0.1)
+        out = refine_coverage([c1, c2], pts, PipelineConfig(inlier_eps=0.1))
         assert len(out.circles) == 2
         assert (out.labels >= 0).all()
 
@@ -582,7 +591,7 @@ class TestRefineCoverage:
         c3 = Circle3D(np.array([0.6, 0.9, 0.0]), 1.0, np.array([0.0, 0.0, 1.0]))
         circles = [c1, c2, c3]
         pts = np.vstack([circle_points(c, 4, rng=rng, noise=0.01) for c in circles])
-        out = refine_coverage(circles, pts, inlier_eps=0.1, min_cluster=2)
+        out = refine_coverage(circles, pts, PipelineConfig(inlier_eps=0.1, min_cluster=2))
         covered = {i for i in range(len(pts)) if out.labels[i] >= 0}
         best_size = None
         cover_sets = [set(np.nonzero(c.distance(pts) <= 0.1)[0]) for c in circles]
@@ -611,7 +620,7 @@ class TestMCFS:
     def test_sixteen_hole_plate(self):
         scene = plate_scene(holes=16, spacing=0.45, noise=0.005, seed=0)
         cloud = estimate_normals_and_curvature(scene.cloud, k=16)
-        idx = detect_edge_points(cloud)
+        idx = detect_edge_points(cloud, edge_radius(cloud))
         labeling = mcfs(cloud.points[idx], PipelineConfig(seed=7))
         fn, fp, _ = score_circles(labeling.circles, scene.truth.circles, match_tol=1.0)
         assert fn == 0 and fp == 0
@@ -639,7 +648,7 @@ class TestMCFS:
         pts = np.array([(x, y, 0.0) for x in xs for y in xs])
         pts += rng.normal(scale=0.002, size=pts.shape)
         cloud = estimate_normals_and_curvature(PointCloud(points=pts), k=16)
-        idx = detect_edge_points(cloud)
+        idx = detect_edge_points(cloud, edge_radius(cloud))
         assert len(idx) == 0
         with pytest.raises(ValueError):
             mcfs(pts[idx], PipelineConfig())

@@ -244,7 +244,7 @@ class TestSampleMesh:
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
-            sample_mesh(UNIT_SQUARE, 0)
+            sample_mesh(UNIT_SQUARE, 0, seed=0)
 
     def test_area_proportional_selection(self):
         # Two triangles with a 3:1 area ratio share the plane z=0.

@@ -1,5 +1,7 @@
 """File round trips and malformed-input handling for PLY / OBJ / XYZ."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,10 @@ end_header
 1 0 0
 0 1 0
 """
+
+# Put in place of ASCII_PLY_3's end_header, it declares one face; the
+# test appends the face row after the vertices.
+FACE_ELEMENT = "element face 1\nproperty list uchar int vertex_indices\nend_header"
 
 OBJ_CUBE = """
 v 0 0 0
@@ -180,6 +186,24 @@ class TestMeshLoading:
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/1 2/2/2 -1\n")
         mesh = load_mesh(path)
         assert len(mesh.triangles) == 1
+
+    def test_ply_face_naming_a_missing_vertex_errors(self, tmp_path):
+        path = tmp_path / "bad_index.ply"
+        path.write_text(ASCII_PLY_3.replace("end_header", FACE_ELEMENT) + "3 0 1 7\n")
+        with pytest.raises(MeshIOError, match=re.escape(f"{path}: face 0 names vertex 7")):
+            load_mesh(path)
+
+    def test_obj_face_naming_a_missing_vertex_errors(self, tmp_path):
+        path = tmp_path / "bad_index.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2 8\n")
+        with pytest.raises(MeshIOError, match=re.escape(f"{path}: face 1 names vertex 7")):
+            load_mesh(path)
+
+    def test_ply_face_with_a_bad_token_errors(self, tmp_path):
+        path = tmp_path / "bad_token.ply"
+        path.write_text(ASCII_PLY_3.replace("end_header", FACE_ELEMENT) + "3 0 1 x\n")
+        with pytest.raises(MeshIOError, match=re.escape(f"{path}: face 0: ") + ".*'x'"):
+            load_mesh(path)
 
     def test_ply_mesh_round_trip(self, tmp_path):
         path = tmp_path / "cube.obj"

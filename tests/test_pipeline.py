@@ -194,7 +194,7 @@ def test_missing_scan_exits_2(scene_files, tmp_path):
 
 
 @pytest.mark.parametrize("line", ["no_such_key = 1", "min_points = 1.7", "seed = abc",
-                                  "inlier_eps = nan", "omega_f = nan"])
+                                  "inlier_eps = nan", "omega_f = nan", "omega_f = 0.5"])
 def test_bad_config_exits_2(scene_files, tmp_path, line):
     config = tmp_path / "config.txt"
     config.write_text(line + "\n")
@@ -351,7 +351,11 @@ def test_synth_unknown_option_exits_2(tmp_path, spec):
 
 @pytest.mark.parametrize("spec", ["plate holes=0", "plate spacing=0", "cube outlier_frac=1",
                                   "plate spacing=-1", "bracket noise=-1", "plate noise=nan",
-                                  "plate holes=2.5"])
+                                  "plate holes=2.5", "plate thickness=0", "plate thickness=-2",
+                                  "bracket a=-1", "plate width=-5", "cube side=0",
+                                  "plate hole_r_min=5 hole_r_max=2", "plate hole_r_max=2",
+                                  "circles r_min=0", "circles r_min=2 r_max=1",
+                                  "bracket defect_radius=-1"])
 def test_synth_bad_option_value_exits_2(tmp_path, spec):
     result = CliRunner().invoke(main, ["synth", spec, "--out", str(tmp_path)])
     assert result.exit_code == EXIT_INPUT_ERROR, result.output

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from partcheck import primitives
+from partcheck.config import PipelineConfig
 from partcheck.geometry import (
     PointCloud,
     RigidTransform,
@@ -64,6 +65,11 @@ def sphere_points(rng, radius=1.5, n=300):
     return radius * v
 
 
+def normals_of(pts):
+    """PCA normals at k = 10, which the cylinder and cone fits read."""
+    return estimate_normals_and_curvature(PointCloud(points=pts), k=10).normals
+
+
 def plane_points(rng, n=300, extent=2.0):
     pts = rng.uniform(-extent, extent, size=(n, 3))
     pts[:, 2] = 0.0
@@ -91,13 +97,15 @@ class TestFitPrimitive:
 
     def test_cylinder_noiseless(self):
         rng = np.random.default_rng(1)
-        cyl, _ = _fit_shape(PrimitiveKind.CYLINDER, cylinder_points(rng))
+        pts = cylinder_points(rng)
+        cyl, _ = _fit_shape(PrimitiveKind.CYLINDER, pts, normals_of(pts))
         assert cyl.radius == pytest.approx(2.0, abs=1e-6)
         assert abs(abs(cyl.axis[2]) - 1.0) < 1e-6
 
     def test_cone_noiseless(self):
         rng = np.random.default_rng(2)
-        cone, _ = _fit_shape(PrimitiveKind.CONE, cone_points(rng))
+        pts = cone_points(rng)
+        cone, _ = _fit_shape(PrimitiveKind.CONE, pts, normals_of(pts))
         assert cone.half_angle == pytest.approx(np.pi / 6, abs=1e-4)
         assert np.abs(cone.apex).max() < 1e-3
 
@@ -119,7 +127,7 @@ class TestFitPrimitive:
         pts = cylinder_points(rng, radius=1.0, n=600, z_range=(0, 3))
         pts += rng.normal(scale=0.005, size=pts.shape)
         with pytest.raises(FitError, match="apex out of range"):
-            _fit_shape(PrimitiveKind.CONE, pts)
+            _fit_shape(PrimitiveKind.CONE, pts, normals_of(pts))
         seed = Cone(np.array([0.0, 0.0, -20.0]), np.array([0.0, 0.0, 1.0]), 0.05)
         with pytest.raises(FitError, match="apex out of range"):
             _fit_shape(PrimitiveKind.CONE, pts, init=seed)
@@ -150,15 +158,17 @@ class TestFitPrimitive:
         rng = np.random.default_rng(4)
         transform = random_rigid(rng)
         cyl_pts = cylinder_points(rng, radius=1.3, n=300)
-        base, _ = _fit_shape(PrimitiveKind.CYLINDER, cyl_pts)
-        moved, _ = _fit_shape(PrimitiveKind.CYLINDER, transform.apply(cyl_pts))
+        moved_pts = transform.apply(cyl_pts)
+        base, _ = _fit_shape(PrimitiveKind.CYLINDER, cyl_pts, normals_of(cyl_pts))
+        moved, _ = _fit_shape(PrimitiveKind.CYLINDER, moved_pts, normals_of(moved_pts))
         assert moved.radius == pytest.approx(base.radius, abs=1e-9)
         expected_axis = transform.apply_directions(base.axis.reshape(1, 3))[0]
         assert abs(abs(expected_axis @ moved.axis) - 1.0) < 1e-9
 
         cone_pts = cone_points(rng, half_angle=0.5, n=300)
-        base_c, _ = _fit_shape(PrimitiveKind.CONE, cone_pts)
-        moved_c, _ = _fit_shape(PrimitiveKind.CONE, transform.apply(cone_pts))
+        moved_pts = transform.apply(cone_pts)
+        base_c, _ = _fit_shape(PrimitiveKind.CONE, cone_pts, normals_of(cone_pts))
+        moved_c, _ = _fit_shape(PrimitiveKind.CONE, moved_pts, normals_of(moved_pts))
         assert moved_c.half_angle == pytest.approx(base_c.half_angle, abs=1e-9)
         assert np.allclose(moved_c.apex,
                            transform.apply(base_c.apex.reshape(1, 3))[0], atol=1e-6)
@@ -173,10 +183,10 @@ class TestFitPrimitive:
             PrimitiveKind.CONE: cone_points(rng),
         }
         for true_kind, pts in generators.items():
-            _, own = _fit_shape(true_kind, pts)
+            _, own = _fit_shape(true_kind, pts, normals_of(pts))
             for other in PrimitiveKind:
                 try:
-                    _, rms = _fit_shape(other, pts)
+                    _, rms = _fit_shape(other, pts, normals_of(pts))
                 except FitError:
                     continue
                 assert own <= rms + 1e-9
@@ -195,7 +205,8 @@ class TestPrimitiveDistance:
         rng = np.random.default_rng(6)
         u = rng.uniform(0, 2 * np.pi, 1_000_000)
 
-        cyl, _ = _fit_shape(PrimitiveKind.CYLINDER, cylinder_points(rng, radius=1.5))
+        pts = cylinder_points(rng, radius=1.5)
+        cyl, _ = _fit_shape(PrimitiveKind.CYLINDER, pts, normals_of(pts))
         z = rng.uniform(-4, 4, len(u))
         surf = np.column_stack([1.5 * np.cos(u), 1.5 * np.sin(u), z])
         for _ in range(5):
@@ -205,7 +216,8 @@ class TestPrimitiveDistance:
             if abs(p[2]) < 3.0:   # inside the densely sampled span
                 assert abs(got - dense) < 5e-3
 
-        cone, _ = _fit_shape(PrimitiveKind.CONE, cone_points(rng, half_angle=0.5))
+        pts = cone_points(rng, half_angle=0.5)
+        cone, _ = _fit_shape(PrimitiveKind.CONE, pts, normals_of(pts))
         h = rng.uniform(0.0, 5.0, len(u))
         r = h * np.tan(0.5)
         surf = np.column_stack([r * np.cos(u), r * np.sin(u), h])
@@ -215,7 +227,8 @@ class TestPrimitiveDistance:
             assert abs(cone.distance(p)[0] - dense) < 5e-3
 
     def test_cone_apex_clamp(self):
-        cone, _ = _fit_shape(PrimitiveKind.CONE, cone_points(np.random.default_rng(7)))
+        pts = cone_points(np.random.default_rng(7))
+        cone, _ = _fit_shape(PrimitiveKind.CONE, pts, normals_of(pts))
         # Behind the apex the nearest surface point is the apex itself.
         assert cone.distance((0, 0, -2.0))[0] == pytest.approx(2.0, abs=1e-3)
 
@@ -236,7 +249,7 @@ class TestRegionGrow:
         b = np.array([(x, 6.0, z) for x in xs for z in np.linspace(0.3, 4.3, 34)])
         pts = np.vstack([a, b]) + rng.normal(scale=0.002, size=(len(a) + len(b), 3))
         cloud = enriched_cloud(pts)
-        config = region_grow(cloud, min_points=30)
+        config = region_grow(cloud, PipelineConfig(min_points=30))
         assert len(config.primitives) == 2
         assert all(p.kind is PrimitiveKind.PLANE for p in config.primitives)
         labels = config.labels()
@@ -252,7 +265,7 @@ class TestRegionGrow:
         xs = np.linspace(0, 4, 40)
         pts = np.array([(x, y, 0.0) for x in xs for y in xs])
         pts += rng.normal(scale=0.001, size=pts.shape)
-        config = region_grow(enriched_cloud(pts), min_points=30)
+        config = region_grow(enriched_cloud(pts), PipelineConfig(min_points=30))
         assert len(config.primitives) == 1
         assert config.primitives[0].kind is PrimitiveKind.PLANE
 
@@ -260,7 +273,8 @@ class TestRegionGrow:
         rng = np.random.default_rng(10)
         pts = rng.normal(size=(1500, 3))
         pts = pts[np.linalg.norm(pts, axis=1) < 1.0]
-        config = region_grow(enriched_cloud(pts), min_points=30, curv_thresh=0.04)
+        config = region_grow(enriched_cloud(pts),
+                             PipelineConfig(min_points=30, region_curv_thresh=0.04))
         assert len(config.primitives) == 0
 
     def test_all_four_kinds_with_one_cone_fit(self, monkeypatch):
@@ -289,7 +303,7 @@ class TestRegionGrow:
         fit_cone = primitives._fit_cone
         monkeypatch.setattr(primitives, "_fit_cone",
                             lambda *a, **k: calls.append(1) or fit_cone(*a, **k))
-        config = region_grow(enriched_cloud(pts), min_points=30)
+        config = region_grow(enriched_cloud(pts), PipelineConfig(min_points=30))
         assert {p.kind for p in config.primitives} == set(PrimitiveKind)
         assert len(calls) == 1
 
@@ -297,7 +311,7 @@ class TestRegionGrow:
         # Normals are unoriented: flipping any of them must leave every fit,
         # the cone's and the cylinder's included, unchanged bit for bit.
         scene = generate_synthetic_scene("collage count=2 spacing=0.2 noise=0.01", seed=2)
-        cloud = estimate_normals_and_curvature(scene.cloud)
+        cloud = estimate_normals_and_curvature(scene.cloud, k=16)
         signs = np.random.default_rng(25).choice([-1.0, 1.0], size=len(cloud))
         flipped = replace(cloud, normals=cloud.normals * signs[:, None])
         base = region_grow(cloud).primitives
@@ -321,13 +335,15 @@ class TestRegionGrow:
 
 def plane_config(points, groups, min_points, weights=(0.6, 0.25, 0.15), eps=0.1,
                  kind=PrimitiveKind.PLANE):
+    tunables = PipelineConfig(omega_f=weights[0], omega_s=weights[1], omega_c=weights[2],
+                              inlier_eps=eps)
     prims = []
     for idx in groups:
         idx = np.asarray(idx, dtype=np.int64)
         shape, _ = _fit_shape(kind, points[idx])
         prims.append(Primitive(shape, idx))
     return Configuration(points=points, primitives=prims, min_points=min_points,
-                         weights=weights, inlier_eps=eps)
+                         tunables=tunables)
 
 
 class TestEnergy:
@@ -392,7 +408,7 @@ class TestEnergy:
         pts = np.zeros((20, 3))
         with pytest.raises(ValueError):
             Configuration(points=pts, primitives=[], min_points=10,
-                          weights=(0.5, 0.5, 0.5))
+                          tunables=PipelineConfig(omega_f=0.5, omega_s=0.5, omega_c=0.5))
         plane, _ = _fit_shape(PrimitiveKind.PLANE,
                               np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0.0]]))
         overlapping = [
@@ -474,7 +490,7 @@ class TestMerge:
         pts = np.vstack([plane_points(rng, n=100),
                          cylinder_points(rng, radius=1.0, n=100) + (0, 0, 5.0)])
         plane_fit, _ = _fit_shape(PrimitiveKind.PLANE, pts[:100])
-        cyl_fit, _ = _fit_shape(PrimitiveKind.CYLINDER, pts[100:])
+        cyl_fit, _ = _fit_shape(PrimitiveKind.CYLINDER, pts[100:], normals_of(pts[100:]))
         config = Configuration(
             points=pts,
             primitives=[
@@ -528,7 +544,7 @@ def oversegmented_cube():
     from partcheck.synth import cube_scene
     scene = cube_scene(side=8.0, spacing=0.28, noise=0.004, seed=3)
     cloud = estimate_normals_and_curvature(scene.cloud, k=16)
-    config = region_grow(cloud, min_points=30)
+    config = region_grow(cloud, PipelineConfig(min_points=30))
     work = config
     forced = 0
     for index in range(len(config.primitives)):

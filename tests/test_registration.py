@@ -202,7 +202,7 @@ class TestICP:
                             .apply(rng.uniform(size=(300, 3)) * dims))
         previous = np.inf
         for max_iter in range(1, 7):
-            result = icp_refine(source, target, max_iter=max_iter)
+            result = icp_refine(source, target, config=PipelineConfig(icp_max_iter=max_iter))
             actual = trimmed_rmse(result.transform.apply(source.points), target)
             assert result.rmse == pytest.approx(actual, rel=1e-12, abs=0.0)
             assert actual <= previous
@@ -211,7 +211,7 @@ class TestICP:
     def test_max_iter_validated(self):
         cloud = PointCloud(points=np.random.default_rng(0).normal(size=(10, 3)))
         with pytest.raises(ValueError):
-            icp_refine(cloud, cloud, max_iter=0)
+            icp_refine(cloud, cloud, config=PipelineConfig(icp_max_iter=0))
 
 
 class TestRegister:
@@ -220,7 +220,8 @@ class TestRegister:
         source = blob_cloud(rng, n=1200)
         truth = RigidTransform(rotation_about_z(90.0), np.array([5.0, 0.0, 0.0]))
         target = PointCloud(points=truth.apply(source.points))
-        result, registered, e_reg = register(source, target, subsample=500)
+        result, registered, e_reg = register(source, target,
+                                             PipelineConfig(registration_subsample=500))
         assert result.converged
         assert np.abs(registered.points - target.points).max() < 1e-6
         assert e_reg < 1e-6

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from partcheck import features
+from partcheck import features, pipeline
 from partcheck.config import PipelineConfig
+from test_pipeline import SPEC
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -51,3 +52,22 @@ def test_hypothesis_spans_open_under_mcfs(spans):
     first = next(s for s in tracer.spans if s.name == "features.generate_hypotheses")
     expected = min(params.hypotheses_per_point * len(pts), params.max_hypotheses)
     assert first.counts["drawn"] == expected == 4000
+
+
+def test_traced_run_reads_every_hook(spans):
+    # The benchmark's count lambdas read hooked functions' arguments by
+    # position or name (``refine``'s first as ``config``), so a whole traced
+    # run must complete, open every stage's spans and yield every metric.
+    scene = pipeline.generate_synthetic_scene(pipeline.parse_scene_spec(SPEC), seed=1)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        # Looked up in the module, where the tracer wraps it.
+        report = pipeline.run_pipeline(scene.cloud, scene.mesh, PipelineConfig())
+    metrics = spans.layer_metrics(tracer, report)
+    assert metrics["trace.missing_hooks"] == 0
+    opened = {s.name for s in tracer.spans}
+    for name in ("registration.coarse", "registration.icp", "geometry.remove_outliers",
+                 "primitives.region_grow", "primitives.refine", "features.detect_edges"):
+        assert name in opened, name
+    assert metrics["geometry.points_in"] - metrics["geometry.points_out"] == report.outliers_removed
+    assert metrics["primitives.regions"] == len(report.primitive_rows)
