@@ -101,7 +101,8 @@ class PipelineConfig:
 
     @staticmethod
     def from_file(path: str | Path) -> "PipelineConfig":
-        """Flat key/value text; unknown keys are rejected, missing keys default."""
+        """Flat key/value text; unknown and repeated keys are rejected,
+        missing keys default."""
         valid = {f.name: f.type for f in fields(PipelineConfig)}
         overrides = {}
         lines = {}
@@ -114,6 +115,9 @@ class PipelineConfig:
             key, value = (part.strip() for part in stripped.split("=", 1))
             if key not in valid:
                 raise ValueError(f"{path}: line {lineno}: unknown key '{key}'")
+            if key in lines:
+                raise ValueError(
+                    f"{path}: line {lineno}: '{key}' is already set on line {lines[key]}")
             try:
                 number = float(value)
             except ValueError:

@@ -2,16 +2,20 @@
 
 Coarse alignment matches centroids and principal axes, ranking the axis sign
 assignments and in-plane spins by nearest-neighbor cost on a probe of about
-2,000 scan points. The fine stage is trimmed point-to-point ICP with a
-closed-form SVD pose update: the best coarse candidates race on the same
-probe, and only the winner is fitted on the full subsample (choose on a
-sample, fit on all points, after Rusinkiewicz & Levoy, "Efficient Variants
-of the ICP Algorithm", 3DIM 2001).
+2,000 scan points. Where spins make the rotations many, every rotation is
+first scored on every 16th probe point, and only the best 32 of that rough
+ranking are scored again on the whole probe, 32 more at a time while they
+hold too few distinct candidates. The fine stage is trimmed point-to-point
+ICP with a closed-form SVD pose update: the best coarse candidates race on
+the same probe, and only the winner is fitted on the full subsample. Both
+stages choose on a sample and fit on all points, after Rusinkiewicz &
+Levoy, "Efficient Variants of the ICP Algorithm", 3DIM 2001.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +63,10 @@ def _principal_axes(points: Points):
 
 
 _PROBE_POINTS = 2000
+# The rough ranking reads every 16th probe point (about 125); the whole probe
+# re-scores its best 32 rotations at a time (see coarse_candidates).
+_ROUGH_STRIDE = 16
+_RESCORED = 32
 
 _SIGN_COMBOS = (
     np.diag([1.0, 1.0, 1.0]),
@@ -90,6 +98,15 @@ def coarse_candidates(source: PointCloud, target: PointCloud,
     Near-symmetric parts can fool the coarse cost (a flipped pose of a plate
     scores almost identically when the scan misses one face), so
     ``register`` runs the fine stage from each candidate.
+
+    The ranking is exact on the probe only for the rotations it re-scores:
+    with more than ``_RESCORED`` rotations, those are the best of a rough
+    ranking on every ``_ROUGH_STRIDE``-th probe point, taken ``_RESCORED`` at
+    a time until they hold ``count`` distinct candidates or run out. The
+    result equals that of scoring every rotation on the whole probe unless a
+    rotation left out of the re-scored ones would score below the last
+    candidate returned; once every rotation has been re-scored it equals it
+    always.
     A rank-deficient covariance warns and yields the centroid translation.
     """
     ps, pt = source.points, target.points
@@ -103,16 +120,16 @@ def coarse_candidates(source: PointCloud, target: PointCloud,
             stacklevel=2,
         )
         return [RigidTransform(np.eye(3), ct - cs)]
-    ranked = _ranked_candidates(ps, pt, cs, ct,
-                                _coarse_rotations(axes_s, axes_t, evals_s, evals_t))
-    # Keep rotations that genuinely differ from better-ranked ones.
-    distinct: list[RigidTransform] = []
-    for cand in ranked:
-        if all(_rotation_gap(cand.rotation, kept.rotation) > np.deg2rad(10.0)
-               for kept in distinct):
-            distinct.append(cand)
-        if len(distinct) >= count:
-            break
+    rotations = _coarse_rotations(axes_s, axes_t, evals_s, evals_t)
+    for ranked in _ranked_candidates(ps, pt, cs, ct, rotations):
+        # Keep rotations that genuinely differ from better-ranked ones.
+        distinct: list[RigidTransform] = []
+        for cand in ranked:
+            if all(_rotation_gap(cand.rotation, kept.rotation) > np.deg2rad(10.0)
+                   for kept in distinct):
+                distinct.append(cand)
+            if len(distinct) >= count:
+                return distinct
     return distinct
 
 
@@ -153,15 +170,22 @@ def _coarse_rotations(axes_s, axes_t, evals_s, evals_t) -> list[np.ndarray]:
     return [axes_t @ spin @ signs @ axes_s.T for signs in _SIGN_COMBOS for spin in spins]
 
 
-def _ranked_candidates(ps, pt, cs, ct, rotations) -> list[RigidTransform]:
+def _ranked_candidates(ps, pt, cs, ct, rotations) -> Iterator[list[RigidTransform]]:
+    """Yield the candidates scored on the whole probe so far, sorted by
+    (cost, index), with ``_RESCORED`` more of the rough ranking each time."""
     probe = _probe(ps)
     tree = cKDTree(pt)
-    scored: list[tuple[float, int, RigidTransform]] = []
-    for i, r in enumerate(rotations):
-        candidate = RigidTransform(r, ct - r @ cs)
-        scored.append((_capped_cost(tree, candidate.apply(probe)), i, candidate))
-    scored.sort(key=lambda item: (item[0], item[1]))
-    return [item[2] for item in scored]
+    candidates = [RigidTransform(r, ct - r @ cs) for r in rotations]
+    order = range(len(candidates))
+    if len(candidates) > _RESCORED:
+        rough = probe[::_ROUGH_STRIDE]
+        order = sorted(order, key=lambda i: (_capped_cost(tree, candidates[i].apply(rough)), i))
+    scored: list[tuple[float, int]] = []
+    for start in range(0, len(order), _RESCORED):
+        scored.extend((_capped_cost(tree, candidates[i].apply(probe)), i)
+                      for i in order[start:start + _RESCORED])
+        scored.sort()
+        yield [candidates[i] for _, i in scored]
 
 
 def icp_refine(

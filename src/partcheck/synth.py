@@ -110,6 +110,10 @@ def generate_synthetic_scene(spec: SceneSpec | str, seed: int = 0) -> SyntheticS
             else:
                 rule = f"{high}={values[high]:g} must be at least {low}={values[low]:g}"
             raise ValueError(f"{spec.kind} option {rule}")
+    if spec.kind == "plate" and values["defect_depth"] >= values["thickness"]:
+        # A dent through the plate would leave scan points below its bottom.
+        raise ValueError(f"plate option defect_depth={values['defect_depth']:g} must be "
+                         f"less than thickness={values['thickness']:g}")
     return maker(seed=seed, **spec.options)
 
 
@@ -471,7 +475,7 @@ def plate_scene(
     radius is drawn from [``hole_r_min``, ``hole_r_max``] and capped at 0.3
     times the smaller side of its cell, so a large ``hole_r_max`` gives
     holes of the cap's size. An optional disk-shaped defect presses the top
-    surface down by ``defect_depth``.
+    surface down by ``defect_depth``, which must be less than ``thickness``.
     """
     holes = int(holes)
     rng = np.random.default_rng(seed)

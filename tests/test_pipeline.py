@@ -236,6 +236,17 @@ def test_meaningless_float_config_exits_2(scene_files, tmp_path, field, value, m
     assert message in result.output
 
 
+def test_repeated_config_key_exits_2(scene_files, tmp_path):
+    config = tmp_path / "config.txt"
+    config.write_text("seed = 1\n# again\nseed = 2\n")
+    with pytest.raises(ValueError, match="line 3: 'seed' is already set on line 1"):
+        PipelineConfig.from_file(config)
+    result = assess(scene_files / "scan.ply", scene_files / "mesh.ply",
+                    "--config", config, "--out", tmp_path)
+    assert result.exit_code == EXIT_INPUT_ERROR
+    assert "line 3: 'seed' is already set on line 1" in result.output
+
+
 def test_infinite_stddev_mult_is_accepted(tmp_path):
     # remove_outliers reads an infinite multiple as "keep every point".
     path = tmp_path / "config.txt"
@@ -361,3 +372,13 @@ def test_synth_bad_option_value_exits_2(tmp_path, spec):
     assert result.exit_code == EXIT_INPUT_ERROR, result.output
     key = spec.split()[1].split("=")[0]
     assert f"input error: {spec.split()[0]} option {key}=" in result.output
+
+
+@pytest.mark.parametrize("spec", ["plate defect_radius=5 defect_depth=20",
+                                  "plate thickness=2 defect_radius=5 defect_depth=2"])
+def test_synth_dent_through_the_plate_exits_2(tmp_path, spec):
+    result = CliRunner().invoke(main, ["synth", spec, "--out", str(tmp_path)])
+    assert result.exit_code == EXIT_INPUT_ERROR, result.output
+    assert "input error: plate option defect_depth=" in result.output
+    assert "must be less than thickness=" in result.output
+    assert not (tmp_path / "scan.ply").exists()

@@ -5,9 +5,10 @@ import pytest
 from scipy.spatial import cKDTree
 
 from partcheck import registration
-from partcheck.geometry import PointCloud, RigidTransform
+from partcheck.geometry import PointCloud, RigidTransform, sample_mesh
 from partcheck.pipeline import PipelineConfig, _register
 from partcheck.registration import (
+    _ROUGH_STRIDE,
     _SIGN_COMBOS,
     _axis_rotation,
     _coarse_rotations,
@@ -16,6 +17,7 @@ from partcheck.registration import (
     _rotation_gap,
     coarse_candidates,
     icp_refine,
+    kabsch,
     register,
     registration_error,
 )
@@ -39,6 +41,63 @@ def blob_cloud(rng, n=800) -> PointCloud:
     # Anisotropic scatter gives well-separated principal axes.
     pts = rng.normal(size=(n, 3)) * (4.0, 2.0, 1.0)
     return PointCloud(points=pts)
+
+
+def spun_blob():
+    # Two near-equal eigenvalues leave the third axis free to spin.
+    rng = np.random.default_rng(12)
+    source = PointCloud(points=rng.normal(size=(1000, 3)) * (3.0, 3.0, 1.0))
+    target = PointCloud(points=RigidTransform(rotation_about_z(40.0), np.ones(3))
+                        .apply(source.points))
+    return source, target
+
+
+def exhaustive_ranking(source: PointCloud, target: PointCloud):
+    """Oracle: every coarse candidate, its cost on the whole probe, and the
+    candidate indices sorted by (cost, index)."""
+    ps, pt = source.points, target.points
+    cs, axes_s, evals_s = _principal_axes(ps)
+    ct, axes_t, evals_t = _principal_axes(pt)
+    tree = cKDTree(pt)
+    candidates = [RigidTransform(r, ct - r @ cs)
+                  for r in _coarse_rotations(axes_s, axes_t, evals_s, evals_t)]
+    costs = [registration._capped_cost(tree, c.apply(_probe(ps))) for c in candidates]
+    return candidates, costs, sorted(range(len(candidates)), key=lambda i: (costs[i], i))
+
+
+def distinct_walk(candidates, order, count: int) -> list[int]:
+    # The 10-degree rule of coarse_candidates, over the given order.
+    kept: list[int] = []
+    for i in order:
+        if all(_rotation_gap(candidates[i].rotation, candidates[j].rotation) > np.deg2rad(10.0)
+               for j in kept):
+            kept.append(i)
+        if len(kept) >= count:
+            break
+    return kept
+
+
+def same_transforms(a, b) -> bool:
+    return len(a) == len(b) and all(
+        np.array_equal(x.rotation, y.rotation) and np.array_equal(x.translation, y.translation)
+        for x, y in zip(a, b))
+
+
+def record_cost_calls(monkeypatch) -> list[np.ndarray]:
+    """Every point array _capped_cost is called on, in call order."""
+    calls: list[np.ndarray] = []
+    real = registration._capped_cost
+    monkeypatch.setattr(registration, "_capped_cost",
+                        lambda tree, pts: calls.append(pts) or real(tree, pts))
+    return calls
+
+
+def moved_by(candidates, base: np.ndarray, moved: np.ndarray) -> int:
+    # The index of the candidate whose rotation moved ``base`` to ``moved``.
+    rotations = np.array([c.rotation for c in candidates])
+    gaps = np.abs(rotations - kabsch(base, moved).rotation).max(axis=(1, 2))
+    assert gaps.min() < 1e-9
+    return int(gaps.argmin())
 
 
 def trimmed_rmse(moved: np.ndarray, target: PointCloud) -> float:
@@ -98,11 +157,7 @@ class TestCoarse:
         assert np.abs(cands[0].rotation - np.eye(3)).max() < 1e-9
 
     def test_half_turn_spins_score_each_rotation_once(self, monkeypatch):
-        # Two near-equal eigenvalues leave the third axis free to spin.
-        rng = np.random.default_rng(12)
-        source = PointCloud(points=rng.normal(size=(1000, 3)) * (3.0, 3.0, 1.0))
-        target = PointCloud(points=RigidTransform(rotation_about_z(40.0), np.ones(3))
-                            .apply(source.points))
+        source, target = spun_blob()
         _, axes_s, evals_s = _principal_axes(source.points)
         _, axes_t, evals_t = _principal_axes(target.points)
         # Oracle: the full turn of spins, each rotation listed twice.
@@ -122,12 +177,71 @@ class TestCoarse:
         np.fill_diagonal(self_gap, np.inf)
         assert self_gap.min() > 1e-9
 
-        scored = []
-        real = registration._capped_cost
-        monkeypatch.setattr(registration, "_capped_cost",
-                            lambda tree, pts: scored.append(len(pts)) or real(tree, pts))
+        calls = record_cost_calls(monkeypatch)
         coarse_candidates(source, target)
-        assert len(scored) == 360
+        probe = _probe(source.points)
+        rough = probe[::_ROUGH_STRIDE]
+        # Every rotation once on the rough probe, then the best 32 on the whole.
+        assert [len(pts) for pts in calls] == [len(rough)] * 360 + [len(probe)] * 32
+        spun = [RigidTransform(r, np.zeros(3)) for r in half]
+        rough_scored = [moved_by(spun, rough, pts) for pts in calls[:360]]
+        assert sorted(rough_scored) == list(range(360))
+
+    def test_two_pass_ranking_matches_exhaustive_on_square_plate(self):
+        scene = generate_synthetic_scene(
+            parse_scene_spec("plate width=40 height=40 holes=4 spacing=1.6"), seed=1)
+        target = sample_mesh(scene.mesh, 20_000, seed=0)
+        candidates, _, order = exhaustive_ranking(scene.cloud, target)
+        assert len(candidates) == 360
+        # Count 10 reaches past the rough top 32, so the re-scoring goes on.
+        for count in (3, 10):
+            expected = [candidates[i] for i in distinct_walk(candidates, order, count)]
+            assert same_transforms(coarse_candidates(scene.cloud, target, count), expected)
+
+    def test_differs_from_exhaustive_only_below_the_last_candidate(self, monkeypatch):
+        # The blob is round in its spin plane, so every wrong spin costs about
+        # the same; the exhaustive ranking's third distinct candidate falls
+        # outside the rough top 32, and count 3 differs from it here.
+        source, target = spun_blob()
+        candidates, costs, order = exhaustive_ranking(source, target)
+        probe = _probe(source.points)
+        calls = record_cost_calls(monkeypatch)
+        for count in (1, 2, 3):
+            calls.clear()
+            found = coarse_candidates(source, target, count)
+            rescored = {moved_by(candidates, probe, pts) for pts in calls
+                        if len(pts) == len(probe)}
+            expected = [candidates[i] for i in distinct_walk(candidates, order, count)]
+            if not same_transforms(found, expected):
+                last = moved_by(candidates, probe, found[-1].apply(probe))
+                left_out = [costs[i] for i in range(len(candidates)) if i not in rescored]
+                assert min(left_out) < costs[last]
+            assert same_transforms(found[:1], expected[:1])
+
+    def test_few_rotations_skip_the_rough_pass(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        source = blob_cloud(rng)
+        target = PointCloud(points=RigidTransform(rotation_about_z(90.0), np.ones(3))
+                            .apply(source.points))
+        calls = record_cost_calls(monkeypatch)
+        coarse_candidates(source, target)
+        assert [len(pts) for pts in calls] == [len(_probe(source.points))] * 4
+
+    def test_rescores_more_until_count_distinct(self, monkeypatch):
+        source, target = spun_blob()
+        candidates, costs, _ = exhaustive_ranking(source, target)
+        probe = _probe(source.points)
+        count = 8
+        calls = record_cost_calls(monkeypatch)
+        found = coarse_candidates(source, target, count)
+        rescored = [moved_by(candidates, probe, pts) for pts in calls if len(pts) == len(probe)]
+        # The rough top 32 hold fewer than 8 distinct rotations.
+        first = sorted(rescored[:32], key=lambda i: (costs[i], i))
+        assert len(distinct_walk(candidates, first, count)) < count
+        assert len(rescored) > 32 and len(rescored) % 32 == 0
+        assert len(found) == count
+        walked = distinct_walk(candidates, sorted(rescored, key=lambda i: (costs[i], i)), count)
+        assert same_transforms(found, [candidates[i] for i in walked])
 
 
 class TestICP:
