@@ -13,10 +13,11 @@ finally pruned by a greedy set cover.
 The samples are drawn one triple at a time, so the random stream depends on
 the seed alone; their circumcircles are computed in vectorized blocks as the
 rows ``[cx, cy, cz, nx, ny, nz, r]`` (center, unit normal, radius) of one
-array, and only the mean-shift representatives become ``Circle3D``. The
-converged modes are grouped through one k-d tree. Mean shift and grouping
-query their balls in blocks of rows, which bounds the memory the neighbor
-lists take.
+array, and only the mean-shift representatives become ``Circle3D``. Modes
+that meet reach identical coordinates, so each mean-shift step queries each
+distinct mode once. The converged modes are grouped through one k-d tree.
+Mean shift and grouping query their balls in blocks of rows, which bounds
+the memory the neighbor lists take.
 """
 
 from __future__ import annotations
@@ -344,7 +345,9 @@ def reduce_hypotheses(
         if not moving.any():
             break
         idx = np.nonzero(moving)[0]
-        targets = _ball_means(tree, data, modes[idx], bandwidth)
+        # Modes that have met sit at identical coordinates: step each once.
+        distinct, inverse = np.unique(modes[idx], axis=0, return_inverse=True)
+        targets = _ball_means(tree, data, distinct, bandwidth)[inverse.ravel()]
         shift = np.linalg.norm(targets - modes[idx], axis=1)
         modes[idx] = targets
         settled = idx[shift < 1e-2 * bandwidth]

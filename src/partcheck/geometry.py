@@ -351,8 +351,11 @@ class MeshDistance:
     distance ``d_t < b`` has ``|p - c_t| <= d_t + r_t < b + rmax``, so one
     ball query of radius ``b + rmax`` returns every triangle that could beat
     ``b``, and no ball is empty: the nearest centroid lies within
-    ``b + r_near``. Oversized triangles are split (same surface, finer pieces)
-    so one large facet cannot inflate ``rmax`` and with it every ball.
+    ``b + r_near``. Within the ball, the exact test runs only on triangles
+    whose own bound ``|p - c_t| - r_t`` lies below ``b`` plus a rounding
+    margin of ``1e-9 * rmax``; the others cannot beat ``b``, so the result is
+    the same bit for bit. Oversized triangles are split (same surface, finer
+    pieces) so one large facet cannot inflate ``rmax`` and with it every ball.
 
     Query a whole cloud once with ``query`` and index the result: the global
     RMSE and every per-patch mean read the same distance array.
@@ -360,7 +363,8 @@ class MeshDistance:
 
     def __init__(self, mesh: TriangleMesh):
         self._tri = _subdivide_for_queries(mesh.triangle_vertices)
-        self._rmax = float(_triangle_radii(self._tri).max())
+        self._radii = _triangle_radii(self._tri)
+        self._rmax = float(self._radii.max())
         self._tree = cKDTree(self._tri.mean(axis=1))
 
     def query(self, points, chunk: int = _QUERY_BLOCK) -> NDArray[np.float64]:
@@ -378,6 +382,9 @@ class MeshDistance:
         sizes = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
         tris = np.fromiter(chain.from_iterable(balls), dtype=np.intp, count=int(sizes.sum()))
         owner = np.repeat(np.arange(len(pts)), sizes)
+        bound = np.linalg.norm(self._tree.data[tris] - pts[owner], axis=1) - self._radii[tris]
+        live = bound < best[owner] + 1e-9 * self._rmax
+        owner, tris = owner[live], tris[live]
         np.minimum.at(best, owner, self._distances(pts[owner], tris))
         return best
 

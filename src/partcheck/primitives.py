@@ -332,15 +332,19 @@ def _fit_cone_once(pts: Points, normals: Points, w0: Vec3):
     return _polish_cone(pts, w0, x0)
 
 
-def _fit_cone(pts: Points, normals: Points | None, init: Cone | None = None):
+def _fit_cone(pts: Points, normals: Points | None, init: Cone | None = None,
+              adequate_rms: float = 0.0):
+    """Cone fit from ``init``, or else with each eigenvector of the normal
+    moment as the initial axis, smallest eigenvalue first: the axis is the
+    smallest for shallow cones and the largest for steep ones. The first
+    converged fit with an RMS at or below ``adequate_rms`` ends the trials;
+    otherwise all three run and the lowest RMS wins."""
     if init is not None:
         x0 = np.array([*init.apex, 0.0, 0.0,
                        float(np.clip(init.half_angle, 0.011, np.pi / 2 - 0.011))])
         return _polish_cone(pts, unit(init.axis), x0)
 
     _, evecs = np.linalg.eigh(_normal_moments(normals))
-    # The axis direction is ambiguous for steep cones; try each moment
-    # eigenvector and keep the best converged fit.
     best = None
     last_err: FitError | None = None
     for col in range(3):
@@ -351,13 +355,15 @@ def _fit_cone(pts: Points, normals: Points | None, init: Cone | None = None):
             continue
         if best is None or rms < best[1]:
             best = (shape, rms)
+        if rms <= adequate_rms:
+            break
     if best is None:
         raise last_err if last_err is not None else FitError("cone fit failed")
     return best
 
 
 def _fit_shape(kind: PrimitiveKind, pts: Points, normals: Points | None = None,
-               init: Shape | None = None):
+               init: Shape | None = None, adequate_rms: float = 0.0):
     if len(pts) < MIN_SAMPLE[kind]:
         raise FitError(f"{kind.value} needs at least {MIN_SAMPLE[kind]} points, got {len(pts)}")
     if kind is PrimitiveKind.PLANE:
@@ -367,7 +373,8 @@ def _fit_shape(kind: PrimitiveKind, pts: Points, normals: Points | None = None,
     if kind is PrimitiveKind.CYLINDER:
         return _fit_cylinder(pts, normals, init=init if isinstance(init, Cylinder) else None)
     if kind is PrimitiveKind.CONE:
-        return _fit_cone(pts, normals, init=init if isinstance(init, Cone) else None)
+        return _fit_cone(pts, normals, init=init if isinstance(init, Cone) else None,
+                         adequate_rms=adequate_rms)
     raise ValueError(f"unknown primitive kind {kind!r}")
 
 
@@ -539,7 +546,9 @@ def _best_kind_fit(pts: Points, normals: Points | None, inlier_eps: float,
     labelled a cylinder: over a length l, a half-angle below about
     ``0.87 * inlier_eps / l`` rad, against the cone fit's own lower bound of
     0.01 rad. If the scan's noise exceeds ``inlier_eps / 4``, the cone is
-    always tried. ``init`` warm-starts the fit of its own kind. ``normals``
+    always tried. The same rule holds within the cone fit: its axis trials
+    stop at the first that fits the subsample to within ``inlier_eps / 4``
+    (see ``_fit_cone``). ``init`` warm-starts the fit of its own kind. ``normals``
     may carry either sign at each point: the cylinder and cone fits read them
     only up to sign.
     """
@@ -553,7 +562,7 @@ def _best_kind_fit(pts: Points, normals: Points | None, inlier_eps: float,
         if kind is PrimitiveKind.CONE and rms and min(rms.values()) <= adequate:
             break
         try:
-            shape, _ = _fit_shape(kind, fit_pts, fit_normals, init=init)
+            shape, _ = _fit_shape(kind, fit_pts, fit_normals, init=init, adequate_rms=adequate)
         except FitError:
             continue
         fits[kind] = (shape, shape.distance(pts))

@@ -87,8 +87,8 @@ def _axis_rotation(axis: int, angle: float) -> np.ndarray:
     return m
 
 
-def coarse_candidates(source: PointCloud, target: PointCloud,
-                      count: int = 3) -> list[RigidTransform]:
+def coarse_candidates(source: PointCloud, target: PointCloud, count: int = 3,
+                      target_tree: cKDTree | None = None) -> list[RigidTransform]:
     """The best few coarse alignments, ranked by nearest-neighbor cost.
 
     Centroids and principal axes are matched under the four proper axis
@@ -107,7 +107,9 @@ def coarse_candidates(source: PointCloud, target: PointCloud,
     rotation left out of the re-scored ones would score below the last
     candidate returned; once every rotation has been re-scored it equals it
     always.
-    A rank-deficient covariance warns and yields the centroid translation.
+    A rank-deficient covariance warns and yields the centroid translation. A
+    prebuilt ``target_tree`` over ``target.points`` may be passed, as to
+    ``icp_refine``.
     """
     ps, pt = source.points, target.points
     cs, axes_s, evals_s = _principal_axes(ps)
@@ -121,7 +123,8 @@ def coarse_candidates(source: PointCloud, target: PointCloud,
         )
         return [RigidTransform(np.eye(3), ct - cs)]
     rotations = _coarse_rotations(axes_s, axes_t, evals_s, evals_t)
-    for ranked in _ranked_candidates(ps, pt, cs, ct, rotations):
+    tree = cKDTree(pt) if target_tree is None else target_tree
+    for ranked in _ranked_candidates(tree, ps, cs, ct, rotations):
         # Keep rotations that genuinely differ from better-ranked ones.
         distinct: list[RigidTransform] = []
         for cand in ranked:
@@ -170,11 +173,10 @@ def _coarse_rotations(axes_s, axes_t, evals_s, evals_t) -> list[np.ndarray]:
     return [axes_t @ spin @ signs @ axes_s.T for signs in _SIGN_COMBOS for spin in spins]
 
 
-def _ranked_candidates(ps, pt, cs, ct, rotations) -> Iterator[list[RigidTransform]]:
+def _ranked_candidates(tree, ps, cs, ct, rotations) -> Iterator[list[RigidTransform]]:
     """Yield the candidates scored on the whole probe so far, sorted by
     (cost, index), with ``_RESCORED`` more of the rough ranking each time."""
     probe = _probe(ps)
-    tree = cKDTree(pt)
     candidates = [RigidTransform(r, ct - r @ cs) for r in rotations]
     order = range(len(candidates))
     if len(candidates) > _RESCORED:
@@ -286,7 +288,7 @@ def register(source: PointCloud, target: PointCloud, config: PipelineConfig = Pi
     # candidates are compared by untrimmed mean NN distance.
     best = start = None
     best_cost = np.inf
-    for candidate in coarse_candidates(source, target, count=3):
+    for candidate in coarse_candidates(source, target, count=3, target_tree=tree):
         attempt = icp_refine(race, target, init=candidate, config=config, target_tree=tree)
         cost = _capped_cost(tree, attempt.transform.apply(race.points))
         if best is None or cost < best_cost:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial import cKDTree
 
 from partcheck import features
 from partcheck.config import PipelineConfig
@@ -419,6 +420,49 @@ class TestReduceHypotheses:
             tracemalloc.stop()
         assert len(modes) == 1
         assert peak < 24 * 2**20
+
+    def test_duplicate_modes_step_once(self, monkeypatch):
+        # Copies of one hypothesis share every mean-shift step, so each
+        # step queries each distinct mode once, and the circles are those
+        # of shifting every row on its own, one ball query at a time.
+        rng = np.random.default_rng(5)
+        pts = np.vstack([circle_points(Circle3D(center, radius, np.array([0.0, 0.0, 1.0])),
+                                       40, rng=rng, noise=0.01)
+                         for center, radius in ((np.zeros(3), 1.0),
+                                                (np.array([4.0, 0.0, 0.0]), 0.5))])
+        base = generate_hypotheses(pts, 120, seed=6)
+        hyps = np.vstack([base, base[::3], base[rng.permutation(len(base))]])
+        scale, bandwidth = bbox_diagonal(pts), 0.05
+
+        data = hyps / [scale, scale, scale, 1.0, 1.0, 1.0, scale]
+        tree = cKDTree(data)
+        modes = data.copy()
+        for mode in modes:
+            for _ in range(100):
+                target = features._ball_means(tree, data, mode[None], bandwidth)[0]
+                shift = np.linalg.norm(target - mode)
+                mode[:] = target
+                if shift < 1e-2 * bandwidth:
+                    break
+        groups = _group_modes(modes, bandwidth / 2.0)
+        expected = []
+        for group in np.argsort(-np.bincount(groups), kind="stable"):
+            members = np.nonzero(groups == group)[0]
+            offsets = np.linalg.norm(data[members] - modes[members].mean(axis=0), axis=1)
+            expected.append(hyps[members[np.argmin(offsets)]])
+
+        queried = []
+        ball_means = features._ball_means
+        monkeypatch.setattr(features, "_ball_means",
+                            lambda t, d, q, r: queried.append(q) or ball_means(t, d, q, r))
+        got = reduce_hypotheses(hyps, bandwidth, scale=scale, max_modes=len(hyps))
+        assert all(len(np.unique(q, axis=0)) == len(q) for q in queried)
+        assert len(queried[0]) == len(base)
+        assert len(got) == len(expected) > 1
+        for circle, want in zip(got, as_circles(expected)):
+            assert np.array_equal(circle.center, want.center)
+            assert np.array_equal(circle.normal, want.normal)
+            assert circle.radius == want.radius
 
     def test_grouping_matches_pairwise_scan(self):
         rng = np.random.default_rng(17)

@@ -19,7 +19,7 @@ from partcheck.geometry import (
     remove_outliers,
     sample_mesh,
 )
-from partcheck.synth import plate_scene
+from partcheck.synth import _ring_to_rect_mesh, plate_scene
 
 
 def random_rigid(rng) -> RigidTransform:
@@ -184,6 +184,48 @@ class TestMeshDistance:
         got = mesh.distance_index().query(queries)
         for i, q in enumerate(queries):
             assert got[i] == pytest.approx(reference_mesh_distance(q, mesh), abs=1e-12)
+
+    def test_bound_pruning_is_exact_on_ties(self, monkeypatch):
+        # A 64-gon hole in a square, flat at z = 0: points on shared
+        # vertices, over shared edges and at the hole's centre are as far
+        # from several triangles, and the pruned query must still return
+        # bit for bit the minimum over every triangle in the ball.
+        verts, tris = _ring_to_rect_mesh((0.0, 0.0), (-5.0, -5.0), (5.0, 5.0), 2.0, 0.0)
+        index = TriangleMesh(vertices=verts, triangles=tris).distance_index()
+        a, b = verts[tris[:, 0]], verts[tris[:, 1]]
+        lift = np.array([0.0, 0.0, 0.3])
+        pts = np.vstack([verts, verts + lift, 0.5 * (a + b), 0.5 * (a + b) + lift,
+                         [[0.0, 0.0, 0.0], [0.0, 0.0, 0.7]],
+                         [[0.0, 0.0, 1e3], [1e3, -1e3, 50.0], [-40.0, 3.0, -20.0]]])
+
+        _, nearest = index._tree.query(pts)
+        unpruned = index._distances(pts, nearest)
+        balls = index._tree.query_ball_point(pts, unpruned + index._rmax)
+        owner = np.repeat(np.arange(len(pts)), [len(ball) for ball in balls])
+        tris_all = np.concatenate(balls).astype(np.intp)
+        np.minimum.at(unpruned, owner, index._distances(pts[owner], tris_all))
+
+        tested = []
+        distances = index._distances
+        monkeypatch.setattr(index, "_distances",
+                            lambda p, t: tested.append(len(t)) or distances(p, t))
+        assert np.array_equal(index.query(pts), unpruned)
+        assert sum(tested) < len(pts) + len(tris_all)
+
+    def test_bound_pruning_keeps_a_tight_winner(self):
+        # p lies beyond the corner (1, 0, 0) of a triangle, on the ray from
+        # its centroid, so that triangle's bound |p - c| - r equals its
+        # distance, 0.5. A tiny facet 0.501 above p has the nearer centroid
+        # and sets the first best; the triangle must survive the pruning.
+        corner, centroid = np.array([1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0]) / 3.0
+        p = corner + 0.5 * (corner - centroid) / np.linalg.norm(corner - centroid)
+        facet = p + [[1e-3, 0.0, 0.501], [-1e-3, 1e-3, 0.501], [-1e-3, -1e-3, 0.501]]
+        mesh = TriangleMesh(vertices=np.vstack([[[0.0, 0, 0], corner, [0, 1, 0]], facet]),
+                            triangles=np.array([[0, 1, 2], [3, 4, 5]]))
+        index = mesh.distance_index()
+        _, nearest = index._tree.query(p)
+        assert nearest == 1
+        assert index.query(p)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_query_memory_is_bounded(self):
         # Points are queried in small blocks, so the working set of (point,

@@ -109,6 +109,36 @@ class TestFitPrimitive:
         assert cone.half_angle == pytest.approx(np.pi / 6, abs=1e-4)
         assert np.abs(cone.apex).max() < 1e-3
 
+    @pytest.mark.parametrize("noise, trials", [(0.0, 1), (0.5, 3)])
+    def test_cone_axis_trials_stop_at_the_first_adequate_fit(self, monkeypatch, noise, trials):
+        # This cone's axis is the normal moment's first eigenvector, so a
+        # clean scan needs one trial. Noise above inlier_eps / 4 (here half
+        # of inlier_eps) leaves every trial inadequate, so all three run.
+        eps = PipelineConfig().inlier_eps
+        rng = np.random.default_rng(2)
+        pts = cone_points(rng)
+        pts += rng.normal(scale=noise * eps, size=pts.shape)
+        calls = []
+        once = primitives._fit_cone_once
+        monkeypatch.setattr(primitives, "_fit_cone_once",
+                            lambda *a: calls.append(1) or once(*a))
+        fitted = primitives._best_kind_fit(pts, normals_of(pts), eps, (PrimitiveKind.CONE,))
+        assert fitted is not None and isinstance(fitted[0], Cone)
+        assert len(calls) == trials
+
+    def test_steep_cone_found_on_the_last_axis(self):
+        # At a 50-degree half-angle the axis is the normal moment's largest
+        # eigenvector, the last one tried.
+        half_angle = np.deg2rad(50.0)
+        pts = cone_points(np.random.default_rng(2), half_angle=half_angle)
+        normals = normals_of(pts)
+        _, evecs = np.linalg.eigh(primitives._normal_moments(normals))
+        assert abs(evecs[2, 2]) > 0.99
+        eps = PipelineConfig().inlier_eps
+        cone, _ = primitives._best_kind_fit(pts, normals, eps, (PrimitiveKind.CONE,))
+        assert cone.half_angle == pytest.approx(half_angle, abs=1e-4)
+        assert np.abs(cone.apex).max() < 1e-3
+
     def test_insufficient_points(self):
         with pytest.raises(FitError):
             _fit_shape(PrimitiveKind.CYLINDER, np.zeros((4, 3)))

@@ -378,6 +378,24 @@ class TestRegister:
         gap = result.transform.rotation @ truth.rotation.T
         assert rotation_angle_deg(gap) < 0.1
 
+    def test_one_tree_over_the_target(self, monkeypatch):
+        # The coarse ranking, the ICP race, the fit and the error all read
+        # one k-d tree over the target samples.
+        rng = np.random.default_rng(13)
+        source = blob_cloud(rng, n=5000)
+        target = PointCloud(points=RigidTransform(rotation_about_z(30.0), np.ones(3))
+                            .apply(source.points))
+        built = []
+        real = registration.cKDTree
+
+        def recording(data, *args, **kwargs):
+            built.append(data)
+            return real(data, *args, **kwargs)
+
+        monkeypatch.setattr(registration, "cKDTree", recording)
+        register(source, target)
+        assert sum(np.array_equal(data, target.points) for data in built) == 1
+
     # Point-to-point ICP loses this plate's pose (rotation error 179.98
     # degrees at this spacing); a point-to-plane step from the same coarse
     # candidates finds it, so this is expected to pass once the fine stage
