@@ -260,14 +260,17 @@ def strided_indices(n: int, cap: int) -> NDArray[np.int64]:
 def sample_mesh(mesh: TriangleMesh, count: int, seed: int) -> PointCloud:
     """Sample ``count`` points uniformly by area over the mesh surface.
 
-    Deterministic for a fixed seed: identical calls return identical clouds.
+    Each sample carries the unit normal of the triangle it lies on, oriented
+    by the triangle's winding, in the ``normals`` channel. Deterministic for
+    a fixed seed: identical calls return identical clouds.
     """
     if count < 1:
         raise ValueError("sample count must be >= 1")
     rng = np.random.default_rng(seed)
     areas = mesh.areas()
     tri_idx = rng.choice(len(mesh), size=count, p=areas / areas.sum())
-    tv = mesh.triangle_vertices[tri_idx]
+    corners = mesh.triangle_vertices
+    tv = corners[tri_idx]
     # Square-root reparameterization gives a uniform density over each triangle.
     r = np.sqrt(rng.random(count))
     s = rng.random(count)
@@ -275,7 +278,10 @@ def sample_mesh(mesh: TriangleMesh, count: int, seed: int) -> PointCloud:
     b = (r * (1.0 - s))[:, None]
     c = (r * s)[:, None]
     pts = a * tv[:, 0] + b * tv[:, 1] + c * tv[:, 2]
-    return PointCloud(points=pts)
+    # Per triangle, then per sample: no sample-sized temporaries.
+    cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    normals = cross / np.linalg.norm(cross, axis=1, keepdims=True)
+    return PointCloud(points=pts, normals=normals[tri_idx])
 
 
 def _closest_on_triangles(p, a, b, c):

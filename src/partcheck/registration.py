@@ -5,9 +5,11 @@ assignments and in-plane spins by nearest-neighbor cost on a probe of about
 2,000 scan points. Where spins make the rotations many, every rotation is
 first scored on every 16th probe point, and only the best 32 of that rough
 ranking are scored again on the whole probe, 32 more at a time while they
-hold too few distinct candidates. The fine stage is trimmed point-to-point
-ICP with a closed-form SVD pose update: the best coarse candidates race on
-the same probe, and only the winner is fitted on the full subsample. Both
+hold too few distinct candidates. The fine stage is trimmed point-to-plane
+ICP on the CAD samples' triangle normals (Chen & Medioni, "Object modelling
+by registration of multiple range images", 1992), each step one linear
+least-squares solve after Low (2004): the best coarse candidates race on the
+same probe, and only the winner is fitted on the full subsample. Both
 stages choose on a sample and fit on all points, after Rusinkiewicz &
 Levoy, "Efficient Variants of the ICP Algorithm", 3DIM 2001.
 """
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.transform import Rotation
 
 from .config import PipelineConfig
 from .geometry import PointCloud, Points, RigidTransform, strided_indices
@@ -31,23 +34,14 @@ class NoCorrespondencesError(RuntimeError):
 
 @dataclass(frozen=True)
 class RegistrationResult:
+    """An ICP run's returned pose; ``rmse`` is the RMS point-to-plane
+    residual of its kept pairs at that pose, over ``iterations`` measured
+    poses."""
+
     transform: RigidTransform
     rmse: float
     iterations: int
     converged: bool
-
-
-def kabsch(source: Points, target: Points) -> RigidTransform:
-    """Least-squares rigid motion mapping paired source points onto target."""
-    if source.shape != target.shape or source.ndim != 2 or source.shape[1] != 3:
-        raise ValueError("paired point arrays must both have shape (N, 3)")
-    cs = source.mean(axis=0)
-    ct = target.mean(axis=0)
-    h = (source - cs).T @ (target - ct)
-    u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return RigidTransform(r, ct - r @ cs)
 
 
 def _principal_axes(points: Points):
@@ -197,16 +191,25 @@ def icp_refine(
     config: PipelineConfig = PipelineConfig(),
     target_tree: cKDTree | None = None,
 ) -> RegistrationResult:
-    """Trimmed point-to-point ICP starting from ``init``.
+    """Trimmed point-to-plane ICP starting from ``init``.
 
-    Correspondence pairs farther than 3x the median pair distance are
-    rejected each iteration. Iteration stops when the RMSE falls by less
-    than ``config.icp_tol`` or after ``config.icp_max_iter`` iterations.
-    The reported RMSE sequence is non-increasing: a step that would raise it
-    is rolled back and iteration stops, and the returned pose is always one
-    whose RMSE was measured, also when the iterations run out. A prebuilt
-    ``target_tree`` may be shared across calls.
+    Each source point pairs with its nearest target point, and pairs farther
+    than 3x the median pair distance are rejected each iteration. The step
+    minimizes the kept pairs' squared distances to the target points'
+    tangent planes, ``((R p + t - q) . n)^2`` with ``n`` from
+    ``target.normals``, linearized in the rotation angle (Low, "Linear
+    least-squares optimization for point-to-plane ICP surface registration",
+    2004); the solved small-angle vector is applied as an exact rotation.
+    The reported RMSE is the RMS point-to-plane residual of the kept pairs.
+    Iteration stops when it falls by less than ``config.icp_tol`` or after
+    ``config.icp_max_iter`` iterations. The reported RMSE sequence is
+    non-increasing: a step that would raise it is rolled back and iteration
+    stops, and the returned pose is always one whose RMSE was measured, also
+    when the iterations run out. A prebuilt ``target_tree`` may be shared
+    across calls. A target without normals raises ``ValueError``.
     """
+    if target.normals is None:
+        raise ValueError("point-to-plane ICP needs target normals")
     max_iter, tol = config.icp_max_iter, config.icp_tol
     src = source.points
     tree = cKDTree(target.points) if target_tree is None else target_tree
@@ -234,8 +237,11 @@ def icp_refine(
         bound = max(6.0 * med, 1e-12)
         if keep.sum() < 3:
             raise NoCorrespondencesError("no correspondences")
-        kept = d[keep]
-        rmse = float(np.sqrt(np.mean(kept * kept)))
+        p = moved[keep]
+        q = target.points[idx[keep]]
+        n = target.normals[idx[keep]]
+        residual = np.einsum("ij,ij->i", q - p, n)
+        rmse = float(np.sqrt(np.mean(residual * residual)))
         if rmse > prev_rmse:
             transform = prev_transform
             rmse = prev_rmse
@@ -247,13 +253,26 @@ def icp_refine(
             break
         prev_rmse = rmse
         prev_transform = transform
-        step = kabsch(moved[keep], target.points[idx[keep]])
-        transform = step.compose(transform)
+        transform = _point_to_plane_step(p, n, residual).compose(transform)
     else:
         # Out of iterations: the last step was never measured, so return
         # the last pose that was, the one ``rmse`` belongs to.
         transform = prev_transform
     return RegistrationResult(transform, rmse, iterations, converged)
+
+
+def _point_to_plane_step(p: Points, n: Points, residual: np.ndarray) -> RigidTransform:
+    """The rigid motion that moves points ``p`` by ``residual`` along their
+    pairs' normals ``n`` in the least-squares sense, to first order in the
+    rotation angle: one row ``[p x n, n]`` per pair, with ``p`` centred on
+    its centroid so the rotation and translation columns are well scaled.
+    The solved small-angle vector is then applied as the exact rotation
+    about its axis by its length (Rodrigues)."""
+    centre = p.mean(axis=0)
+    rows = np.hstack([np.cross(p - centre, n), n])
+    x = np.linalg.lstsq(rows, residual, rcond=None)[0]
+    rotation = Rotation.from_rotvec(x[:3]).as_matrix()
+    return RigidTransform(rotation, centre + x[3:] - rotation @ centre)
 
 
 def registration_error(registered: PointCloud, cad_samples: PointCloud,

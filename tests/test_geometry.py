@@ -288,6 +288,38 @@ class TestSampleMesh:
         with pytest.raises(ValueError):
             sample_mesh(UNIT_SQUARE, 0, seed=0)
 
+    @staticmethod
+    def drawn_triangles_and_points(mesh, count, seed):
+        # The sampler's draws and arithmetic, spelled out: triangles by area,
+        # then square-root barycentric weights.
+        rng = np.random.default_rng(seed)
+        areas = mesh.areas()
+        tri_idx = rng.choice(len(mesh), size=count, p=areas / areas.sum())
+        tv = mesh.triangle_vertices[tri_idx]
+        r = np.sqrt(rng.random(count))
+        s = rng.random(count)
+        pts = ((1.0 - r)[:, None] * tv[:, 0] + (r * (1.0 - s))[:, None] * tv[:, 1]
+               + (r * s)[:, None] * tv[:, 2])
+        return tri_idx, pts
+
+    def test_normals_are_unit_triangle_normals(self):
+        mesh = plate_scene(width=50, height=40, holes=4, spacing=0.6, seed=0).mesh
+        cloud = sample_mesh(mesh, 5000, seed=3)
+        tri_idx, _ = self.drawn_triangles_and_points(mesh, 5000, 3)
+        assert np.abs(np.linalg.norm(cloud.normals, axis=1) - 1.0).max() < 1e-12
+        tv = mesh.triangle_vertices[tri_idx]
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            edge = tv[:, j] - tv[:, i]
+            edge /= np.linalg.norm(edge, axis=1, keepdims=True)
+            assert np.abs((cloud.normals * edge).sum(axis=1)).max() < 1e-12
+
+    def test_points_unchanged_by_the_normals(self):
+        # The normals draw nothing from the generator, so the points are the
+        # same, bit for bit, as from the sampler without them.
+        mesh = plate_scene(width=50, height=40, holes=4, spacing=0.6, seed=0).mesh
+        _, expected = self.drawn_triangles_and_points(mesh, 5000, 3)
+        assert np.array_equal(sample_mesh(mesh, 5000, seed=3).points, expected)
+
     def test_area_proportional_selection(self):
         # Two triangles with a 3:1 area ratio share the plane z=0.
         mesh = TriangleMesh(
