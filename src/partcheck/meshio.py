@@ -1,17 +1,23 @@
-"""Readers and writers for PLY (ASCII / binary little-endian), OBJ and XYZ.
+"""Readers and writers for PLY, OBJ and XYZ.
 
-Point clouds load x/y/z plus optional nx/ny/nz; other vertex properties are
-parsed and discarded. Written PLY files are binary little-endian unless
-``ascii=True`` is requested.
+PLY is read and written in the ``ascii`` and ``binary_little_endian``
+formats, binary unless ``ascii_mode=True``. The reader takes any elements,
+every PLY scalar type and list properties with an integer length; point
+clouds keep the vertex x/y/z and optional nx/ny/nz, and meshes the face
+element's list property, with polygon faces fan-triangulated. Malformed
+input raises ``MeshIOError`` naming the file and where the fault is.
 """
 
 from __future__ import annotations
 
+import io
+import re
 import struct
-from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.recfunctions import structured_to_unstructured, unstructured_to_structured
 
 from .geometry import PointCloud, TriangleMesh, as_points, clean_triangles
 
@@ -20,163 +26,130 @@ class MeshIOError(Exception):
     """Unreadable, malformed or empty geometry file."""
 
 
-_PLY_SCALAR = {
-    "char": "i1", "int8": "i1",
-    "uchar": "u1", "uint8": "u1",
-    "short": "i2", "int16": "i2",
-    "ushort": "u2", "uint16": "u2",
-    "int": "i4", "int32": "i4",
-    "uint": "u4", "uint32": "u4",
-    "float": "f4", "float32": "f4",
-    "double": "f8", "float64": "f8",
-}
-
-
-@dataclass
-class _PlyProperty:
-    name: str
-    dtype: str | None            # scalar numpy code, None for list properties
-    count_dtype: str | None = None
-    item_dtype: str | None = None
-
-    @property
-    def is_list(self) -> bool:
-        return self.dtype is None
-
-
-@dataclass
-class _PlyElement:
-    name: str
-    count: int
-    properties: list[_PlyProperty]
+# Each PLY scalar type's two names, the first the one written, and its numpy code.
+_PLY_TYPES = [("char", "int8", "i1"), ("uchar", "uint8", "u1"), ("short", "int16", "i2"),
+              ("ushort", "uint16", "u2"), ("int", "int32", "i4"), ("uint", "uint32", "u4"),
+              ("float", "float32", "f4"), ("double", "float64", "f8")]
+# Little-endian numpy types; struct reads each by its ``char``. A list property's
+# type is a (count, items) pair of these, on disk its length and then its items.
+_PLY_SCALAR = {name: np.dtype("<" + code) for *names, code in _PLY_TYPES for name in names}
+_PLY_TYPE_NAME = {np.dtype("<" + code).str: name for name, _, code in _PLY_TYPES}
+_END_HEADER = re.compile(rb"^end_header\r?(?:\n|\Z)", re.MULTILINE)
 
 
 def _parse_ply_header(blob: bytes, path: str):
-    end = blob.find(b"end_header")
-    if not blob.startswith(b"ply") or end < 0:
+    """Return the format, (name, count, [(property, type)]) per element, and the body."""
+    end = _END_HEADER.search(blob)
+    if not blob.startswith(b"ply") or end is None:
         raise MeshIOError(f"{path}: not a PLY file (missing header)")
-    end = blob.index(b"\n", end) + 1
-    header = blob[:end].decode("ascii", errors="replace")
-    body = blob[end:]
-
     fmt = None
-    elements: list[_PlyElement] = []
-    for line in header.splitlines():
-        tokens = line.strip().split()
+    elements: list[tuple[str, int, list]] = []
+    for line in blob[:end.end()].decode("ascii", errors="replace").splitlines():
+        line = line.strip()
+        tokens = line.split()
         if not tokens or tokens[0] in ("ply", "comment", "obj_info", "end_header"):
             continue
-        if tokens[0] == "format":
-            fmt = tokens[1]
-        elif tokens[0] == "element":
-            elements.append(_PlyElement(tokens[1], int(tokens[2]), []))
-        elif tokens[0] == "property":
+        keyword, args = tokens[0], tokens[1:]
+        malformed = f"{path}: malformed header line '{line}'"
+        if keyword == "format":
+            fmt = args[0] if args else None
+        elif keyword == "element":
+            if len(args) != 2 or not args[1].isdecimal():
+                raise MeshIOError(f"{malformed}: expected a name and a count of 0 or more")
+            fields: list[tuple[str, np.dtype]] = []
+            elements.append((args[0], int(args[1]), fields))
+        elif keyword == "property":
             if not elements:
                 raise MeshIOError(f"{path}: property before any element")
-            if tokens[1] == "list":
-                if tokens[2] not in _PLY_SCALAR or tokens[3] not in _PLY_SCALAR:
-                    raise MeshIOError(f"{path}: unsupported list types in '{line.strip()}'")
-                elements[-1].properties.append(
-                    _PlyProperty(tokens[4], None, _PLY_SCALAR[tokens[2]], _PLY_SCALAR[tokens[3]])
-                )
-            else:
-                if tokens[1] not in _PLY_SCALAR:
-                    raise MeshIOError(f"{path}: unsupported property type '{tokens[1]}'")
-                elements[-1].properties.append(_PlyProperty(tokens[2], _PLY_SCALAR[tokens[1]]))
+            is_list = args[:1] == ["list"]
+            types = [_PLY_SCALAR.get(t) for t in args[is_list:-1]]
+            if (len(types) != 1 + is_list or any(t is None for t in types)
+                    or (is_list and types[0].kind == "f")):
+                raise MeshIOError(f"{malformed}: expected a type and a name, "
+                                  "or 'list', an integer type, a type and a name")
+            fields.append((args[-1], np.dtype([("count", types[0]), ("items", types[1])])
+                           if is_list else types[0]))
         else:
-            raise MeshIOError(f"{path}: unrecognized header line '{line.strip()}'")
+            raise MeshIOError(f"{path}: unrecognized header line '{line}'")
     if fmt not in ("ascii", "binary_little_endian"):
         raise MeshIOError(f"{path}: unsupported PLY format '{fmt}'")
-    return fmt, elements, body
+    # An element without properties holds no values.
+    return fmt, [e for e in elements if e[2]], blob[end.end():]
+
+
+class _AsciiBody:
+    """The whitespace-separated values of an ASCII PLY body, read in file order."""
+
+    def __init__(self, body: bytes):
+        self.tokens = iter(body.split())
+
+    def block(self, fields: list, count: int) -> np.ndarray:
+        width = len(fields)
+        values = [float(t) for t in islice(self.tokens, width * count)]
+        return np.array(values[:len(values) // width * width]).reshape(-1, width)
+
+    def take(self, dtype: np.dtype, k: int) -> list:
+        cast = float if dtype.kind == "f" else int
+        return [cast(next(self.tokens)) for _ in range(k)]
+
+
+class _BinaryBody(io.BytesIO):
+    """The little-endian records of a binary PLY body, read in file order."""
+
+    def block(self, fields: list, count: int) -> np.ndarray:
+        dtype = np.dtype(fields)
+        chunk = self.read(dtype.itemsize * count)
+        rows = np.frombuffer(chunk, dtype, len(chunk) // dtype.itemsize)
+        return structured_to_unstructured(rows, np.float64)
+
+    def take(self, dtype: np.dtype, k: int) -> tuple:
+        fmt = f"<{k}{dtype.char}"
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
 
 
 def _read_ply(path: str | Path):
-    """Return {element name: {property name: array}} plus face index lists."""
+    """Return {element: {property: values}} and the face element's first list property.
+
+    An element of scalars reads as one float64 table (``block``, short where the
+    body ends); an element with a list property reads row by row (``take``),
+    each list kept as a sequence.
+    """
     path = Path(path)
     try:
         blob = path.read_bytes()
     except OSError as exc:
         raise MeshIOError(f"{path}: {exc}") from exc
     fmt, elements, body = _parse_ply_header(blob, str(path))
-
-    data: dict[str, dict[str, np.ndarray]] = {}
-    faces: list[list[int]] = []
-
-    if fmt == "ascii":
-        tokens = body.split()
-        pos = 0
-        for elem in elements:
-            scalars: dict[str, list] = {p.name: [] for p in elem.properties if not p.is_list}
-            for row in range(elem.count):
-                for prop in elem.properties:
-                    if prop.is_list:
-                        if pos >= len(tokens):
-                            raise MeshIOError(
-                                f"{path}: declared {elem.count} {elem.name} rows, "
-                                f"data ends at row {row}"
-                            )
-                        try:
-                            n = int(tokens[pos])
-                            values = [int(t) for t in tokens[pos + 1:pos + 1 + n]]
-                        except ValueError as exc:
-                            raise MeshIOError(f"{path}: {elem.name} {row}: {exc}") from exc
-                        pos += 1 + n
-                        if pos > len(tokens):
-                            raise MeshIOError(f"{path}: truncated list in {elem.name} {row}")
-                        if elem.name == "face":
-                            faces.append(values)
-                    else:
-                        if pos >= len(tokens):
-                            raise MeshIOError(
-                                f"{path}: declared {elem.count} {elem.name} rows, "
-                                f"data ends at row {row}"
-                            )
-                        try:
-                            value = float(tokens[pos])
-                        except ValueError as exc:
-                            raise MeshIOError(
-                                f"{path}: bad value '{tokens[pos]}' in {elem.name} {row}"
-                            ) from exc
-                        scalars[prop.name].append(value)
-                        pos += 1
-            data[elem.name] = {k: np.asarray(v) for k, v in scalars.items()}
-    else:
-        offset = 0
-        for elem in elements:
-            if all(not p.is_list for p in elem.properties):
-                dtype = np.dtype([(p.name, "<" + p.dtype) for p in elem.properties])
-                need = dtype.itemsize * elem.count
-                if offset + need > len(body):
-                    have = (len(body) - offset) // dtype.itemsize
-                    raise MeshIOError(
-                        f"{path}: declared {elem.count} {elem.name} rows, file holds {have}"
-                    )
-                rows = np.frombuffer(body, dtype=dtype, count=elem.count, offset=offset)
-                offset += need
-                data[elem.name] = {p.name: rows[p.name].astype(np.float64) for p in elem.properties}
-            else:
-                scalars = {p.name: [] for p in elem.properties if not p.is_list}
-                for row in range(elem.count):
-                    for prop in elem.properties:
-                        if prop.is_list:
-                            cdt = np.dtype("<" + prop.count_dtype)
-                            if offset + cdt.itemsize > len(body):
-                                raise MeshIOError(f"{path}: truncated {elem.name} {row}")
-                            n = int(np.frombuffer(body, cdt, 1, offset)[0])
-                            offset += cdt.itemsize
-                            idt = np.dtype("<" + prop.item_dtype)
-                            if offset + n * idt.itemsize > len(body):
-                                raise MeshIOError(f"{path}: truncated {elem.name} {row}")
-                            values = np.frombuffer(body, idt, n, offset)
-                            offset += n * idt.itemsize
-                            if elem.name == "face":
-                                faces.append([int(v) for v in values])
-                        else:
-                            sdt = np.dtype("<" + prop.dtype)
-                            if offset + sdt.itemsize > len(body):
-                                raise MeshIOError(f"{path}: truncated {elem.name} {row}")
-                            scalars[prop.name].append(float(np.frombuffer(body, sdt, 1, offset)[0]))
-                            offset += sdt.itemsize
-                data[elem.name] = {k: np.asarray(v) for k, v in scalars.items()}
+    reader = _AsciiBody(body) if fmt == "ascii" else _BinaryBody(body)
+    data: dict[str, dict] = {}
+    faces: list = []
+    for name, count, fields in elements:
+        row = None
+        ends = f"{path}: declared {count} {name} rows, data ends at row"
+        try:
+            if not any(dt.names for _, dt in fields):
+                table = reader.block(fields, count)
+                if len(table) < count:
+                    raise MeshIOError(f"{ends} {len(table)}")
+                data[name] = {field: table[:, i] for i, (field, _) in enumerate(fields)}
+                continue
+            columns: dict[str, list] = {field: [] for field, _ in fields}
+            for row in range(count):
+                for field, dt in fields:
+                    k = reader.take(dt["count"], 1)[0] if dt.names else 1
+                    if k < 0:
+                        raise ValueError(f"negative list length {k}")
+                    columns[field].append(reader.take(dt["items"] if dt.names else dt, k))
+        except (StopIteration, struct.error):  # take ran past the end of the body
+            raise MeshIOError(f"{ends} {row}") from None
+        except ValueError as exc:
+            where = name if row is None else f"{name} {row}"
+            raise MeshIOError(f"{path}: {where}: {exc}") from exc
+        data[name] = {field: columns[field] if dt.names
+                      else np.asarray(columns[field], dtype=np.float64).reshape(-1)
+                      for field, dt in fields}
+        if name == "face":
+            faces = next((columns[field] for field, dt in fields if dt.names), faces)
     return data, faces
 
 
@@ -192,10 +165,7 @@ def _vertices_from_ply(data: dict, path: str) -> tuple[np.ndarray, np.ndarray | 
     if all(c in vert for c in ("nx", "ny", "nz")):
         normals = np.column_stack([vert["nx"], vert["ny"], vert["nz"]])
         lengths = np.linalg.norm(normals, axis=1)
-        if (lengths < 1e-12).any():
-            normals = None
-        else:
-            normals = normals / lengths[:, None]
+        normals = None if (lengths < 1e-12).any() else normals / lengths[:, None]
     return pts, normals
 
 
@@ -322,21 +292,39 @@ def _read_obj(path: Path) -> tuple[np.ndarray, list[list[int]]]:
 # Writers
 # ---------------------------------------------------------------------------
 
-def _ply_header(count: int, ascii_mode: bool, with_normals: bool, with_colors: bool,
-                face_count: int = 0, edge_count: int = 0) -> str:
-    fmt = "ascii" if ascii_mode else "binary_little_endian"
-    lines = ["ply", f"format {fmt} 1.0", f"element vertex {count}"]
-    lines += ["property double x", "property double y", "property double z"]
-    if with_normals:
-        lines += ["property double nx", "property double ny", "property double nz"]
-    if with_colors:
-        lines += ["property uchar red", "property uchar green", "property uchar blue"]
-    if face_count:
-        lines += [f"element face {face_count}", "property list uchar int vertex_indices"]
-    if edge_count:
-        lines += [f"element edge {edge_count}", "property int vertex1", "property int vertex2"]
-    lines.append("end_header")
-    return "\n".join(lines) + "\n"
+_XYZ = [("x", "<f8"), ("y", "<f8"), ("z", "<f8")]
+
+
+def _records(fields: list, *columns: np.ndarray) -> np.ndarray:
+    """Pack row-aligned column blocks into a structured array with ``fields``."""
+    return unstructured_to_structured(np.column_stack(columns), np.dtype(fields))
+
+
+def _write_ply(path: Path, elements: list[tuple[str, np.ndarray]], ascii_mode: bool) -> None:
+    """Write (element name, structured array) pairs as one PLY file.
+
+    Each field is a property of its own type; a nested (count, items) field,
+    items a (k,) subarray, is a list property of k items.
+    """
+    lines = ["ply", f"format {'ascii' if ascii_mode else 'binary_little_endian'} 1.0"]
+    for name, rows in elements:
+        lines.append(f"element {name} {len(rows)}")
+        for field in rows.dtype.names:
+            dt = rows.dtype[field]
+            types = [dt["count"], dt["items"].base] if dt.names else [dt]
+            type_names = " ".join(_PLY_TYPE_NAME[t.str] for t in types)
+            lines.append(f"property {'list ' if dt.names else ''}{type_names} {field}")
+    lines.append("end_header\n")
+    with open(path, "wb") as fh:
+        fh.write("\n".join(lines).encode("ascii"))
+        for _, rows in elements:
+            if ascii_mode:
+                # %.10g prints every 8-, 16- and 32-bit integer exactly too.
+                table = structured_to_unstructured(rows, np.float64)
+                line = " ".join(["%.10g"] * table.shape[1]) + "\n"
+                fh.write("".join(line % tuple(r) for r in table.tolist()).encode("ascii"))
+            else:
+                fh.write(rows.tobytes())
 
 
 def save_point_cloud(path: str | Path, cloud: PointCloud,
@@ -348,31 +336,14 @@ def save_point_cloud(path: str | Path, cloud: PointCloud,
         cols = [pts] if cloud.normals is None else [pts, cloud.normals]
         np.savetxt(path, np.hstack(cols), fmt="%.10g")
         return
-    normals = cloud.normals
-    header = _ply_header(len(pts), ascii_mode, normals is not None, colors is not None)
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if ascii_mode:
-            for i in range(len(pts)):
-                row = list(pts[i]) + (list(normals[i]) if normals is not None else [])
-                text = " ".join(f"{v:.10g}" for v in row)
-                if colors is not None:
-                    text += " " + " ".join(str(int(v)) for v in colors[i])
-                fh.write((text + "\n").encode("ascii"))
-        else:
-            fields = [("x", "<f8"), ("y", "<f8"), ("z", "<f8")]
-            if normals is not None:
-                fields += [("nx", "<f8"), ("ny", "<f8"), ("nz", "<f8")]
-            if colors is not None:
-                fields += [("red", "u1"), ("green", "u1"), ("blue", "u1")]
-            rows = np.empty(len(pts), dtype=np.dtype(fields))
-            rows["x"], rows["y"], rows["z"] = pts[:, 0], pts[:, 1], pts[:, 2]
-            if normals is not None:
-                rows["nx"], rows["ny"], rows["nz"] = normals[:, 0], normals[:, 1], normals[:, 2]
-            if colors is not None:
-                col = np.asarray(colors, dtype=np.uint8)
-                rows["red"], rows["green"], rows["blue"] = col[:, 0], col[:, 1], col[:, 2]
-            fh.write(rows.tobytes())
+    fields, columns = list(_XYZ), [pts]
+    if cloud.normals is not None:
+        fields += [("nx", "<f8"), ("ny", "<f8"), ("nz", "<f8")]
+        columns.append(cloud.normals)
+    if colors is not None:
+        fields += [("red", "u1"), ("green", "u1"), ("blue", "u1")]
+        columns.append(colors)
+    _write_ply(path, [("vertex", _records(fields, *columns))], ascii_mode)
 
 
 def save_mesh(path: str | Path, mesh: TriangleMesh, ascii_mode: bool = False) -> None:
@@ -385,35 +356,14 @@ def save_mesh(path: str | Path, mesh: TriangleMesh, ascii_mode: bool = False) ->
             for t in mesh.triangles:
                 fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
         return
-    header = _ply_header(len(mesh.vertices), ascii_mode, False, False,
-                         face_count=len(mesh.triangles))
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if ascii_mode:
-            for v in mesh.vertices:
-                fh.write(f"{v[0]:.10g} {v[1]:.10g} {v[2]:.10g}\n".encode("ascii"))
-            for t in mesh.triangles:
-                fh.write(f"3 {t[0]} {t[1]} {t[2]}\n".encode("ascii"))
-        else:
-            fh.write(np.ascontiguousarray(mesh.vertices, dtype="<f8").tobytes())
-            for t in mesh.triangles:
-                fh.write(struct.pack("<Biii", 3, int(t[0]), int(t[1]), int(t[2])))
+    faces = _records([("vertex_indices", [("count", "u1"), ("items", "<i4", (3,))])],
+                     np.full(len(mesh.triangles), 3), mesh.triangles)
+    _write_ply(path, [("vertex", _records(_XYZ, mesh.vertices)), ("face", faces)], ascii_mode)
 
 
 def save_polylines(path: str | Path, points: np.ndarray, edges: np.ndarray,
                    ascii_mode: bool = False) -> None:
     """Write polyline segments (e.g. fitted circle rings) as a PLY edge set."""
-    path = Path(path)
-    pts = as_points(points)
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    header = _ply_header(len(pts), ascii_mode, False, False, edge_count=len(edges))
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if ascii_mode:
-            for v in pts:
-                fh.write(f"{v[0]:.10g} {v[1]:.10g} {v[2]:.10g}\n".encode("ascii"))
-            for e in edges:
-                fh.write(f"{e[0]} {e[1]}\n".encode("ascii"))
-        else:
-            fh.write(np.ascontiguousarray(pts, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(edges, dtype="<i4").tobytes())
+    edges = _records([("vertex1", "<i4"), ("vertex2", "<i4")], np.reshape(edges, (-1, 2)))
+    _write_ply(Path(path), [("vertex", _records(_XYZ, as_points(points))), ("edge", edges)],
+               ascii_mode)

@@ -1,6 +1,7 @@
 """File round trips and malformed-input handling for PLY / OBJ / XYZ."""
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -30,6 +31,17 @@ end_header
 # Put in place of ASCII_PLY_3's end_header, it declares one face; the
 # test appends the face row after the vertices.
 FACE_ELEMENT = "element face 1\nproperty list uchar int vertex_indices\nend_header"
+
+# Four unit-square corners as binary doubles; the tests declare them with
+# SQUARE_VERTICES and append faces or cut the body.
+SQUARE_VERTICES = ("element vertex 4\nproperty double x\nproperty double y\n"
+                   "property double z\n")
+SQUARE_BODY = struct.pack("<12d", 0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0)
+
+
+def binary_ply(elements: str, body: bytes) -> bytes:
+    return f"ply\nformat binary_little_endian 1.0\n{elements}end_header\n".encode() + body
+
 
 OBJ_CUBE = """
 v 0 0 0
@@ -111,6 +123,27 @@ end_header
         path.write_text(text)
         cloud = load_point_cloud(path)
         assert len(cloud) == 2
+
+
+class TestPlyHeader:
+    def test_comment_naming_end_header(self, tmp_path):
+        path = tmp_path / "commented.ply"
+        path.write_text(ASCII_PLY_3.replace(
+            "element vertex 3", "comment written before end_header was reached\nelement vertex 3"))
+        assert len(load_point_cloud(path)) == 3
+
+    @pytest.mark.parametrize("declared, malformed", [
+        pytest.param("element vertex 4", "element vertex", id="short-element"),
+        pytest.param("element vertex 4", "element vertex four", id="count-not-integer"),
+        pytest.param("element vertex 4", "element vertex -1", id="negative-count"),
+        pytest.param("property double z", "property double", id="short-property"),
+        pytest.param("property double z", "property list uchar z", id="short-list"),
+    ])
+    def test_malformed_line_names_it(self, tmp_path, declared, malformed):
+        path = tmp_path / "malformed.ply"
+        path.write_bytes(binary_ply(SQUARE_VERTICES.replace(declared, malformed), SQUARE_BODY))
+        with pytest.raises(MeshIOError, match=re.escape(f"header line '{malformed}'")):
+            load_point_cloud(path)
 
 
 class TestPointCloudWriting:
@@ -205,6 +238,22 @@ class TestMeshLoading:
         with pytest.raises(MeshIOError, match=re.escape(f"{path}: face 0: ") + ".*'x'"):
             load_mesh(path)
 
+    def test_binary_ply_quad_fan_triangulated(self, tmp_path):
+        path = tmp_path / "quad.ply"
+        face = "element face 1\nproperty list uchar int vertex_indices\n"
+        path.write_bytes(binary_ply(SQUARE_VERTICES + face,
+                                    SQUARE_BODY + struct.pack("<B4i", 4, 0, 1, 2, 3)))
+        mesh = load_mesh(path)
+        assert len(mesh.triangles) == 2
+
+    def test_binary_ply_truncated_face_names_row(self, tmp_path):
+        path = tmp_path / "cut.ply"
+        faces = "element face 2\nproperty list uchar int vertex_indices\n"
+        body = SQUARE_BODY + struct.pack("<B3i", 3, 0, 1, 2) + struct.pack("<B3i", 3, 0, 2, 3)
+        path.write_bytes(binary_ply(SQUARE_VERTICES + faces, body[:-2]))
+        with pytest.raises(MeshIOError, match="declared 2 face rows, data ends at row 1"):
+            load_mesh(path)
+
     def test_ply_mesh_round_trip(self, tmp_path):
         path = tmp_path / "cube.obj"
         path.write_text(OBJ_CUBE)
@@ -239,3 +288,64 @@ class TestPolylines:
         ascii_path = tmp_path / "rings_ascii.ply"
         save_polylines(ascii_path, pts, edges, ascii_mode=True)
         assert b"element edge 3" in ascii_path.read_bytes()
+
+
+# The writers' output, byte for byte: a 3-point cloud with normals and colors,
+# a 1-triangle mesh and a 3-edge polyline.
+GOLDEN_WRITERS = {
+    "cloud": lambda path, ascii_mode: save_point_cloud(
+        path, PointCloud(points=[[0.5, -1.25, 2.0], [1 / 3, 0.0, 1e-7], [-3.75, 4.5, 1234.5678]],
+                         normals=[[0, 0, 1.0], [0.6, 0.8, 0], [0, -1.0, 0]]),
+        ascii_mode=ascii_mode, colors=np.array([[255, 0, 0], [0, 128, 255], [1, 2, 3]], np.uint8)),
+    "mesh": lambda path, ascii_mode: save_mesh(
+        path, TriangleMesh(vertices=[[0, 0, 0], [1, 0, 0], [0, 1, 0.5]], triangles=[[0, 1, 2]]),
+        ascii_mode=ascii_mode),
+    "polyline": lambda path, ascii_mode: save_polylines(
+        path, np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0.0]]), np.array([[0, 1], [1, 2], [2, 0]]),
+        ascii_mode=ascii_mode),
+}
+XYZ_PROPERTIES = "property double x\nproperty double y\nproperty double z\n"
+GOLDEN_HEADERS = {
+    "cloud": ("element vertex 3\n" + XYZ_PROPERTIES
+              + "property double nx\nproperty double ny\nproperty double nz\n"
+              "property uchar red\nproperty uchar green\nproperty uchar blue\n"),
+    "mesh": ("element vertex 3\n" + XYZ_PROPERTIES
+             + "element face 1\nproperty list uchar int vertex_indices\n"),
+    "polyline": ("element vertex 3\n" + XYZ_PROPERTIES
+                 + "element edge 3\nproperty int vertex1\nproperty int vertex2\n"),
+}
+GOLDEN_BODIES = {
+    ("cloud", True): (b"0.5 -1.25 2 0 0 1 255 0 0\n"
+                      b"0.3333333333 0 1e-07 0.6 0.8 0 0 128 255\n"
+                      b"-3.75 4.5 1234.5678 0 -1 0 1 2 3\n"),
+    ("mesh", True): b"0 0 0\n1 0 0\n0 1 0.5\n3 0 1 2\n",
+    ("polyline", True): b"0 0 0\n1 0 0\n1 1 0\n0 1\n1 2\n2 0\n",
+    # Vertex rows are little-endian doubles (x y z, then nx ny nz) and uchar
+    # colors; the face row is a uchar count and int indices, edge rows two ints.
+    ("cloud", False): bytes.fromhex(
+        "000000000000e03f000000000000f4bf0000000000000040"
+        "00000000000000000000000000000000000000000000f03f" "ff0000"
+        "555555555555d53f000000000000000048afbc9af2d77a3e"
+        "333333333333e33f9a9999999999e93f0000000000000000" "0080ff"
+        "0000000000000ec00000000000001240adfa5c6d454a9340"
+        "0000000000000000000000000000f0bf0000000000000000" "010203"),
+    ("mesh", False): bytes.fromhex(
+        "000000000000000000000000000000000000000000000000"
+        "000000000000f03f00000000000000000000000000000000"
+        "0000000000000000000000000000f03f000000000000e03f"
+        "03" "000000000100000002000000"),
+    ("polyline", False): bytes.fromhex(
+        "000000000000000000000000000000000000000000000000"
+        "000000000000f03f00000000000000000000000000000000"
+        "000000000000f03f000000000000f03f0000000000000000"
+        "0000000001000000" "0100000002000000" "0200000000000000"),
+}
+
+
+@pytest.mark.parametrize("kind, ascii_mode", sorted(GOLDEN_BODIES))
+def test_writer_bytes(tmp_path, kind, ascii_mode):
+    path = tmp_path / f"{kind}.ply"
+    GOLDEN_WRITERS[kind](path, ascii_mode)
+    fmt = "ascii" if ascii_mode else "binary_little_endian"
+    header = f"ply\nformat {fmt} 1.0\n{GOLDEN_HEADERS[kind]}end_header\n".encode()
+    assert path.read_bytes() == header + GOLDEN_BODIES[kind, ascii_mode]

@@ -320,6 +320,15 @@ def test_fit_circles_missing_file_exits_2(tmp_path):
     assert "input error" in result.output
 
 
+def test_fit_circles_short_ply_header_exits_2(tmp_path):
+    edges = tmp_path / "short_header.ply"
+    edges.write_text("ply\nformat ascii 1.0\nelement vertex\nproperty float x\n"
+                     "property float y\nproperty float z\nend_header\n0 0 0\n")
+    result = fit_circles(edges, "--out", tmp_path / "circles.txt")
+    assert result.exit_code == EXIT_INPUT_ERROR
+    assert "input error" in result.output and "header line 'element vertex'" in result.output
+
+
 @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
 def test_fit_circles_bad_eps_exits_2(tmp_path, eps):
     edges = tmp_path / "edges.ply"

@@ -377,11 +377,6 @@ class TestICP:
         assert rotation_angle_deg(recovered.rotation) < 0.02
         assert np.abs(recovered.apply(scan.points) - scan.points).max() < 0.005
 
-    def test_max_iter_validated(self):
-        cloud = PointCloud(points=np.random.default_rng(0).normal(size=(10, 3)))
-        with pytest.raises(ValueError):
-            icp_refine(cloud, cloud, config=PipelineConfig(icp_max_iter=0))
-
 
 class TestRegister:
     def test_recovers_known_transform_from_subsample(self):
