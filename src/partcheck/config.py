@@ -11,14 +11,15 @@ from pathlib import Path
 import numpy as np
 
 
-# Least valid value of each integer field. A 0 in min_points or mesh_samples
-# asks for the value derived from the scan; in registration_subsample, for
-# every point. The normal estimator needs a k of at least 3.
+# Least valid value of each integer field. A 0 in min_points asks for the
+# value derived from the scan; in registration_subsample, for every point.
+# The normal estimator, whose neighborhoods region growing also visits,
+# needs a k of at least 3.
 _INT_MINIMUMS = {
-    "circle_max_iter": 1, "icp_max_iter": 1, "outlier_k": 1, "region_k": 1,
+    "circle_max_iter": 1, "icp_max_iter": 1, "outlier_k": 1,
     "hypotheses_per_point": 1, "max_hypotheses": 1, "min_cluster": 1, "cluster_cap": 1,
     "normals_k": 3,
-    "min_points": 0, "mesh_samples": 0, "registration_subsample": 0, "seed": 0,
+    "min_points": 0, "registration_subsample": 0, "seed": 0,
 }
 
 
@@ -31,14 +32,15 @@ class PipelineConfig:
 
     - registration: ``pipeline._register`` (``outlier_k``,
       ``outlier_stddev_mult``, ``normals_k`` as the least scan size,
-      ``mesh_samples``, ``seed`` for CAD sampling), ``registration.register``
+      ``seed`` for CAD sampling), ``registration.register``
       (``registration_subsample``), ``registration.icp_refine``
       (``icp_max_iter``, ``icp_tol``).
     - part: ``pipeline._part`` (``normals_k``), ``primitives.region_grow``
-      (``min_points``, ``region_k``, ``region_angle_deg``,
-      ``region_curv_thresh``, ``inlier_eps``); the ``Configuration`` it
-      returns carries the record to ``energy`` (``omega_f``, ``omega_s``,
-      ``omega_c``) and to ``split`` and ``merge`` (``inlier_eps``).
+      (``min_points``, ``normals_k`` as the neighbors it visits,
+      ``region_angle_deg``, ``region_curv_thresh``, ``inlier_eps``); the
+      ``Configuration`` it returns carries the record to ``energy``
+      (``omega_f``, ``omega_s``, ``omega_c``) and to ``split`` and ``merge``
+      (``inlier_eps``).
     - feature: ``pipeline._feature`` (``tensor_radius_factor``,
       ``region_angle_deg`` as the least crease angle, ``circle_match_tol``),
       ``features.detect_edge_points`` (``edge_threshold``, ``tensor_sigma``),
@@ -64,10 +66,8 @@ class PipelineConfig:
     outlier_k: int = 8
     outlier_stddev_mult: float = 2.0
     normals_k: int = 16
-    region_k: int = 16
     region_angle_deg: float = 20.0
     region_curv_thresh: float = 0.04
-    mesh_samples: int = 0               # 0 = max(50000, 2 * n)
     bandwidth: float = 0.05
     hypotheses_per_point: int = 20
     max_hypotheses: int = 5000

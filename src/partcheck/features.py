@@ -31,7 +31,8 @@ from scipy.optimize import least_squares, linear_sum_assignment
 from scipy.spatial import cKDTree
 
 from .config import PipelineConfig
-from .geometry import PointCloud, Points, Vec3, as_points, canonical_sign, median_spacing, unit
+from .geometry import (PointCloud, Points, Vec3, as_points, canonical_sign, median_spacing,
+                       strided_indices, unit)
 from .primitives import (Configuration, FitError, PrimitiveKind, _adjacent, _ortho_basis,
                          _pratt_circle_2d)
 
@@ -674,10 +675,12 @@ def mcfs(edge_points, config: PipelineConfig = PipelineConfig()) -> CircleLabeli
 
     Each round runs hypothesis generation, residual calculation, preference
     clustering and outlier-rejecting fits on the still-unlabeled points, and
-    stops once a round contributes no new circle. A final greedy set cover
-    removes near-duplicate circles and produces the labeling. ``config``
-    supplies ``inlier_eps``, ``eta``, ``circle_max_iter``, the hypothesis
-    budget, ``bandwidth``, ``min_cluster``, ``cluster_cap`` and ``seed``.
+    stops once a round contributes no new circle; the clustering reads at
+    most ``cluster_cap`` of the points, picked by ``strided_indices``. A
+    final greedy set cover removes near-duplicate circles and produces the
+    labeling. ``config`` supplies ``inlier_eps``, ``eta``,
+    ``circle_max_iter``, the hypothesis budget, ``bandwidth``,
+    ``min_cluster``, ``cluster_cap`` and the hypotheses' ``seed``.
     """
     pts = as_points(edge_points)
     n = len(pts)
@@ -688,7 +691,6 @@ def mcfs(edge_points, config: PipelineConfig = PipelineConfig()) -> CircleLabeli
     spacing = median_spacing(pts)
     eps = config.inlier_eps
     min_cluster = config.min_cluster
-    rng = np.random.default_rng(config.seed)
 
     def sufficient_support(circle: Circle3D, supporters: Points) -> bool:
         count = len(supporters)
@@ -733,10 +735,7 @@ def mcfs(edge_points, config: PipelineConfig = PipelineConfig()) -> CircleLabeli
         hyps = reduce_hypotheses(hyps, config.bandwidth, scale=max(diag, 1e-12),
                                  max_modes=_MAX_MODELS)
 
-        cluster_idx = remaining
-        if len(remaining) > config.cluster_cap:
-            pick = rng.choice(len(remaining), size=config.cluster_cap, replace=False)
-            cluster_idx = remaining[np.sort(pick)]
+        cluster_idx = remaining[strided_indices(len(remaining), config.cluster_cap)]
         labels = cluster_labels(residual_matrix(pts[cluster_idx], hyps), eps, min_cluster)
 
         # Clusters come ordered by size; accepted circles immediately claim

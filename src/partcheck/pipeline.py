@@ -100,7 +100,7 @@ class AssessmentReport:
     config: PipelineConfig = field(default_factory=PipelineConfig)
     scan_checksum: str = "-"
     mesh_checksum: str = "-"
-    format_version: int = 2
+    format_version: int = 3
 
     def __post_init__(self):
         for name in ("e_reg", "e_global", "e_part_avg", "e_part_max",
@@ -430,8 +430,7 @@ def _register(scan: PointCloud, mesh: TriangleMesh, config: PipelineConfig):
         raise StageError("input", ValueError(
             f"{len(filtered)} scan points remain after outlier removal and dropping "
             f"repeated points; normals need at least normals_k + 1 = {config.normals_k + 1}"))
-    n_samples = config.mesh_samples or max(50_000, 2 * len(filtered))
-    cad_samples = sample_mesh(mesh, n_samples, seed=config.seed)
+    cad_samples = sample_mesh(mesh, max(50_000, 2 * len(filtered)), seed=config.seed)
     fit, registered, e_reg = reg.register(filtered, cad_samples, config)
     return fit, registered, e_reg, removed
 

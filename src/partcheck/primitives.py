@@ -464,9 +464,9 @@ def region_grow(cloud: PointCloud, config: PipelineConfig = PipelineConfig()) ->
     """Coarse segmentation by curvature-seeded region growing.
 
     Seeds are visited in ascending curvature order; of each point's
-    ``region_k`` neighbors, one joins when its normal is within
-    ``region_angle_deg`` of the point's and its curvature is below
-    ``region_curv_thresh``. Each region is fitted with whichever primitive
+    ``normals_k`` neighbors, the ones its normal was estimated from, one
+    joins when its normal is within ``region_angle_deg`` of the point's and
+    its curvature is below ``region_curv_thresh``. Each region is fitted with whichever primitive
     kind explains it best, trying plane, sphere and cylinder first and the
     cone only when none of them fits the region to within ``inlier_eps / 4``
     RMS (see ``_best_kind_fit``). All values come from ``config``; a
@@ -477,7 +477,7 @@ def region_grow(cloud: PointCloud, config: PipelineConfig = PipelineConfig()) ->
     pts = cloud.points
     n = len(pts)
     min_points = config.min_points or max(30, n // 500)
-    _, idx = cKDTree(pts).query(pts, k=min(config.region_k, n - 1) + 1)
+    _, idx = cKDTree(pts).query(pts, k=min(config.normals_k, n - 1) + 1)
     normals = cloud.normals
     curv = cloud.curvatures
     cos_thresh = np.cos(np.deg2rad(config.region_angle_deg))

@@ -1,17 +1,18 @@
 """Coarse-to-fine rigid alignment of a scanned cloud to the CAD frame.
 
 Coarse alignment matches centroids and principal axes, ranking the axis sign
-assignments and in-plane spins by nearest-neighbor cost on a probe of about
-2,000 scan points. Where spins make the rotations many, every rotation is
-first scored on every 16th probe point, and only the best 32 of that rough
-ranking are scored again on the whole probe, 32 more at a time while they
-hold too few distinct candidates. The fine stage is trimmed point-to-plane
-ICP on the CAD samples' triangle normals (Chen & Medioni, "Object modelling
-by registration of multiple range images", 1992), each step one linear
-least-squares solve after Low (2004): the best coarse candidates race on the
-same probe, and only the winner is fitted on the full subsample. Both
-stages choose on a sample and fit on all points, after Rusinkiewicz &
-Levoy, "Efficient Variants of the ICP Algorithm", 3DIM 2001.
+assignments and in-plane spins by nearest-neighbor cost on a probe of at most
+2,000 evenly strided scan points. Where spins make the rotations many, every
+rotation is first scored on every 16th probe point, and only the best 32 of
+that rough ranking are scored again on the whole probe, 32 more at a time
+while they hold too few distinct candidates. The fine stage is trimmed
+point-to-plane ICP on the CAD samples' triangle normals (Chen & Medioni,
+"Object modelling by registration of multiple range images", 1992), each
+step one linear least-squares solve after Low (2004): the best coarse
+candidates race on the same probe, and only the winner's coarse candidate is
+fitted again on the full subsample. Both stages choose on a sample and fit
+on all points, after Rusinkiewicz & Levoy, "Efficient Variants of the ICP
+Algorithm", 3DIM 2001.
 """
 
 from __future__ import annotations
@@ -145,9 +146,9 @@ def _capped_cost(tree: cKDTree, points: Points) -> float:
 
 
 def _probe(points: Points) -> Points:
-    """About 2,000 evenly strided points: enough to rank and race rigid
-    candidates, which does not need every point."""
-    return points[::max(1, len(points) // _PROBE_POINTS)]
+    """At most 2,000 evenly strided points (``strided_indices``): enough to
+    rank and race rigid candidates, which does not need every point."""
+    return points[strided_indices(len(points), _PROBE_POINTS)]
 
 
 def _coarse_rotations(axes_s, axes_t, evals_s, evals_t) -> list[np.ndarray]:
@@ -288,31 +289,26 @@ def register(source: PointCloud, target: PointCloud, config: PipelineConfig = Pi
     """Coarse-to-fine registration of ``source`` onto the ``target`` samples.
 
     ICP runs from each coarse candidate on the probe the coarse ranking
-    scores (about 2,000 evenly strided points), and the candidate whose
+    scores (at most 2,000 evenly strided points), and the candidate whose
     converged pose fits the probe best wins the race. One more ICP run on at
     most ``config.registration_subsample`` evenly strided source points then
     starts from the winner's coarse candidate, so the probe only chooses and
-    the fit uses every subsampled point; when the subsample is no larger
-    than the probe, the race runs on the subsample and is the fit. Returns
-    the winning result, the whole source moved by it, and its
-    ``registration_error``.
+    the fit uses every subsampled point. Returns the fit's result, the whole
+    source moved by it, and its ``registration_error``.
     """
-    icp_source = source.select(strided_indices(len(source), config.registration_subsample))
-    probe = _probe(source.points)
-    race = icp_source if len(icp_source) <= len(probe) else PointCloud(points=probe)
+    race = PointCloud(points=_probe(source.points))
     tree = cKDTree(target.points)
+
     # Partial scans of near-symmetric parts can tie the coarse cost for very
     # different poses, and the trimmed ICP RMSE is equally blind (the trim
     # rejects exactly the tell-tale mismatched feature points), so completed
     # candidates are compared by untrimmed mean NN distance.
-    best = start = None
-    best_cost = np.inf
-    for candidate in coarse_candidates(source, target, count=3, target_tree=tree):
+    def race_cost(candidate: RigidTransform) -> float:
         attempt = icp_refine(race, target, init=candidate, config=config, target_tree=tree)
-        cost = _capped_cost(tree, attempt.transform.apply(race.points))
-        if best is None or cost < best_cost:
-            best, start, best_cost = attempt, candidate, cost
-    if race is not icp_source:
-        best = icp_refine(icp_source, target, init=start, config=config, target_tree=tree)
-    registered = source.transformed(best.transform)
-    return best, registered, registration_error(registered, target, target_tree=tree)
+        return _capped_cost(tree, attempt.transform.apply(race.points))
+
+    start = min(coarse_candidates(source, target, count=3, target_tree=tree), key=race_cost)
+    icp_source = source.select(strided_indices(len(source), config.registration_subsample))
+    fit = icp_refine(icp_source, target, init=start, config=config, target_tree=tree)
+    registered = source.transformed(fit.transform)
+    return fit, registered, registration_error(registered, target, target_tree=tree)

@@ -43,20 +43,28 @@ class SceneSpec:
 
 
 def parse_scene_spec(text: str) -> SceneSpec:
-    """Parse 'kind key=value ...' tokens (from a string or a spec file)."""
+    """Parse 'kind key=value ...' tokens (from a string or a spec file); a
+    value that is not a number and an option given twice raise ValueError
+    naming the option."""
     path = Path(text)
     if path.is_file():
         text = path.read_text()
     tokens = text.split()
     if not tokens:
         raise ValueError("empty scene spec")
+    kind = tokens[0]
     options: dict[str, float] = {}
     for token in tokens[1:]:
         if "=" not in token:
             raise ValueError(f"bad scene option '{token}' (expected key=value)")
         key, value = token.split("=", 1)
-        options[key] = float(value)
-    return SceneSpec(tokens[0], options)
+        if key in options:
+            raise ValueError(f"{kind} option {key}={value} repeats {key}={options[key]:g}")
+        try:
+            options[key] = float(value)
+        except ValueError:
+            raise ValueError(f"{kind} option {key}={value} must be a number") from None
+    return SceneSpec(kind, options)
 
 
 # What each option must be beyond finite; the others may take any finite value.

@@ -37,7 +37,8 @@ from partcheck.features import (
     tensor_vote,
 )
 from partcheck.geometry import (PointCloud, RigidTransform, canonical_sign,
-                                estimate_normals_and_curvature, median_spacing)
+                                estimate_normals_and_curvature, median_spacing,
+                                strided_indices)
 from partcheck.primitives import Configuration, FitError, Plane, Primitive
 from partcheck.synth import circles_scene, cube_scene, edge_distance, plate_scene
 
@@ -685,6 +686,22 @@ class TestMCFS:
         labeling = mcfs(scene.cloud.points, PipelineConfig(seed=1))
         assert len(labeling.circles) == 1
         assert len(calls) == 2
+
+    def test_cluster_cap_takes_the_strided_points(self, monkeypatch):
+        scene = circles_scene(circles=2, points_per=150, noise=0.01,
+                              outlier_frac=0.3, seed=0)
+        pts = scene.cloud.points
+        clustered = []
+        original = features.residual_matrix
+
+        def recording(points, hyps):
+            clustered.append(points)
+            return original(points, hyps)
+
+        monkeypatch.setattr(features, "residual_matrix", recording)
+        mcfs(pts, PipelineConfig(cluster_cap=50))
+        assert len(pts) > 50
+        assert np.array_equal(clustered[0], pts[strided_indices(len(pts), 50)])
 
     def test_flat_plane_has_no_edges_to_fit(self):
         rng = np.random.default_rng(19)

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from partcheck import geometry
@@ -18,6 +20,7 @@ from partcheck.geometry import (
     median_spacing,
     remove_outliers,
     sample_mesh,
+    strided_indices,
 )
 from partcheck.synth import _ring_to_rect_mesh, plate_scene
 
@@ -266,6 +269,19 @@ class TestMeshDistance:
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
+
+class TestStridedIndices:
+    @given(st.integers(0, 50_000), st.integers(-5, 50_000))
+    def test_evenly_spaced_from_zero_and_capped(self, n, cap):
+        idx = strided_indices(n, cap)
+        if n <= cap or cap <= 0:
+            assert np.array_equal(idx, np.arange(n))
+            return
+        # More than half the cap survives, so the stride does not overshoot.
+        assert cap / 2 < len(idx) <= cap
+        stride = idx[1] if len(idx) > 1 else n
+        assert np.array_equal(idx, np.arange(0, n, stride))
+
 
 class TestSampleMesh:
     def test_monte_carlo_mean(self):

@@ -194,7 +194,8 @@ def test_missing_scan_exits_2(scene_files, tmp_path):
 
 
 @pytest.mark.parametrize("line", ["no_such_key = 1", "min_points = 1.7", "seed = abc",
-                                  "inlier_eps = nan", "omega_f = nan", "omega_f = 0.5"])
+                                  "inlier_eps = nan", "omega_f = nan", "omega_f = 0.5",
+                                  "region_k = 16", "mesh_samples = 0"])
 def test_bad_config_exits_2(scene_files, tmp_path, line):
     config = tmp_path / "config.txt"
     config.write_text(line + "\n")
@@ -205,9 +206,9 @@ def test_bad_config_exits_2(scene_files, tmp_path, line):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("circle_max_iter", 0), ("icp_max_iter", 0), ("outlier_k", 0), ("region_k", 0),
+    ("circle_max_iter", 0), ("icp_max_iter", 0), ("outlier_k", 0),
     ("hypotheses_per_point", 0), ("max_hypotheses", 0), ("min_cluster", 0),
-    ("cluster_cap", 0), ("normals_k", 2), ("min_points", -1), ("mesh_samples", -1),
+    ("cluster_cap", 0), ("normals_k", 2), ("min_points", -1),
     ("registration_subsample", -1), ("seed", -1),
 ])
 def test_out_of_range_int_config_exits_2(scene_files, tmp_path, field, value):
@@ -375,12 +376,19 @@ def test_synth_unknown_option_exits_2(tmp_path, spec):
                                   "bracket a=-1", "plate width=-5", "cube side=0",
                                   "plate hole_r_min=5 hole_r_max=2", "plate hole_r_max=2",
                                   "circles r_min=0", "circles r_min=2 r_max=1",
-                                  "bracket defect_radius=-1"])
+                                  "bracket defect_radius=-1", "plate holes=abc"])
 def test_synth_bad_option_value_exits_2(tmp_path, spec):
     result = CliRunner().invoke(main, ["synth", spec, "--out", str(tmp_path)])
     assert result.exit_code == EXIT_INPUT_ERROR, result.output
     key = spec.split()[1].split("=")[0]
     assert f"input error: {spec.split()[0]} option {key}=" in result.output
+
+
+def test_synth_repeated_option_exits_2(tmp_path):
+    result = CliRunner().invoke(main, ["synth", "plate holes=2 holes=3", "--out", str(tmp_path)])
+    assert result.exit_code == EXIT_INPUT_ERROR, result.output
+    assert "input error: plate option holes=3 repeats holes=2" in result.output
+    assert not (tmp_path / "scan.ply").exists()
 
 
 @pytest.mark.parametrize("spec", ["plate defect_radius=5 defect_depth=20",

@@ -275,6 +275,15 @@ def cube_scan_and_samples():
     return scan, sample_mesh(scene.mesh, 50_000, seed=0)
 
 
+class TestProbe:
+    @pytest.mark.parametrize("n", [1999, 2000, 2001, 4001, 20260])
+    def test_probe_is_the_strided_rows(self, n):
+        points = np.arange(3.0 * n).reshape(n, 3)
+        probe = _probe(points)
+        assert len(probe) <= 2000
+        assert np.array_equal(probe, points[strided_indices(n, 2000)])
+
+
 class TestICP:
     def test_prealigned_identical(self):
         rng = np.random.default_rng(4)
@@ -391,42 +400,48 @@ class TestRegister:
         assert e_reg < 1e-6
 
     def test_race_on_probe_then_one_full_fit(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        source = blob_cloud(rng, n=5000)
-        truth = RigidTransform(rotation_about_z(30.0), np.array([1.0, 2.0, 0.0]))
-        target = with_normals(PointCloud(points=truth.apply(source.points)
-                                         + rng.normal(scale=0.01, size=source.points.shape)))
-        calls = []
-        real = registration.icp_refine
+        # One path whatever the scan's size: the 5,000-point blob races on a
+        # strided probe, and the 500-point blob's probe is the whole scan, so
+        # its fit repeats the winner's race run.
+        for n in (5000, 500):
+            rng = np.random.default_rng(11)
+            source = blob_cloud(rng, n=n)
+            truth = RigidTransform(rotation_about_z(30.0), np.array([1.0, 2.0, 0.0]))
+            target = with_normals(PointCloud(points=truth.apply(source.points)
+                                             + rng.normal(scale=0.01, size=source.points.shape)))
+            calls = []
+            real = registration.icp_refine
 
-        def recording(src, tgt, init=None, **kwargs):
-            result = real(src, tgt, init=init, **kwargs)
-            calls.append((src, init, result))
-            return result
+            def recording(src, tgt, init=None, **kwargs):
+                result = real(src, tgt, init=init, **kwargs)
+                calls.append((src, init, result))
+                return result
 
-        monkeypatch.setattr(registration, "icp_refine", recording)
-        result, _, _ = register(source, target)
+            monkeypatch.setattr(registration, "icp_refine", recording)
+            result, _, _ = register(source, target)
+            monkeypatch.undo()
 
-        probe_size = len(_probe(source.points))
-        assert probe_size < len(source)
-        *race, (fit_source, fit_init, fit) = calls
-        assert [len(src) for src, _, _ in race] == [probe_size] * len(race)
-        assert len(fit_source) == len(source)
-        # A flipped candidate raced and lost.
-        assert max(_rotation_gap(init.rotation, fit_init.rotation)
-                   for _, init, _ in race) > np.deg2rad(170.0)
-        tree = cKDTree(target.points)
-        costs = [registration._capped_cost(tree, r.transform.apply(src.points))
-                 for src, _, r in race]
-        assert fit_init is race[int(np.argmin(costs))][1]
-        assert result is fit
-        expected = real(source, target, init=fit_init)
-        assert np.array_equal(result.transform.rotation, expected.transform.rotation)
-        assert np.array_equal(result.transform.translation, expected.transform.translation)
-        assert (result.rmse, result.iterations, result.converged) == (
-            expected.rmse, expected.iterations, expected.converged)
-        gap = result.transform.rotation @ truth.rotation.T
-        assert rotation_angle_deg(gap) < 0.1
+            probe_size = len(_probe(source.points))
+            assert probe_size <= len(source)
+            *race, (fit_source, fit_init, fit) = calls
+            assert len(race) == 3
+            assert [len(src) for src, _, _ in race] == [probe_size] * len(race)
+            assert len(fit_source) == len(source)
+            # A flipped candidate raced and lost.
+            assert max(_rotation_gap(init.rotation, fit_init.rotation)
+                       for _, init, _ in race) > np.deg2rad(170.0)
+            tree = cKDTree(target.points)
+            costs = [registration._capped_cost(tree, r.transform.apply(src.points))
+                     for src, _, r in race]
+            assert fit_init is race[int(np.argmin(costs))][1]
+            assert result is fit
+            expected = real(source, target, init=fit_init)
+            assert np.array_equal(result.transform.rotation, expected.transform.rotation)
+            assert np.array_equal(result.transform.translation, expected.transform.translation)
+            assert (result.rmse, result.iterations, result.converged) == (
+                expected.rmse, expected.iterations, expected.converged)
+            gap = result.transform.rotation @ truth.rotation.T
+            assert rotation_angle_deg(gap) < 0.1
 
     def test_one_tree_over_the_target(self, monkeypatch):
         # The coarse ranking, the ICP race, the fit and the error all read
