@@ -12,7 +12,6 @@ from .features import (
     fit_circle_iterative,
     generate_hypotheses,
     mcfs,
-    misclassification_error,
     reduce_hypotheses,
     refine_coverage,
     residual_matrix,

@@ -12,29 +12,28 @@ import numpy as np
 
 
 # Least valid value of each integer field. A 0 in min_points asks for the
-# value derived from the scan; in registration_subsample, for every point.
-# The normal estimator, whose neighborhoods region growing also visits,
-# needs a k of at least 3.
+# value derived from the scan. The normal estimator, whose neighborhoods
+# region growing also visits, needs a k of at least 3.
 _INT_MINIMUMS = {
-    "circle_max_iter": 1, "icp_max_iter": 1, "outlier_k": 1,
-    "hypotheses_per_point": 1, "max_hypotheses": 1, "min_cluster": 1, "cluster_cap": 1,
-    "normals_k": 3,
-    "min_points": 0, "registration_subsample": 0, "seed": 0,
+    "outlier_k": 1, "min_cluster": 1, "normals_k": 3, "min_points": 0, "seed": 0,
 }
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """All tunables with their fixed defaults; every field is overridable.
+    """The values that decide what the report says about a part, with their
+    fixed defaults; every field is overridable.
 
-    Stages take this record, or the one field they read; no other module
-    restates a default. The readers, stage by stage:
+    A field is a length or tolerance in model units, an angle, a threshold,
+    an energy weight, a neighborhood size or the seed. How much work a solver
+    spends (iterations, subsample sizes, hypothesis counts) is not a field:
+    each such budget is a constant beside its one reader. Stages take this
+    record, or the one field they read; no other module restates a default.
+    The readers, stage by stage:
 
     - registration: ``pipeline._register`` (``outlier_k``,
       ``outlier_stddev_mult``, ``normals_k`` as the least scan size,
-      ``seed`` for CAD sampling), ``registration.register``
-      (``registration_subsample``), ``registration.icp_refine``
-      (``icp_max_iter``, ``icp_tol``).
+      ``seed`` for CAD sampling).
     - part: ``pipeline._part`` (``normals_k``), ``primitives.region_grow``
       (``min_points``, ``normals_k`` as the neighbors it visits,
       ``region_angle_deg``, ``region_curv_thresh``, ``inlier_eps``); the
@@ -44,11 +43,9 @@ class PipelineConfig:
     - feature: ``pipeline._feature`` (``tensor_radius_factor``,
       ``region_angle_deg`` as the least crease angle, ``circle_match_tol``),
       ``features.detect_edge_points`` (``edge_threshold``, ``tensor_sigma``),
-      ``features.mcfs`` (``inlier_eps``, ``bandwidth``,
-      ``hypotheses_per_point``, ``max_hypotheses``, ``min_cluster``,
-      ``cluster_cap``, ``seed``), ``fit_circle_iterative`` (``inlier_eps``,
-      ``eta``, ``circle_max_iter``), ``refine_coverage`` (``inlier_eps``,
-      ``min_cluster``).
+      ``features.mcfs`` (``inlier_eps``, ``bandwidth``, ``min_cluster``,
+      ``seed``), ``fit_circle_iterative`` (``inlier_eps``, ``eta``),
+      ``refine_coverage`` (``inlier_eps``, ``min_cluster``).
     """
 
     omega_f: float = 0.6
@@ -56,12 +53,9 @@ class PipelineConfig:
     omega_c: float = 0.15
     inlier_eps: float = 0.1
     eta: float = 0.03
-    circle_max_iter: int = 150
     edge_threshold: float = 1.05
     tensor_sigma: float = 0.5
     tensor_radius_factor: float = 4.0
-    icp_max_iter: int = 100
-    icp_tol: float = 1e-6
     min_points: int = 0                 # 0 = max(30, n / 500)
     outlier_k: int = 8
     outlier_stddev_mult: float = 2.0
@@ -69,11 +63,7 @@ class PipelineConfig:
     region_angle_deg: float = 20.0
     region_curv_thresh: float = 0.04
     bandwidth: float = 0.05
-    hypotheses_per_point: int = 20
-    max_hypotheses: int = 5000
     min_cluster: int = 10
-    cluster_cap: int = 4000
-    registration_subsample: int = 30000
     circle_match_tol: float = 1.0
     seed: int = 0
 
@@ -83,7 +73,7 @@ class PipelineConfig:
             raise ValueError("omega_f, omega_s and omega_c must be finite, non-negative and "
                              f"sum to 1, got {self.omega_f}, {self.omega_s}, {self.omega_c}")
         for name in ("inlier_eps", "eta", "edge_threshold", "tensor_sigma",
-                     "tensor_radius_factor", "icp_tol", "bandwidth", "circle_match_tol"):
+                     "tensor_radius_factor", "bandwidth", "circle_match_tol"):
             # Written so that NaN fails too.
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
@@ -95,6 +85,14 @@ class PipelineConfig:
         for f in fields(self):
             if f.name != "outlier_stddev_mult" and not np.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        # Region growing compares the cosine of unsigned normal angles, so an
+        # angle outside (0, 90] restates one inside it (200 acts as 90, -5 as
+        # 5). No curvature lies below a threshold of 0 or less: no region grows.
+        if not 0 < self.region_angle_deg <= 90:
+            raise ValueError(f"region_angle_deg must be in (0, 90], got {self.region_angle_deg}")
+        if not self.region_curv_thresh > 0:
+            raise ValueError(
+                f"region_curv_thresh must be positive, got {self.region_curv_thresh}")
         for name, low in _INT_MINIMUMS.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")

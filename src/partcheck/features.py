@@ -502,6 +502,9 @@ def _parameter_change(a: Circle3D, b: Circle3D) -> float:
     return max(d_center, d_radius, d_angle)
 
 
+_CIRCLE_MAX_ITER = 150
+
+
 def fit_circle_iterative(
     points,
     config: PipelineConfig = PipelineConfig(),
@@ -510,7 +513,7 @@ def fit_circle_iterative(
 
     Fits on the current inlier set, discards points farther than
     ``config.inlier_eps`` from the circle, and repeats until the parameter
-    change drops below ``config.eta`` or ``config.circle_max_iter`` fits are
+    change drops below ``config.eta`` or ``_CIRCLE_MAX_ITER`` (150) fits are
     made. The inlier set never grows back.
     """
     eps, eta = config.inlier_eps, config.eta
@@ -518,7 +521,7 @@ def fit_circle_iterative(
     active = np.arange(len(pts), dtype=np.int64)
     previous: Circle3D | None = None
     circle: Circle3D | None = None
-    for _ in range(config.circle_max_iter):
+    for _ in range(_CIRCLE_MAX_ITER):
         if len(active) < 3:
             raise FitError("circle collapsed (fewer than 3 inliers)")
         circle = fit_circle_lsq(pts[active])
@@ -660,6 +663,9 @@ def _leftover_components(points: Points, radius: float, min_size: int):
 _MAX_ROUNDS = 16
 _MAX_RADIUS_FACTOR = 2.0
 _MAX_MODELS = 64
+_HYPOTHESES_PER_POINT = 20
+_MAX_HYPOTHESES = 5000
+_CLUSTER_CAP = 4000
 # Accepted circles must carry at least this fraction of the inlier count a
 # fully sampled rim of their size would have; rejects sparse apparent circles
 # assembled from scattered outliers.
@@ -675,12 +681,13 @@ def mcfs(edge_points, config: PipelineConfig = PipelineConfig()) -> CircleLabeli
 
     Each round runs hypothesis generation, residual calculation, preference
     clustering and outlier-rejecting fits on the still-unlabeled points, and
-    stops once a round contributes no new circle; the clustering reads at
-    most ``cluster_cap`` of the points, picked by ``strided_indices``. A
-    final greedy set cover removes near-duplicate circles and produces the
-    labeling. ``config`` supplies ``inlier_eps``, ``eta``,
-    ``circle_max_iter``, the hypothesis budget, ``bandwidth``,
-    ``min_cluster``, ``cluster_cap`` and the hypotheses' ``seed``.
+    stops once a round contributes no new circle. A round draws
+    ``_HYPOTHESES_PER_POINT`` hypotheses per unlabeled point, at most
+    ``_MAX_HYPOTHESES``, and its clustering reads at most ``_CLUSTER_CAP`` of
+    the points, picked by ``strided_indices``. A final greedy set cover
+    removes near-duplicate circles and produces the labeling. ``config``
+    supplies ``inlier_eps``, ``eta``, ``bandwidth``, ``min_cluster`` and the
+    hypotheses' ``seed``.
     """
     pts = as_points(edge_points)
     n = len(pts)
@@ -725,7 +732,7 @@ def mcfs(edge_points, config: PipelineConfig = PipelineConfig()) -> CircleLabeli
         if len(remaining) < max(3, min_cluster):
             break
         subset = pts[remaining]
-        count = min(config.hypotheses_per_point * len(remaining), config.max_hypotheses)
+        count = min(_HYPOTHESES_PER_POINT * len(remaining), _MAX_HYPOTHESES)
         try:
             hyps = generate_hypotheses(subset, count, seed=config.seed + 7919 * round_no)
         except ValueError:
@@ -735,7 +742,7 @@ def mcfs(edge_points, config: PipelineConfig = PipelineConfig()) -> CircleLabeli
         hyps = reduce_hypotheses(hyps, config.bandwidth, scale=max(diag, 1e-12),
                                  max_modes=_MAX_MODELS)
 
-        cluster_idx = remaining[strided_indices(len(remaining), config.cluster_cap)]
+        cluster_idx = remaining[strided_indices(len(remaining), _CLUSTER_CAP)]
         labels = cluster_labels(residual_matrix(pts[cluster_idx], hyps), eps, min_cluster)
 
         # Clusters come ordered by size; accepted circles immediately claim
@@ -822,32 +829,3 @@ def score_circles(
     dr = np.array([abs(fitted[i].radius - reference[j].radius) for i, j in pairs])
     dc = np.array([np.linalg.norm(fitted[i].center - reference[j].center) for i, j in pairs])
     return f_n, f_p, (float(dr.mean()), float(dr.max()), float(dc.mean()), float(dc.max()))
-
-
-def misclassification_error(labels, truth_labels) -> float:
-    """Percentage of points mislabeled under the best cluster-id mapping.
-
-    The mapping between predicted and true cluster ids is one-to-one and
-    chosen by Hungarian assignment on the agreement counts; the outlier id -1
-    only ever maps to itself.
-    """
-    pred = np.asarray(labels.labels if isinstance(labels, CircleLabeling) else labels,
-                      dtype=np.int64)
-    true = np.asarray(truth_labels, dtype=np.int64)
-    if pred.shape != true.shape:
-        raise ValueError("label arrays must have the same length")
-    n = len(pred)
-    if n == 0:
-        return 0.0
-    pred_ids = np.unique(pred[pred >= 0])
-    true_ids = np.unique(true[true >= 0])
-    correct = int(((pred == -1) & (true == -1)).sum())
-    if len(pred_ids) and len(true_ids):
-        agreement = np.zeros((len(pred_ids), len(true_ids)), dtype=np.int64)
-        for a, pid in enumerate(pred_ids):
-            sel = pred == pid
-            for b, tid in enumerate(true_ids):
-                agreement[a, b] = int((sel & (true == tid)).sum())
-        rows, cols = linear_sum_assignment(-agreement)
-        correct += int(agreement[rows, cols].sum())
-    return 100.0 * (1.0 - correct / n)

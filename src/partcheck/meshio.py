@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import re
 import struct
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -170,13 +170,18 @@ def _vertices_from_ply(data: dict, path: str) -> tuple[np.ndarray, np.ndarray | 
 
 
 def _fan_triangulate(faces: list[list[int]], path: str) -> np.ndarray:
-    tris = []
-    for i, face in enumerate(faces):
-        if len(face) < 3:
-            raise MeshIOError(f"{path}: face {i} has fewer than 3 vertices")
-        for j in range(1, len(face) - 1):
-            tris.append((face[0], face[j], face[j + 1]))
-    return np.asarray(tris, dtype=np.int64).reshape(-1, 3)
+    """Triangles ``(f[0], f[j], f[j + 1])`` for ``j = 1 .. len(f) - 2``, face by
+    face in file order: ``sample_mesh`` draws triangles by index."""
+    lengths = np.fromiter(map(len, faces), np.int64, len(faces))
+    short = np.flatnonzero(lengths < 3)
+    if len(short):
+        raise MeshIOError(f"{path}: face {short[0]} has fewer than 3 vertices")
+    flat = np.fromiter(chain.from_iterable(faces), np.int64, int(lengths.sum()))
+    fans = lengths - 2
+    # Each triangle's face start in ``flat``, and its j.
+    start = np.repeat(np.cumsum(lengths) - lengths, fans)
+    j = np.arange(len(start)) - np.repeat(np.cumsum(fans) - fans, fans) + 1
+    return np.column_stack([flat[start], flat[start + j], flat[start + j + 1]])
 
 
 def load_point_cloud(path: str | Path) -> PointCloud:

@@ -71,6 +71,13 @@ class CircleRow:
     inlier_count: int
 
 
+_ERROR_KEYS = (
+    "e_reg", "e_global", "e_part_avg", "e_part_max",
+    "e_comp_radius_avg", "e_comp_radius_max",
+    "e_comp_centroid_avg", "e_comp_centroid_max",
+)
+
+
 @dataclass
 class AssessmentReport:
     """Three-level error record plus stage timings and run provenance."""
@@ -100,12 +107,10 @@ class AssessmentReport:
     config: PipelineConfig = field(default_factory=PipelineConfig)
     scan_checksum: str = "-"
     mesh_checksum: str = "-"
-    format_version: int = 3
+    format_version: int = 4
 
     def __post_init__(self):
-        for name in ("e_reg", "e_global", "e_part_avg", "e_part_max",
-                     "e_comp_radius_avg", "e_comp_radius_max",
-                     "e_comp_centroid_avg", "e_comp_centroid_max"):
+        for name in _ERROR_KEYS:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.f_n < 0 or self.f_p < 0 or self.n_reference_circles < 0:
@@ -128,11 +133,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_ERROR_KEYS = (
-    "e_reg", "e_global", "e_part_avg", "e_part_max",
-    "e_comp_radius_avg", "e_comp_radius_max",
-    "e_comp_centroid_avg", "e_comp_centroid_max",
-)
 _TIME_KEYS = (
     "time_registration", "time_global", "time_part", "time_feature", "time_total",
 )
@@ -431,7 +431,7 @@ def _register(scan: PointCloud, mesh: TriangleMesh, config: PipelineConfig):
             f"{len(filtered)} scan points remain after outlier removal and dropping "
             f"repeated points; normals need at least normals_k + 1 = {config.normals_k + 1}"))
     cad_samples = sample_mesh(mesh, max(50_000, 2 * len(filtered)), seed=config.seed)
-    fit, registered, e_reg = reg.register(filtered, cad_samples, config)
+    fit, registered, e_reg = reg.register(filtered, cad_samples)
     return fit, registered, e_reg, removed
 
 

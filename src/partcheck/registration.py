@@ -25,7 +25,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
-from .config import PipelineConfig
 from .geometry import PointCloud, Points, RigidTransform, strided_indices
 
 
@@ -58,6 +57,12 @@ def _principal_axes(points: Points):
 
 
 _PROBE_POINTS = 2000
+# The fine fit reads at most this many evenly strided scan points.
+_ICP_POINTS = 30_000
+# ICP stops after this many iterations, or once the RMSE falls by less than
+# _ICP_TOL, a floor about four orders of magnitude below the scan noise.
+_ICP_MAX_ITER = 100
+_ICP_TOL = 1e-6
 # The rough ranking reads every 16th probe point (about 125); the whole probe
 # re-scores its best 32 rotations at a time (see coarse_candidates).
 _ROUGH_STRIDE = 16
@@ -189,7 +194,6 @@ def icp_refine(
     source: PointCloud,
     target: PointCloud,
     init: RigidTransform | None = None,
-    config: PipelineConfig = PipelineConfig(),
     target_tree: cKDTree | None = None,
 ) -> RegistrationResult:
     """Trimmed point-to-plane ICP starting from ``init``.
@@ -202,8 +206,8 @@ def icp_refine(
     least-squares optimization for point-to-plane ICP surface registration",
     2004); the solved small-angle vector is applied as an exact rotation.
     The reported RMSE is the RMS point-to-plane residual of the kept pairs.
-    Iteration stops when it falls by less than ``config.icp_tol`` or after
-    ``config.icp_max_iter`` iterations. The reported RMSE sequence is
+    Iteration stops when it falls by less than ``_ICP_TOL`` or after
+    ``_ICP_MAX_ITER`` iterations. The reported RMSE sequence is
     non-increasing: a step that would raise it is rolled back and iteration
     stops, and the returned pose is always one whose RMSE was measured, also
     when the iterations run out. A prebuilt ``target_tree`` may be shared
@@ -211,7 +215,6 @@ def icp_refine(
     """
     if target.normals is None:
         raise ValueError("point-to-plane ICP needs target normals")
-    max_iter, tol = config.icp_max_iter, config.icp_tol
     src = source.points
     tree = cKDTree(target.points) if target_tree is None else target_tree
     transform = RigidTransform.identity() if init is None else init
@@ -224,7 +227,7 @@ def icp_refine(
     span = target.points.max(axis=0) - target.points.min(axis=0)
     bound = max(0.5 * float(np.linalg.norm(span)), 1e-9)
     n_target = len(target.points)
-    for _ in range(max_iter):
+    for _ in range(_ICP_MAX_ITER):
         iterations += 1
         moved = transform.apply(src)
         # Pairs beyond twice the trim threshold can never survive; bounding
@@ -249,7 +252,7 @@ def icp_refine(
             iterations -= 1
             converged = True
             break
-        if rmse < 1e-12 or prev_rmse - rmse < tol:
+        if rmse < 1e-12 or prev_rmse - rmse < _ICP_TOL:
             converged = True
             break
         prev_rmse = rmse
@@ -284,14 +287,14 @@ def registration_error(registered: PointCloud, cad_samples: PointCloud,
     return float(d.mean())
 
 
-def register(source: PointCloud, target: PointCloud, config: PipelineConfig = PipelineConfig(),
-             ) -> tuple[RegistrationResult, PointCloud, float]:
+def register(source: PointCloud,
+             target: PointCloud) -> tuple[RegistrationResult, PointCloud, float]:
     """Coarse-to-fine registration of ``source`` onto the ``target`` samples.
 
     ICP runs from each coarse candidate on the probe the coarse ranking
     scores (at most 2,000 evenly strided points), and the candidate whose
     converged pose fits the probe best wins the race. One more ICP run on at
-    most ``config.registration_subsample`` evenly strided source points then
+    most ``_ICP_POINTS`` (30,000) evenly strided source points then
     starts from the winner's coarse candidate, so the probe only chooses and
     the fit uses every subsampled point. Returns the fit's result, the whole
     source moved by it, and its ``registration_error``.
@@ -304,11 +307,11 @@ def register(source: PointCloud, target: PointCloud, config: PipelineConfig = Pi
     # rejects exactly the tell-tale mismatched feature points), so completed
     # candidates are compared by untrimmed mean NN distance.
     def race_cost(candidate: RigidTransform) -> float:
-        attempt = icp_refine(race, target, init=candidate, config=config, target_tree=tree)
+        attempt = icp_refine(race, target, init=candidate, target_tree=tree)
         return _capped_cost(tree, attempt.transform.apply(race.points))
 
     start = min(coarse_candidates(source, target, count=3, target_tree=tree), key=race_cost)
-    icp_source = source.select(strided_indices(len(source), config.registration_subsample))
-    fit = icp_refine(icp_source, target, init=start, config=config, target_tree=tree)
+    icp_source = source.select(strided_indices(len(source), _ICP_POINTS))
+    fit = icp_refine(icp_source, target, init=start, target_tree=tree)
     registered = source.transformed(fit.transform)
     return fit, registered, registration_error(registered, target, target_tree=tree)

@@ -12,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
 from partcheck import features
 from partcheck.config import PipelineConfig
 from partcheck.features import (
     Circle3D,
+    CircleLabeling,
     _circumcircles,
     _group_modes,
     cluster_labels,
@@ -28,7 +30,6 @@ from partcheck.features import (
     generate_hypotheses,
     match_circles,
     mcfs,
-    misclassification_error,
     off_crease_mask,
     reduce_hypotheses,
     refine_coverage,
@@ -69,6 +70,35 @@ def edge_radius(cloud) -> float:
 def bbox_diagonal(pts) -> float:
     """The scale ``mcfs`` passes to ``reduce_hypotheses``."""
     return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+
+
+def misclassification_error(labels, truth_labels) -> float:
+    """Percentage of points mislabeled under the best cluster-id mapping.
+
+    The mapping between predicted and true cluster ids is one-to-one and
+    chosen by Hungarian assignment on the agreement counts; the outlier id -1
+    only ever maps to itself.
+    """
+    pred = np.asarray(labels.labels if isinstance(labels, CircleLabeling) else labels,
+                      dtype=np.int64)
+    true = np.asarray(truth_labels, dtype=np.int64)
+    if pred.shape != true.shape:
+        raise ValueError("label arrays must have the same length")
+    n = len(pred)
+    if n == 0:
+        return 0.0
+    pred_ids = np.unique(pred[pred >= 0])
+    true_ids = np.unique(true[true >= 0])
+    correct = int(((pred == -1) & (true == -1)).sum())
+    if len(pred_ids) and len(true_ids):
+        agreement = np.zeros((len(pred_ids), len(true_ids)), dtype=np.int64)
+        for a, pid in enumerate(pred_ids):
+            sel = pred == pid
+            for b, tid in enumerate(true_ids):
+                agreement[a, b] = int((sel & (true == tid)).sum())
+        rows, cols = linear_sum_assignment(-agreement)
+        correct += int(agreement[rows, cols].sum())
+    return 100.0 * (1.0 - correct / n)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +729,8 @@ class TestMCFS:
             return original(points, hyps)
 
         monkeypatch.setattr(features, "residual_matrix", recording)
-        mcfs(pts, PipelineConfig(cluster_cap=50))
+        monkeypatch.setattr(features, "_CLUSTER_CAP", 50)
+        mcfs(pts)
         assert len(pts) > 50
         assert np.array_equal(clustered[0], pts[strided_indices(len(pts), 50)])
 

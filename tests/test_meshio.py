@@ -9,6 +9,7 @@ import pytest
 from partcheck.geometry import PointCloud, TriangleMesh
 from partcheck.meshio import (
     MeshIOError,
+    _fan_triangulate,
     load_mesh,
     load_point_cloud,
     save_mesh,
@@ -201,6 +202,18 @@ class TestMeshLoading:
         path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
         mesh = load_mesh(path)
         assert len(mesh.triangles) == 2
+
+    def test_polygons_fan_in_face_order(self):
+        # sample_mesh draws triangles by index, so the order is part of the result.
+        faces = [[0, 1, 2], (3, 4, 5, 6), [7, 8, 9, 10, 11], [12, 13, 14]]
+        assert _fan_triangulate(faces, "m.ply").tolist() == [
+            [0, 1, 2], [3, 4, 5], [3, 5, 6], [7, 8, 9], [7, 9, 10], [7, 10, 11], [12, 13, 14]]
+
+    def test_face_with_two_vertices_errors(self, tmp_path):
+        path = tmp_path / "short.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2\n")
+        with pytest.raises(MeshIOError, match=re.escape(f"{path}: face 1 has fewer than 3")):
+            load_mesh(path)
 
     def test_empty_mesh_errors(self, tmp_path):
         path = tmp_path / "empty.obj"

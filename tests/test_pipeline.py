@@ -58,6 +58,20 @@ def test_report_round_trips(report, tmp_path):
     assert parse_report(path) == report_fields(report)
 
 
+# Work budgets are constants beside their readers, not config fields.
+BUDGET_KEYS = ("icp_max_iter = 100", "icp_tol = 1e-6", "registration_subsample = 30000",
+               "circle_max_iter = 150", "hypotheses_per_point = 20",
+               "max_hypotheses = 5000", "cluster_cap = 4000")
+
+
+def test_report_is_format_4_without_budgets(report):
+    fields = report_fields(report)
+    assert fields["format_version"] == "4"
+    config_keys = [key for key in fields if key.startswith("config.")]
+    assert len(config_keys) == 18
+    assert not {f"config.{line.split()[0]}" for line in BUDGET_KEYS} & set(config_keys)
+
+
 def test_no_reference_without_truth(report):
     # Without a circle table nothing is a reference: nothing can be missed
     # and every fitted circle counts as spurious.
@@ -195,7 +209,7 @@ def test_missing_scan_exits_2(scene_files, tmp_path):
 
 @pytest.mark.parametrize("line", ["no_such_key = 1", "min_points = 1.7", "seed = abc",
                                   "inlier_eps = nan", "omega_f = nan", "omega_f = 0.5",
-                                  "region_k = 16", "mesh_samples = 0"])
+                                  "region_k = 16", "mesh_samples = 0", *BUDGET_KEYS])
 def test_bad_config_exits_2(scene_files, tmp_path, line):
     config = tmp_path / "config.txt"
     config.write_text(line + "\n")
@@ -206,10 +220,7 @@ def test_bad_config_exits_2(scene_files, tmp_path, line):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("circle_max_iter", 0), ("icp_max_iter", 0), ("outlier_k", 0),
-    ("hypotheses_per_point", 0), ("max_hypotheses", 0), ("min_cluster", 0),
-    ("cluster_cap", 0), ("normals_k", 2), ("min_points", -1),
-    ("registration_subsample", -1), ("seed", -1),
+    ("outlier_k", 0), ("min_cluster", 0), ("normals_k", 2), ("min_points", -1), ("seed", -1),
 ])
 def test_out_of_range_int_config_exits_2(scene_files, tmp_path, field, value):
     config = tmp_path / "config.txt"
@@ -221,10 +232,14 @@ def test_out_of_range_int_config_exits_2(scene_files, tmp_path, field, value):
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("icp_tol", "inf", "icp_tol must be positive and finite"),
     ("tensor_radius_factor", "inf", "tensor_radius_factor must be positive and finite"),
     ("region_angle_deg", "inf", "region_angle_deg must be finite"),
+    ("region_angle_deg", "200", "region_angle_deg must be in (0, 90]"),
+    ("region_angle_deg", "-5", "region_angle_deg must be in (0, 90]"),
+    ("region_angle_deg", "0", "region_angle_deg must be in (0, 90]"),
     ("region_curv_thresh", "-inf", "region_curv_thresh must be finite"),
+    ("region_curv_thresh", "-1", "region_curv_thresh must be positive"),
+    ("region_curv_thresh", "0", "region_curv_thresh must be positive"),
     ("outlier_stddev_mult", "-3", "outlier_stddev_mult must be at least 0"),
     ("outlier_stddev_mult", "-inf", "outlier_stddev_mult must be at least 0"),
 ])
@@ -234,7 +249,7 @@ def test_meaningless_float_config_exits_2(scene_files, tmp_path, field, value, m
     result = assess(scene_files / "scan.ply", scene_files / "mesh.ply",
                     "--config", config, "--out", tmp_path)
     assert result.exit_code == EXIT_INPUT_ERROR
-    assert message in result.output
+    assert f"line 1: {message}" in result.output
 
 
 def test_repeated_config_key_exits_2(scene_files, tmp_path):

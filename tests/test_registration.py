@@ -345,10 +345,10 @@ class TestICP:
         assert np.abs(moved.transform.rotation - expected.rotation).max() < 1e-6
         assert np.abs(moved.transform.translation - expected.translation).max() < 1e-6
 
-    def test_out_of_iterations_returns_the_measured_pose(self):
+    def test_out_of_iterations_returns_the_measured_pose(self, monkeypatch):
         # The reported RMSE must be the returned pose's. Here the step after
-        # the last measurement at max_iter=4 would raise it, 0.04653 to
-        # 0.04668.
+        # the last measurement at an iteration budget of 4 would raise it,
+        # 0.04653 to 0.04668.
         rng = np.random.default_rng(25)
         dims = rng.uniform(0.5, 3.0, 3)
         source = PointCloud(points=rng.uniform(size=(300, 3)) * dims)
@@ -356,7 +356,8 @@ class TestICP:
                                          .apply(rng.uniform(size=(300, 3)) * dims)))
         previous = np.inf
         for max_iter in range(1, 7):
-            result = icp_refine(source, target, config=PipelineConfig(icp_max_iter=max_iter))
+            monkeypatch.setattr(registration, "_ICP_MAX_ITER", max_iter)
+            result = icp_refine(source, target)
             actual = trimmed_rmse(result.transform.apply(source.points), target)
             assert result.rmse == pytest.approx(actual, rel=1e-12, abs=0.0)
             assert actual <= previous
@@ -388,13 +389,13 @@ class TestICP:
 
 
 class TestRegister:
-    def test_recovers_known_transform_from_subsample(self):
+    def test_recovers_known_transform_from_subsample(self, monkeypatch):
         rng = np.random.default_rng(10)
         source = blob_cloud(rng, n=1200)
         truth = RigidTransform(rotation_about_z(90.0), np.array([5.0, 0.0, 0.0]))
         target = with_normals(PointCloud(points=truth.apply(source.points)))
-        result, registered, e_reg = register(source, target,
-                                             PipelineConfig(registration_subsample=500))
+        monkeypatch.setattr(registration, "_ICP_POINTS", 500)
+        result, registered, e_reg = register(source, target)
         assert result.converged
         assert np.abs(registered.points - target.points).max() < 1e-6
         assert e_reg < 1e-6

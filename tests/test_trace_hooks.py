@@ -38,10 +38,9 @@ def test_hypothesis_spans_open_under_mcfs(spans):
     t = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
     ring = np.column_stack([np.cos(t), np.sin(t), np.zeros_like(t)])
     pts = np.vstack([ring, np.array([5.0, 0.0, 0.0]) + 1.5 * ring])
-    params = PipelineConfig(seed=3)
     tracer = spans.Tracer()
     with tracer.installed():
-        labeling = features.mcfs(pts, params)
+        labeling = features.mcfs(pts, PipelineConfig(seed=3))
     assert len(labeling.circles) == 2
 
     names = [s.name for s in tracer.spans]
@@ -50,7 +49,7 @@ def test_hypothesis_spans_open_under_mcfs(spans):
         assert inside, names
         assert all(tracer.spans[s.parent].name == "features.mcfs" for s in inside)
     first = next(s for s in tracer.spans if s.name == "features.generate_hypotheses")
-    expected = min(params.hypotheses_per_point * len(pts), params.max_hypotheses)
+    expected = min(features._HYPOTHESES_PER_POINT * len(pts), features._MAX_HYPOTHESES)
     assert first.counts["drawn"] == expected == 4000
 
 
