@@ -15,9 +15,11 @@ the seed alone; their circumcircles are computed in vectorized blocks as the
 rows ``[cx, cy, cz, nx, ny, nz, r]`` (center, unit normal, radius) of one
 array, and only the mean-shift representatives become ``Circle3D``. Modes
 that meet reach identical coordinates, so each mean-shift step queries each
-distinct mode once. The converged modes are grouped through one k-d tree.
-Mean shift and grouping query their balls in blocks of rows, which bounds
-the memory the neighbor lists take.
+distinct mode once, and the converged modes are grouped over their distinct
+values alone. A mean-shift step reads the balls of each block of nearby
+modes as one array of (query, data) index pairs; grouping queries its balls
+as lists. Both run in blocks of rows, which bounds the memory the balls
+take.
 """
 
 from __future__ import annotations
@@ -276,48 +278,68 @@ def generate_hypotheses(edge_points, count: int, seed: int) -> NDArray[np.float6
 # Hypothesis reduction by mean shift
 # ---------------------------------------------------------------------------
 
-# Ball queries run this many rows at a time: their neighbor lists are Python
-# lists of Python ints, about 36 bytes an entry, and the hypotheses of one
-# rim converge together, so a whole-set query can hold tens of megabytes.
+# Ball queries run this many query rows at a time: the hypotheses of one rim
+# converge together, so the balls of a whole set of modes can hold millions
+# of pairs.
 _BALL_BLOCK = 256
+
+
+def _distinct_rows(rows: NDArray[np.float64]):
+    """The distinct rows in order of first appearance, and each row's index
+    among them. Rows are compared as raw bytes, about 4x faster than
+    ``np.unique(axis=0)``."""
+    as_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(as_bytes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rows[first[order]], rank[inverse]
 
 
 def _group_modes(modes: NDArray[np.float64], radius: float) -> NDArray[np.int64]:
     """Group id per mode, numbered in order of each group's first mode.
 
     Greedy in index order: each mode not yet assigned opens a group and takes
-    every unassigned mode within ``radius`` of it.
+    every unassigned mode within ``radius`` of it. Equal modes always share a
+    group, so the pass runs over the distinct modes alone.
     """
-    assigned = np.full(len(modes), -1, dtype=np.int64)
+    distinct, inverse = _distinct_rows(modes)
+    assigned = np.full(len(distinct), -1, dtype=np.int64)
     groups = 0
-    tree = cKDTree(modes)
-    for lo in range(0, len(modes), _BALL_BLOCK):
-        block = tree.query_ball_point(modes[lo:lo + _BALL_BLOCK], radius)
+    tree = cKDTree(distinct)
+    for lo in range(0, len(distinct), _BALL_BLOCK):
+        block = tree.query_ball_point(distinct[lo:lo + _BALL_BLOCK], radius)
         for i, near in enumerate(block, start=lo):
             if assigned[i] >= 0:
                 continue
             near = np.asarray(near, dtype=np.int64)
             assigned[near[assigned[near] < 0]] = groups
             groups += 1
-    return assigned
+    return assigned[inverse]
 
 
 def _ball_means(tree: cKDTree, data: NDArray[np.float64], queries: NDArray[np.float64],
                 radius: float) -> NDArray[np.float64]:
     """Mean of the ``data`` rows (indexed by ``tree``) within ``radius`` of
-    each query row, or the query row itself where none is."""
+    each query row, or the query row itself where none is. Each ball is
+    summed in ascending data index.
+
+    Each block of queries reads its balls as one array of (query, data)
+    pairs from a two-tree search. The blocks follow the leaf order of a tree
+    over the queries, so each holds nearby queries and its search stays
+    short.
+    """
     out = queries.copy()
+    order = cKDTree(queries).indices
     for lo in range(0, len(queries), _BALL_BLOCK):
-        near = tree.query_ball_point(queries[lo:lo + _BALL_BLOCK], radius)
-        counts = np.fromiter(map(len, near), dtype=np.int64, count=len(near))
-        nonempty = counts > 0
-        if not nonempty.any():
-            continue
-        flat = np.fromiter(itertools.chain.from_iterable(near), dtype=np.int64,
-                           count=int(counts.sum()))
-        starts = np.cumsum(counts) - counts
-        sums = np.add.reduceat(data[flat], starts[nonempty], axis=0)
-        out[lo:lo + len(near)][nonempty] = sums / counts[nonempty, None]
+        rows = order[lo:lo + _BALL_BLOCK]
+        pairs = cKDTree(queries[rows]).sparse_distance_matrix(tree, radius, output_type="ndarray")
+        if len(pairs):
+            pairs = pairs[np.argsort(pairs["i"] * tree.n + pairs["j"])]
+            starts = np.flatnonzero(np.diff(pairs["i"], prepend=-1))
+            counts = np.diff(starts, append=len(pairs))
+            sums = np.add.reduceat(data[pairs["j"]], starts, axis=0)
+            out[rows[pairs["i"][starts]]] = sums / counts[:, None]
     return out
 
 
@@ -347,13 +369,7 @@ def reduce_hypotheses(
             break
         idx = np.nonzero(moving)[0]
         # Modes that have met sit at identical coordinates: step each once.
-        # Rows are grouped as raw bytes, about 4x faster than
-        # np.unique(axis=0); their order is immaterial, as each ball mean
-        # depends on its own row alone.
-        rows = modes[idx]
-        as_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-        distinct, inverse = np.unique(as_bytes, return_inverse=True)
-        distinct = distinct.view(np.float64).reshape(-1, rows.shape[1])
+        distinct, inverse = _distinct_rows(modes[idx])
         targets = _ball_means(tree, data, distinct, bandwidth)[inverse]
         shift = np.linalg.norm(targets - modes[idx], axis=1)
         modes[idx] = targets

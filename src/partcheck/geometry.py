@@ -248,8 +248,11 @@ def median_spacing(points) -> float:
 
 def strided_indices(n: int, cap: int) -> NDArray[np.int64]:
     """Every ``ceil(n / cap)``-th index of ``range(n)``, so at most ``cap`` of
-    them; all of them when ``n <= cap`` or ``cap <= 0``."""
-    stride = int(np.ceil(n / cap)) if n > cap > 0 else 1
+    them; all of them when ``n <= cap``. A ``cap`` below 1 raises
+    ``ValueError``."""
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    stride = int(np.ceil(n / cap)) if n > cap else 1
     return np.arange(0, n, stride)
 
 

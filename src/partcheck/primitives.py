@@ -466,7 +466,10 @@ def region_grow(cloud: PointCloud, config: PipelineConfig = PipelineConfig()) ->
     Seeds are visited in ascending curvature order; of each point's
     ``normals_k`` neighbors, the ones its normal was estimated from, one
     joins when its normal is within ``region_angle_deg`` of the point's and
-    its curvature is below ``region_curv_thresh``. Each region is fitted with whichever primitive
+    its curvature is below ``region_curv_thresh``. That join test is
+    computed for every (point, neighbor) pair up front; the walk then reads
+    each point's joinable neighbors in neighbor order and takes the
+    unassigned ones. Each region is fitted with whichever primitive
     kind explains it best, trying plane, sphere and cylinder first and the
     cone only when none of them fits the region to within ``inlier_eps / 4``
     RMS (see ``_best_kind_fit``). All values come from ``config``; a
@@ -477,11 +480,23 @@ def region_grow(cloud: PointCloud, config: PipelineConfig = PipelineConfig()) ->
     pts = cloud.points
     n = len(pts)
     min_points = config.min_points or max(30, n // 500)
-    _, idx = cKDTree(pts).query(pts, k=min(config.normals_k, n - 1) + 1)
+    idx = cKDTree(pts).query(pts, k=min(config.normals_k, n - 1) + 1)[1]
     normals = cloud.normals
     curv = cloud.curvatures
     cos_thresh = np.cos(np.deg2rad(config.region_angle_deg))
     curv_thresh = config.region_curv_thresh
+
+    # The join test of every (point, neighbor) pair, one neighbor column at a
+    # time; a stacked 1x3 @ 3x1 product rounds as ``normals[i] @ normals[j]``.
+    near = idx[:, 1:]
+    joins = np.empty(near.shape, dtype=bool)
+    for c, column in enumerate(near.T):
+        cos = (normals[:, None, :] @ normals[column][:, :, None])[:, 0, 0]
+        joins[:, c] = (curv[column] < curv_thresh) & (np.abs(cos) >= cos_thresh)
+    # Point i's joinable neighbors, in neighbor order, are
+    # joinable[starts[i]:starts[i + 1]].
+    joinable = near[joins]
+    starts = np.concatenate([[0], np.cumsum(joins.sum(axis=1))])
 
     assigned = np.full(n, -1, dtype=np.int64)
     regions: list[np.ndarray] = []
@@ -490,19 +505,17 @@ def region_grow(cloud: PointCloud, config: PipelineConfig = PipelineConfig()) ->
             continue
         rid = len(regions)
         assigned[seed] = rid
-        members = [int(seed)]
-        stack = [int(seed)]
+        members = [seed[None]]
+        stack = [seed]
         while stack:
             i = stack.pop()
-            ni = normals[i]
-            for j in idx[i, 1:]:
-                if assigned[j] >= 0:
-                    continue
-                if curv[j] < curv_thresh and abs(float(ni @ normals[j])) >= cos_thresh:
-                    assigned[j] = rid
-                    members.append(int(j))
-                    stack.append(int(j))
-        regions.append(np.asarray(members, dtype=np.int64))
+            new = joinable[starts[i]:starts[i + 1]]
+            new = new[assigned[new] < 0]
+            if len(new):
+                assigned[new] = rid
+                members.append(new)
+                stack.extend(new)
+        regions.append(np.concatenate(members))
 
     kinds = tuple(PrimitiveKind)
     fitted = (_band_fit(pts, normals, members, config.inlier_eps, min_points, kinds)

@@ -141,13 +141,14 @@ def _rotation_gap(r1: np.ndarray, r2: np.ndarray) -> float:
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
-def _capped_cost(tree: cKDTree, points: Points) -> float:
+def _capped_cost(tree: cKDTree, points: np.ndarray) -> float | np.ndarray:
     """Mean nearest-neighbor distance to the tree's points, each distance
     capped at 5% of their bounding-box diagonal so hopeless poses saturate
-    instead of paying for exact lookups far from the target."""
+    instead of paying for exact lookups far from the target. A stack of
+    point sets, shape ``(k, m, 3)``, gets one cost per set in one query."""
     cap = max(0.05 * float(np.linalg.norm(tree.maxes - tree.mins)), 1e-9)
     d, _ = tree.query(points, distance_upper_bound=cap)
-    return float(np.minimum(d, cap).mean())
+    return np.minimum(d, cap).mean(axis=-1)
 
 
 def _probe(points: Points) -> Points:
@@ -181,7 +182,8 @@ def _ranked_candidates(tree, ps, cs, ct, rotations) -> Iterator[list[RigidTransf
     order = range(len(candidates))
     if len(candidates) > _RESCORED:
         rough = probe[::_ROUGH_STRIDE]
-        order = sorted(order, key=lambda i: (_capped_cost(tree, candidates[i].apply(rough)), i))
+        costs = _capped_cost(tree, np.stack([c.apply(rough) for c in candidates]))
+        order = np.argsort(costs, kind="stable")
     scored: list[tuple[float, int]] = []
     for start in range(0, len(order), _RESCORED):
         scored.extend((_capped_cost(tree, candidates[i].apply(probe)), i)

@@ -437,8 +437,9 @@ class TestReduceHypotheses:
 
     def test_neighbor_lists_stay_bounded(self):
         # 700 hypotheses of one circle all lie within one bandwidth of each
-        # other, so a whole-set ball query returns 700 x 700 indices as
-        # Python ints (43 MB traced); blocks of rows hold a fraction of that.
+        # other, so a whole-set ball table holds 700 x 700 pairs and gathers
+        # as many 7-d rows (37 MB traced); blocks of rows hold a fraction of
+        # that.
         c = Circle3D(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]))
         pts = circle_points(c, 80, rng=np.random.default_rng(1), noise=1e-4)
         hyps = generate_hypotheses(pts, 700, seed=3)
@@ -451,6 +452,30 @@ class TestReduceHypotheses:
             tracemalloc.stop()
         assert len(modes) == 1
         assert peak < 24 * 2**20
+
+    def test_ball_means_match_brute_force(self):
+        # More than two blocks of queries, repeated queries and one query
+        # whose ball is empty. Each ball is summed by one reduceat in
+        # ascending data index; the sum's rounding depends on that order, so
+        # a ball read in another order fails.
+        rng = np.random.default_rng(21)
+        data = rng.uniform(size=(2000, 7))
+        queries = rng.uniform(size=(600, 7))
+        queries[300:320] = queries[:20]
+        queries[599] = 5.0
+        radius = 0.5
+
+        expected = queries.copy()
+        sizes = []
+        for q, row in zip(queries, expected):
+            near = np.flatnonzero(np.linalg.norm(data - q, axis=1) <= radius)
+            sizes.append(len(near))
+            if len(near):
+                row[:] = np.add.reduceat(data[near], [0], axis=0)[0] / len(near)
+        got = features._ball_means(cKDTree(data), data, queries, radius)
+        assert len(queries) > 2 * features._BALL_BLOCK
+        assert sizes[599] == 0 and min(sizes[:599]) > 1
+        assert np.array_equal(got, expected)
 
     def test_duplicate_modes_step_once(self, monkeypatch):
         # Copies of one hypothesis share every mean-shift step, so each

@@ -271,16 +271,21 @@ class TestMeshDistance:
 # ---------------------------------------------------------------------------
 
 class TestStridedIndices:
-    @given(st.integers(0, 50_000), st.integers(-5, 50_000))
+    @given(st.integers(0, 50_000), st.integers(1, 50_000))
     def test_evenly_spaced_from_zero_and_capped(self, n, cap):
         idx = strided_indices(n, cap)
-        if n <= cap or cap <= 0:
+        if n <= cap:
             assert np.array_equal(idx, np.arange(n))
             return
         # More than half the cap survives, so the stride does not overshoot.
         assert cap / 2 < len(idx) <= cap
         stride = idx[1] if len(idx) > 1 else n
         assert np.array_equal(idx, np.arange(0, n, stride))
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_rejected(self, cap):
+        with pytest.raises(ValueError, match="cap"):
+            strided_indices(10, cap)
 
 
 class TestSampleMesh:

@@ -358,6 +358,69 @@ class TestRegionGrow:
         with pytest.raises(ValueError):
             region_grow(cloud)
 
+    @pytest.mark.parametrize("spec", [
+        "collage count=2 spacing=0.2 noise=0.01 rot_deg=20 trans_frac=0.1",
+        "plate width=40 height=40 holes=4 spacing=0.8 rot_deg=20 trans_frac=0.1",
+    ])
+    def test_same_regions_as_a_join_test_per_visit(self, spec, monkeypatch):
+        # Regions and member order match a walk that tests each neighbor as
+        # it visits it, so the fits and their inliers match bit for bit.
+        cloud = enriched_cloud(generate_synthetic_scene(spec, seed=1).cloud.points)
+        config = PipelineConfig()
+        expected = per_visit_regions(cloud, config)
+        n = len(cloud)
+        min_points = config.min_points or max(30, n // 500)
+        fitted = (primitives._band_fit(cloud.points, cloud.normals, members, config.inlier_eps,
+                                       min_points, tuple(PrimitiveKind))
+                  for members in expected)
+        want = [p for p in fitted if p is not None]
+
+        seen = []
+        band_fit = primitives._band_fit
+        monkeypatch.setattr(primitives, "_band_fit",
+                            lambda pts, nrm, members, *a: seen.append(members)
+                            or band_fit(pts, nrm, members, *a))
+        got = region_grow(cloud, config).primitives
+        assert len(seen) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
+        assert len(got) == len(want) > 1
+        for a, b in zip(got, want):
+            assert a.kind is b.kind
+            assert np.array_equal(a.inliers, b.inliers)
+            for name, value in vars(a.shape).items():
+                assert np.array_equal(getattr(b.shape, name), value), name
+
+
+def per_visit_regions(cloud: PointCloud, config: PipelineConfig) -> list[np.ndarray]:
+    """Region growing's regions, testing each neighbor when it is visited."""
+    from scipy.spatial import cKDTree
+
+    pts, normals, curv = cloud.points, cloud.normals, cloud.curvatures
+    n = len(pts)
+    _, idx = cKDTree(pts).query(pts, k=min(config.normals_k, n - 1) + 1)
+    cos_thresh = np.cos(np.deg2rad(config.region_angle_deg))
+    assigned = np.full(n, -1, dtype=np.int64)
+    regions = []
+    for seed in np.argsort(curv, kind="stable"):
+        if assigned[seed] >= 0:
+            continue
+        rid = len(regions)
+        assigned[seed] = rid
+        members = [int(seed)]
+        stack = [int(seed)]
+        while stack:
+            i = stack.pop()
+            for j in idx[i, 1:]:
+                if assigned[j] >= 0:
+                    continue
+                if (curv[j] < config.region_curv_thresh
+                        and abs(float(normals[i] @ normals[j])) >= cos_thresh):
+                    assigned[j] = rid
+                    members.append(int(j))
+                    stack.append(int(j))
+        regions.append(np.asarray(members, dtype=np.int64))
+    return regions
+
 
 # ---------------------------------------------------------------------------
 # Energy

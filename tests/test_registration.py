@@ -202,11 +202,21 @@ class TestCoarse:
         coarse_candidates(source, target)
         probe = _probe(source.points)
         rough = probe[::_ROUGH_STRIDE]
-        # Every rotation once on the rough probe, then the best 32 on the whole.
-        assert [len(pts) for pts in calls] == [len(rough)] * 360 + [len(probe)] * 32
+        # Every rotation once on the rough probe, in one stacked query, then
+        # the best 32 on the whole.
+        assert [pts.shape for pts in calls] == [(360, len(rough), 3)] + [probe.shape] * 32
         spun = [RigidTransform(r, np.zeros(3)) for r in half]
-        rough_scored = [moved_by(spun, rough, pts) for pts in calls[:360]]
+        rough_scored = [moved_by(spun, rough, pts) for pts in calls[0]]
         assert sorted(rough_scored) == list(range(360))
+
+    def test_stacked_cost_is_the_cost_of_each_set(self):
+        source, target = spun_blob()
+        tree = cKDTree(target.points)
+        rng = np.random.default_rng(3)
+        stacked = source.points[:125] + rng.normal(scale=0.5, size=(40, 1, 3))
+        costs = registration._capped_cost(tree, stacked)
+        assert costs.shape == (40,)
+        assert np.array_equal(costs, [registration._capped_cost(tree, pts) for pts in stacked])
 
     def test_two_pass_ranking_matches_exhaustive_on_square_plate(self):
         scene = generate_synthetic_scene(
