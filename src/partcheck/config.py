@@ -34,12 +34,12 @@ class PipelineConfig:
     - registration: ``pipeline._register`` (``outlier_k``,
       ``outlier_stddev_mult``, ``normals_k`` as the least scan size,
       ``seed`` for CAD sampling).
-    - part: ``pipeline._part`` (``normals_k``), ``primitives.region_grow``
-      (``min_points``, ``normals_k`` as the neighbors it visits,
-      ``region_angle_deg``, ``region_curv_thresh``, ``inlier_eps``); the
-      ``Configuration`` it returns carries the record to ``energy``
-      (``omega_f``, ``omega_s``, ``omega_c``) and to ``split`` and ``merge``
-      (``inlier_eps``).
+    - part: ``pipeline._part`` (``normals_k``, the neighbors that normals
+      are estimated from and region growing visits),
+      ``primitives.region_grow`` (``min_points``, ``region_angle_deg``,
+      ``region_curv_thresh``, ``inlier_eps``); the ``Configuration`` it
+      returns carries the record to ``energy`` (``omega_f``, ``omega_s``,
+      ``omega_c``) and to ``split`` and ``merge`` (``inlier_eps``).
     - feature: ``pipeline._feature`` (``tensor_radius_factor``,
       ``region_angle_deg`` as the least crease angle, ``circle_match_tol``),
       ``features.detect_edge_points`` (``edge_threshold``, ``tensor_sigma``),

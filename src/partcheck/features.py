@@ -3,12 +3,15 @@ and a hypothesize-and-clusterize scheme that fits multiple circles to them.
 
 Edge detection accumulates, per point, neighbor-weighted projector tensors
 whose eigenvalue ratio flags curvature transitions. The feature level runs
-after the part level and reads its fitted planes: edge points on a straight
-crease between two of them cannot lie on a circle and are dropped
-(``off_crease_mask``). Circle candidates are generated from random 3-point
-samples of the rest, compressed by mean shift, clustered by the similarity
-of their preference sets, fitted with iterative outlier rejection, and
-finally pruned by a greedy set cover.
+after the part level and reads its fitted shapes. Edge points on a straight
+crease between two fitted planes cannot lie on a circle and are dropped
+(``off_crease_mask``). Each fitted cylinder that meets a plane normal to its
+axis predicts that rim exactly (``part_level_rims``), and the rims come
+first: each one the edge points support claims its edge band. MCFS fits the
+edge points left over. Its circle candidates are generated from random
+3-point samples, compressed by mean shift, clustered by the similarity of
+their preference sets, fitted with iterative outlier rejection, and finally
+pruned by a greedy set cover.
 
 The samples are drawn one triple at a time, so the random stream depends on
 the seed alone; their circumcircles are computed in vectorized blocks as the
@@ -25,6 +28,7 @@ take.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -566,6 +570,11 @@ def fit_circle_iterative(
 # Set-cover refinement and the full multi-circle scheme
 # ---------------------------------------------------------------------------
 
+def _same_feature(a: Circle3D, b: Circle3D, tol: float) -> bool:
+    """Whether the two circles' centers and radii agree within ``tol``."""
+    return bool(np.linalg.norm(a.center - b.center) <= tol and abs(a.radius - b.radius) <= tol)
+
+
 def refine_coverage(
     circles: list[Circle3D],
     edge_points,
@@ -613,9 +622,7 @@ def refine_coverage(
             if int((cover[:, c] & cover[:, b]).sum()) >= 0.8 * total:
                 redundant = True
                 break
-            other = circles[b]
-            if (np.linalg.norm(circle.center - other.center) <= duplicate_tol
-                    and abs(circle.radius - other.radius) <= duplicate_tol):
+            if _same_feature(circle, circles[b], duplicate_tol):
                 redundant = True
                 break
         if not redundant:
@@ -676,6 +683,33 @@ def _leftover_components(points: Points, radius: float, min_size: int):
             yield members
 
 
+# A plane is a cylinder's face when its normal is within this angle of the
+# cylinder's axis.
+_RIM_PLANE_DEG = 5.0
+
+
+def part_level_rims(config: Configuration) -> list[Circle3D]:
+    """The rim circles the part level predicts, in primitive order.
+
+    For each fitted cylinder and each fitted plane whose normal is within
+    ``_RIM_PLANE_DEG`` of the cylinder's axis, the circle centered where the
+    axis meets the plane, with the cylinder's radius and the axis as its
+    normal. Whether a face really carries the rim is for the edge points to
+    say: ``mcfs`` keeps only the rims they support.
+    """
+    planes = [p.shape for p in config.primitives if p.kind is PrimitiveKind.PLANE]
+    cos_min = np.cos(np.deg2rad(_RIM_PLANE_DEG))
+    rims = []
+    for cylinder in (p.shape for p in config.primitives if p.kind is PrimitiveKind.CYLINDER):
+        for plane in planes:
+            cos = float(plane.normal @ cylinder.axis)
+            if abs(cos) >= cos_min:
+                t = (plane.offset - plane.normal @ cylinder.point) / cos
+                rims.append(Circle3D(cylinder.point + t * cylinder.axis, cylinder.radius,
+                                     cylinder.axis))
+    return rims
+
+
 _MAX_ROUNDS = 16
 _MAX_RADIUS_FACTOR = 2.0
 _MAX_MODELS = 64
@@ -692,17 +726,33 @@ _MIN_ARC_COVERAGE = 0.6
 _COVERAGE_BINS = 24
 
 
-def mcfs(edge_points, config: PipelineConfig = PipelineConfig()) -> CircleLabeling:
+def mcfs(edge_points, config: PipelineConfig = PipelineConfig(),
+         rims: Sequence[Circle3D] = ()) -> CircleLabeling:
     """Detect all circles among the edge points.
 
-    Each round runs hypothesis generation, residual calculation, preference
-    clustering and outlier-rejecting fits on the still-unlabeled points, and
-    stops once a round contributes no new circle. A round draws
-    ``_HYPOTHESES_PER_POINT`` hypotheses per unlabeled point, at most
-    ``_MAX_HYPOTHESES``, and its clustering reads at most ``_CLUSTER_CAP`` of
-    the points, picked by ``strided_indices``. A final greedy set cover
-    removes near-duplicate circles and produces the labeling. ``config``
-    supplies ``inlier_eps``, ``eta``, ``bandwidth``, ``min_cluster`` and the
+    The rims the part level predicts (``part_level_rims``) come first, in
+    order. An accepted circle claims the points of its edge band, those
+    within ``max(inlier_eps, 2 * spacing)`` of it, where spacing is the edge
+    points' median spacing. A rim is accepted when the unclaimed points in
+    its band pass the density and angular-coverage test that every circle
+    passes; tensor voting marks a band that straddles the rim and the bore,
+    so few of those points may lie within ``inlier_eps`` of the exact rim.
+
+    MCFS then fits the points the rims leave. Each round runs hypothesis
+    generation, residual calculation, preference clustering and
+    outlier-rejecting fits on the still-unclaimed points, and stops once a
+    round contributes no new circle. A round draws ``_HYPOTHESES_PER_POINT``
+    hypotheses per unclaimed point, at most ``_MAX_HYPOTHESES``, and its
+    clustering reads at most ``_CLUSTER_CAP`` of the points, picked by
+    ``strided_indices``. Without an accepted rim, round 0 raises
+    ``ValueError`` on a degenerate point set; with one, a remainder too
+    small or degenerate to draw from just ends the rounds. MCFS's circles
+    stacked on an accepted rim, whose center and radius are within
+    ``max(inlier_eps, 3 * spacing)`` of the rim's, are dropped, and a greedy
+    set cover over the points the rims leave removes near-duplicates among
+    the rest. In the labeling the rims come first, each labeling its band
+    points, then the set cover's circles. ``config`` supplies
+    ``inlier_eps``, ``eta``, ``bandwidth``, ``min_cluster`` and the
     hypotheses' ``seed``.
     """
     pts = as_points(edge_points)
@@ -738,12 +788,22 @@ def mcfs(edge_points, config: PipelineConfig = PipelineConfig()) -> CircleLabeli
         supporters = field[circle.distance(field) <= eps]
         return circle if sufficient_support(circle, supporters) else None
 
-    circles: list[Circle3D] = []
-    remaining = np.arange(n, dtype=np.int64)
     # Points this close to an accepted circle belong to its edge band and are
     # considered explained; pruning the whole band keeps later rounds focused
     # on structures not yet found.
     band = max(eps, 2.0 * spacing)
+    labels = np.full(n, -1, dtype=np.int64)
+    accepted_rims: list[Circle3D] = []
+    for rim in rims:
+        unclaimed = np.flatnonzero(labels < 0)
+        in_band = unclaimed[rim.distance(pts[unclaimed]) <= band]
+        if sufficient_support(rim, pts[in_band]):
+            labels[in_band] = len(accepted_rims)
+            accepted_rims.append(rim)
+
+    left = np.flatnonzero(labels < 0)
+    circles: list[Circle3D] = []
+    remaining = left
     for round_no in range(_MAX_ROUNDS):
         if len(remaining) < max(3, min_cluster):
             break
@@ -752,24 +812,24 @@ def mcfs(edge_points, config: PipelineConfig = PipelineConfig()) -> CircleLabeli
         try:
             hyps = generate_hypotheses(subset, count, seed=config.seed + 7919 * round_no)
         except ValueError:
-            if round_no == 0:
+            if round_no == 0 and not accepted_rims:
                 raise
             break
         hyps = reduce_hypotheses(hyps, config.bandwidth, scale=max(diag, 1e-12),
                                  max_modes=_MAX_MODELS)
 
         cluster_idx = remaining[strided_indices(len(remaining), _CLUSTER_CAP)]
-        labels = cluster_labels(residual_matrix(pts[cluster_idx], hyps), eps, min_cluster)
+        clusters = cluster_labels(residual_matrix(pts[cluster_idx], hyps), eps, min_cluster)
 
         # Clusters come ordered by size; accepted circles immediately claim
         # their edge band so a weaker candidate cannot ride on support that a
         # better circle already explains.
         claimed = np.zeros(len(remaining), dtype=bool)
-        for ci in range(labels.max(initial=-1) + 1):
+        for ci in range(clusters.max(initial=-1) + 1):
             field = subset[~claimed]
             if len(field) < min_cluster:
                 break
-            circle = accept(pts[cluster_idx[labels == ci]], field)
+            circle = accept(pts[cluster_idx[clusters == ci]], field)
             if circle is not None:
                 circles.append(circle)
                 claimed |= circle.distance(subset) <= band
@@ -788,7 +848,14 @@ def mcfs(edge_points, config: PipelineConfig = PipelineConfig()) -> CircleLabeli
             if circle is not None:
                 circles.append(circle)
 
-    return refine_coverage(circles, pts, config)
+    # The band beside a rim can carry a circle stacked on it, which the set
+    # cover's parameter rule would drop as a duplicate of the rim.
+    duplicate_tol = max(eps, 3.0 * spacing)
+    circles = [c for c in circles
+               if not any(_same_feature(c, rim, duplicate_tol) for rim in accepted_rims)]
+    covered = refine_coverage(circles, pts[left], config)
+    labels[left] = np.where(covered.labels >= 0, covered.labels + len(accepted_rims), -1)
+    return CircleLabeling(labels, accepted_rims + covered.circles)
 
 
 # ---------------------------------------------------------------------------

@@ -73,11 +73,15 @@ class PointCloud:
     """Ordered 3D points with optional per-point channels.
 
     Optional channels must match the point count. Normals are unit length.
+    ``neighbors`` is the k-nearest-neighbor index table the normals were
+    estimated from, one row per point, nearest first; it indexes this
+    cloud's points, so a sub-cloud does not carry it.
     """
 
     points: Points
     normals: Points | None = None
     curvatures: NDArray[np.float64] | None = None
+    neighbors: NDArray[np.intp] | None = None
 
     def __post_init__(self):
         pts = as_points(self.points)
@@ -102,6 +106,13 @@ class PointCloud:
             if (cur < 0).any():
                 raise ValueError("curvatures must be non-negative")
             object.__setattr__(self, "curvatures", cur)
+        if self.neighbors is not None:
+            nb = np.asarray(self.neighbors)
+            if nb.ndim != 2 or len(nb) != n or nb.dtype.kind not in "iu":
+                raise ValueError("neighbors must be an integer table with one row per point")
+            if nb.size and (nb.min() < 0 or nb.max() >= n):
+                raise ValueError("neighbor index out of range")
+            object.__setattr__(self, "neighbors", nb)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -451,7 +462,8 @@ def estimate_normals_and_curvature(cloud: PointCloud, k: int) -> PointCloud:
     Normals are unoriented, with the sign their eigenvector came with: every
     consumer reads them up to sign (region growing compares ``|n_i . n_j|``,
     the cylinder axis comes from their second moment and the cone apex from
-    tangent planes).
+    tangent planes). The (n, k+1) neighbor table goes into ``neighbors``:
+    region growing walks the same neighborhoods.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
@@ -487,7 +499,7 @@ def estimate_normals_and_curvature(cloud: PointCloud, k: int) -> PointCloud:
         normals[degenerate] = (0.0, 0.0, 1.0)
         curv[degenerate] = 0.0
 
-    return replace(cloud, normals=normals, curvatures=curv)
+    return replace(cloud, normals=normals, curvatures=curv, neighbors=idx)
 
 
 def remove_outliers(cloud: PointCloud, k: int,

@@ -3,11 +3,14 @@
 ``run_pipeline`` is a chain of stage functions: load the inputs, register
 (repeat and outlier filters, CAD sampling, coarse search and ICP), the
 global error, the part level (segmentation and patch errors), the feature
-level (the scan's rim circles, fitted to the edge points off the part
+level (the scan's rim circles, found among the edge points off the part
 level's plane creases, against the reference circles, which are a supplied
-table or, without one, none), then the report and its output files. Each
-stage is timed, and any failure aborts with the stage name; a scan too small
-to estimate normals on is rejected as input before registration.
+table or, without one, none), then the report and its output files. The
+rims come from the part level first: a fitted cylinder meeting a plane
+normal to its axis gives its rim exactly, where the edge points support it.
+MCFS fits the edge points those rims leave. Each stage is timed, and any
+failure aborts with the stage name; a scan too small to estimate normals on
+is rejected as input before registration.
 The report serializes to a stable key/value document or an aligned
 human-readable table.
 
@@ -23,7 +26,7 @@ import hashlib
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +67,10 @@ class PrimitiveRow:
 
 @dataclass
 class CircleRow:
+    """One fitted circle. ``inlier_count`` is the edge points labeled to it:
+    for a rim from the part level, the edge points in its claim band; for a
+    circle MCFS found, those the set cover assigned it."""
+
     index: int
     center: np.ndarray
     radius: float
@@ -439,6 +446,9 @@ def _part(registered: PointCloud, surface_dist: np.ndarray, config: PipelineConf
     """Segment the registered scan into primitives and measure each patch."""
     enriched = estimate_normals_and_curvature(registered, config.normals_k)
     refined = prim.refine(prim.region_grow(enriched, config))
+    # Only region growing reads the neighbor table. Dropping it keeps it out
+    # of the feature stage, whose tensor voting sets the run's peak memory.
+    enriched = replace(enriched, neighbors=None)
     # ``enriched`` holds the registered points in the same order, so the
     # global stage's distances index directly by inlier.
     patch_dists = prim.patch_distances(refined, surface_dist)
@@ -447,12 +457,15 @@ def _part(registered: PointCloud, surface_dist: np.ndarray, config: PipelineConf
 
 def _feature(enriched: PointCloud, refined: prim.Configuration,
              truth_circles: list[feat.Circle3D] | None, config: PipelineConfig):
-    """Fit the scan's rim circles with MCFS and score them against the
-    reference circles.
+    """Find the scan's rim circles and score them against the reference
+    circles.
 
     The circles come from the tensor-voting edge points, less those on a
     straight crease between two of the part level's fitted planes
-    (``refined``); the returned edge indices are the ones MCFS labels.
+    (``refined``); the returned edge indices are the ones MCFS labels. The
+    rims the part level predicts, where a fitted cylinder meets a plane
+    normal to its axis, come first, and MCFS fits the edge points they
+    leave.
     """
     radius = config.tensor_radius_factor * median_spacing(enriched.points)
     edge_idx = feat.detect_edge_points(enriched, radius, config)
@@ -461,7 +474,7 @@ def _feature(enriched: PointCloud, refined: prim.Configuration,
     if len(edge_idx) < 3:
         labeling = feat.CircleLabeling(np.full(len(edge_idx), -1, dtype=np.int64), [])
     else:
-        labeling = feat.mcfs(enriched.points[edge_idx], config)
+        labeling = feat.mcfs(enriched.points[edge_idx], config, feat.part_level_rims(refined))
     reference = _derive_reference_circles(truth_circles)
     f_n, f_p, e_comp = feat.score_circles(labeling.circles, reference, config.circle_match_tol)
     return edge_idx, labeling, len(reference), f_n, f_p, e_comp

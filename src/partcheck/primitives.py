@@ -464,23 +464,23 @@ def region_grow(cloud: PointCloud, config: PipelineConfig = PipelineConfig()) ->
     """Coarse segmentation by curvature-seeded region growing.
 
     Seeds are visited in ascending curvature order; of each point's
-    ``normals_k`` neighbors, the ones its normal was estimated from, one
-    joins when its normal is within ``region_angle_deg`` of the point's and
-    its curvature is below ``region_curv_thresh``. That join test is
-    computed for every (point, neighbor) pair up front; the walk then reads
-    each point's joinable neighbors in neighbor order and takes the
-    unassigned ones. Each region is fitted with whichever primitive
-    kind explains it best, trying plane, sphere and cylinder first and the
-    cone only when none of them fits the region to within ``inlier_eps / 4``
-    RMS (see ``_best_kind_fit``). All values come from ``config``; a
-    ``min_points`` of 0 there means max(30, n / 500).
+    neighbors, the ones its normal was estimated from (``cloud.neighbors``
+    past its first column, which holds the point itself), one joins when its
+    normal is within ``region_angle_deg`` of the point's and its curvature is
+    below ``region_curv_thresh``. That join test is computed for every
+    (point, neighbor) pair up front; the walk then reads each point's
+    joinable neighbors in neighbor order and takes the unassigned ones. Each
+    region is fitted with whichever primitive kind explains it best, trying
+    plane, sphere and cylinder first and the cone only when none of them
+    fits the region to within ``inlier_eps / 4`` RMS (see
+    ``_best_kind_fit``). All values come from ``config``; a ``min_points``
+    of 0 there means max(30, n / 500).
     """
-    if cloud.normals is None or cloud.curvatures is None:
-        raise ValueError("region_grow needs normals and curvatures")
+    if cloud.normals is None or cloud.curvatures is None or cloud.neighbors is None:
+        raise ValueError("region_grow needs normals, curvatures and their neighbor table")
     pts = cloud.points
     n = len(pts)
     min_points = config.min_points or max(30, n // 500)
-    idx = cKDTree(pts).query(pts, k=min(config.normals_k, n - 1) + 1)[1]
     normals = cloud.normals
     curv = cloud.curvatures
     cos_thresh = np.cos(np.deg2rad(config.region_angle_deg))
@@ -488,7 +488,7 @@ def region_grow(cloud: PointCloud, config: PipelineConfig = PipelineConfig()) ->
 
     # The join test of every (point, neighbor) pair, one neighbor column at a
     # time; a stacked 1x3 @ 3x1 product rounds as ``normals[i] @ normals[j]``.
-    near = idx[:, 1:]
+    near = cloud.neighbors[:, 1:]
     joins = np.empty(near.shape, dtype=bool)
     for c, column in enumerate(near.T):
         cos = (normals[:, None, :] @ normals[column][:, :, None])[:, 0, 0]

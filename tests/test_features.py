@@ -31,6 +31,7 @@ from partcheck.features import (
     match_circles,
     mcfs,
     off_crease_mask,
+    part_level_rims,
     reduce_hypotheses,
     refine_coverage,
     residual_matrix,
@@ -40,7 +41,7 @@ from partcheck.features import (
 from partcheck.geometry import (PointCloud, RigidTransform, canonical_sign,
                                 estimate_normals_and_curvature, median_spacing,
                                 strided_indices)
-from partcheck.primitives import Configuration, FitError, Plane, Primitive
+from partcheck.primitives import Configuration, Cylinder, FitError, Plane, Primitive
 from partcheck.synth import circles_scene, cube_scene, edge_distance, plate_scene
 
 
@@ -798,6 +799,96 @@ class TestMCFS:
         assert c_max < 1e-6
         truth_labels = np.repeat(np.arange(5), 120)
         assert misclassification_error(labeling, truth_labels) == pytest.approx(0.0)
+
+
+# Each (circles, points_per, noise, outlier_frac, scene seed, config seed) of
+# the circles_scene cases above.
+CIRCLES_SCENES = [(4, 150, 0.02, 0.5, 0, 100), (1, 150, 0.01, 0.3, 0, 1),
+                  (2, 150, 0.01, 0.3, 0, 0), (3, 120, 0.015, 0.3, 3, 42)]
+
+
+def bore(cylinder: Cylinder, planes) -> Configuration:
+    """A part level of one cylinder and the given planes, one inlier each."""
+    shapes = [cylinder, *planes]
+    return Configuration(points=np.zeros((len(shapes), 3)),
+                         primitives=[Primitive(shape, [i]) for i, shape in enumerate(shapes)],
+                         min_points=1)
+
+
+Z = np.array([0.0, 0.0, 1.0])
+
+
+class TestPartLevelRims:
+    def test_rim_is_where_the_axis_meets_the_face(self):
+        axis = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+        point = np.array([1.0, -2.0, 0.5])
+        top, bottom = point + 4.25 * axis, point - 3.5 * axis
+        tilt = np.deg2rad(3.0)
+        side = np.cross(axis, [1.0, 0.0, 0.0])
+        side /= np.linalg.norm(side)
+        tilted = np.cos(tilt) * axis + np.sin(tilt) * side
+        planes = [Plane(axis, float(axis @ top)),
+                  Plane(side, 0.0),                          # a wall along the bore
+                  Plane(-axis, float(-axis @ bottom)),       # its normal points the other way
+                  Plane(np.cos(0.2) * axis + np.sin(0.2) * side, 1.0),   # 11 degrees off
+                  Plane(tilted, float(tilted @ top))]
+        rims = part_level_rims(bore(Cylinder(point, axis, 2.5), planes))
+        assert len(rims) == 3
+        for rim, center in zip(rims, [top, bottom, top]):
+            assert np.abs(rim.center - center).max() <= 1e-9
+            assert rim.radius == 2.5
+            assert np.abs(rim.normal - canonical_sign(axis)).max() <= 1e-12
+
+    def test_band_support_keeps_a_rim_no_point_is_eps_close_to(self):
+        # A ring 0.2 below the rim: beyond inlier_eps (0.1), inside the claim
+        # band of two spacings (2 x 2 pi 3 / 120 = 0.31).
+        rim = Circle3D(np.zeros(3), 3.0, Z)
+        pts = circle_points(Circle3D(-0.2 * Z, 3.0, Z), 120)
+        config = PipelineConfig()
+        assert (rim.distance(pts) > config.inlier_eps).all()
+        labeling = mcfs(pts, config, [rim])
+        assert labeling.circles == [rim]
+        assert (labeling.labels == 0).all()
+
+    def test_face_without_a_ring_of_edge_points_gives_no_circle(self):
+        # The edge points ring the bottom face; the top face's rim has only
+        # an eighth of its ring, too little to support it.
+        cylinder = Cylinder(np.zeros(3), Z, 3.0)
+        rims = part_level_rims(bore(cylinder, [Plane(Z, 8.0), Plane(Z, 0.0)]))
+        assert [rim.center[2] for rim in rims] == [8.0, 0.0]
+        pts = np.vstack([circle_points(rims[1], 120), circle_points(rims[0], 120)[:15]])
+        labeling = mcfs(pts, PipelineConfig(), rims)
+        assert labeling.circles == [rims[1]]
+        assert (labeling.labels[:120] == 0).all()
+        assert (labeling.labels[120:] == -1).all()
+
+    @pytest.mark.parametrize("extra", [
+        np.array([[20.0, 0.0, 0.0], [21.0, 0.0, 0.0]]),
+        np.column_stack([np.linspace(20.0, 23.0, 12), np.zeros(12), np.zeros(12)]),
+    ], ids=["two points", "collinear"])
+    def test_remainder_mcfs_cannot_draw_from_ends_the_rounds(self, extra):
+        with pytest.raises(ValueError):
+            mcfs(extra, PipelineConfig())
+        rim = Circle3D(np.zeros(3), 3.0, Z)
+        labeling = mcfs(np.vstack([circle_points(rim, 120), extra]), PipelineConfig(), [rim])
+        assert labeling.circles == [rim]
+        assert (labeling.labels[:120] == 0).all()
+        assert (labeling.labels[120:] == -1).all()
+
+    @pytest.mark.parametrize("circles, points_per, noise, outlier_frac, scene_seed, seed",
+                             CIRCLES_SCENES)
+    def test_no_rims_is_the_default(self, circles, points_per, noise, outlier_frac,
+                                    scene_seed, seed):
+        pts = circles_scene(circles=circles, points_per=points_per, noise=noise,
+                            outlier_frac=outlier_frac, seed=scene_seed).cloud.points
+        a = mcfs(pts, PipelineConfig(seed=seed))
+        b = mcfs(pts, PipelineConfig(seed=seed), ())
+        assert np.array_equal(a.labels, b.labels)
+        assert len(a.circles) == len(b.circles) > 0
+        for ca, cb in zip(a.circles, b.circles):
+            assert np.array_equal(ca.center, cb.center)
+            assert np.array_equal(ca.normal, cb.normal)
+            assert ca.radius == cb.radius
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 from scipy.stats import chisquare
 
 from partcheck import geometry
@@ -97,6 +98,17 @@ class TestCarriers:
         cloud = PointCloud(points=np.zeros((2, 3)),
                            normals=np.array([[0, 0, 1], [0, 1, 0.0]]))
         assert len(cloud) == 2
+
+    @pytest.mark.parametrize("table", [[[0, 1]], [[0, 1], [1, 2]], [[0, -1], [1, 0]],
+                                       [0, 1], [[0.0, 1.0], [1.0, 0.0]]])
+    def test_neighbor_table_validation(self, table):
+        with pytest.raises(ValueError):
+            PointCloud(points=np.zeros((2, 3)), neighbors=np.array(table))
+
+    def test_sub_cloud_drops_the_neighbor_table(self):
+        cloud = PointCloud(points=np.arange(9.0).reshape(3, 3),
+                           neighbors=np.array([[0, 1], [1, 0], [2, 1]]))
+        assert cloud.select([0, 2]).neighbors is None
 
     def test_rigid_transform_validation(self):
         with pytest.raises(ValueError):
@@ -423,6 +435,13 @@ class TestNormalsCurvature:
         base = estimate_normals_and_curvature(cloud, k=12)
         moved = estimate_normals_and_curvature(cloud.transformed(random_rigid(rng)), k=12)
         assert np.abs(base.curvatures - moved.curvatures).max() < 1e-9
+
+    def test_keeps_the_neighbor_table(self):
+        # Region growing walks the neighborhoods the normals came from.
+        cloud = sphere_cloud(np.random.default_rng(32), n=300)
+        enriched = estimate_normals_and_curvature(cloud, k=12)
+        expected = cKDTree(cloud.points).query(cloud.points, k=13)[1]
+        assert np.array_equal(enriched.neighbors, expected)
 
     def test_preconditions(self):
         cloud = PointCloud(points=np.random.default_rng(0).normal(size=(10, 3)))

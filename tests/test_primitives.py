@@ -357,6 +357,18 @@ class TestRegionGrow:
         cloud = PointCloud(points=np.random.default_rng(0).normal(size=(100, 3)))
         with pytest.raises(ValueError):
             region_grow(cloud)
+        enriched = enriched_cloud(cloud.points)
+        with pytest.raises(ValueError):
+            region_grow(replace(enriched, neighbors=None))
+
+    def test_walks_the_neighbors_of_the_normals(self, monkeypatch):
+        # One k-NN query serves normal estimation and region growing.
+        rng = np.random.default_rng(9)
+        xs = np.linspace(0, 4, 40)
+        pts = np.array([(x, y, 0.0) for x in xs for y in xs])
+        cloud = enriched_cloud(pts + rng.normal(scale=0.001, size=pts.shape))
+        monkeypatch.setattr(primitives, "cKDTree", None)
+        assert len(region_grow(cloud, PipelineConfig(min_points=30)).primitives) == 1
 
     @pytest.mark.parametrize("spec", [
         "collage count=2 spacing=0.2 noise=0.01 rot_deg=20 trans_frac=0.1",
