@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import TypeAlias
 
 import numpy as np
@@ -353,29 +352,45 @@ def _closest_on_triangles(p, a, b, c):
     return closest
 
 
-# Points per query block. The block's (point, triangle) pairs are the query's
-# working set: with 128 points a plate query's traced peak is about 8 MB, and
-# 1,000-point blocks raise collage's peak RSS from 96 to 121 MB.
-_QUERY_BLOCK = 128
+# Points per block of the pruned search. A block's (point, piece) rows are the
+# query's working set: plate's blocks hold about 70 rows a point (36k rows of
+# 24 bytes), and its whole query peaks at about 3 MB traced. One block of a
+# whole 12k-point cloud peaks at 26 MB. Smaller blocks pay more Python and
+# tree set-up per point; larger ones spread one radius over more surface.
+_QUERY_BLOCK = 512
 _MAX_PIECES = 400_000
 
 
 class MeshDistance:
     """Exact point-to-surface distance with a centroid kd-tree accelerator.
 
-    Every point of a triangle ``t`` lies within ``r_t``, its largest
-    corner-to-centroid distance, of its centroid ``c_t`` (distance to ``c_t``
-    is convex, so it peaks at a corner); let ``rmax`` be the largest ``r_t``.
-    For a query point ``p``, the triangle under its nearest centroid gives an
-    exact distance ``b``, an upper bound on the true one. A triangle at
-    distance ``d_t < b`` has ``|p - c_t| <= d_t + r_t < b + rmax``, so one
-    ball query of radius ``b + rmax`` returns every triangle that could beat
-    ``b``, and no ball is empty: the nearest centroid lies within
-    ``b + r_near``. Within the ball, the exact test runs only on triangles
-    whose own bound ``|p - c_t| - r_t`` lies below ``b`` plus a rounding
-    margin of ``1e-9 * rmax``; the others cannot beat ``b``, so the result is
-    the same bit for bit. Oversized triangles are split (same surface, finer
-    pieces) so one large facet cannot inflate ``rmax`` and with it every ball.
+    The mesh is held as pieces: oversized triangles are split (same surface,
+    finer pieces) so that one large facet cannot widen every search. Every
+    point of a piece ``t`` lies inside its axis-aligned box and within
+    ``r_t``, its largest corner-to-centroid distance, of its centroid ``c_t``
+    (distance to ``c_t`` is convex, so it peaks at a corner); let ``rmax`` be
+    the largest ``r_t``.
+
+    For a query point ``p``, the piece under its nearest centroid gives an
+    exact distance ``b``, an upper bound on the true one. A piece at distance
+    ``d_t < b`` has ``|p - c_t| <= d_t + r_t < b + rmax``, so a range search
+    of radius ``b + rmax`` finds every piece that could beat ``b``. Two lower
+    bounds on ``d_t`` prune what it finds: the sphere bound ``|p - c_t| -
+    r_t`` and the distance from ``p`` to the piece's box (Ericson, Real-Time
+    Collision Detection, 2004, ch. 5). The box bound is the tighter one on
+    slivers, such as the cells of a plate's face around its holes, whose
+    spheres overlap. The exact test runs only where both bounds lie below
+    ``b`` plus a rounding margin of ``1e-9 * rmax``, and never again on the
+    piece that gave ``b``. The winning piece always passes both bounds, and a
+    minimum does not depend on which losers were tested or in what order, so
+    the result is bit for bit the minimum over every piece.
+
+    The range search is one two-tree search per block of ``_QUERY_BLOCK``
+    points (Gray & Moore, "N-body problems in statistical learning", NIPS
+    2000), at the block's largest ``b`` plus ``rmax``. Points are sorted into
+    blocks by ``b`` in steps of ``rmax / 4``, then by their leaf order in a
+    k-d tree of the cloud. So a block is compact in space and its points
+    share one radius: a far outlier widens only a block of other far points.
 
     Query a whole cloud once with ``query`` and index the result: the global
     RMSE and every per-patch mean read the same distance array.
@@ -385,25 +400,40 @@ class MeshDistance:
         self._tri = _subdivide_for_queries(mesh.triangle_vertices)
         self._radii = _triangle_radii(self._tri)
         self._rmax = float(self._radii.max())
+        self._lo = self._tri.min(axis=1)
+        self._hi = self._tri.max(axis=1)
         self._tree = cKDTree(self._tri.mean(axis=1))
 
-    def query(self, points, chunk: int = _QUERY_BLOCK) -> NDArray[np.float64]:
-        """Distance from each point to the surface, ``chunk`` points at a time."""
+    def query(self, points) -> NDArray[np.float64]:
+        """Distance from each point to the surface."""
         pts = as_points(points)
-        out = np.empty(len(pts))
-        for lo in range(0, len(pts), chunk):
-            out[lo:lo + chunk] = self._query_block(pts[lo:lo + chunk])
-        return out
+        n = len(pts)
+        best = np.empty(n)
+        nearest = np.empty(n, dtype=np.intp)
+        for lo in range(0, n, _QUERY_BLOCK):
+            block = slice(lo, lo + _QUERY_BLOCK)
+            _, nearest[block] = self._tree.query(pts[block])
+            best[block] = self._distances(pts[block], nearest[block])
+        leaf_rank = np.empty(n, dtype=np.intp)
+        leaf_rank[cKDTree(pts).indices] = np.arange(n)
+        order = np.lexsort((leaf_rank, np.floor(best / (0.25 * self._rmax))))
+        for lo in range(0, n, _QUERY_BLOCK):
+            block = order[lo:lo + _QUERY_BLOCK]
+            best[block] = self._improve(pts[block], best[block], nearest[block])
+        return best
 
-    def _query_block(self, pts: Points) -> NDArray[np.float64]:
-        _, nearest = self._tree.query(pts)
-        best = self._distances(pts, nearest)
-        balls = self._tree.query_ball_point(pts, best + self._rmax, return_sorted=False)
-        sizes = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
-        tris = np.fromiter(chain.from_iterable(balls), dtype=np.intp, count=int(sizes.sum()))
-        owner = np.repeat(np.arange(len(pts)), sizes)
-        bound = np.linalg.norm(self._tree.data[tris] - pts[owner], axis=1) - self._radii[tris]
-        live = bound < best[owner] + 1e-9 * self._rmax
+    def _improve(self, pts: Points, best: NDArray[np.float64],
+                 nearest: NDArray[np.intp]) -> NDArray[np.float64]:
+        """Lower each point's ``best`` to its exact distance (one block)."""
+        rows = cKDTree(pts).sparse_distance_matrix(
+            self._tree, best.max() + self._rmax, output_type="ndarray")
+        owner, tris = rows["i"], rows["j"]
+        bound = best[owner] + 1e-9 * self._rmax
+        live = (rows["v"] - self._radii[tris] < bound) & (tris != nearest[owner])
+        owner, tris, bound = owner[live], tris[live], bound[live]
+        p = pts[owner]
+        gap = np.maximum(np.maximum(self._lo[tris] - p, p - self._hi[tris]), 0.0)
+        live = np.einsum("ij,ij->i", gap, gap) < bound * bound
         owner, tris = owner[live], tris[live]
         np.minimum.at(best, owner, self._distances(pts[owner], tris))
         return best

@@ -159,6 +159,12 @@ class TestSpatialIndex:
 # Mesh distance
 # ---------------------------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def outlier_plate():
+    # 3,465 points, 2% of them gross outliers, against 4,418 pieces.
+    return plate_scene(width=30, height=30, holes=4, spacing=0.9, outlier_frac=0.02, seed=1)
+
+
 class TestMeshDistance:
     def test_perpendicular_drop(self):
         d = UNIT_SQUARE.distance_index().query((0.5, 0.5, 2.0))
@@ -244,8 +250,8 @@ class TestMeshDistance:
 
     def test_query_memory_is_bounded(self):
         # Points are queried in small blocks, so the working set of (point,
-        # triangle) pairs does not grow with the cloud: about 8.5 MB here,
-        # where 20,000-point blocks take 73 MB.
+        # triangle) pairs does not grow with the cloud: about 2.1 MB here,
+        # where one block of the whole cloud takes 26 MB.
         scene = plate_scene(width=50, height=40, holes=4, spacing=0.6, seed=0)
         pts = scene.cloud.points
         index = scene.mesh.distance_index()
@@ -257,6 +263,49 @@ class TestMeshDistance:
             tracemalloc.stop()
         assert len(pts) >= 10_000
         assert peak < 17_000_000
+
+    def test_point_order_does_not_change_a_distance(self, outlier_plate):
+        # A permutation can change the blocks (the cloud's k-d tree breaks
+        # ties by index), but not a single distance.
+        pts = outlier_plate.cloud.points
+        perm = np.random.default_rng(6).permutation(len(pts))
+        index = outlier_plate.mesh.distance_index()
+        assert len(pts) > 4 * geometry._QUERY_BLOCK
+        assert np.array_equal(index.query(pts[perm]), index.query(pts)[perm])
+
+    def test_equals_the_unpruned_minimum(self, outlier_plate):
+        # Every piece through the exact test, for a strided subset of the
+        # points and every outlier: the pruned query must equal the
+        # minimum bit for bit.
+        pts = outlier_plate.cloud.points
+        index = outlier_plate.mesh.distance_index()
+        got = index.query(pts)
+        outliers = np.flatnonzero(outlier_plate.truth.labels == -1)
+        which = np.union1d(strided_indices(len(pts), 100), outliers)
+        pieces = np.arange(len(index._tri))
+        unpruned = [index._distances(np.broadcast_to(pts[i], (len(pieces), 3)), pieces).min()
+                    for i in which]
+        assert len(outliers) > 50
+        assert np.array_equal(got[which], unpruned)
+
+    def test_box_bound_prunes_slivers(self, outlier_plate, monkeypatch):
+        # The face cells around the holes are slivers whose bounding
+        # spheres overlap; the sphere bound alone leaves about 12 exact
+        # tests a point here, the box bound about 4.
+        index = outlier_plate.mesh.distance_index()
+        tested = []
+        distances = index._distances
+        monkeypatch.setattr(index, "_distances",
+                            lambda p, t: tested.append(len(t)) or distances(p, t))
+        pts = outlier_plate.cloud.points
+        index.query(pts)
+        assert sum(tested) <= 7 * len(pts)
+
+    def test_empty_and_non_finite_queries(self):
+        index = UNIT_SQUARE.distance_index()
+        assert index.query(np.empty((0, 3))).shape == (0,)
+        with pytest.raises(ValueError):
+            index.query([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])
 
     def test_subdivision_tiles_the_surface(self):
         # The mesh of test_mixed_triangle_sizes: one giant facet, 40 small ones.

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from partcheck import primitives
+from partcheck import geometry, primitives
 from partcheck.config import PipelineConfig
 from partcheck.geometry import (
     PointCloud,
@@ -791,7 +791,7 @@ class TestPartLevelError:
         groups = np.array_split(np.random.default_rng(24).permutation(len(pts)), 5)
         config = plane_config(pts, groups, min_points=30, eps=1.0)
         index = scene.mesh.distance_index()
-        whole = index.query(pts, chunk=97)
+        whole = index.query(pts)
         per_set = np.array([index.query(pts[g]).mean() for g in groups])
-        assert len(scene.mesh) > 100 and len(pts) > 10 * 97
+        assert len(scene.mesh) > 100 and len(pts) > 2 * geometry._QUERY_BLOCK
         assert np.abs(patch_distances(config, whole) - per_set).max() <= 1e-12
