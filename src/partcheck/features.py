@@ -571,7 +571,8 @@ def fit_circle_iterative(
 # ---------------------------------------------------------------------------
 
 def _same_feature(a: Circle3D, b: Circle3D, tol: float) -> bool:
-    """Whether the two circles' centers and radii agree within ``tol``."""
+    """Whether the two circles' centers and radii agree within ``tol``, so
+    that ``mcfs`` reads them as one hole."""
     return bool(np.linalg.norm(a.center - b.center) <= tol and abs(a.radius - b.radius) <= tol)
 
 
@@ -580,17 +581,14 @@ def refine_coverage(
     edge_points,
     config: PipelineConfig = PipelineConfig(),
 ) -> CircleLabeling:
-    """Greedy set cover over the fitted circles, dropping redundant ones.
+    """Greedy set cover over the fitted circles.
 
     Circles are selected in order of how many still-uncovered edge points
     they explain (within ``inlier_eps``); a selection adding fewer than
-    ``min_cluster`` new points stops the process. A later circle is discarded
-    as a duplicate when its covered set is >= 80% contained in an earlier
-    selection, or when its parameters agree with an earlier circle within the
-    edge band thickness (``inlier_eps`` or three point spacings, whichever is
-    larger). The latter catches the stacked rim circles a thick edge band
-    produces, whose cover sets barely overlap even though they describe one
-    physical feature. Both values come from ``config``.
+    ``min_cluster`` new points stops the process. The selected circles are
+    returned in selection order, and each point is labeled with the first of
+    them that covers it. Both values come from ``config``. Duplicate circles
+    never reach the cover: ``mcfs`` rejects them when they are fitted.
     """
     inlier_eps, min_cluster = config.inlier_eps, config.min_cluster
     pts = as_points(edge_points)
@@ -598,7 +596,6 @@ def refine_coverage(
     labels = np.full(n, -1, dtype=np.int64)
     if not circles:
         return CircleLabeling(labels, [])
-    duplicate_tol = max(inlier_eps, 3.0 * median_spacing(pts))
     cover = np.column_stack([c.distance(pts) <= inlier_eps for c in circles])
 
     chosen: list[int] = []
@@ -610,30 +607,10 @@ def refine_coverage(
         if gains[at] < min_cluster:
             break
         c = available.pop(at)
+        labels[cover[:, c] & ~covered] = len(chosen)
         chosen.append(c)
         covered |= cover[:, c]
-
-    kept: list[int] = []
-    for c in chosen:
-        total = int(cover[:, c].sum())
-        circle = circles[c]
-        redundant = False
-        for b in kept:
-            if int((cover[:, c] & cover[:, b]).sum()) >= 0.8 * total:
-                redundant = True
-                break
-            if _same_feature(circle, circles[b], duplicate_tol):
-                redundant = True
-                break
-        if not redundant:
-            kept.append(c)
-
-    assigned = np.zeros(n, dtype=bool)
-    for new_id, c in enumerate(kept):
-        take = cover[:, c] & ~assigned
-        labels[take] = new_id
-        assigned |= take
-    return CircleLabeling(labels, [circles[c] for c in kept])
+    return CircleLabeling(labels, [circles[c] for c in chosen])
 
 
 def _settle_circle(seed_points: Points, field_points: Points,
@@ -746,14 +723,17 @@ def mcfs(edge_points, config: PipelineConfig = PipelineConfig(),
     clustering reads at most ``_CLUSTER_CAP`` of the points, picked by
     ``strided_indices``. Without an accepted rim, round 0 raises
     ``ValueError`` on a degenerate point set; with one, a remainder too
-    small or degenerate to draw from just ends the rounds. MCFS's circles
-    stacked on an accepted rim, whose center and radius are within
-    ``max(inlier_eps, 3 * spacing)`` of the rim's, are dropped, and a greedy
-    set cover over the points the rims leave removes near-duplicates among
-    the rest. In the labeling the rims come first, each labeling its band
-    points, then the set cover's circles. ``config`` supplies
-    ``inlier_eps``, ``eta``, ``bandwidth``, ``min_cluster`` and the
-    hypotheses' ``seed``.
+    small or degenerate to draw from just ends the rounds. A recovery sweep
+    then fits the dense components the rounds left.
+
+    One rule decides when two circles are the same hole: their centers and
+    radii agree within ``max(inlier_eps, 3 * spacing)``. An MCFS circle that
+    duplicates a circle already admitted, an accepted rim or an earlier
+    MCFS circle, is rejected when it is fitted and claims no band. A greedy
+    set cover over the points the rims leave picks among the MCFS circles.
+    In the labeling the rims come first, each labeling its band points,
+    then the set cover's circles. ``config`` supplies ``inlier_eps``,
+    ``eta``, ``bandwidth``, ``min_cluster`` and the hypotheses' ``seed``.
     """
     pts = as_points(edge_points)
     n = len(pts)
@@ -780,20 +760,32 @@ def mcfs(edge_points, config: PipelineConfig = PipelineConfig(),
         occupied = len(np.unique(np.clip(bins, 0, _COVERAGE_BINS - 1)))
         return occupied >= _MIN_ARC_COVERAGE * _COVERAGE_BINS
 
-    def accept(seed: Points, field: Points) -> Circle3D | None:
-        """The circle settled from ``seed`` on ``field``, if ``field`` supports it."""
-        circle = _settle_circle(seed, field, config)
-        if circle is None or circle.radius > max_radius:
-            return None
-        supporters = field[circle.distance(field) <= eps]
-        return circle if sufficient_support(circle, supporters) else None
-
     # Points this close to an accepted circle belong to its edge band and are
     # considered explained; pruning the whole band keeps later rounds focused
     # on structures not yet found.
     band = max(eps, 2.0 * spacing)
+    # A thick edge band carries circles stacked on one rim, whose cover sets
+    # barely overlap although they describe one hole.
+    duplicate_tol = max(eps, 3.0 * spacing)
     labels = np.full(n, -1, dtype=np.int64)
     accepted_rims: list[Circle3D] = []
+    circles: list[Circle3D] = []
+
+    def accept(seed: Points, field: Points) -> Circle3D | None:
+        """Admit the circle settled from ``seed`` on ``field`` to ``circles``
+        and return it, if ``field`` supports it and no admitted circle is
+        the same hole."""
+        circle = _settle_circle(seed, field, config)
+        if circle is None or circle.radius > max_radius:
+            return None
+        if any(_same_feature(circle, other, duplicate_tol)
+               for other in itertools.chain(accepted_rims, circles)):
+            return None
+        if not sufficient_support(circle, field[circle.distance(field) <= eps]):
+            return None
+        circles.append(circle)
+        return circle
+
     for rim in rims:
         unclaimed = np.flatnonzero(labels < 0)
         in_band = unclaimed[rim.distance(pts[unclaimed]) <= band]
@@ -802,7 +794,6 @@ def mcfs(edge_points, config: PipelineConfig = PipelineConfig(),
             accepted_rims.append(rim)
 
     left = np.flatnonzero(labels < 0)
-    circles: list[Circle3D] = []
     remaining = left
     for round_no in range(_MAX_ROUNDS):
         if len(remaining) < max(3, min_cluster):
@@ -831,7 +822,6 @@ def mcfs(edge_points, config: PipelineConfig = PipelineConfig(),
                 break
             circle = accept(pts[cluster_idx[clusters == ci]], field)
             if circle is not None:
-                circles.append(circle)
                 claimed |= circle.distance(subset) <= band
         # An accepted circle claims at least its supporters. The earlier
         # rounds' bands are already gone from ``remaining``.
@@ -844,15 +834,8 @@ def mcfs(edge_points, config: PipelineConfig = PipelineConfig(),
     if len(remaining) >= min_cluster:
         field = pts[remaining]
         for component in _leftover_components(field, 2.5 * spacing, min_cluster):
-            circle = accept(field[component], field)
-            if circle is not None:
-                circles.append(circle)
+            accept(field[component], field)
 
-    # The band beside a rim can carry a circle stacked on it, which the set
-    # cover's parameter rule would drop as a duplicate of the rim.
-    duplicate_tol = max(eps, 3.0 * spacing)
-    circles = [c for c in circles
-               if not any(_same_feature(c, rim, duplicate_tol) for rim in accepted_rims)]
     covered = refine_coverage(circles, pts[left], config)
     labels[left] = np.where(covered.labels >= 0, covered.labels + len(accepted_rims), -1)
     return CircleLabeling(labels, accepted_rims + covered.circles)

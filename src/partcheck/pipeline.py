@@ -26,7 +26,7 @@ import hashlib
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -511,19 +511,10 @@ def _write_outputs(report: AssessmentReport, out_dir: Path, enriched: PointCloud
 
 
 def _shape_params(shape) -> str:
-    if isinstance(shape, prim.Plane):
-        n = shape.normal
-        return f"normal {n[0]:.6g} {n[1]:.6g} {n[2]:.6g} offset {shape.offset:.6g}"
-    if isinstance(shape, prim.Sphere):
-        c = shape.center
-        return f"center {c[0]:.6g} {c[1]:.6g} {c[2]:.6g} radius {shape.radius:.6g}"
-    if isinstance(shape, prim.Cylinder):
-        p, a = shape.point, shape.axis
-        return (f"point {p[0]:.6g} {p[1]:.6g} {p[2]:.6g} "
-                f"axis {a[0]:.6g} {a[1]:.6g} {a[2]:.6g} radius {shape.radius:.6g}")
-    p, a = shape.apex, shape.axis
-    return (f"apex {p[0]:.6g} {p[1]:.6g} {p[2]:.6g} "
-            f"axis {a[0]:.6g} {a[1]:.6g} {a[2]:.6g} half_angle {shape.half_angle:.6g}")
+    """Each field of the shape's dataclass: its name, then its values as ``.6g``."""
+    return " ".join(
+        f"{f.name} " + " ".join(f"{v:.6g}" for v in np.atleast_1d(getattr(shape, f.name)))
+        for f in fields(shape))
 
 
 def _derive_reference_circles(

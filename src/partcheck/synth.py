@@ -2,9 +2,9 @@
 
 Each scene provides a CAD-frame mesh, a simulated scan (posed, noisy, and
 optionally contaminated with outliers), and a ground-truth record holding the
-scan-to-CAD transform, per-point labels, rim circles, sharp-edge curves and
-the true primitive count. The generator is the oracle the test suite checks
-the pipeline against.
+scan-to-CAD transform, per-point labels, rim circles and the true primitive
+count. The generator is the oracle the test suite checks the pipeline
+against.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class GroundTruth:
     circles: list[Circle3D] = field(default_factory=list)
     primitive_count: int = 0
     kinds: list[str] = field(default_factory=list)
-    edges: list = field(default_factory=list)  # ("segment", a, b) | ("circle", Circle3D)
 
 
 @dataclass
@@ -152,7 +151,6 @@ def _assemble(
     trans_frac: float,
     circles: list[Circle3D] | None = None,
     kinds: list[str] | None = None,
-    edges: list | None = None,
 ) -> SyntheticScene:
     pts = np.vstack([s for s, _ in surfaces])
     labels = np.concatenate([np.full(len(s), lab, dtype=np.int64) for s, lab in surfaces])
@@ -185,7 +183,6 @@ def _assemble(
             circles=circles or [],
             primitive_count=n_primitives,
             kinds=kinds or [],
-            edges=edges or [],
         ),
     )
 
@@ -319,26 +316,6 @@ def _merge_meshes(parts: list[tuple[np.ndarray, np.ndarray]]) -> TriangleMesh:
     return TriangleMesh(vertices=vertices, triangles=triangles)
 
 
-def edge_distance(points, edges) -> np.ndarray:
-    """Distance from each point to the nearest listed edge curve."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    best = np.full(len(pts), np.inf)
-    for entry in edges:
-        if entry[0] == "segment":
-            _, a, b = entry
-            a = np.asarray(a, dtype=float)
-            b = np.asarray(b, dtype=float)
-            ab = b - a
-            t = np.clip((pts - a) @ ab / float(ab @ ab), 0.0, 1.0)
-            d = np.linalg.norm(pts - (a + t[:, None] * ab), axis=1)
-        elif entry[0] == "circle":
-            d = entry[1].distance(pts)
-        else:
-            raise ValueError(f"unknown edge entry {entry[0]!r}")
-        best = np.minimum(best, d)
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Scenes
 # ---------------------------------------------------------------------------
@@ -365,15 +342,9 @@ def cube_scene(
         ((s, 0, 0), ey, ez),   # x=s
     ]
     surfaces = [(_grid(o, u, v, s, s, spacing, rng=rng), i) for i, (o, u, v) in enumerate(faces)]
-    corners = np.array([[x, y, z] for x in (0, s) for y in (0, s) for z in (0, s)])
-    edges = []
-    for i in range(8):
-        for j in range(i + 1, 8):
-            if np.count_nonzero(corners[i] != corners[j]) == 1:
-                edges.append(("segment", corners[i], corners[j]))
     mesh = _merge_meshes([_grid_mesh(o, u, v, s, s) for o, u, v in faces])
     return _assemble(rng, surfaces, mesh, noise, outlier_frac, rot_deg, trans_frac,
-                     kinds=["plane"] * 6, edges=edges)
+                     kinds=["plane"] * 6)
 
 
 def bracket_scene(
@@ -411,9 +382,8 @@ def bracket_scene(
         _grid_mesh((0, 0, 0), ex, ey, a, b),
         _grid_mesh((0, 0, 0), ex, ez, a, c),
     ])
-    edges = [("segment", np.zeros(3), np.array([a, 0.0, 0.0]))]
     return _assemble(rng, surfaces, mesh, noise, outlier_frac, rot_deg, trans_frac,
-                     kinds=["plane", "plane"], edges=edges)
+                     kinds=["plane", "plane"])
 
 
 def _plate_cells(width, height, holes: int):
@@ -533,16 +503,6 @@ def plate_scene(
         surfaces.append((bore, 5 + i))
 
     circles = [Circle3D(np.array([cx, cy, z_top]), r, ez) for cx, cy, r in hole_params]
-    edges: list = [("circle", c) for c in circles]
-    edges += [("circle", Circle3D(np.array([cx, cy, 0.0]), r, ez))
-              for cx, cy, r in hole_params]
-    rect_top = [np.array(p) for p in
-                [(0, 0, z_top), (width, 0, z_top), (width, height, z_top), (0, height, z_top)]]
-    rect_bot = [np.array(p) for p in
-                [(0, 0, 0), (width, 0, 0), (width, height, 0), (0, height, 0)]]
-    for quad in (rect_top, rect_bot):
-        for i in range(4):
-            edges.append(("segment", quad[i], quad[(i + 1) % 4]))
 
     mesh_parts = []
     for ((x0, y0), (cw, ch), _), hole in zip(cells, cell_holes):
@@ -560,7 +520,7 @@ def plate_scene(
 
     kinds = ["plane"] * 5 + ["cylinder"] * len(hole_params)
     return _assemble(rng, surfaces, mesh, noise, outlier_frac, rot_deg, trans_frac,
-                     circles=circles, kinds=kinds, edges=edges)
+                     circles=circles, kinds=kinds)
 
 
 def collage_scene(
@@ -676,6 +636,5 @@ def circles_scene(
             circles=truth,
             primitive_count=circles,
             kinds=["circle"] * circles,
-            edges=[("circle", c) for c in truth],
         ),
     )

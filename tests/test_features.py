@@ -42,7 +42,7 @@ from partcheck.geometry import (PointCloud, RigidTransform, canonical_sign,
                                 estimate_normals_and_curvature, median_spacing,
                                 strided_indices)
 from partcheck.primitives import Configuration, Cylinder, FitError, Plane, Primitive
-from partcheck.synth import circles_scene, cube_scene, edge_distance, plate_scene
+from partcheck.synth import circles_scene, cube_scene, plate_scene
 
 
 def circle_points(circle: Circle3D, n: int, rng=None, noise=0.0):
@@ -66,6 +66,13 @@ def as_circles(rows) -> list[Circle3D]:
 def edge_radius(cloud) -> float:
     """The radius the feature stage votes over."""
     return PipelineConfig().tensor_radius_factor * median_spacing(cloud.points)
+
+
+def segment_distance(points, a, b):
+    """Distance from each point to the segment from ``a`` to ``b``."""
+    ab = b - a
+    t = np.clip((points - a) @ ab / (ab @ ab), 0.0, 1.0)
+    return np.linalg.norm(points - (a + t[:, None] * ab), axis=1)
 
 
 def bbox_diagonal(pts) -> float:
@@ -162,14 +169,23 @@ class TestDetectEdgePoints:
         assert len(detect_edge_points(cloud, edge_radius(cloud))) == 0
 
     def test_plate_rim_concentration(self):
-        scene = plate_scene(width=40, height=40, thickness=5, holes=4,
+        # The scan lies in the CAD frame. The plate's sharp edges are each
+        # hole's rim on the top and bottom faces and the two outer rectangles.
+        side, thickness = 40.0, 5.0
+        scene = plate_scene(width=side, height=side, thickness=thickness, holes=4,
                             hole_r_min=3, hole_r_max=5, spacing=0.4,
                             noise=0.004, seed=4)
         cloud = estimate_normals_and_curvature(scene.cloud, k=16)
         spacing = median_spacing(scene.cloud.points)
         idx = detect_edge_points(cloud, edge_radius(cloud))
         assert len(idx) > 100
-        d = edge_distance(scene.cloud.points[idx], scene.truth.edges)
+        pts = scene.cloud.points[idx]
+        rims = [*scene.truth.circles, *(Circle3D(c.center - (0.0, 0.0, thickness), c.radius,
+                                                 c.normal) for c in scene.truth.circles)]
+        corners = np.array([[0.0, 0.0], [side, 0.0], [side, side], [0.0, side]])
+        sides = [segment_distance(pts, np.append(a, z), np.append(b, z))
+                 for z in (0.0, thickness) for a, b in zip(corners, np.roll(corners, -1, axis=0))]
+        d = np.min([rim.distance(pts) for rim in rims] + sides, axis=0)
         assert (d <= 2 * spacing).mean() >= 0.9
 
     def test_infinite_threshold_empty(self):

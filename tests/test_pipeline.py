@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from partcheck import meshio
+from partcheck import features, meshio
 from partcheck.features import Circle3D
 from partcheck.cli import EXIT_INPUT_ERROR, EXIT_STAGE_ERROR, main
 from partcheck.geometry import PointCloud
@@ -168,16 +168,27 @@ def rotated_plate():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_rims_of_the_rotated_plate(rotated_plate, seed):
+def test_rims_of_the_rotated_plate(rotated_plate, seed, monkeypatch):
     # Every rim comes from its bore cylinder and the top face: centroid max
     # reads 0.0014-0.0016 and radius max 0.0003 over these seeds, where
-    # MCFS alone read 0.35-0.50 and 0.025-0.27.
+    # MCFS alone read 0.35-0.50 and 0.025-0.27. The edge points the rims
+    # leave hold only circles stacked on rims, which MCFS rejects as
+    # duplicates, so its first round claims nothing and is its last.
+    calls = []
+    original = features.generate_hypotheses
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("seed"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(features, "generate_hypotheses", counted)
     report = run_pipeline(rotated_plate.cloud, rotated_plate.mesh, PipelineConfig(seed=seed),
                           truth_circles=rotated_plate.truth.circles)
     assert report.n_reference_circles == 16
     assert (report.f_n, report.f_p) == (0, 0)
     assert report.e_comp_centroid_max <= 0.05
     assert report.e_comp_radius_max <= 0.05
+    assert calls == [seed]
 
 
 # A 30 x 20 x 15 bracket whose clean scan reads e_global 0.0053 (seed 1).
@@ -225,9 +236,10 @@ def test_missing_scan_exits_2(scene_files, tmp_path):
     assert result.exit_code == EXIT_INPUT_ERROR
 
 
-@pytest.mark.parametrize("line", ["no_such_key = 1", "min_points = 1.7", "seed = abc",
-                                  "inlier_eps = nan", "omega_f = nan", "omega_f = 0.5",
-                                  "region_k = 16", "mesh_samples = 0", *BUDGET_KEYS])
+@pytest.mark.parametrize("line", ["no_such_key = 1", "min_points 3", "min_points = 1.7",
+                                  "seed = abc", "inlier_eps = nan", "omega_f = nan",
+                                  "omega_f = 0.5", "region_k = 16", "mesh_samples = 0",
+                                  *BUDGET_KEYS])
 def test_bad_config_exits_2(scene_files, tmp_path, line):
     config = tmp_path / "config.txt"
     config.write_text(line + "\n")
@@ -315,10 +327,12 @@ def test_failing_stage_exits_3(scene_files, tmp_path, monkeypatch):
     assert "stage 'part'" in result.output
 
 
-@pytest.mark.parametrize("radius", ["x", "-1", "nan", "inf"])
-def test_bad_circle_table_exits_2(scene_files, tmp_path, radius):
+@pytest.mark.parametrize("row", ["0 1 2 3 x 0 0 1 0", "0 1 2 3 -1 0 0 1 0", "0 1 2 3 nan 0 0 1 0",
+                                 "0 1 2 3 inf 0 0 1 0", "0 1 2 3 1 0 0"],
+                         ids=["x", "-1", "nan", "inf", "seven columns"])
+def test_bad_circle_table_exits_2(scene_files, tmp_path, row):
     table = tmp_path / "circles.txt"
-    table.write_text(f"0 1 2 3 {radius} 0 0 1 0\n")
+    table.write_text(row + "\n")
     result = assess(scene_files / "scan.ply", scene_files / "mesh.ply",
                     "--truth-circles", table, "--out", tmp_path)
     assert result.exit_code == EXIT_INPUT_ERROR
@@ -346,6 +360,16 @@ def test_fit_circles_too_few_points_exits_2(tmp_path):
     result = fit_circles(edges, "--out", tmp_path / "circles.txt")
     assert result.exit_code == EXIT_INPUT_ERROR
     assert "input error" in result.output and "2 edge points" in result.output
+
+
+def test_fit_circles_collinear_points_exit_3(tmp_path):
+    edges = tmp_path / "line.ply"
+    x = np.linspace(0.0, 10.0, 40)
+    meshio.save_point_cloud(edges, PointCloud(points=np.column_stack([x, 2.0 * x, -x])))
+    result = fit_circles(edges, "--out", tmp_path / "circles.txt")
+    assert result.exit_code == EXIT_STAGE_ERROR
+    assert "fitting failed: degenerate edge set" in result.output
+    assert not (tmp_path / "circles.txt").exists()
 
 
 def test_fit_circles_missing_file_exits_2(tmp_path):
