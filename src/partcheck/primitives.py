@@ -470,11 +470,11 @@ def region_grow(cloud: PointCloud, config: PipelineConfig = PipelineConfig()) ->
     below ``region_curv_thresh``. That join test is computed for every
     (point, neighbor) pair up front; the walk then reads each point's
     joinable neighbors in neighbor order and takes the unassigned ones. Each
-    region is fitted with whichever primitive kind explains it best, trying
-    plane, sphere and cylinder first and the cone only when none of them
-    fits the region to within ``inlier_eps / 4`` RMS (see
-    ``_best_kind_fit``). All values come from ``config``; a ``min_points``
-    of 0 there means max(30, n / 500).
+    region is fitted with the kinds in the order plane, sphere, cylinder,
+    cone, stopping at the first that fits it to within ``inlier_eps / 4``
+    RMS, and takes the best of those fitted (see ``_best_kind_fit``). All
+    values come from ``config``; a ``min_points`` of 0 there means
+    max(30, n / 500).
     """
     if cloud.normals is None or cloud.curvatures is None or cloud.neighbors is None:
         raise ValueError("region_grow needs normals, curvatures and their neighbor table")
@@ -531,11 +531,14 @@ def region_grow(cloud: PointCloud, config: PipelineConfig = PipelineConfig()) ->
 
 _FIT_SAMPLE_CAP = 2000
 
-# A region that a plane, sphere or cylinder fits to within this fraction of
-# the inlier band needs no cone fit. On the benchmark scenes the winning
-# simpler kind reaches at most 0.11 eps and the cone regions' best simpler
-# kind at least 0.68 eps; at eps / 4, Gaussian residuals of that RMS stay
-# inside the band out to 4 sigma.
+# A region that one kind fits to within this fraction of the inlier band
+# needs no later kind. On the benchmark scenes each region's own kind
+# reaches at most 0.11 eps and every earlier kind at least 0.68 eps; at
+# eps / 4, Gaussian residuals of that RMS stay inside the band out to 4
+# sigma. On every region of the plate, bracket and collage workloads, each
+# kind fitted after an adequate one either failed (spheres and cylinders on
+# planes: radius out of range) or lost (collage's sphere region: sphere
+# 0.0101, cylinder 0.276).
 _ADEQUATE_RMS_FRACTION = 0.25
 
 
@@ -551,17 +554,29 @@ def _best_kind_fit(pts: Points, normals: Points | None, inlier_eps: float,
     edge; returns ``(shape, distance of every point)`` or None if none fits.
 
     ``kinds`` are tried in declared order (plane, sphere, cylinder, cone),
-    whatever order they come in. The cone, the costliest fit, is tried only
-    when no earlier kind succeeds or the best leaves an RMS above
-    ``inlier_eps / 4`` (Schnabel, Wahl & Klein, "Efficient RANSAC for
-    Point-Cloud Shape Detection", CGF 2007: the cheapest adequate kind). So a
-    cone shallow enough for a cylinder to fit within ``inlier_eps / 4`` is
-    labelled a cylinder: over a length l, a half-angle below about
-    ``0.87 * inlier_eps / l`` rad, against the cone fit's own lower bound of
-    0.01 rad. If the scan's noise exceeds ``inlier_eps / 4``, the cone is
-    always tried. The same rule holds within the cone fit: its axis trials
-    stop at the first that fits the subsample to within ``inlier_eps / 4``
-    (see ``_fit_cone``). ``init`` warm-starts the fit of its own kind. ``normals``
+    whatever order they come in, and no kind is tried once an earlier one
+    leaves an RMS at or below ``inlier_eps / 4`` (Schnabel, Wahl & Klein,
+    "Efficient RANSAC for Point-Cloud Shape Detection", CGF 2007: the
+    cheapest adequate kind). So a curved surface that an earlier kind fits
+    to within ``inlier_eps / 4`` takes the earlier kind:
+
+    - a cone shallow enough for a cylinder to fit it is labelled a cylinder:
+      over a length l, a half-angle below about ``0.87 * inlier_eps / l``
+      rad, against the cone fit's own lower bound of 0.01 rad;
+    - a cylindrical strip of chord l and radius R sags by l^2 / (8 R), and
+      its best plane leaves about 0.3 of that sag, so it is labelled a plane
+      from about ``R = 0.15 * l**2 / inlier_eps`` up, unless the size limit
+      (``_SIZE_LIMIT_FACTOR``) rejects the cylinder first;
+    - a square strip of that cylinder, as long along its axis as across it,
+      is fitted by a sphere of radius about 2 R to 0.7 of the plane's RMS,
+      so it is labelled a sphere from about ``R = 0.11 * l**2 / inlier_eps``
+      up until the plane takes it, unless the size limit rejects the sphere
+      first.
+
+    If the scan's noise exceeds ``inlier_eps / 4``, every kind is always
+    tried. The same rule holds within the cone fit: its axis trials stop at
+    the first that fits the subsample to within ``inlier_eps / 4`` (see
+    ``_fit_cone``). ``init`` warm-starts the fit of its own kind. ``normals``
     may carry either sign at each point: the cylinder and cone fits read them
     only up to sign.
     """
@@ -572,7 +587,7 @@ def _best_kind_fit(pts: Points, normals: Points | None, inlier_eps: float,
     for kind in PrimitiveKind:  # declared plane, sphere, cylinder, cone
         if kind not in kinds or len(fit_pts) < MIN_SAMPLE[kind]:
             continue
-        if kind is PrimitiveKind.CONE and rms and min(rms.values()) <= adequate:
+        if rms and min(rms.values()) <= adequate:
             break
         try:
             shape, _ = _fit_shape(kind, fit_pts, fit_normals, init=init, adequate_rms=adequate)

@@ -65,6 +65,16 @@ def sphere_points(rng, radius=1.5, n=300):
     return radius * v
 
 
+def cylinder_strip(radius, chord, width):
+    """A 40 x 60 grid over a strip of a cylinder about the y axis, with its
+    exact normals: ``chord`` across the axis, ``width`` along it."""
+    half = np.arcsin(chord / (2 * radius))
+    t, y = np.meshgrid(np.linspace(-half, half, 40), np.linspace(0.0, width, 60))
+    t, y = t.ravel(), y.ravel()
+    normals = np.column_stack([np.sin(t), np.zeros_like(t), np.cos(t)])
+    return radius * normals + np.column_stack([np.zeros_like(y), y, np.zeros_like(y)]), normals
+
+
 def normals_of(pts):
     """PCA normals at k = 10, which the cylinder and cone fits read."""
     return estimate_normals_and_curvature(PointCloud(points=pts), k=10).normals
@@ -125,6 +135,58 @@ class TestFitPrimitive:
         fitted = primitives._best_kind_fit(pts, normals_of(pts), eps, (PrimitiveKind.CONE,))
         assert fitted is not None and isinstance(fitted[0], Cone)
         assert len(calls) == trials
+
+    @pytest.mark.parametrize("generator, tried", [
+        (plane_points, ["plane"]),
+        (sphere_points, ["plane", "sphere"]),
+        (cylinder_points, ["plane", "sphere", "cylinder"]),
+        (cone_points, ["plane", "sphere", "cylinder", "cone"]),
+    ])
+    def test_no_kind_is_fitted_after_an_adequate_one(self, monkeypatch, generator, tried):
+        # Noise of a tenth of inlier_eps: each surface's own kind fits it to
+        # within inlier_eps / 4, and every earlier kind leaves more.
+        eps = PipelineConfig().inlier_eps
+        rng = np.random.default_rng(7)
+        pts = generator(rng)
+        pts += rng.normal(scale=0.1 * eps, size=pts.shape)
+        calls = []
+        fit_shape = primitives._fit_shape
+        monkeypatch.setattr(primitives, "_fit_shape", lambda kind, *a, **k:
+                            calls.append(kind.value) or fit_shape(kind, *a, **k))
+        shape, _ = primitives._best_kind_fit(pts, normals_of(pts), eps, tuple(PrimitiveKind))
+        assert calls == tried
+        assert shape.kind.value == tried[-1]
+
+    @pytest.mark.parametrize("width, r_factor, kind", [
+        (12.0, 0.12, PrimitiveKind.CYLINDER),
+        (12.0, 0.2, PrimitiveKind.PLANE),
+        (4.0, 0.09, PrimitiveKind.CYLINDER),
+        (4.0, 0.14, PrimitiveKind.SPHERE),
+    ])
+    def test_a_shallow_strip_takes_the_first_adequate_kind(self, width, r_factor, kind):
+        # A cylindrical strip of chord 4 and radius R = r_factor * 16 / eps.
+        # Long along its axis (width 12), no sphere fits it, and its best
+        # plane reaches inlier_eps / 4 at R = 0.15 l^2 / eps. Square (width
+        # 4), a sphere fits it to 0.7 of the plane's RMS, so it reads as a
+        # sphere from about R = 0.11 l^2 / eps. The cylinder fits every strip
+        # exactly, but an earlier adequate kind stops it.
+        eps = PipelineConfig().inlier_eps
+        pts, normals = cylinder_strip(r_factor * 16.0 / eps, 4.0, width)
+        shape, _ = primitives._best_kind_fit(pts, normals, eps, tuple(PrimitiveKind))
+        assert shape.kind is kind
+        _, cylinder_rms = _fit_shape(PrimitiveKind.CYLINDER, pts, normals)
+        assert cylinder_rms < 1e-6
+
+    def test_a_strip_plane_reaches_the_adequate_rms_where_the_docstring_says(self):
+        # Best-plane RMS of a circular strip is about 0.3 of its sag
+        # l^2 / (8 R), so it equals inlier_eps / 4 at R = 0.15 l^2 / eps.
+        eps = PipelineConfig().inlier_eps
+        chord = 4.0
+        radius = 0.15 * chord ** 2 / eps
+        pts, _ = cylinder_strip(radius, chord, 12.0)
+        _, rms = _fit_shape(PrimitiveKind.PLANE, pts)
+        assert rms / (chord ** 2 / (8 * radius)) == pytest.approx(0.3, rel=0.06)
+        assert rms == pytest.approx(primitives._ADEQUATE_RMS_FRACTION * eps, rel=0.06)
 
     def test_steep_cone_found_on_the_last_axis(self):
         # At a 50-degree half-angle the axis is the normal moment's largest
