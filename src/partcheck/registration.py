@@ -1,17 +1,21 @@
 """Coarse-to-fine rigid alignment of a scanned cloud to the CAD frame.
 
 Coarse alignment matches centroids and principal axes, ranking the axis sign
-assignments and in-plane spins by nearest-neighbor cost on a probe of at most
-2,000 evenly strided scan points. Where spins make the rotations many, every
-rotation is first scored on every 16th probe point, and only the best 32 of
-that rough ranking are scored again on the whole probe, 32 more at a time
-while they hold too few distinct candidates. The fine stage is trimmed
-point-to-plane ICP on the CAD samples' triangle normals (Chen & Medioni,
-"Object modelling by registration of multiple range images", 1992), each
-step one linear least-squares solve after Low (2004): the best coarse
-candidates race on the same probe, and only the winner's coarse candidate is
-fitted again on the full subsample. Both stages choose on a sample and fit
-on all points, after Rusinkiewicz & Levoy, "Efficient Variants of the ICP
+assignments and in-plane spins by nearest-neighbor cost from a probe of at
+most 2,000 evenly strided scan points to a probe of at most 2,000 evenly
+strided CAD samples; the centroids and axes come from all points on both
+sides. Where spins make the rotations many, every rotation is first scored
+on every 16th scan probe point, and only the best 32 of that rough ranking
+are scored again on the whole scan probe, 32 more at a time while they hold
+too few distinct candidates. The fine stage is trimmed point-to-plane ICP on
+all the CAD samples and their triangle normals (Chen & Medioni, "Object
+modelling by registration of multiple range images", 1992), each step one
+linear least-squares solve after Low (2004): the best coarse candidates race
+on the scan probe, and only the winner's coarse candidate is fitted again on
+the full subsample. So there are two densities: the coarse search chooses
+on probes of both clouds, and ICP, the race's cost and the registration
+error read every CAD sample. Both stages choose on a sample and fit on all
+points, after Rusinkiewicz & Levoy, "Efficient Variants of the ICP
 Algorithm", 3DIM 2001.
 """
 
@@ -87,8 +91,8 @@ def _axis_rotation(axis: int, angle: float) -> np.ndarray:
     return m
 
 
-def coarse_candidates(source: PointCloud, target: PointCloud, count: int = 3,
-                      target_tree: cKDTree | None = None) -> list[RigidTransform]:
+def coarse_candidates(source: PointCloud, target: PointCloud,
+                      count: int = 3) -> list[RigidTransform]:
     """The best few coarse alignments, ranked by nearest-neighbor cost.
 
     Centroids and principal axes are matched under the four proper axis
@@ -99,6 +103,15 @@ def coarse_candidates(source: PointCloud, target: PointCloud, count: int = 3,
     scores almost identically when the scan misses one face), so
     ``register`` runs the fine stage from each candidate.
 
+    Each rotation is scored from the scan's probe to a k-d tree over the
+    target's probe (``_probe``): the CAD samples are drawn uniformly by area,
+    so at most 2,000 strided ones are an unbiased subset, and a wrongly
+    rotated point lies far beyond their spacing, where a query against all
+    of them visits many leaves. The transforms scored are those scoring
+    against all samples would score, since the centroids and axes read
+    every point; only rotations whose costs nearly tie (spins 2 degrees
+    apart, or a symmetry apart) can rank in another order.
+
     The ranking is exact on the probe only for the rotations it re-scores:
     with more than ``_RESCORED`` rotations, those are the best of a rough
     ranking on every ``_ROUGH_STRIDE``-th probe point, taken ``_RESCORED`` at
@@ -107,9 +120,7 @@ def coarse_candidates(source: PointCloud, target: PointCloud, count: int = 3,
     rotation left out of the re-scored ones would score below the last
     candidate returned; once every rotation has been re-scored it equals it
     always.
-    A rank-deficient covariance warns and yields the centroid translation. A
-    prebuilt ``target_tree`` over ``target.points`` may be passed, as to
-    ``icp_refine``.
+    A rank-deficient covariance warns and yields the centroid translation.
     """
     ps, pt = source.points, target.points
     cs, axes_s, evals_s = _principal_axes(ps)
@@ -123,8 +134,7 @@ def coarse_candidates(source: PointCloud, target: PointCloud, count: int = 3,
         )
         return [RigidTransform(np.eye(3), ct - cs)]
     rotations = _coarse_rotations(axes_s, axes_t, evals_s, evals_t)
-    tree = cKDTree(pt) if target_tree is None else target_tree
-    for ranked in _ranked_candidates(tree, ps, cs, ct, rotations):
+    for ranked in _ranked_candidates(cKDTree(_probe(pt)), ps, cs, ct, rotations):
         # Keep rotations that genuinely differ from better-ranked ones.
         distinct: list[RigidTransform] = []
         for cand in ranked:
@@ -143,9 +153,11 @@ def _rotation_gap(r1: np.ndarray, r2: np.ndarray) -> float:
 
 def _capped_cost(tree: cKDTree, points: np.ndarray) -> float | np.ndarray:
     """Mean nearest-neighbor distance to the tree's points, each distance
-    capped at 5% of their bounding-box diagonal so hopeless poses saturate
-    instead of paying for exact lookups far from the target. A stack of
-    point sets, shape ``(k, m, 3)``, gets one cost per set in one query."""
+    capped at 5% of the diagonal of the bounding box of the tree's own
+    points (the CAD probe's in the coarse search, all samples' in the race)
+    so hopeless poses saturate instead of paying for exact lookups far from
+    the target. A stack of point sets, shape ``(k, m, 3)``, gets one cost
+    per set in one query."""
     cap = max(0.05 * float(np.linalg.norm(tree.maxes - tree.mins)), 1e-9)
     d, _ = tree.query(points, distance_upper_bound=cap)
     return np.minimum(d, cap).mean(axis=-1)
@@ -293,13 +305,16 @@ def register(source: PointCloud,
              target: PointCloud) -> tuple[RegistrationResult, PointCloud, float]:
     """Coarse-to-fine registration of ``source`` onto the ``target`` samples.
 
-    ICP runs from each coarse candidate on the probe the coarse ranking
-    scores (at most 2,000 evenly strided points), and the candidate whose
-    converged pose fits the probe best wins the race. One more ICP run on at
-    most ``_ICP_POINTS`` (30,000) evenly strided source points then
-    starts from the winner's coarse candidate, so the probe only chooses and
-    the fit uses every subsampled point. Returns the fit's result, the whole
-    source moved by it, and its ``registration_error``.
+    The coarse ranking scores against a probe of the target samples (see
+    ``coarse_candidates``); everything after it reads one k-d tree over all
+    of them. ICP runs from each coarse candidate on the probe the coarse
+    ranking scores (at most 2,000 evenly strided source points), and the
+    candidate whose converged pose fits the probe best, by capped cost
+    against all samples, wins the race. One more ICP run on at most
+    ``_ICP_POINTS`` (30,000) evenly strided source points then starts from
+    the winner's coarse candidate, so the probe only chooses and the fit
+    uses every subsampled point. Returns the fit's result, the whole source
+    moved by it, and its ``registration_error``.
     """
     race = PointCloud(points=_probe(source.points))
     tree = cKDTree(target.points)
@@ -312,7 +327,7 @@ def register(source: PointCloud,
         attempt = icp_refine(race, target, init=candidate, target_tree=tree)
         return _capped_cost(tree, attempt.transform.apply(race.points))
 
-    start = min(coarse_candidates(source, target, count=3, target_tree=tree), key=race_cost)
+    start = min(coarse_candidates(source, target, count=3), key=race_cost)
     icp_source = source.select(strided_indices(len(source), _ICP_POINTS))
     fit = icp_refine(icp_source, target, init=start, target_tree=tree)
     registered = source.transformed(fit.transform)

@@ -15,6 +15,7 @@ from partcheck.geometry import (
 )
 from partcheck.pipeline import PipelineConfig, _register
 from partcheck.registration import (
+    _PROBE_POINTS,
     _ROUGH_STRIDE,
     _SIGN_COMBOS,
     _axis_rotation,
@@ -63,13 +64,15 @@ def spun_blob():
     return source, target
 
 
-def exhaustive_ranking(source: PointCloud, target: PointCloud):
+def exhaustive_ranking(source: PointCloud, target: PointCloud, tree: cKDTree | None = None):
     """Oracle: every coarse candidate, its cost on the whole probe, and the
-    candidate indices sorted by (cost, index)."""
+    candidate indices sorted by (cost, index). The costs read ``tree``, by
+    default the one coarse_candidates scores against: a tree over the
+    target's probe."""
     ps, pt = source.points, target.points
     cs, axes_s, evals_s = _principal_axes(ps)
     ct, axes_t, evals_t = _principal_axes(pt)
-    tree = cKDTree(pt)
+    tree = cKDTree(_probe(pt)) if tree is None else tree
     candidates = [RigidTransform(r, ct - r @ cs)
                   for r in _coarse_rotations(axes_s, axes_t, evals_s, evals_t)]
     costs = [registration._capped_cost(tree, c.apply(_probe(ps))) for c in candidates]
@@ -94,12 +97,13 @@ def same_transforms(a, b) -> bool:
         for x, y in zip(a, b))
 
 
-def record_cost_calls(monkeypatch) -> list[np.ndarray]:
-    """Every point array _capped_cost is called on, in call order."""
-    calls: list[np.ndarray] = []
+def record_cost_calls(monkeypatch) -> list[tuple[int, np.ndarray]]:
+    """The size of the tree and the point array of every _capped_cost call,
+    in call order."""
+    calls: list[tuple[int, np.ndarray]] = []
     real = registration._capped_cost
     monkeypatch.setattr(registration, "_capped_cost",
-                        lambda tree, pts: calls.append(pts) or real(tree, pts))
+                        lambda tree, pts: calls.append((tree.n, pts)) or real(tree, pts))
     return calls
 
 
@@ -204,9 +208,9 @@ class TestCoarse:
         rough = probe[::_ROUGH_STRIDE]
         # Every rotation once on the rough probe, in one stacked query, then
         # the best 32 on the whole.
-        assert [pts.shape for pts in calls] == [(360, len(rough), 3)] + [probe.shape] * 32
+        assert [pts.shape for _, pts in calls] == [(360, len(rough), 3)] + [probe.shape] * 32
         spun = [RigidTransform(r, np.zeros(3)) for r in half]
-        rough_scored = [moved_by(spun, rough, pts) for pts in calls[0]]
+        rough_scored = [moved_by(spun, rough, pts) for pts in calls[0][1]]
         assert sorted(rough_scored) == list(range(360))
 
     def test_stacked_cost_is_the_cost_of_each_set(self):
@@ -229,6 +233,25 @@ class TestCoarse:
             expected = [candidates[i] for i in distinct_walk(candidates, order, count)]
             assert same_transforms(coarse_candidates(scene.cloud, target, count), expected)
 
+    @pytest.mark.parametrize("spec", [
+        "plate rot_deg=20 trans_frac=0.1",
+        "collage count=2 spacing=0.2 noise=0.01 rot_deg=20 trans_frac=0.1",
+    ])
+    def test_probe_of_the_target_ranks_like_all_of_it(self, spec, monkeypatch):
+        """Scoring against at most 2,000 strided CAD samples gives the
+        candidates that scoring against all 20,000 gives. On near-symmetric
+        parts (``cube rot_deg=15``, the 40 x 40 four-hole plate) rotations a
+        symmetry or a 2-degree spin apart cost almost the same, so their
+        order follows the sample density and the dense ranking differs
+        there; those scenes are left out."""
+        scene = generate_synthetic_scene(parse_scene_spec(spec), seed=1)
+        target = sample_mesh(scene.mesh, 20_000, seed=0)
+        candidates, _, order = exhaustive_ranking(scene.cloud, target, cKDTree(target.points))
+        expected = [candidates[i] for i in distinct_walk(candidates, order, 3)]
+        calls = record_cost_calls(monkeypatch)
+        assert same_transforms(coarse_candidates(scene.cloud, target, count=3), expected)
+        assert calls and all(n <= _PROBE_POINTS for n, _ in calls)
+
     def test_differs_from_exhaustive_only_below_the_last_candidate(self, monkeypatch):
         # The blob is round in its spin plane, so every wrong spin costs about
         # the same; the exhaustive ranking's third distinct candidate falls
@@ -240,7 +263,7 @@ class TestCoarse:
         for count in (1, 2, 3):
             calls.clear()
             found = coarse_candidates(source, target, count)
-            rescored = {moved_by(candidates, probe, pts) for pts in calls
+            rescored = {moved_by(candidates, probe, pts) for _, pts in calls
                         if len(pts) == len(probe)}
             expected = [candidates[i] for i in distinct_walk(candidates, order, count)]
             if not same_transforms(found, expected):
@@ -256,7 +279,7 @@ class TestCoarse:
                             .apply(source.points))
         calls = record_cost_calls(monkeypatch)
         coarse_candidates(source, target)
-        assert [len(pts) for pts in calls] == [len(_probe(source.points))] * 4
+        assert [len(pts) for _, pts in calls] == [len(_probe(source.points))] * 4
 
     def test_rescores_more_until_count_distinct(self, monkeypatch):
         source, target = spun_blob()
@@ -265,7 +288,8 @@ class TestCoarse:
         count = 8
         calls = record_cost_calls(monkeypatch)
         found = coarse_candidates(source, target, count)
-        rescored = [moved_by(candidates, probe, pts) for pts in calls if len(pts) == len(probe)]
+        rescored = [moved_by(candidates, probe, pts) for _, pts in calls
+                    if len(pts) == len(probe)]
         # The rough top 32 hold fewer than 8 distinct rotations.
         first = sorted(rescored[:32], key=lambda i: (costs[i], i))
         assert len(distinct_walk(candidates, first, count)) < count
@@ -455,8 +479,8 @@ class TestRegister:
             assert rotation_angle_deg(gap) < 0.1
 
     def test_one_tree_over_the_target(self, monkeypatch):
-        # The coarse ranking, the ICP race, the fit and the error all read
-        # one k-d tree over the target samples.
+        # The ICP race, the fit and the error read one k-d tree over all the
+        # target samples; the coarse ranking reads one over their probe.
         rng = np.random.default_rng(13)
         source = blob_cloud(rng, n=5000)
         target = with_normals(PointCloud(points=RigidTransform(rotation_about_z(30.0), np.ones(3))
@@ -471,6 +495,7 @@ class TestRegister:
         monkeypatch.setattr(registration, "cKDTree", recording)
         register(source, target)
         assert sum(np.array_equal(data, target.points) for data in built) == 1
+        assert sum(np.array_equal(data, _probe(target.points)) for data in built) == 1
 
     # Registration lands this plate at a pose flipped by 179.99 degrees, with
     # point-to-plane ICP as with point-to-point. The scan misses the bottom
