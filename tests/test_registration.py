@@ -318,6 +318,25 @@ class TestProbe:
         assert np.array_equal(probe, points[strided_indices(n, 2000)])
 
 
+class TestTargetTree:
+    def test_answers_like_the_default_tree(self, cube_scan_and_samples):
+        # The midpoint-split tree changes only the cost of building and
+        # querying: every distance and index, bounded or not, and the data
+        # box that caps the coarse cost equal those of scipy's default tree.
+        scan, samples = cube_scan_and_samples
+        rng = np.random.default_rng(3)
+        far = scan.points + rng.normal(scale=2.0, size=scan.points.shape)
+        queries = np.vstack([scan.points, far])
+        tree, default = registration._target_tree(samples.points), cKDTree(samples.points)
+        for bound in (np.inf, 0.5):
+            d, idx = tree.query(queries, distance_upper_bound=bound)
+            d0, idx0 = default.query(queries, distance_upper_bound=bound)
+            assert np.array_equal(d, d0)
+            assert np.array_equal(idx, idx0)
+        assert np.array_equal(tree.maxes, default.maxes)
+        assert np.array_equal(tree.mins, default.mins)
+
+
 class TestICP:
     def test_prealigned_identical(self):
         rng = np.random.default_rng(4)
