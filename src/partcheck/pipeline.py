@@ -2,15 +2,16 @@
 
 ``run_pipeline`` is a chain of stage functions: load the inputs, register
 (repeat and outlier filters, CAD sampling, coarse search and ICP), the
-global error, the part level (segmentation and patch errors), the feature
-level (the scan's rim circles, found among the edge points off the part
-level's plane creases, against the reference circles, which are a supplied
-table or, without one, none), then the report and its output files. The
-rims come from the part level first: a fitted cylinder meeting a plane
-normal to its axis gives its rim exactly, where the edge points support it.
-MCFS fits the edge points those rims leave. Each stage is timed, and any
-failure aborts with the stage name; a scan too small to estimate normals on
-is rejected as input before registration.
+global level (E_reg and E_global from one exact-distance array), the part
+level (segmentation and patch errors), the feature level (the scan's rim
+circles, found among the edge points off the part level's plane creases,
+against the reference circles, which are a supplied table or, without one,
+none), then the report and its output files. The rims come from the part
+level first: a fitted cylinder meeting a plane normal to its axis gives its
+rim exactly, where the edge points support it. MCFS fits the edge points
+those rims leave. Each stage is timed, and any failure aborts with the
+stage name; a scan too small to estimate normals on is rejected as input
+before registration.
 The report serializes to a stable key/value document or an aligned
 human-readable table.
 
@@ -87,7 +88,9 @@ _ERROR_KEYS = (
 
 @dataclass
 class AssessmentReport:
-    """Three-level error record plus stage timings and run provenance."""
+    """Three-level error record plus stage timings and run provenance.
+    ``e_reg`` and ``e_global`` are the mean and the RMS of the same exact
+    distances, from each registered scan point to the CAD surface."""
 
     e_reg: float
     e_global: float
@@ -114,7 +117,7 @@ class AssessmentReport:
     config: PipelineConfig = field(default_factory=PipelineConfig)
     scan_checksum: str = "-"
     mesh_checksum: str = "-"
-    format_version: int = 4
+    format_version: int = 5
 
     def __post_init__(self):
         for name in _ERROR_KEYS:
@@ -294,7 +297,7 @@ def global_error(surface_dist: np.ndarray) -> float:
     """Root mean square of the registered scan's point-to-surface distances.
 
     ``surface_dist`` is ``MeshDistance.query`` over every registered point;
-    the part level takes its patch means from the same array.
+    E_reg is its mean, and the part level takes its patch means from it.
     """
     return float(np.sqrt(np.mean(surface_dist * surface_dist)))
 
@@ -369,9 +372,10 @@ def run_pipeline(
             mesh_checksum = _checksum(mesh)
             mesh = meshio.load_mesh(mesh)
     with _stage("registration", times):
-        fit, registered, e_reg, removed = _register(scan, mesh, config)
+        fit, registered, removed = _register(scan, mesh, config)
     with _stage("global", times):
         surface_dist = mesh.distance_index().query(registered.points)
+        e_reg = reg.registration_error(surface_dist)
         e_global = global_error(surface_dist)
     with _stage("part", times):
         enriched, refined, patch_dists, e_part = _part(registered, surface_dist, config)
@@ -425,10 +429,17 @@ def run_pipeline(
     return report
 
 
+# Only the coarse probe and ICP read the CAD samples, and both choose or fit
+# on a bounded subset of the scan, so the count is fixed by the part, not
+# grown with the scan.
+_CAD_SAMPLES = 50_000
+
+
 def _register(scan: PointCloud, mesh: TriangleMesh, config: PipelineConfig):
-    """Drop the scan's repeated points and outliers, sample the CAD and
-    register the scan to it. Only the first copy of a repeated point is kept
-    (not counted as an outlier): repeats would zero the point spacing."""
+    """Drop the scan's repeated points and outliers and register the scan
+    to ``_CAD_SAMPLES`` CAD samples; returns the fit, the registered scan and
+    the outlier count. Only the first copy of a repeated point is kept (not
+    counted as an outlier): repeats would zero the point spacing."""
     _, first = np.unique(scan.points, axis=0, return_index=True)
     if len(first) < len(scan):
         scan = scan.select(np.sort(first))
@@ -437,9 +448,8 @@ def _register(scan: PointCloud, mesh: TriangleMesh, config: PipelineConfig):
         raise StageError("input", ValueError(
             f"{len(filtered)} scan points remain after outlier removal and dropping "
             f"repeated points; normals need at least normals_k + 1 = {config.normals_k + 1}"))
-    cad_samples = sample_mesh(mesh, max(50_000, 2 * len(filtered)), seed=config.seed)
-    fit, registered, e_reg = reg.register(filtered, cad_samples)
-    return fit, registered, e_reg, removed
+    fit, registered = reg.register(filtered, sample_mesh(mesh, _CAD_SAMPLES, seed=config.seed))
+    return fit, registered, removed
 
 
 def _part(registered: PointCloud, surface_dist: np.ndarray, config: PipelineConfig):

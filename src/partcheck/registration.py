@@ -13,10 +13,9 @@ modelling by registration of multiple range images", 1992), each step one
 linear least-squares solve after Low (2004): the best coarse candidates race
 on the scan probe, and only the winner's coarse candidate is fitted again on
 the full subsample. So there are two densities: the coarse search chooses
-on probes of both clouds, and ICP, the race's cost and the registration
-error read every CAD sample. Both stages choose on a sample and fit on all
-points, after Rusinkiewicz & Levoy, "Efficient Variants of the ICP
-Algorithm", 3DIM 2001.
+on probes of both clouds, and ICP and the race's cost read every CAD sample.
+Both stages choose on a sample and fit on all points, after Rusinkiewicz &
+Levoy, "Efficient Variants of the ICP Algorithm", 3DIM 2001.
 """
 
 from __future__ import annotations
@@ -304,16 +303,14 @@ def _point_to_plane_step(p: Points, n: Points, residual: np.ndarray) -> RigidTra
     return RigidTransform(rotation, centre + x[3:] - rotation @ centre)
 
 
-def registration_error(registered: PointCloud, cad_samples: PointCloud,
-                       target_tree: cKDTree | None = None) -> float:
-    """Mean nearest-neighbor distance from the registered scan to the CAD samples."""
-    tree = _target_tree(cad_samples.points) if target_tree is None else target_tree
-    d, _ = tree.query(registered.points)
-    return float(d.mean())
+def registration_error(surface_dist: np.ndarray) -> float:
+    """E_reg: the mean of the registered scan's exact point-to-surface
+    distances (``MeshDistance.query``), whose RMS is the global error."""
+    return float(surface_dist.mean())
 
 
 def register(source: PointCloud,
-             target: PointCloud) -> tuple[RegistrationResult, PointCloud, float]:
+             target: PointCloud) -> tuple[RegistrationResult, PointCloud]:
     """Coarse-to-fine registration of ``source`` onto the ``target`` samples.
 
     The coarse ranking scores against a probe of the target samples (see
@@ -324,8 +321,8 @@ def register(source: PointCloud,
     against all samples, wins the race. One more ICP run on at most
     ``_ICP_POINTS`` (30,000) evenly strided source points then starts from
     the winner's coarse candidate, so the probe only chooses and the fit
-    uses every subsampled point. Returns the fit's result, the whole source
-    moved by it, and its ``registration_error``.
+    uses every subsampled point. Returns the fit's result and the whole
+    source moved by it.
     """
     race = PointCloud(points=_probe(source.points))
     tree = _target_tree(target.points)
@@ -341,5 +338,4 @@ def register(source: PointCloud,
     start = min(coarse_candidates(source, target, count=3), key=race_cost)
     icp_source = source.select(strided_indices(len(source), _ICP_POINTS))
     fit = icp_refine(icp_source, target, init=start, target_tree=tree)
-    registered = source.transformed(fit.transform)
-    return fit, registered, registration_error(registered, target, target_tree=tree)
+    return fit, source.transformed(fit.transform)

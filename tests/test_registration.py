@@ -1,11 +1,12 @@
-"""Coarse alignment, trimmed ICP, and the registration-error metric."""
+"""Coarse alignment, trimmed ICP, CAD sampling, and the registration-error
+metric."""
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
-from partcheck import registration
+from partcheck import pipeline, registration
 from partcheck.geometry import (
     PointCloud,
     RigidTransform,
@@ -47,6 +48,11 @@ def rotation_angle_deg(r: np.ndarray) -> float:
 def with_normals(cloud: PointCloud) -> PointCloud:
     # Point-to-plane ICP reads the target's normals.
     return estimate_normals_and_curvature(cloud, 16)
+
+
+def nearest_neighbor_cost(source: PointCloud, target: PointCloud) -> float:
+    """Mean distance from each source point to its nearest target point."""
+    return float(cKDTree(target.points).query(source.points)[0].mean())
 
 
 def blob_cloud(rng, n=800) -> PointCloud:
@@ -375,9 +381,9 @@ class TestICP:
                                      rng.uniform(-0.3, 0.3, 3))
             target = with_normals(PointCloud(points=perturb.apply(source.points)
                                              + rng.normal(scale=0.01, size=source.points.shape)))
-            start = registration_error(source, target)
+            start = nearest_neighbor_cost(source, target)
             result = icp_refine(source, target)
-            end = registration_error(source.transformed(result.transform), target)
+            end = nearest_neighbor_cost(source.transformed(result.transform), target)
             assert end <= start + 1e-9
             assert result.iterations <= 100
 
@@ -448,10 +454,9 @@ class TestRegister:
         truth = RigidTransform(rotation_about_z(90.0), np.array([5.0, 0.0, 0.0]))
         target = with_normals(PointCloud(points=truth.apply(source.points)))
         monkeypatch.setattr(registration, "_ICP_POINTS", 500)
-        result, registered, e_reg = register(source, target)
+        result, registered = register(source, target)
         assert result.converged
         assert np.abs(registered.points - target.points).max() < 1e-6
-        assert e_reg < 1e-6
 
     def test_race_on_probe_then_one_full_fit(self, monkeypatch):
         # One path whatever the scan's size: the 5,000-point blob races on a
@@ -472,7 +477,7 @@ class TestRegister:
                 return result
 
             monkeypatch.setattr(registration, "icp_refine", recording)
-            result, _, _ = register(source, target)
+            result, _ = register(source, target)
             monkeypatch.undo()
 
             probe_size = len(_probe(source.points))
@@ -498,8 +503,8 @@ class TestRegister:
             assert rotation_angle_deg(gap) < 0.1
 
     def test_one_tree_over_the_target(self, monkeypatch):
-        # The ICP race, the fit and the error read one k-d tree over all the
-        # target samples; the coarse ranking reads one over their probe.
+        # The ICP race and the fit read one k-d tree over all the target
+        # samples; the coarse ranking reads one over their probe.
         rng = np.random.default_rng(13)
         source = blob_cloud(rng, n=5000)
         target = with_normals(PointCloud(points=RigidTransform(rotation_about_z(30.0), np.ones(3))
@@ -516,6 +521,27 @@ class TestRegister:
         assert sum(np.array_equal(data, target.points) for data in built) == 1
         assert sum(np.array_equal(data, _probe(target.points)) for data in built) == 1
 
+    def test_cad_sample_count_is_fixed_by_the_part(self, monkeypatch):
+        # One bracket at two scan densities, 2,878 and 25,554 filtered
+        # points: the CAD is sampled at 50,000 points both times, so
+        # registration's cost does not grow with the scan.
+        counts = []
+        real = pipeline.sample_mesh
+
+        def recording(mesh, count, **kwargs):
+            counts.append(count)
+            return real(mesh, count, **kwargs)
+
+        monkeypatch.setattr(pipeline, "sample_mesh", recording)
+        filtered = []
+        for spacing in (1.5, 0.5):
+            scene = generate_synthetic_scene(
+                parse_scene_spec(f"bracket spacing={spacing}"), seed=1)
+            _, registered, _ = _register(scene.cloud, scene.mesh, PipelineConfig())
+            filtered.append(len(registered))
+        assert filtered[0] < 25_000 < filtered[1]
+        assert counts == [50_000, 50_000]
+
     # Registration lands this plate at a pose flipped by 179.99 degrees, with
     # point-to-plane ICP as with point-to-point. The scan misses the bottom
     # face, so its centroid sits 1.5 above the CAD samples' and the centroid
@@ -523,29 +549,16 @@ class TestRegister:
     # rotation ICP stops 1.2 below it (capped cost 0.52), while a flipped
     # candidate reaches 0.39 and wins; the true pose costs 0.16. The start
     # translation, not the ICP step, is what loses the pose.
-    @pytest.mark.xfail(reason="flipped pose of a thin square plate")
+    @pytest.mark.xfail(raises=AssertionError, reason="flipped pose of a thin square plate")
     def test_square_plate_not_flipped(self):
         scene = generate_synthetic_scene(
             parse_scene_spec("plate width=40 height=40 holes=4 spacing=1.6"), seed=1)
-        fit, _, _, _ = _register(scene.cloud, scene.mesh, PipelineConfig())
+        fit, _, _ = _register(scene.cloud, scene.mesh, PipelineConfig())
         gap = fit.transform.rotation @ scene.truth.transform.rotation.T
         assert rotation_angle_deg(gap) < 1.0
 
 
 class TestRegistrationError:
-    def test_identical_clouds(self):
-        cloud = PointCloud(points=np.random.default_rng(0).normal(size=(100, 3)))
-        assert registration_error(cloud, cloud) == 0.0
-
-    def test_offset_from_dense_plane(self):
-        rng = np.random.default_rng(9)
-        xs = np.arange(200) * 0.005
-        plane = np.array([(x, y, 0.0) for x in xs for y in xs[:50]])
-        registered = PointCloud(points=plane + (0.0, 0.0, 0.01))
-        err = registration_error(registered, PointCloud(points=plane))
-        assert abs(err - 0.01) / 0.01 < 0.1
-
-    def test_two_single_points(self):
-        a = PointCloud(points=np.array([[0.0, 0.0, 0.0]]))
-        b = PointCloud(points=np.array([[2.0, 0.0, 0.0]]))
-        assert registration_error(a, b) == pytest.approx(2.0)
+    def test_is_the_mean_of_the_surface_distances(self):
+        d = np.random.default_rng(0).exponential(0.01, size=1000)
+        assert registration_error(d) == d.mean()
