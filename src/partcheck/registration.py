@@ -8,14 +8,15 @@ sides. Where spins make the rotations many, every rotation is first scored
 on every 16th scan probe point, and only the best 32 of that rough ranking
 are scored again on the whole scan probe, 32 more at a time while they hold
 too few distinct candidates. The fine stage is trimmed point-to-plane ICP on
-all the CAD samples and their triangle normals (Chen & Medioni, "Object
-modelling by registration of multiple range images", 1992), each step one
-linear least-squares solve after Low (2004): the best coarse candidates race
-on the scan probe, and only the winner's coarse candidate is fitted again on
-the full subsample. So there are two densities: the coarse search chooses
-on probes of both clouds, and ICP and the race's cost read every CAD sample.
-Both stages choose on a sample and fit on all points, after Rusinkiewicz &
-Levoy, "Efficient Variants of the ICP Algorithm", 3DIM 2001.
+CAD samples and their triangle normals (Chen & Medioni, "Object modelling by
+registration of multiple range images", 1992), each step one linear
+least-squares solve after Low (2004): the best coarse candidates race, the
+scan probe against the CAD probe, and the fit continues from the winner's
+raced pose on the full subsample against every CAD sample. So there are two
+densities: the coarse search and the race choose on probes of both clouds,
+and the race's costs and the fit read every CAD sample. Both stages choose
+on a sample and fit on all points, after Rusinkiewicz & Levoy, "Efficient
+Variants of the ICP Algorithm", 3DIM 2001.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ def _axis_rotation(axis: int, angle: float) -> np.ndarray:
     return m
 
 
-def coarse_candidates(source: PointCloud, target: PointCloud,
-                      count: int = 3) -> list[RigidTransform]:
+def coarse_candidates(source: PointCloud, target: PointCloud, count: int = 3,
+                      probe_tree: cKDTree | None = None) -> list[RigidTransform]:
     """The best few coarse alignments, ranked by nearest-neighbor cost.
 
     Centroids and principal axes are matched under the four proper axis
@@ -119,7 +120,9 @@ def coarse_candidates(source: PointCloud, target: PointCloud,
     rotation left out of the re-scored ones would score below the last
     candidate returned; once every rotation has been re-scored it equals it
     always.
-    A rank-deficient covariance warns and yields the centroid translation.
+    ``probe_tree``, when given, is that tree, built once by ``register`` and
+    shared with the race. A rank-deficient covariance warns and yields the
+    centroid translation.
     """
     ps, pt = source.points, target.points
     cs, axes_s, evals_s = _principal_axes(ps)
@@ -133,7 +136,8 @@ def coarse_candidates(source: PointCloud, target: PointCloud,
         )
         return [RigidTransform(np.eye(3), ct - cs)]
     rotations = _coarse_rotations(axes_s, axes_t, evals_s, evals_t)
-    for ranked in _ranked_candidates(_target_tree(_probe(pt)), ps, cs, ct, rotations):
+    tree = _target_tree(_probe(pt)) if probe_tree is None else probe_tree
+    for ranked in _ranked_candidates(tree, ps, cs, ct, rotations):
         # Keep rotations that genuinely differ from better-ranked ones.
         distinct: list[RigidTransform] = []
         for cand in ranked:
@@ -313,29 +317,29 @@ def register(source: PointCloud,
              target: PointCloud) -> tuple[RegistrationResult, PointCloud]:
     """Coarse-to-fine registration of ``source`` onto the ``target`` samples.
 
-    The coarse ranking scores against a probe of the target samples (see
-    ``coarse_candidates``); everything after it reads one k-d tree over all
-    of them. ICP runs from each coarse candidate on the probe the coarse
-    ranking scores (at most 2,000 evenly strided source points), and the
-    candidate whose converged pose fits the probe best, by capped cost
-    against all samples, wins the race. One more ICP run on at most
-    ``_ICP_POINTS`` (30,000) evenly strided source points then starts from
-    the winner's coarse candidate, so the probe only chooses and the fit
-    uses every subsampled point. Returns the fit's result and the whole
-    source moved by it.
+    The coarse search and the race choose on probes of both clouds: at most
+    2,000 evenly strided source points and as many target samples, with
+    their normals, under one k-d tree that the coarse ranking (see
+    ``coarse_candidates``) and the race's ICP share. ICP runs from each
+    coarse candidate on the probes, and the raced pose that fits the source
+    probe best, by capped cost against all samples, wins. The fit continues
+    from that pose: one more ICP run on at most ``_ICP_POINTS`` (30,000)
+    evenly strided source points against every sample, through one k-d tree
+    over all of them. Near the pose the race left, the fit's queries are
+    cheap. Returns the fit's result and the whole source moved by it.
     """
     race = PointCloud(points=_probe(source.points))
+    target_probe = target.select(strided_indices(len(target), _PROBE_POINTS))
+    probe_tree = _target_tree(target_probe.points)
     tree = _target_tree(target.points)
+    raced = [icp_refine(race, target_probe, init=candidate, target_tree=probe_tree)
+             for candidate in coarse_candidates(source, target, 3, probe_tree)]
 
     # Partial scans of near-symmetric parts can tie the coarse cost for very
     # different poses, and the trimmed ICP RMSE is equally blind (the trim
     # rejects exactly the tell-tale mismatched feature points), so completed
-    # candidates are compared by untrimmed mean NN distance.
-    def race_cost(candidate: RigidTransform) -> float:
-        attempt = icp_refine(race, target, init=candidate, target_tree=tree)
-        return _capped_cost(tree, attempt.transform.apply(race.points))
-
-    start = min(coarse_candidates(source, target, count=3), key=race_cost)
+    # candidates are compared by untrimmed mean NN distance to all samples.
+    winner = min(raced, key=lambda r: _capped_cost(tree, r.transform.apply(race.points)))
     icp_source = source.select(strided_indices(len(source), _ICP_POINTS))
-    fit = icp_refine(icp_source, target, init=start, target_tree=tree)
+    fit = icp_refine(icp_source, target, init=winner.transform, target_tree=tree)
     return fit, source.transformed(fit.transform)

@@ -595,17 +595,38 @@ class TestResidualMatrix:
         assert np.isfinite(r).all() and (r >= 0).all()
 
 
+def two_clean_circles():
+    # 80 noiseless points on each of two coplanar circles, and their labels.
+    c1 = Circle3D(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]))
+    c2 = Circle3D(np.array([6.0, 0.0, 0.0]), 1.4, np.array([0.0, 0.0, 1.0]))
+    pts = np.vstack([circle_points(c1, 80), circle_points(c2, 80)])
+    return pts, np.concatenate([np.zeros(80, int), np.ones(80, int)])
+
+
 class TestClusterLabels:
     def test_two_clean_circles(self):
-        c1 = Circle3D(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]))
-        c2 = Circle3D(np.array([6.0, 0.0, 0.0]), 1.4, np.array([0.0, 0.0, 1.0]))
-        pts = np.vstack([circle_points(c1, 80), circle_points(c2, 80)])
-        truth = np.concatenate([np.zeros(80, int), np.ones(80, int)])
+        pts, truth = two_clean_circles()
         hyps = reduce_hypotheses(generate_hypotheses(pts, 600, seed=3), 0.05,
                                  scale=bbox_diagonal(pts), max_modes=600)
         labels = cluster_labels(residual_matrix(pts, hyps), 0.1, 10)
         assert labels.max() == 1
         assert misclassification_error(labels, truth) == pytest.approx(0.0)
+
+    # The test above passes at its hypothesis seed 3 only by luck: at seeds
+    # 0, 5, 8, 9, 10, 15, 18 and 19 the same two clean circles come out as
+    # three or four clusters or with mislabelled points (3-29% misclassified).
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="cluster_labels mislabels two clean circles at 8 of 20 seeds")
+    def test_two_clean_circles_at_every_seed(self):
+        pts, truth = two_clean_circles()
+        wrong = []
+        for seed in range(20):
+            hyps = reduce_hypotheses(generate_hypotheses(pts, 600, seed=seed), 0.05,
+                                     scale=bbox_diagonal(pts), max_modes=600)
+            labels = cluster_labels(residual_matrix(pts, hyps), 0.1, 10)
+            if labels.max() != 1 or misclassification_error(labels, truth) > 0.0:
+                wrong.append(seed)
+        assert wrong == []
 
     def test_outliers_unassigned(self):
         rng = np.random.default_rng(12)

@@ -459,9 +459,10 @@ class TestRegister:
         assert np.abs(registered.points - target.points).max() < 1e-6
 
     def test_race_on_probe_then_one_full_fit(self, monkeypatch):
-        # One path whatever the scan's size: the 5,000-point blob races on a
-        # strided probe, and the 500-point blob's probe is the whole scan, so
-        # its fit repeats the winner's race run.
+        # One path whatever the scan's size: the 5,000-point blob races its
+        # strided probe against the CAD probe, and the 500-point blob's
+        # probes are both whole clouds. The fit continues from the winning
+        # race pose on the subsample and all the samples.
         for n in (5000, 500):
             rng = np.random.default_rng(11)
             source = blob_cloud(rng, n=n)
@@ -473,7 +474,7 @@ class TestRegister:
 
             def recording(src, tgt, init=None, **kwargs):
                 result = real(src, tgt, init=init, **kwargs)
-                calls.append((src, init, result))
+                calls.append((src, tgt, init, result))
                 return result
 
             monkeypatch.setattr(registration, "icp_refine", recording)
@@ -482,17 +483,23 @@ class TestRegister:
 
             probe_size = len(_probe(source.points))
             assert probe_size <= len(source)
-            *race, (fit_source, fit_init, fit) = calls
+            *race, (fit_source, fit_target, fit_init, fit) = calls
             assert len(race) == 3
-            assert [len(src) for src, _, _ in race] == [probe_size] * len(race)
+            assert [len(src) for src, _, _, _ in race] == [probe_size] * len(race)
+            target_probe = strided_indices(len(target), _PROBE_POINTS)
+            for _, tgt, _, _ in race:
+                assert np.array_equal(tgt.points, target.points[target_probe])
+                assert np.array_equal(tgt.normals, target.normals[target_probe])
             assert len(fit_source) == len(source)
-            # A flipped candidate raced and lost.
-            assert max(_rotation_gap(init.rotation, fit_init.rotation)
-                       for _, init, _ in race) > np.deg2rad(170.0)
+            assert fit_target is target
             tree = cKDTree(target.points)
             costs = [registration._capped_cost(tree, r.transform.apply(src.points))
-                     for src, _, r in race]
-            assert fit_init is race[int(np.argmin(costs))][1]
+                     for src, _, _, r in race]
+            _, _, winner_init, winner = race[int(np.argmin(costs))]
+            assert fit_init is winner.transform
+            # A flipped candidate raced and lost.
+            assert max(_rotation_gap(init.rotation, winner_init.rotation)
+                       for _, _, init, _ in race) > np.deg2rad(170.0)
             assert result is fit
             expected = real(source, target, init=fit_init)
             assert np.array_equal(result.transform.rotation, expected.transform.rotation)
@@ -503,8 +510,9 @@ class TestRegister:
             assert rotation_angle_deg(gap) < 0.1
 
     def test_one_tree_over_the_target(self, monkeypatch):
-        # The ICP race and the fit read one k-d tree over all the target
-        # samples; the coarse ranking reads one over their probe.
+        # The fit and the race's costs read one k-d tree over all the target
+        # samples. The coarse ranking and the race's ICP read one over their
+        # probe.
         rng = np.random.default_rng(13)
         source = blob_cloud(rng, n=5000)
         target = with_normals(PointCloud(points=RigidTransform(rotation_about_z(30.0), np.ones(3))
@@ -513,13 +521,31 @@ class TestRegister:
         real = registration.cKDTree
 
         def recording(data, *args, **kwargs):
-            built.append(data)
-            return real(data, *args, **kwargs)
+            tree = real(data, *args, **kwargs)
+            built.append((data, tree))
+            return tree
+
+        icp_trees = []
+        real_icp = registration.icp_refine
+
+        def recording_icp(src, tgt, init=None, target_tree=None):
+            icp_trees.append(target_tree)
+            return real_icp(src, tgt, init=init, target_tree=target_tree)
 
         monkeypatch.setattr(registration, "cKDTree", recording)
+        monkeypatch.setattr(registration, "icp_refine", recording_icp)
+        cost_trees = []
+        real_cost = registration._capped_cost
+        monkeypatch.setattr(registration, "_capped_cost",
+                            lambda tree, pts: cost_trees.append(tree) or real_cost(tree, pts))
         register(source, target)
-        assert sum(np.array_equal(data, target.points) for data in built) == 1
-        assert sum(np.array_equal(data, _probe(target.points)) for data in built) == 1
+        full = [tree for data, tree in built if np.array_equal(data, target.points)]
+        probe = [tree for data, tree in built if np.array_equal(data, _probe(target.points))]
+        assert len(full) == 1 and len(probe) == 1
+        assert icp_trees == [probe[0]] * 3 + [full[0]]
+        # The coarse ranking, then the three race costs.
+        assert cost_trees[-3:] == [full[0]] * 3
+        assert cost_trees[:-3] and all(tree is probe[0] for tree in cost_trees[:-3])
 
     def test_cad_sample_count_is_fixed_by_the_part(self, monkeypatch):
         # One bracket at two scan densities, 2,878 and 25,554 filtered
@@ -542,20 +568,30 @@ class TestRegister:
         assert filtered[0] < 25_000 < filtered[1]
         assert counts == [50_000, 50_000]
 
-    # Registration lands this plate at a pose flipped by 179.99 degrees, with
-    # point-to-plane ICP as with point-to-point. The scan misses the bottom
-    # face, so its centroid sits 1.5 above the CAD samples' and the centroid
-    # match starts every candidate 1.5 below the part. From the right
-    # rotation ICP stops 1.2 below it (capped cost 0.52), while a flipped
-    # candidate reaches 0.39 and wins; the true pose costs 0.16. The start
-    # translation, not the ICP step, is what loses the pose.
-    @pytest.mark.xfail(raises=AssertionError, reason="flipped pose of a thin square plate")
+    # The scan misses this thin plate's bottom face, so its centroid sits 1.5
+    # above the CAD samples' and the centroid match starts every candidate
+    # 1.5 below the part. Raced against all 50,000 samples, ICP from the
+    # right rotation stopped after 2 steps 1.1 below the part, when the next
+    # step raised its trimmed RMSE (capped cost 0.52), and a candidate
+    # flipped by 180 degrees won at 0.39. Against the sparser CAD probe the
+    # same start converges to within 0.09 degrees (cost 0.16) and wins.
     def test_square_plate_not_flipped(self):
         scene = generate_synthetic_scene(
             parse_scene_spec("plate width=40 height=40 holes=4 spacing=1.6"), seed=1)
         fit, _, _ = _register(scene.cloud, scene.mesh, PipelineConfig())
         gap = fit.transform.rotation @ scene.truth.transform.rotation.T
         assert rotation_angle_deg(gap) < 1.0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_square_plate_assessed_end_to_end(self, seed):
+        # The same plate at twice the density, with its truth circles: every
+        # rim is found and the global error stays near the noise (0.005).
+        scene = generate_synthetic_scene(
+            parse_scene_spec("plate width=40 height=40 holes=4 spacing=0.8"), seed=seed)
+        report = pipeline.run_pipeline(scene.cloud, scene.mesh, PipelineConfig(),
+                                       truth_circles=scene.truth.circles)
+        assert report.e_global <= 5 * 0.005
+        assert (report.f_n, report.f_p) == (0, 0)
 
 
 class TestRegistrationError:
