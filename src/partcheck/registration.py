@@ -13,10 +13,10 @@ registration of multiple range images", 1992), each step one linear
 least-squares solve after Low (2004): the best coarse candidates race, the
 scan probe against the CAD probe, and the fit continues from the winner's
 raced pose on the full subsample against every CAD sample. So there are two
-densities: the coarse search and the race choose on probes of both clouds,
-and the race's costs and the fit read every CAD sample. Both stages choose
-on a sample and fit on all points, after Rusinkiewicz & Levoy, "Efficient
-Variants of the ICP Algorithm", 3DIM 2001.
+densities: the coarse search and the race, its ICP and its choice, read
+probes of both clouds, and only the fit reads every CAD sample. Both stages
+choose on a sample and fit on all points, after Rusinkiewicz & Levoy,
+"Efficient Variants of the ICP Algorithm", 3DIM 2001.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ def _axis_rotation(axis: int, angle: float) -> np.ndarray:
     return m
 
 
-def coarse_candidates(source: PointCloud, target: PointCloud, count: int = 3,
-                      probe_tree: cKDTree | None = None) -> list[RigidTransform]:
+def coarse_candidates(source: PointCloud, target: PointCloud,
+                      count: int = 3) -> list[RigidTransform]:
     """The best few coarse alignments, ranked by nearest-neighbor cost.
 
     Centroids and principal axes are matched under the four proper axis
@@ -120,9 +120,7 @@ def coarse_candidates(source: PointCloud, target: PointCloud, count: int = 3,
     rotation left out of the re-scored ones would score below the last
     candidate returned; once every rotation has been re-scored it equals it
     always.
-    ``probe_tree``, when given, is that tree, built once by ``register`` and
-    shared with the race. A rank-deficient covariance warns and yields the
-    centroid translation.
+    A rank-deficient covariance warns and yields the centroid translation.
     """
     ps, pt = source.points, target.points
     cs, axes_s, evals_s = _principal_axes(ps)
@@ -136,8 +134,8 @@ def coarse_candidates(source: PointCloud, target: PointCloud, count: int = 3,
         )
         return [RigidTransform(np.eye(3), ct - cs)]
     rotations = _coarse_rotations(axes_s, axes_t, evals_s, evals_t)
-    tree = _target_tree(_probe(pt)) if probe_tree is None else probe_tree
-    for ranked in _ranked_candidates(tree, ps, cs, ct, rotations):
+    tree = _target_tree(_probe(target).points)
+    for ranked in _ranked_candidates(tree, _probe(source).points, cs, ct, rotations):
         # Keep rotations that genuinely differ from better-ranked ones.
         distinct: list[RigidTransform] = []
         for cand in ranked:
@@ -157,19 +155,20 @@ def _rotation_gap(r1: np.ndarray, r2: np.ndarray) -> float:
 def _capped_cost(tree: cKDTree, points: np.ndarray) -> float | np.ndarray:
     """Mean nearest-neighbor distance to the tree's points, each distance
     capped at 5% of the diagonal of the bounding box of the tree's own
-    points (the CAD probe's in the coarse search, all samples' in the race)
-    so hopeless poses saturate instead of paying for exact lookups far from
-    the target. A stack of point sets, shape ``(k, m, 3)``, gets one cost
-    per set in one query."""
+    points (the CAD probe's, in the coarse search and the race) so hopeless
+    poses saturate instead of paying for exact lookups far from the target.
+    A stack of point sets, shape ``(k, m, 3)``, gets one cost per set in one
+    query."""
     cap = max(0.05 * float(np.linalg.norm(tree.maxes - tree.mins)), 1e-9)
     d, _ = tree.query(points, distance_upper_bound=cap)
     return np.minimum(d, cap).mean(axis=-1)
 
 
-def _probe(points: Points) -> Points:
-    """At most 2,000 evenly strided points (``strided_indices``): enough to
-    rank and race rigid candidates, which does not need every point."""
-    return points[strided_indices(len(points), _PROBE_POINTS)]
+def _probe(cloud: PointCloud) -> PointCloud:
+    """At most 2,000 evenly strided points of ``cloud`` (``strided_indices``)
+    with all their channels: enough to rank and race rigid candidates, which
+    does not need every point."""
+    return cloud.select(strided_indices(len(cloud), _PROBE_POINTS))
 
 
 def _target_tree(points: Points) -> cKDTree:
@@ -200,10 +199,10 @@ def _coarse_rotations(axes_s, axes_t, evals_s, evals_t) -> list[np.ndarray]:
     return [axes_t @ spin @ signs @ axes_s.T for signs in _SIGN_COMBOS for spin in spins]
 
 
-def _ranked_candidates(tree, ps, cs, ct, rotations) -> Iterator[list[RigidTransform]]:
-    """Yield the candidates scored on the whole probe so far, sorted by
-    (cost, index), with ``_RESCORED`` more of the rough ranking each time."""
-    probe = _probe(ps)
+def _ranked_candidates(tree, probe, cs, ct, rotations) -> Iterator[list[RigidTransform]]:
+    """Yield the candidates scored on the whole source ``probe`` so far,
+    sorted by (cost, index), with ``_RESCORED`` more of the rough ranking
+    each time."""
     candidates = [RigidTransform(r, ct - r @ cs) for r in rotations]
     order = range(len(candidates))
     if len(candidates) > _RESCORED:
@@ -317,29 +316,26 @@ def register(source: PointCloud,
              target: PointCloud) -> tuple[RegistrationResult, PointCloud]:
     """Coarse-to-fine registration of ``source`` onto the ``target`` samples.
 
-    The coarse search and the race choose on probes of both clouds: at most
-    2,000 evenly strided source points and as many target samples, with
-    their normals, under one k-d tree that the coarse ranking (see
-    ``coarse_candidates``) and the race's ICP share. ICP runs from each
+    The coarse search (see ``coarse_candidates``) and the race choose on
+    probes of both clouds: at most 2,000 evenly strided source points and as
+    many target samples, with their normals (``_probe``). ICP runs from each
     coarse candidate on the probes, and the raced pose that fits the source
-    probe best, by capped cost against all samples, wins. The fit continues
-    from that pose: one more ICP run on at most ``_ICP_POINTS`` (30,000)
-    evenly strided source points against every sample, through one k-d tree
-    over all of them. Near the pose the race left, the fit's queries are
-    cheap. Returns the fit's result and the whole source moved by it.
+    probe best, by capped cost against the target probe, wins. The fit
+    continues from that pose: one more ICP run on at most ``_ICP_POINTS``
+    (30,000) evenly strided source points against every sample. Near the
+    pose the race left, the fit's queries are cheap. Returns the fit's
+    result and the whole source moved by it.
     """
-    race = PointCloud(points=_probe(source.points))
-    target_probe = target.select(strided_indices(len(target), _PROBE_POINTS))
+    race, target_probe = _probe(source), _probe(target)
     probe_tree = _target_tree(target_probe.points)
-    tree = _target_tree(target.points)
     raced = [icp_refine(race, target_probe, init=candidate, target_tree=probe_tree)
-             for candidate in coarse_candidates(source, target, 3, probe_tree)]
+             for candidate in coarse_candidates(source, target, 3)]
 
     # Partial scans of near-symmetric parts can tie the coarse cost for very
     # different poses, and the trimmed ICP RMSE is equally blind (the trim
     # rejects exactly the tell-tale mismatched feature points), so completed
-    # candidates are compared by untrimmed mean NN distance to all samples.
-    winner = min(raced, key=lambda r: _capped_cost(tree, r.transform.apply(race.points)))
+    # candidates are compared by untrimmed mean NN distance to the CAD probe.
+    winner = min(raced, key=lambda r: _capped_cost(probe_tree, r.transform.apply(race.points)))
     icp_source = source.select(strided_indices(len(source), _ICP_POINTS))
-    fit = icp_refine(icp_source, target, init=winner.transform, target_tree=tree)
+    fit = icp_refine(icp_source, target, init=winner.transform)
     return fit, source.transformed(fit.transform)

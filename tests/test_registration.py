@@ -78,10 +78,10 @@ def exhaustive_ranking(source: PointCloud, target: PointCloud, tree: cKDTree | N
     ps, pt = source.points, target.points
     cs, axes_s, evals_s = _principal_axes(ps)
     ct, axes_t, evals_t = _principal_axes(pt)
-    tree = cKDTree(_probe(pt)) if tree is None else tree
+    tree = cKDTree(_probe(target).points) if tree is None else tree
     candidates = [RigidTransform(r, ct - r @ cs)
                   for r in _coarse_rotations(axes_s, axes_t, evals_s, evals_t)]
-    costs = [registration._capped_cost(tree, c.apply(_probe(ps))) for c in candidates]
+    costs = [registration._capped_cost(tree, c.apply(_probe(source).points)) for c in candidates]
     return candidates, costs, sorted(range(len(candidates)), key=lambda i: (costs[i], i))
 
 
@@ -210,7 +210,7 @@ class TestCoarse:
 
         calls = record_cost_calls(monkeypatch)
         coarse_candidates(source, target)
-        probe = _probe(source.points)
+        probe = _probe(source).points
         rough = probe[::_ROUGH_STRIDE]
         # Every rotation once on the rough probe, in one stacked query, then
         # the best 32 on the whole.
@@ -264,7 +264,7 @@ class TestCoarse:
         # outside the rough top 32, and count 3 differs from it here.
         source, target = spun_blob()
         candidates, costs, order = exhaustive_ranking(source, target)
-        probe = _probe(source.points)
+        probe = _probe(source).points
         calls = record_cost_calls(monkeypatch)
         for count in (1, 2, 3):
             calls.clear()
@@ -285,12 +285,12 @@ class TestCoarse:
                             .apply(source.points))
         calls = record_cost_calls(monkeypatch)
         coarse_candidates(source, target)
-        assert [len(pts) for _, pts in calls] == [len(_probe(source.points))] * 4
+        assert [len(pts) for _, pts in calls] == [len(_probe(source))] * 4
 
     def test_rescores_more_until_count_distinct(self, monkeypatch):
         source, target = spun_blob()
         candidates, costs, _ = exhaustive_ranking(source, target)
-        probe = _probe(source.points)
+        probe = _probe(source).points
         count = 8
         calls = record_cost_calls(monkeypatch)
         found = coarse_candidates(source, target, count)
@@ -319,9 +319,10 @@ class TestProbe:
     @pytest.mark.parametrize("n", [1999, 2000, 2001, 4001, 20260])
     def test_probe_is_the_strided_rows(self, n):
         points = np.arange(3.0 * n).reshape(n, 3)
-        probe = _probe(points)
+        probe = _probe(PointCloud(points=points, curvatures=np.arange(float(n))))
         assert len(probe) <= 2000
-        assert np.array_equal(probe, points[strided_indices(n, 2000)])
+        assert np.array_equal(probe.points, points[strided_indices(n, 2000)])
+        assert np.array_equal(probe.curvatures, strided_indices(n, 2000))
 
 
 class TestTargetTree:
@@ -461,8 +462,9 @@ class TestRegister:
     def test_race_on_probe_then_one_full_fit(self, monkeypatch):
         # One path whatever the scan's size: the 5,000-point blob races its
         # strided probe against the CAD probe, and the 500-point blob's
-        # probes are both whole clouds. The fit continues from the winning
-        # race pose on the subsample and all the samples.
+        # probes are both whole clouds. The race pose nearest the CAD probe
+        # wins, and the fit continues from it on the subsample and all the
+        # samples.
         for n in (5000, 500):
             rng = np.random.default_rng(11)
             source = blob_cloud(rng, n=n)
@@ -481,18 +483,19 @@ class TestRegister:
             result, _ = register(source, target)
             monkeypatch.undo()
 
-            probe_size = len(_probe(source.points))
+            probe_size = len(_probe(source))
             assert probe_size <= len(source)
             *race, (fit_source, fit_target, fit_init, fit) = calls
             assert len(race) == 3
             assert [len(src) for src, _, _, _ in race] == [probe_size] * len(race)
-            target_probe = strided_indices(len(target), _PROBE_POINTS)
+            target_probe = _probe(target)
+            assert len(target_probe) <= _PROBE_POINTS
             for _, tgt, _, _ in race:
-                assert np.array_equal(tgt.points, target.points[target_probe])
-                assert np.array_equal(tgt.normals, target.normals[target_probe])
+                assert np.array_equal(tgt.points, target_probe.points)
+                assert np.array_equal(tgt.normals, target_probe.normals)
             assert len(fit_source) == len(source)
             assert fit_target is target
-            tree = cKDTree(target.points)
+            tree = cKDTree(target_probe.points)
             costs = [registration._capped_cost(tree, r.transform.apply(src.points))
                      for src, _, _, r in race]
             _, _, winner_init, winner = race[int(np.argmin(costs))]
@@ -510,9 +513,9 @@ class TestRegister:
             assert rotation_angle_deg(gap) < 0.1
 
     def test_one_tree_over_the_target(self, monkeypatch):
-        # The fit and the race's costs read one k-d tree over all the target
-        # samples. The coarse ranking and the race's ICP read one over their
-        # probe.
+        # The race's ICP and costs read one k-d tree over the target's probe,
+        # the coarse ranking builds its own, and the fit builds the one tree
+        # over all the samples.
         rng = np.random.default_rng(13)
         source = blob_cloud(rng, n=5000)
         target = with_normals(PointCloud(points=RigidTransform(rotation_about_z(30.0), np.ones(3))
@@ -540,12 +543,15 @@ class TestRegister:
                             lambda tree, pts: cost_trees.append(tree) or real_cost(tree, pts))
         register(source, target)
         full = [tree for data, tree in built if np.array_equal(data, target.points)]
-        probe = [tree for data, tree in built if np.array_equal(data, _probe(target.points))]
-        assert len(full) == 1 and len(probe) == 1
-        assert icp_trees == [probe[0]] * 3 + [full[0]]
+        probe = [tree for data, tree in built if np.array_equal(data, _probe(target).points)]
+        assert len(full) == 1 and len(probe) == 2
+        race_tree = icp_trees[0]
+        assert icp_trees == [race_tree] * 3 + [None]
+        assert race_tree in probe
         # The coarse ranking, then the three race costs.
-        assert cost_trees[-3:] == [full[0]] * 3
-        assert cost_trees[:-3] and all(tree is probe[0] for tree in cost_trees[:-3])
+        assert cost_trees[-3:] == [race_tree] * 3
+        coarse_tree, = set(cost_trees[:-3])
+        assert coarse_tree in probe and coarse_tree is not race_tree
 
     def test_cad_sample_count_is_fixed_by_the_part(self, monkeypatch):
         # One bracket at two scan densities, 2,878 and 25,554 filtered
@@ -572,9 +578,10 @@ class TestRegister:
     # above the CAD samples' and the centroid match starts every candidate
     # 1.5 below the part. Raced against all 50,000 samples, ICP from the
     # right rotation stopped after 2 steps 1.1 below the part, when the next
-    # step raised its trimmed RMSE (capped cost 0.52), and a candidate
-    # flipped by 180 degrees won at 0.39. Against the sparser CAD probe the
-    # same start converges to within 0.09 degrees (cost 0.16) and wins.
+    # step raised its trimmed RMSE (capped cost 0.52 against all samples),
+    # and a candidate flipped by 180 degrees won at 0.39. Against the sparser
+    # CAD probe the same start converges to within 0.09 degrees and wins, at
+    # capped cost 0.77 against the probe to the flipped ones' 0.94.
     def test_square_plate_not_flipped(self):
         scene = generate_synthetic_scene(
             parse_scene_spec("plate width=40 height=40 holes=4 spacing=1.6"), seed=1)
