@@ -37,8 +37,8 @@ from scipy.optimize import least_squares, linear_sum_assignment
 from scipy.spatial import cKDTree
 
 from .config import PipelineConfig
-from .geometry import (PointCloud, Points, Vec3, as_points, canonical_sign, median_spacing,
-                       strided_indices, unit)
+from .geometry import (PointCloud, Points, Vec3, as_points, canonical_sign, distinct_rows,
+                       median_spacing, strided_indices, unit)
 from .primitives import (Configuration, FitError, PrimitiveKind, _adjacent, _ortho_basis,
                          _pratt_circle_2d)
 
@@ -288,18 +288,6 @@ def generate_hypotheses(edge_points, count: int, seed: int) -> NDArray[np.float6
 _BALL_BLOCK = 256
 
 
-def _distinct_rows(rows: NDArray[np.float64]):
-    """The distinct rows in order of first appearance, and each row's index
-    among them. Rows are compared as raw bytes, about 4x faster than
-    ``np.unique(axis=0)``."""
-    as_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(as_bytes, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rows[first[order]], rank[inverse]
-
-
 def _group_modes(modes: NDArray[np.float64], radius: float) -> NDArray[np.int64]:
     """Group id per mode, numbered in order of each group's first mode.
 
@@ -307,7 +295,8 @@ def _group_modes(modes: NDArray[np.float64], radius: float) -> NDArray[np.int64]
     every unassigned mode within ``radius`` of it. Equal modes always share a
     group, so the pass runs over the distinct modes alone.
     """
-    distinct, inverse = _distinct_rows(modes)
+    first, inverse = distinct_rows(modes)
+    distinct = modes[first]
     assigned = np.full(len(distinct), -1, dtype=np.int64)
     groups = 0
     tree = cKDTree(distinct)
@@ -373,8 +362,8 @@ def reduce_hypotheses(
             break
         idx = np.nonzero(moving)[0]
         # Modes that have met sit at identical coordinates: step each once.
-        distinct, inverse = _distinct_rows(modes[idx])
-        targets = _ball_means(tree, data, distinct, bandwidth)[inverse]
+        first, inverse = distinct_rows(modes[idx])
+        targets = _ball_means(tree, data, modes[idx[first]], bandwidth)[inverse]
         shift = np.linalg.norm(targets - modes[idx], axis=1)
         modes[idx] = targets
         settled = idx[shift < 1e-2 * bandwidth]

@@ -266,6 +266,20 @@ def strided_indices(n: int, cap: int) -> NDArray[np.int64]:
     return np.arange(0, n, stride)
 
 
+def distinct_rows(rows: NDArray[np.float64]) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+    """The index of each distinct row's first copy, in input order, and each
+    row's position among them. Rows are compared as raw bytes, about twice
+    as fast as ``np.unique(axis=0)``; adding 0.0 first makes -0.0 equal 0.0,
+    as it is there."""
+    rows = np.ascontiguousarray(rows + 0.0)
+    as_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(as_bytes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
 # ---------------------------------------------------------------------------
 # Mesh sampling and exact surface distance
 # ---------------------------------------------------------------------------

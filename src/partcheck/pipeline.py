@@ -40,6 +40,7 @@ from .config import PipelineConfig
 from .geometry import (
     PointCloud,
     TriangleMesh,
+    distinct_rows,
     estimate_normals_and_curvature,
     median_spacing,
     remove_outliers,
@@ -440,9 +441,9 @@ def _register(scan: PointCloud, mesh: TriangleMesh, config: PipelineConfig):
     to ``_CAD_SAMPLES`` CAD samples; returns the fit, the registered scan and
     the outlier count. Only the first copy of a repeated point is kept (not
     counted as an outlier): repeats would zero the point spacing."""
-    _, first = np.unique(scan.points, axis=0, return_index=True)
+    first, _ = distinct_rows(scan.points)
     if len(first) < len(scan):
-        scan = scan.select(np.sort(first))
+        scan = scan.select(first)
     filtered, removed = remove_outliers(scan, config.outlier_k, config.outlier_stddev_mult)
     if len(filtered) < config.normals_k + 1:
         raise StageError("input", ValueError(

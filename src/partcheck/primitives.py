@@ -5,7 +5,12 @@ A configuration of primitives is scored by a weighted energy with three
 terms: fidelity (mean inlier-to-surface distance), simplicity (primitive
 count relative to the maximum supportable count) and completeness (fraction
 of points left unassigned). Refinement applies the split or merge operation
-with the largest energy decrease until no operation helps.
+with the largest energy decrease until no operation helps. Splits and merges
+refit their primitives cold, from the same initial estimates region growing
+uses. A split adds a primitive and its halves keep subsets of the inliers, so
+it can lower the energy by at most ``omega_f * S / A - omega_s /
+max_primitives``, with S the primitive's inlier distance sum and A the
+assigned count; refinement tries only the splits this bound leaves room for.
 """
 
 from __future__ import annotations
@@ -170,20 +175,17 @@ def _fit_plane(pts: Points):
     return shape, _rms(shape.distance(pts))
 
 
-def _fit_sphere(pts: Points, init: Sphere | None = None):
+def _fit_sphere(pts: Points):
     extent = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-    if init is None:
-        # Algebraic fit: |p|^2 = 2 c.p + (r^2 - |c|^2), linear in (c, t).
-        a = np.column_stack([2.0 * pts, np.ones(len(pts))])
-        b = (pts * pts).sum(axis=1)
-        sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-        center = sol[:3]
-        r2 = sol[3] + center @ center
-        if not np.isfinite(r2) or r2 <= 0:
-            raise FitError("degenerate sphere (algebraic fit collapsed)")
-        x0 = np.append(center, np.sqrt(r2))
-    else:
-        x0 = np.append(init.center, init.radius)
+    # Algebraic fit: |p|^2 = 2 c.p + (r^2 - |c|^2), linear in (c, t).
+    a = np.column_stack([2.0 * pts, np.ones(len(pts))])
+    b = (pts * pts).sum(axis=1)
+    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+    center = sol[:3]
+    r2 = sol[3] + center @ center
+    if not np.isfinite(r2) or r2 <= 0:
+        raise FitError("degenerate sphere (algebraic fit collapsed)")
+    x0 = np.append(center, np.sqrt(r2))
 
     def residual(x):
         return np.linalg.norm(pts - x[:3], axis=1) - x[3]
@@ -247,27 +249,21 @@ def _normal_moments(normals: Points | None) -> NDArray[np.float64]:
     return normals.T @ normals / len(normals)
 
 
-def _fit_cylinder(pts: Points, normals: Points | None, init: Cylinder | None = None):
+def _fit_cylinder(pts: Points, normals: Points | None):
     extent = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
     centroid = pts.mean(axis=0)
-    if init is None:
-        # Cylinder surface normals are orthogonal to the axis, so the axis is
-        # the direction in which the normals' second moment vanishes.
-        _, evecs = np.linalg.eigh(_normal_moments(normals))
-        w0 = unit(evecs[:, 0])
-        u0, v0 = _ortho_basis(w0)
-        xy = np.column_stack([(pts - centroid) @ u0, (pts - centroid) @ v0])
-        try:
-            cx, cy, r0 = _pratt_circle_2d(xy)
-        except FitError:
-            cx = cy = 0.0
-            r0 = float(np.linalg.norm(xy, axis=1).mean())
-        x0 = np.array([cx, cy, 0.0, 0.0, max(r0, 1e-9)])
-    else:
-        w0 = unit(init.axis)
-        u0, v0 = _ortho_basis(w0)
-        rel = init.point - centroid
-        x0 = np.array([rel @ u0, rel @ v0, 0.0, 0.0, max(init.radius, 1e-9)])
+    # Cylinder surface normals are orthogonal to the axis, so the axis is the
+    # direction in which the normals' second moment vanishes.
+    _, evecs = np.linalg.eigh(_normal_moments(normals))
+    w0 = unit(evecs[:, 0])
+    u0, v0 = _ortho_basis(w0)
+    xy = np.column_stack([(pts - centroid) @ u0, (pts - centroid) @ v0])
+    try:
+        cx, cy, r0 = _pratt_circle_2d(xy)
+    except FitError:
+        cx = cy = 0.0
+        r0 = float(np.linalg.norm(xy, axis=1).mean())
+    x0 = np.array([cx, cy, 0.0, 0.0, max(r0, 1e-9)])
 
     def residual(x):
         w = unit(w0 + x[2] * u0 + x[3] * v0)
@@ -294,12 +290,21 @@ def _cone_from_params(w0, u0, v0, x) -> Cone:
     return Cone(np.asarray(x[:3], dtype=float).copy(), w, float(x[5]))
 
 
-def _polish_cone(pts: Points, w0: Vec3, x0: NDArray[np.float64]):
-    """Least-squares cone from x0 = (apex, two axis tilts, half-angle).
-
-    Fresh fits and refits alike reject an apex farther than the size limit
-    from the data: such a cone is a cylinder or a plane in disguise.
-    """
+def _fit_cone_once(pts: Points, normals: Points, w0: Vec3):
+    """Least-squares cone with ``w0`` as the initial axis and, as the initial
+    apex, the point nearest every tangent plane. An apex farther than the
+    size limit from the data is rejected: such a cone is a cylinder or a
+    plane in disguise."""
+    # Every tangent plane of a cone passes through the apex.
+    b = (normals * pts).sum(axis=1)
+    apex0, *_ = np.linalg.lstsq(normals, b, rcond=None)
+    if not np.isfinite(apex0).all():
+        raise FitError("degenerate cone (apex estimate failed)")
+    if float(np.mean((pts - apex0) @ w0)) < 0.0:
+        w0 = -w0
+    sin_a = float(np.clip(np.abs(normals @ w0).mean(), 0.02, 0.999))
+    alpha0 = float(np.arcsin(sin_a))
+    x0 = np.array([apex0[0], apex0[1], apex0[2], 0.0, 0.0, alpha0])
     u0, v0 = _ortho_basis(w0)
 
     def residual(x):
@@ -318,32 +323,12 @@ def _polish_cone(pts: Points, w0: Vec3, x0: NDArray[np.float64]):
     return shape, rms
 
 
-def _fit_cone_once(pts: Points, normals: Points, w0: Vec3):
-    # Every tangent plane of a cone passes through the apex.
-    b = (normals * pts).sum(axis=1)
-    apex0, *_ = np.linalg.lstsq(normals, b, rcond=None)
-    if not np.isfinite(apex0).all():
-        raise FitError("degenerate cone (apex estimate failed)")
-    if float(np.mean((pts - apex0) @ w0)) < 0.0:
-        w0 = -w0
-    sin_a = float(np.clip(np.abs(normals @ w0).mean(), 0.02, 0.999))
-    alpha0 = float(np.arcsin(sin_a))
-    x0 = np.array([apex0[0], apex0[1], apex0[2], 0.0, 0.0, alpha0])
-    return _polish_cone(pts, w0, x0)
-
-
-def _fit_cone(pts: Points, normals: Points | None, init: Cone | None = None,
-              adequate_rms: float = 0.0):
-    """Cone fit from ``init``, or else with each eigenvector of the normal
-    moment as the initial axis, smallest eigenvalue first: the axis is the
-    smallest for shallow cones and the largest for steep ones. The first
-    converged fit with an RMS at or below ``adequate_rms`` ends the trials;
-    otherwise all three run and the lowest RMS wins."""
-    if init is not None:
-        x0 = np.array([*init.apex, 0.0, 0.0,
-                       float(np.clip(init.half_angle, 0.011, np.pi / 2 - 0.011))])
-        return _polish_cone(pts, unit(init.axis), x0)
-
+def _fit_cone(pts: Points, normals: Points | None, adequate_rms: float = 0.0):
+    """Cone fit with each eigenvector of the normal moment as the initial
+    axis, smallest eigenvalue first: the axis is the smallest for shallow
+    cones and the largest for steep ones. The first converged fit with an
+    RMS at or below ``adequate_rms`` ends the trials; otherwise all three
+    run and the lowest RMS wins."""
     _, evecs = np.linalg.eigh(_normal_moments(normals))
     best = None
     last_err: FitError | None = None
@@ -363,18 +348,17 @@ def _fit_cone(pts: Points, normals: Points | None, init: Cone | None = None,
 
 
 def _fit_shape(kind: PrimitiveKind, pts: Points, normals: Points | None = None,
-               init: Shape | None = None, adequate_rms: float = 0.0):
+               adequate_rms: float = 0.0):
     if len(pts) < MIN_SAMPLE[kind]:
         raise FitError(f"{kind.value} needs at least {MIN_SAMPLE[kind]} points, got {len(pts)}")
     if kind is PrimitiveKind.PLANE:
         return _fit_plane(pts)
     if kind is PrimitiveKind.SPHERE:
-        return _fit_sphere(pts, init=init if isinstance(init, Sphere) else None)
+        return _fit_sphere(pts)
     if kind is PrimitiveKind.CYLINDER:
-        return _fit_cylinder(pts, normals, init=init if isinstance(init, Cylinder) else None)
+        return _fit_cylinder(pts, normals)
     if kind is PrimitiveKind.CONE:
-        return _fit_cone(pts, normals, init=init if isinstance(init, Cone) else None,
-                         adequate_rms=adequate_rms)
+        return _fit_cone(pts, normals, adequate_rms=adequate_rms)
     raise ValueError(f"unknown primitive kind {kind!r}")
 
 
@@ -442,10 +426,14 @@ class EnergyTerms(NamedTuple):
     completeness: float
 
 
+def _distance_sums(config: Configuration) -> list[float]:
+    """Each primitive's sum of inlier distances to its shape."""
+    return [float(p.shape.distance(config.points[p.inliers]).sum()) for p in config.primitives]
+
+
 def energy(config: Configuration) -> EnergyTerms:
     """Weighted fidelity + simplicity + completeness score of a configuration."""
-    dist_sum = sum(float(p.shape.distance(config.points[p.inliers]).sum())
-                   for p in config.primitives)
+    dist_sum = sum(_distance_sums(config))
     n_assigned = config.n_assigned
     n_max = config.max_primitives
     fidelity = dist_sum / n_assigned if n_assigned else 0.0
@@ -549,7 +537,7 @@ def _fit_subset(pts: Points, normals: Points | None):
 
 
 def _best_kind_fit(pts: Points, normals: Points | None, inlier_eps: float,
-                   kinds: tuple[PrimitiveKind, ...], init: Shape | None = None):
+                   kinds: tuple[PrimitiveKind, ...]):
     """Fit each of ``kinds`` and keep the lowest geometric RMS, with a 5% plane
     edge; returns ``(shape, distance of every point)`` or None if none fits.
 
@@ -576,9 +564,8 @@ def _best_kind_fit(pts: Points, normals: Points | None, inlier_eps: float,
     If the scan's noise exceeds ``inlier_eps / 4``, every kind is always
     tried. The same rule holds within the cone fit: its axis trials stop at
     the first that fits the subsample to within ``inlier_eps / 4`` (see
-    ``_fit_cone``). ``init`` warm-starts the fit of its own kind. ``normals``
-    may carry either sign at each point: the cylinder and cone fits read them
-    only up to sign.
+    ``_fit_cone``). ``normals`` may carry either sign at each point: the
+    cylinder and cone fits read them only up to sign.
     """
     fit_pts, fit_normals = _fit_subset(pts, normals)
     fits: dict[PrimitiveKind, tuple[Shape, NDArray[np.float64]]] = {}
@@ -590,7 +577,7 @@ def _best_kind_fit(pts: Points, normals: Points | None, inlier_eps: float,
         if rms and min(rms.values()) <= adequate:
             break
         try:
-            shape, _ = _fit_shape(kind, fit_pts, fit_normals, init=init, adequate_rms=adequate)
+            shape, _ = _fit_shape(kind, fit_pts, fit_normals, adequate_rms=adequate)
         except FitError:
             continue
         fits[kind] = (shape, shape.distance(pts))
@@ -604,14 +591,14 @@ def _best_kind_fit(pts: Points, normals: Points | None, inlier_eps: float,
 
 
 def _band_fit(points: Points, normals: Points | None, indices: NDArray[np.int64],
-              inlier_eps: float, min_points: int, kinds: tuple[PrimitiveKind, ...],
-              init: Shape | None = None) -> Primitive | None:
+              inlier_eps: float, min_points: int,
+              kinds: tuple[PrimitiveKind, ...]) -> Primitive | None:
     """Fit the best of ``kinds`` to ``points[indices]`` and keep the points
     within ``inlier_eps`` of it; None if fewer than ``min_points`` remain."""
     if len(indices) < min_points:
         return None
     fitted = _best_kind_fit(points[indices], None if normals is None else normals[indices],
-                            inlier_eps, kinds, init)
+                            inlier_eps, kinds)
     if fitted is None:
         return None
     shape, dist = fitted
@@ -649,10 +636,12 @@ def _adjacent(config: Configuration, a: Primitive, b: Primitive,
 def split(config: Configuration, prim_index: int) -> tuple[Configuration, bool]:
     """Divide one primitive in two; returns (config, applied).
 
-    Each side is refitted with the primitive's kind, warm-started from its
-    shape. The original configuration is returned unchanged with
-    ``applied=False`` when the primitive is too small or either side loses
-    its support.
+    Each side is refitted cold with the primitive's kind and keeps its points
+    within ``inlier_eps`` of the fit, a subset of the primitive's inliers; so
+    a split lowers the energy by at most ``omega_f * S / A - omega_s /
+    max_primitives`` (see ``refine``). The original configuration is
+    returned unchanged with ``applied=False`` when the primitive is too small
+    or either side loses its support.
     """
     prim = config.primitives[prim_index]
     if len(prim.inliers) < 2 * config.min_points:
@@ -665,12 +654,8 @@ def split(config: Configuration, prim_index: int) -> tuple[Configuration, bool]:
     pa = pts[np.argmin(along)]
     pb = pts[np.argmax(along)]
     to_a = np.linalg.norm(pts - pa, axis=1) <= np.linalg.norm(pts - pb, axis=1)
-    # The warm start is for speed: refitted cold, halves and merges give the
-    # same reports on the benchmark's plate, bracket and collage scenes, but
-    # collage's refine takes about 40 times as long (1.3-1.6 s against
-    # 0.03-0.04 s, unscaled, on a shared 2-core machine).
     halves = [_band_fit(config.points, config.normals, group, config.tunables.inlier_eps,
-                        config.min_points, (prim.kind,), prim.shape)
+                        config.min_points, (prim.kind,))
               for group in (prim.inliers[to_a], prim.inliers[~to_a])]
     if any(half is None for half in halves):
         return config, False
@@ -680,16 +665,15 @@ def split(config: Configuration, prim_index: int) -> tuple[Configuration, bool]:
 
 
 def merge(config: Configuration, i: int, j: int) -> tuple[Configuration, bool]:
-    """Fuse two same-kind adjacent primitives; returns (config, applied)."""
+    """Fuse two same-kind adjacent primitives, refitted cold with their kind;
+    returns (config, applied)."""
     if i == j:
         raise ValueError("cannot merge a primitive with itself")
     a, b = config.primitives[i], config.primitives[j]
     if a.kind != b.kind or not _adjacent(config, a, b):
         return config, False
-    # Warm-started from the larger side's shape, for speed (see ``split``).
-    init = a.shape if len(a.inliers) >= len(b.inliers) else b.shape
     merged = _band_fit(config.points, config.normals, np.concatenate([a.inliers, b.inliers]),
-                       config.tunables.inlier_eps, config.min_points, (a.kind,), init)
+                       config.tunables.inlier_eps, config.min_points, (a.kind,))
     if merged is None:
         return config, False
     lo, hi = sorted((i, j))
@@ -709,21 +693,34 @@ _MIN_GAIN = 1e-12
 def refine(config: Configuration, on_apply=None) -> Configuration:
     """Apply the best energy-decreasing split/merge until none remains.
 
-    Each round tries ``split`` on every primitive, then ``merge`` on every
-    pair i < j, scores each applied result with ``energy``, and keeps the
-    lowest (ties go to the first in that order). A split puts its two halves
-    in place of the primitive; a merge puts the merged primitive at the lower
-    index. ``on_apply(op, e_before, e_after)`` sees every applied operation.
-    When nothing lowers the energy the input object itself is returned.
-    Every applied operation strictly decreases the energy, which bounds the
-    run; a cap of ``20 * n + 200`` operations on n input primitives is a
-    hard safety net.
+    Each round tries ``split`` on every primitive whose split the energy
+    allows, then ``merge`` on every pair i < j, scores each applied result
+    with ``energy``, and keeps the lowest (ties go to the first in that
+    order). A split puts its two halves in place of the primitive; a merge
+    puts the merged primitive at the lower index. ``on_apply(op, e_before,
+    e_after)`` sees every applied operation. When nothing lowers the energy
+    the input object itself is returned. Every applied operation strictly
+    decreases the energy, which bounds the run; a cap of ``20 * n + 200``
+    operations on n input primitives is a hard safety net.
+
+    Splitting primitive i adds a primitive, and its halves keep subsets of
+    its inliers, at distances of 0 or more. With S_i its inlier distance sum
+    and A the assigned count, the fidelity term falls by at most ``omega_f *
+    S_i / A``, the simplicity term rises by ``omega_s / max_primitives``, and
+    the completeness term cannot fall. So a split is tried only when
+    ``omega_f * S_i / A > omega_s / max_primitives - _MIN_GAIN``: no other
+    split could lower the energy, and skipping them leaves the result as it
+    would be with every split tried.
     """
     cap = 20 * max(1, len(config.primitives)) + 200
+    t = config.tunables
     current = energy(config).total
     for applied in itertools.count():
         n = len(config.primitives)
-        tried = [("split", split(config, i)) for i in range(n)]
+        # With no primitive there is nothing to try, and max_primitives may be 0.
+        tried = [("split", split(config, i)) for i, s in enumerate(_distance_sums(config))
+                 if t.omega_f * s / config.n_assigned
+                 > t.omega_s / config.max_primitives - _MIN_GAIN]
         tried += [("merge", merge(config, i, j)) for i, j in itertools.combinations(range(n), 2)]
         scored = [(energy(after).total, op, after) for op, (after, ok) in tried if ok]
         e_after, op, after = min(scored, key=lambda item: item[0], default=(current, None, None))

@@ -17,6 +17,7 @@ from partcheck.geometry import (
     RigidTransform,
     TriangleMesh,
     clean_triangles,
+    distinct_rows,
     estimate_normals_and_curvature,
     median_spacing,
     remove_outliers,
@@ -347,6 +348,26 @@ class TestStridedIndices:
     def test_cap_below_one_rejected(self, cap):
         with pytest.raises(ValueError, match="cap"):
             strided_indices(10, cap)
+
+
+class TestDistinctRows:
+    def test_first_copies_in_input_order(self):
+        # Row 3 repeats row 1, and row 4 is row 0 with -0.0 for 0.0.
+        rows = np.array([[0.0, 1.0, 2.0], [5.0, 4.0, 3.0], [1.0, 1.0, 1.0],
+                         [5.0, 4.0, 3.0], [-0.0, 1.0, 2.0], [-1.0, 0.0, 0.0]])
+        first, inverse = distinct_rows(rows)
+        assert first.tolist() == [0, 1, 2, 5]
+        assert inverse.tolist() == [0, 1, 2, 1, 0, 3]
+        _, reference = np.unique(rows, axis=0, return_index=True)
+        assert np.array_equal(first, np.sort(reference))
+
+    @given(st.lists(st.tuples(*[st.sampled_from([-1.0, -0.0, 0.0, 2.5])] * 3), max_size=40))
+    def test_matches_unique_rows(self, table):
+        rows = np.array(table, dtype=np.float64).reshape(-1, 3)
+        first, inverse = distinct_rows(rows)
+        _, reference = np.unique(rows, axis=0, return_index=True)
+        assert np.array_equal(first, np.sort(reference))
+        assert np.array_equal(rows[first][inverse], rows)
 
 
 class TestSampleMesh:

@@ -362,3 +362,49 @@ def test_writer_bytes(tmp_path, kind, ascii_mode):
     fmt = "ascii" if ascii_mode else "binary_little_endian"
     header = f"ply\nformat {fmt} 1.0\n{GOLDEN_HEADERS[kind]}end_header\n".encode()
     assert path.read_bytes() == header + GOLDEN_BODIES[kind, ascii_mode]
+
+
+XYZ_HEADER = "element vertex 2\n" + XYZ_PROPERTIES
+REJECTED = [
+    # PLY point clouds.
+    ("scan.ply", b"solid cube\n", "not a PLY file (missing header)"),
+    ("scan.ply", b"ply\nformat ascii 1.0\nproperty float x\nend_header\n",
+     "property before any element"),
+    ("scan.ply", b"ply\nformat binary_big_endian 1.0\n" + XYZ_HEADER.encode() + b"end_header\n",
+     "unsupported PLY format 'binary_big_endian'"),
+    ("scan.ply", b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+     b"property float y\nend_header\n0 0\n", "PLY has no vertex x/y/z properties"),
+    ("scan.ply", b"ply\nformat ascii 1.0\n" + XYZ_HEADER.encode() + b"end_header\n0 0 0\n0 nan 0\n",
+     "non-finite coordinate at vertex 1"),
+    ("scan.ply", f"ply\nformat ascii 1.0\nelement vertex 0\n{XYZ_PROPERTIES}end_header\n".encode(),
+     "empty point cloud"),
+    ("scan.ply", b"ply\nformat ascii 1.0\nelement vertex 1\nvertex_count 3\nend_header\n",
+     "unrecognized header line 'vertex_count 3'"),
+    # XYZ point clouds.
+    ("scan.xyz", b"0 0 0\n1 2\n", "line 2: expected at least 3 columns"),
+    ("scan.xyz", b"0 0 0\n1 2 three\n", "line 2: could not convert string to float: 'three'"),
+    ("scan.xyz", b"# a header and no rows\n\n", "empty point cloud"),
+    ("scan.xyz", b"0 0 \xff\n", "can't decode byte 0xff"),
+    # OBJ meshes.
+    ("part.obj", None, "file not found"),
+    ("part.obj", b"v 0 0 0\nv 1 0\n", "line 2: short vertex record"),
+    ("part.obj", b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 c\n", "line 4: bad face index 'c'"),
+    ("part.obj", b"v 0 0 0\nv 1 inf 0\n", "line 2: non-finite coordinate"),
+    ("part.obj", b"# no vertices\nf 1 2 3\n", "no vertices"),
+    ("part.obj", b"v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n", "empty mesh (all faces degenerate)"),
+    # A PLY mesh whose face list has a negative length.
+    ("part.ply", binary_ply(SQUARE_VERTICES + "element face 1\n"
+                            "property list char int vertex_indices\n",
+                            SQUARE_BODY + struct.pack("<b", -1)),
+     "face 0: negative list length -1"),
+]
+
+
+@pytest.mark.parametrize("name, content, message", REJECTED)
+def test_rejected_input_names_the_file(tmp_path, name, content, message):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    load = load_mesh if name.startswith("part") else load_point_cloud
+    with pytest.raises(MeshIOError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+        load(path)

@@ -255,6 +255,14 @@ def test_missing_scan_exits_2(scene_files, tmp_path):
     assert result.exit_code == EXIT_INPUT_ERROR
 
 
+def test_malformed_scan_exits_2(scene_files, tmp_path):
+    scan = tmp_path / "scan.xyz"
+    scan.write_text("0 0 0\n1 2 three\n")
+    result = assess(scan, scene_files / "mesh.ply", "--out", tmp_path)
+    assert result.exit_code == EXIT_INPUT_ERROR
+    assert f"input error: {scan}: line 2: could not convert" in result.output
+
+
 @pytest.mark.parametrize("line", ["no_such_key = 1", "min_points 3", "min_points = 1.7",
                                   "seed = abc", "inlier_eps = nan", "omega_f = nan",
                                   "omega_f = 0.5", "region_k = 16", "mesh_samples = 0",
@@ -458,6 +466,15 @@ def test_synth_bad_option_value_exits_2(tmp_path, spec):
     assert result.exit_code == EXIT_INPUT_ERROR, result.output
     key = spec.split()[1].split("=")[0]
     assert f"input error: {spec.split()[0]} option {key}=" in result.output
+
+
+@pytest.mark.parametrize("spec, message", [("", "empty scene spec"),
+                                           ("plate holes", "bad scene option 'holes'")])
+def test_synth_malformed_spec_exits_2(tmp_path, spec, message):
+    result = CliRunner().invoke(main, ["synth", spec, "--out", str(tmp_path)])
+    assert result.exit_code == EXIT_INPUT_ERROR, result.output
+    assert f"input error: {message}" in result.output
+    assert not (tmp_path / "scan.ply").exists()
 
 
 def test_synth_repeated_option_exits_2(tmp_path):

@@ -177,6 +177,31 @@ class TestFitPrimitive:
         _, cylinder_rms = _fit_shape(PrimitiveKind.CYLINDER, pts, normals)
         assert cylinder_rms < 1e-6
 
+    @pytest.mark.parametrize("seed, kind", [(0, PrimitiveKind.PLANE),
+                                            (1, PrimitiveKind.CYLINDER)])
+    def test_a_plane_within_five_percent_of_the_best_rms_wins(self, seed, kind):
+        # A noisy strip of a cylinder, R = 100, chord 10 and length 10:
+        # noise 0.12 keeps every kind inadequate, so all are fitted, and the
+        # cylinder's RMS is the lowest. At seed 0 the plane's is 4.4% above
+        # it and the plane is chosen; at seed 1 it is 5.4% above.
+        eps = PipelineConfig().inlier_eps
+        rng = np.random.default_rng(seed)
+        half = np.arcsin(10.0 / (2 * 100.0))
+        t, y = rng.uniform(-half, half, 3000), rng.uniform(0.0, 10.0, 3000)
+        normals = np.column_stack([np.sin(t), np.zeros_like(t), np.cos(t)])
+        pts = 100.0 * normals + np.column_stack([np.zeros_like(y), y, np.zeros_like(y)])
+        pts += rng.normal(scale=0.12, size=pts.shape)
+        rms = {}
+        for only in (PrimitiveKind.PLANE, PrimitiveKind.CYLINDER):
+            _, dist = primitives._best_kind_fit(pts, normals, eps, (only,))
+            rms[only] = np.sqrt(np.mean(dist ** 2))
+        assert primitives._ADEQUATE_RMS_FRACTION * eps < rms[PrimitiveKind.CYLINDER]
+        assert rms[PrimitiveKind.CYLINDER] < rms[PrimitiveKind.PLANE]
+        assert (rms[PrimitiveKind.PLANE] <= 1.05 * rms[PrimitiveKind.CYLINDER]) == (
+            kind is PrimitiveKind.PLANE)
+        shape, _ = primitives._best_kind_fit(pts, normals, eps, tuple(PrimitiveKind))
+        assert shape.kind is kind
+
     def test_a_strip_plane_reaches_the_adequate_rms_where_the_docstring_says(self):
         # Best-plane RMS of a circular strip is about 0.3 of its sag
         # l^2 / (8 R), so it equals inlier_eps / 4 at R = 0.15 l^2 / eps.
@@ -213,16 +238,13 @@ class TestFitPrimitive:
             _fit_shape(PrimitiveKind.SPHERE, plane_points(rng, n=100))
 
     def test_cone_refit_rejects_runaway_apex(self):
-        # A cylinder is a cone with its apex at infinity. A fresh cone fit
-        # rejects the far apex; a refit from a distant seed must as well.
+        # A cylinder is a cone with its apex at infinity: the cone fit
+        # rejects the far apex.
         rng = np.random.default_rng(0)
         pts = cylinder_points(rng, radius=1.0, n=600, z_range=(0, 3))
         pts += rng.normal(scale=0.005, size=pts.shape)
         with pytest.raises(FitError, match="apex out of range"):
             _fit_shape(PrimitiveKind.CONE, pts, normals_of(pts))
-        seed = Cone(np.array([0.0, 0.0, -20.0]), np.array([0.0, 0.0, 1.0]), 0.05)
-        with pytest.raises(FitError, match="apex out of range"):
-            _fit_shape(PrimitiveKind.CONE, pts, init=seed)
 
     def test_pratt_circle_memory_is_linear_in_points(self):
         # The fit needs only V of its SVD; a full U would be n^2 floats,
@@ -791,6 +813,68 @@ class TestRefine:
         assert len(refined.primitives) == 1
         assert all(e1 < e0 for e0, e1 in log)
         assert energy(refined).total <= energy(config).total
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_splits_the_bound_skips_never_lower_the_energy(self, seed):
+        config = fused_planes(seed)
+        splits = []
+        want = refine_trying_every_split(config, splits)
+        got = refine(config)
+        # Splits win here, and the bound skips others.
+        assert any(after < before - primitives._MIN_GAIN for before, after, _ in splits)
+        assert any(bound <= -primitives._MIN_GAIN for _, _, bound in splits)
+        for before, after, bound in splits:
+            assert before - after <= bound + 1e-12
+            if bound <= -primitives._MIN_GAIN:
+                assert after >= before
+        assert len(got.primitives) == len(want.primitives) > len(config.primitives)
+        for a, b in zip(got.primitives, want.primitives):
+            assert a.kind is b.kind
+            assert np.array_equal(a.inliers, b.inliers)
+            for name, value in vars(a.shape).items():
+                assert np.array_equal(getattr(b.shape, name), value), name
+
+
+def fused_planes(seed) -> Configuration:
+    """Planes 10 apart, each one primitive, but for a ridge of two planes and
+    a pair of parallel planes, each fitted as one plane: splits win on those."""
+    rng = np.random.default_rng(seed)
+    g = np.stack(np.meshgrid(np.linspace(0, 1, 12), np.linspace(0, 1, 12), [0.0]),
+                 axis=-1).reshape(-1, 3)
+    angle = rng.uniform(0.4, 1.0)
+    tilted = np.column_stack([g[:, 0] * np.cos(angle), g[:, 1], g[:, 0] * np.sin(angle)])
+    ridge = np.vstack([g * [-1.0, 1.0, 1.0], tilted])
+    pair = np.vstack([g, g + [0.0, 0.0, rng.uniform(1.0, 2.0)]])
+    parts = [ridge, pair, *[g] * int(rng.integers(1, 3))]
+    pts = np.vstack([p + [10.0 * k, 0.0, 0.0] for k, p in enumerate(parts)])
+    pts += rng.normal(scale=0.002, size=pts.shape)
+    ends = np.cumsum([len(p) for p in parts])
+    groups = [np.arange(end - len(p), end) for p, end in zip(parts, ends)]
+    return plane_config(pts, groups, min_points=20)
+
+
+def refine_trying_every_split(config: Configuration, splits: list) -> Configuration:
+    """``refine`` with every split tried each round; appends (energy before,
+    energy after, the bound on the drop) of every applied split to ``splits``."""
+    t = config.tunables
+    current = energy(config).total
+    while True:
+        n = len(config.primitives)
+        sums = primitives._distance_sums(config)
+        tried = []
+        for i in range(n):
+            after, ok = split(config, i)
+            if ok:
+                bound = (t.omega_f * sums[i] / config.n_assigned
+                         - t.omega_s / config.max_primitives)
+                splits.append((current, energy(after).total, bound))
+            tried.append((after, ok))
+        tried += [merge(config, i, j) for i in range(n) for j in range(i + 1, n)]
+        scored = [(energy(after).total, after) for after, ok in tried if ok]
+        e_after, after = min(scored, key=lambda item: item[0], default=(current, None))
+        if e_after >= current - primitives._MIN_GAIN:
+            return config
+        config, current = after, e_after
 
 
 # ---------------------------------------------------------------------------
