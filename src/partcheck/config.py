@@ -13,7 +13,7 @@ import numpy as np
 
 # Least valid value of each integer field. A 0 in min_points asks for the
 # value derived from the scan. The normal estimator, whose neighborhoods
-# region growing also visits, needs a k of at least 3.
+# region growing also joins over, needs a k of at least 3.
 _INT_MINIMUMS = {
     "outlier_k": 1, "min_cluster": 1, "normals_k": 3, "min_points": 0, "seed": 0,
 }
@@ -35,7 +35,7 @@ class PipelineConfig:
       ``outlier_stddev_mult``, ``normals_k`` as the least scan size,
       ``seed`` for CAD sampling).
     - part: ``pipeline._part`` (``normals_k``, the neighbors that normals
-      are estimated from and region growing visits),
+      are estimated from and region growing joins over),
       ``primitives.region_grow`` (``min_points``, ``region_angle_deg``,
       ``region_curv_thresh``, ``inlier_eps``); the ``Configuration`` it
       returns carries the record to ``energy`` (``omega_f``, ``omega_s``,

@@ -37,8 +37,8 @@ from scipy.optimize import least_squares, linear_sum_assignment
 from scipy.spatial import cKDTree
 
 from .config import PipelineConfig
-from .geometry import (PointCloud, Points, Vec3, as_points, canonical_sign, distinct_rows,
-                       median_spacing, strided_indices, unit)
+from .geometry import (PointCloud, Points, Vec3, as_points, canonical_sign, components,
+                       distinct_rows, median_spacing, strided_indices, unit)
 from .primitives import (Configuration, FitError, PrimitiveKind, _adjacent, _ortho_basis,
                          _pratt_circle_2d)
 
@@ -632,21 +632,10 @@ def _settle_circle(seed_points: Points, field_points: Points,
 
 
 def _leftover_components(points: Points, radius: float, min_size: int):
-    """Index arrays of the connected components of the proximity graph."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    n = len(points)
+    """Index arrays of the connected components of the proximity graph with
+    at least ``min_size`` points, ordered by their lowest index."""
     pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
-    if len(pairs) == 0:
-        return
-    graph = coo_matrix(
-        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
-    for comp in np.unique(labels):
-        members = np.nonzero(labels == comp)[0]
-        if len(members) >= min_size:
-            yield members
+    return components(len(points), pairs, min_size)
 
 
 # A plane is a cylinder's face when its normal is within this angle of the

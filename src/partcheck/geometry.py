@@ -280,6 +280,25 @@ def distinct_rows(rows: NDArray[np.float64]) -> tuple[NDArray[np.int64], NDArray
     return first[order], rank[inverse]
 
 
+def components(n: int, pairs: NDArray[np.int64], min_size: int = 1) -> list[NDArray[np.int64]]:
+    """The connected components of at least ``min_size`` nodes of the
+    undirected graph on ``range(n)`` with the (m, 2) rows of ``pairs`` as
+    edges: ascending index arrays, ordered by their lowest index."""
+    # Imported here: scipy.sparse.csgraph costs milliseconds to import.
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    sizes = np.bincount(labels)
+    order = np.argsort(labels, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    kept = np.flatnonzero(sizes >= min_size)
+    # The stable sort puts each component's lowest index first.
+    kept = kept[np.argsort(order[starts[kept]])]
+    return [order[starts[c]:starts[c + 1]] for c in kept]
+
+
 # ---------------------------------------------------------------------------
 # Mesh sampling and exact surface distance
 # ---------------------------------------------------------------------------
@@ -507,7 +526,7 @@ def estimate_normals_and_curvature(cloud: PointCloud, k: int) -> PointCloud:
     consumer reads them up to sign (region growing compares ``|n_i . n_j|``,
     the cylinder axis comes from their second moment and the cone apex from
     tangent planes). The (n, k+1) neighbor table goes into ``neighbors``:
-    region growing walks the same neighborhoods.
+    region growing joins points over the same neighborhoods.
     """
     if k < 3:
         raise ValueError("k must be >= 3")

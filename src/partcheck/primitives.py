@@ -1,6 +1,11 @@
 """Part-level analysis: analytic primitive fitting, curvature-driven region
 growing, and energy-guided split/merge refinement of the segmentation.
 
+Region growing joins two points when one is among the other's normal
+neighbors, both are flatter than ``region_curv_thresh`` and their normals
+are within ``region_angle_deg``. Its regions are the connected components
+of that symmetric graph, ordered by their flattest point, members ascending.
+
 A configuration of primitives is scored by a weighted energy with three
 terms: fidelity (mean inlier-to-surface distance), simplicity (primitive
 count relative to the maximum supportable count) and completeness (fraction
@@ -27,7 +32,8 @@ from scipy.optimize import least_squares
 from scipy.spatial import cKDTree
 
 from .config import PipelineConfig
-from .geometry import PointCloud, Points, Vec3, as_points, canonical_sign, strided_indices, unit
+from .geometry import (PointCloud, Points, Vec3, as_points, canonical_sign, components,
+                       strided_indices, unit)
 
 
 class FitError(RuntimeError):
@@ -449,20 +455,20 @@ def energy(config: Configuration) -> EnergyTerms:
 # ---------------------------------------------------------------------------
 
 def region_grow(cloud: PointCloud, config: PipelineConfig = PipelineConfig()) -> Configuration:
-    """Coarse segmentation by curvature-seeded region growing.
+    """Coarse segmentation: the connected components of the join graph.
 
-    Seeds are visited in ascending curvature order; of each point's
-    neighbors, the ones its normal was estimated from (``cloud.neighbors``
-    past its first column, which holds the point itself), one joins when its
-    normal is within ``region_angle_deg`` of the point's and its curvature is
-    below ``region_curv_thresh``. That join test is computed for every
-    (point, neighbor) pair up front; the walk then reads each point's
-    joinable neighbors in neighbor order and takes the unassigned ones. Each
-    region is fitted with the kinds in the order plane, sphere, cylinder,
-    cone, stopping at the first that fits it to within ``inlier_eps / 4``
-    RMS, and takes the best of those fitted (see ``_best_kind_fit``). All
-    values come from ``config``; a ``min_points`` of 0 there means
-    max(30, n / 500).
+    Points i and j are joined when j is among the neighbors i's normal was
+    estimated from (``cloud.neighbors`` past its first column, the point
+    itself), both curvatures are below ``region_curv_thresh`` and the
+    normals are within ``region_angle_deg`` up to sign. The rule is
+    symmetric, so no visit order shapes the regions. Those below
+    ``min_points`` are dropped unfitted; the rest come ordered by their
+    flattest point (its rank in a stable curvature sort), members
+    ascending. Each region is fitted with the kinds in the order plane,
+    sphere, cylinder, cone, stopping at the first that fits it to within
+    ``inlier_eps / 4`` RMS, and takes the best of those fitted (see
+    ``_best_kind_fit``). All values come from ``config``; a ``min_points``
+    of 0 there means max(30, n / 500).
     """
     if cloud.normals is None or cloud.curvatures is None or cloud.neighbors is None:
         raise ValueError("region_grow needs normals, curvatures and their neighbor table")
@@ -471,39 +477,21 @@ def region_grow(cloud: PointCloud, config: PipelineConfig = PipelineConfig()) ->
     min_points = config.min_points or max(30, n // 500)
     normals = cloud.normals
     curv = cloud.curvatures
-    cos_thresh = np.cos(np.deg2rad(config.region_angle_deg))
-    curv_thresh = config.region_curv_thresh
 
-    # The join test of every (point, neighbor) pair, one neighbor column at a
-    # time; a stacked 1x3 @ 3x1 product rounds as ``normals[i] @ normals[j]``.
     near = cloud.neighbors[:, 1:]
-    joins = np.empty(near.shape, dtype=bool)
+    flat = curv < config.region_curv_thresh
+    joined = flat[:, None] & flat[near]
+    cos_thresh = np.cos(np.deg2rad(config.region_angle_deg))
+    # One neighbor column at a time, so temporaries stay (n, 3); a stacked
+    # 1x3 @ 3x1 product rounds as ``normals[i] @ normals[j]``.
     for c, column in enumerate(near.T):
         cos = (normals[:, None, :] @ normals[column][:, :, None])[:, 0, 0]
-        joins[:, c] = (curv[column] < curv_thresh) & (np.abs(cos) >= cos_thresh)
-    # Point i's joinable neighbors, in neighbor order, are
-    # joinable[starts[i]:starts[i + 1]].
-    joinable = near[joins]
-    starts = np.concatenate([[0], np.cumsum(joins.sum(axis=1))])
-
-    assigned = np.full(n, -1, dtype=np.int64)
-    regions: list[np.ndarray] = []
-    for seed in np.argsort(curv, kind="stable"):
-        if assigned[seed] >= 0:
-            continue
-        rid = len(regions)
-        assigned[seed] = rid
-        members = [seed[None]]
-        stack = [seed]
-        while stack:
-            i = stack.pop()
-            new = joinable[starts[i]:starts[i + 1]]
-            new = new[assigned[new] < 0]
-            if len(new):
-                assigned[new] = rid
-                members.append(new)
-                stack.extend(new)
-        regions.append(np.concatenate(members))
+        joined[:, c] &= np.abs(cos) >= cos_thresh
+    i, c = np.nonzero(joined)
+    regions = components(n, np.column_stack([i, near[i, c]]), min_points)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(curv, kind="stable")] = np.arange(n)
+    regions.sort(key=lambda members: rank[members].min())
 
     kinds = tuple(PrimitiveKind)
     fitted = (_band_fit(pts, normals, members, config.inlier_eps, min_points, kinds)
@@ -531,7 +519,8 @@ _ADEQUATE_RMS_FRACTION = 0.25
 
 
 def _fit_subset(pts: Points, normals: Points | None):
-    """Evenly strided subsample; parameter fits do not need every point."""
+    """Evenly strided subsample in the points' order, for a region their
+    index (scan) order; parameter fits do not need every point."""
     idx = strided_indices(len(pts), _FIT_SAMPLE_CAP)
     return pts[idx], None if normals is None else normals[idx]
 

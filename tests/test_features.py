@@ -819,6 +819,15 @@ class TestMCFS:
             assert np.array_equal(ca.center, cb.center)
             assert ca.radius == cb.radius
 
+    def test_leftover_sweep_needs_points_within_its_radius(self):
+        # A grid of spacing 1 holds no pair within 0.5, so no component
+        # reaches two points; within 1.5 the two blocks are two components.
+        grid = np.array([(x, y, 0.0) for x in range(4) for y in range(3)], dtype=float)
+        assert list(features._leftover_components(grid, 0.5, 2)) == []
+        pts = np.vstack([grid + (10.0, 0.0, 0.0), grid])
+        got = list(features._leftover_components(pts, 1.5, 2))
+        assert [c.tolist() for c in got] == [list(range(12)), list(range(12, 24))]
+
     def test_noiseless_circles_exact(self):
         rng = np.random.default_rng(20)
         truth = []

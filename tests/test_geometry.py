@@ -17,6 +17,7 @@ from partcheck.geometry import (
     RigidTransform,
     TriangleMesh,
     clean_triangles,
+    components,
     distinct_rows,
     estimate_normals_and_curvature,
     median_spacing,
@@ -368,6 +369,58 @@ class TestDistinctRows:
         _, reference = np.unique(rows, axis=0, return_index=True)
         assert np.array_equal(first, np.sort(reference))
         assert np.array_equal(rows[first][inverse], rows)
+
+
+def bfs_components(n: int, pairs) -> list[list[int]]:
+    """Connected components by breadth-first search from each unvisited
+    node in index order, members ascending."""
+    adjacent = [set() for _ in range(n)]
+    for a, b in pairs:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    visited = [False] * n
+    out = []
+    for start in range(n):
+        if visited[start]:
+            continue
+        visited[start] = True
+        members, queue = [start], [start]
+        while queue:
+            for j in adjacent[queue.pop(0)]:
+                if not visited[j]:
+                    visited[j] = True
+                    members.append(j)
+                    queue.append(j)
+        out.append(sorted(members))
+    return out
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 30))
+    node = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=60))
+
+
+class TestComponents:
+    @given(graphs(), st.integers(1, 4))
+    def test_matches_breadth_first_search(self, graph, min_size):
+        # Edge lists with self-loops and repeated rows, in either direction.
+        n, pairs = graph
+        got = components(n, np.array(pairs, dtype=np.int64).reshape(-1, 2), min_size)
+        want = [c for c in bfs_components(n, pairs) if len(c) >= min_size]
+        assert [c.tolist() for c in got] == want
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_no_pairs_leaves_every_node_alone(self, n):
+        got = components(n, np.empty((0, 2), dtype=np.int64))
+        assert [c.tolist() for c in got] == [[i] for i in range(n)]
+        assert components(n, np.empty((0, 2), dtype=np.int64), min_size=2) == []
+
+    def test_ascending_members_ordered_by_lowest_index(self):
+        pairs = np.array([[5, 1], [6, 3], [3, 0], [6, 6], [4, 2], [2, 4]])
+        got = components(7, pairs)
+        assert [c.tolist() for c in got] == [[0, 3, 6], [1, 5], [2, 4]]
 
 
 class TestSampleMesh:

@@ -208,6 +208,22 @@ def test_rims_of_the_rotated_plate(rotated_plate, seed, monkeypatch):
     assert calls == [seed]
 
 
+def test_thin_plate_top_face_is_one_plane():
+    # The flat points of a 2 thick plate's top face form one component of
+    # the join graph, so the face is one plane. Growth from seeds with a
+    # one-way join test split it into planes of 4,753 and 5,075 inliers.
+    scene = generate_synthetic_scene(parse_scene_spec(
+        "plate spacing=0.9 noise=0.005 rot_deg=20 trans_frac=0.1 thickness=2"), seed=1)
+    report = run_pipeline(scene.cloud, scene.mesh, PipelineConfig())
+    top = []
+    for row in report.primitive_rows:
+        if row.kind == "plane":
+            *_, nz, _, offset = row.params.split()
+            if abs(float(nz)) > 0.99 and abs(abs(float(offset)) - 2.0) < 0.1:
+                top.append(row.inlier_count)
+    assert top == [9828]
+
+
 # A 30 x 20 x 15 bracket whose clean scan reads e_global 0.0053 (seed 1).
 BRACKET = "bracket a=30 b=20 c=15 spacing=0.5 noise=0.005 rot_deg=20 trans_frac=0.1"
 

@@ -459,23 +459,20 @@ class TestRegionGrow:
         "plate width=40 height=40 holes=4 spacing=0.8 rot_deg=20 trans_frac=0.1",
     ])
     def test_same_regions_as_a_join_test_per_visit(self, spec, monkeypatch):
-        # Regions and member order match a walk that tests each neighbor as
-        # it visits it, so the fits and their inliers match bit for bit.
+        # The regions, their order and their members match a search that
+        # tests each pair as it visits it, so the fits and their inliers
+        # match bit for bit.
         cloud = enriched_cloud(generate_synthetic_scene(spec, seed=1).cloud.points)
         config = PipelineConfig()
-        expected = per_visit_regions(cloud, config)
         n = len(cloud)
         min_points = config.min_points or max(30, n // 500)
+        expected = [r for r in per_visit_regions(cloud, config) if len(r) >= min_points]
         fitted = (primitives._band_fit(cloud.points, cloud.normals, members, config.inlier_eps,
                                        min_points, tuple(PrimitiveKind))
                   for members in expected)
         want = [p for p in fitted if p is not None]
 
-        seen = []
-        band_fit = primitives._band_fit
-        monkeypatch.setattr(primitives, "_band_fit",
-                            lambda pts, nrm, members, *a: seen.append(members)
-                            or band_fit(pts, nrm, members, *a))
+        seen = record_band_fit_regions(monkeypatch)
         got = region_grow(cloud, config).primitives
         assert len(seen) == len(expected)
         assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
@@ -486,35 +483,75 @@ class TestRegionGrow:
             for name, value in vars(a.shape).items():
                 assert np.array_equal(getattr(b.shape, name), value), name
 
+    def test_regions_do_not_depend_on_point_order(self, monkeypatch):
+        # Permuting the scan permutes the regions' members and nothing else:
+        # mapped back, the same sets come in the same order.
+        scene = generate_synthetic_scene(
+            "plate width=40 height=40 holes=4 spacing=0.8 rot_deg=20 trans_frac=0.1", seed=3)
+        cloud = enriched_cloud(scene.cloud.points)
+        perm = np.random.default_rng(31).permutation(len(cloud))
+        inverse = np.empty_like(perm)
+        inverse[perm] = np.arange(len(perm))
+        permuted = replace(cloud, points=cloud.points[perm], normals=cloud.normals[perm],
+                           curvatures=cloud.curvatures[perm],
+                           neighbors=inverse[cloud.neighbors[perm]])
+
+        seen = record_band_fit_regions(monkeypatch)
+        region_grow(cloud)
+        base = list(seen)
+        seen.clear()
+        region_grow(permuted)
+        assert len(base) == len(seen) > 1
+        for a, b in zip(base, seen):
+            assert np.array_equal(a, np.sort(perm[b]))
+
+
+def record_band_fit_regions(monkeypatch) -> list[np.ndarray]:
+    """The member arrays ``region_grow`` hands ``_band_fit``, in call order."""
+    seen = []
+    band_fit = primitives._band_fit
+    monkeypatch.setattr(primitives, "_band_fit",
+                        lambda pts, nrm, members, *a: seen.append(members)
+                        or band_fit(pts, nrm, members, *a))
+    return seen
+
 
 def per_visit_regions(cloud: PointCloud, config: PipelineConfig) -> list[np.ndarray]:
-    """Region growing's regions, testing each neighbor when it is visited."""
+    """Region growing's regions, every size, by a breadth-first search from
+    each unvisited point in flattest-first order that tests each pair as it
+    visits it: both points flat, either among the other's nearest
+    neighbors, normals within the angle. Members ascending."""
+    from collections import deque
+
     from scipy.spatial import cKDTree
 
     pts, normals, curv = cloud.points, cloud.normals, cloud.curvatures
     n = len(pts)
     _, idx = cKDTree(pts).query(pts, k=min(config.normals_k, n - 1) + 1)
+    adjacent = [set() for _ in range(n)]
+    for i, row in enumerate(idx[:, 1:].tolist()):
+        for j in row:
+            adjacent[i].add(j)
+            adjacent[j].add(i)
     cos_thresh = np.cos(np.deg2rad(config.region_angle_deg))
-    assigned = np.full(n, -1, dtype=np.int64)
+    flat = curv < config.region_curv_thresh
+    visited = np.zeros(n, dtype=bool)
     regions = []
-    for seed in np.argsort(curv, kind="stable"):
-        if assigned[seed] >= 0:
+    for seed in np.argsort(curv, kind="stable").tolist():
+        if visited[seed]:
             continue
-        rid = len(regions)
-        assigned[seed] = rid
-        members = [int(seed)]
-        stack = [int(seed)]
-        while stack:
-            i = stack.pop()
-            for j in idx[i, 1:]:
-                if assigned[j] >= 0:
-                    continue
-                if (curv[j] < config.region_curv_thresh
+        visited[seed] = True
+        members = [seed]
+        queue = deque([seed])
+        while queue:
+            i = queue.popleft()
+            for j in adjacent[i]:
+                if (not visited[j] and flat[i] and flat[j]
                         and abs(float(normals[i] @ normals[j])) >= cos_thresh):
-                    assigned[j] = rid
-                    members.append(int(j))
-                    stack.append(int(j))
-        regions.append(np.asarray(members, dtype=np.int64))
+                    visited[j] = True
+                    members.append(j)
+                    queue.append(j)
+        regions.append(np.sort(np.asarray(members, dtype=np.int64)))
     return regions
 
 
