@@ -45,7 +45,9 @@ class PipelineConfig:
       ``features.detect_edge_points`` (``edge_threshold``, ``tensor_sigma``),
       ``features.mcfs`` (``inlier_eps``, ``bandwidth``, ``min_cluster``,
       ``seed``), ``fit_circle_iterative`` (``inlier_eps``, ``eta``),
-      ``refine_coverage`` (``inlier_eps``, ``min_cluster``).
+      ``refine_coverage`` (``inlier_eps``, ``min_cluster``). Both ``mcfs``
+      and ``refine_coverage`` pass ``min_cluster`` on to ``cluster_labels``,
+      the greedy cover that clusters each MCFS round and prunes its circles.
     """
 
     omega_f: float = 0.6

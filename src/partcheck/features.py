@@ -9,9 +9,10 @@ crease between two fitted planes cannot lie on a circle and are dropped
 axis predicts that rim exactly (``part_level_rims``), and the rims come
 first: each one the edge points support claims its edge band. MCFS fits the
 edge points left over. Its circle candidates are generated from random
-3-point samples, compressed by mean shift, clustered by the similarity of
-their preference sets, fitted with iterative outlier rejection, and finally
-pruned by a greedy set cover.
+3-point samples and compressed by mean shift. A greedy set cover over the
+modes' inliers clusters the points: each mode it takes seeds a fit with
+iterative outlier rejection. A second run of the same cover, over the fitted
+circles, finally prunes them.
 
 The samples are drawn one triple at a time, so the random stream depends on
 the seed alone; their circumcircles are computed in vectorized blocks as the
@@ -28,7 +29,7 @@ take.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -383,7 +384,7 @@ def reduce_hypotheses(
 
 
 # ---------------------------------------------------------------------------
-# Residuals and preference clustering
+# Residuals and the greedy cover
 # ---------------------------------------------------------------------------
 
 def residual_matrix(edge_points, hyps: list[Circle3D]) -> NDArray[np.float64]:
@@ -395,81 +396,36 @@ def residual_matrix(edge_points, hyps: list[Circle3D]) -> NDArray[np.float64]:
 
 
 def cluster_labels(
-    residuals: NDArray[np.float64],
-    inlier_eps: float,
+    cover: NDArray[np.bool_],
     min_cluster: int,
-) -> NDArray[np.int64]:
-    """Agglomerate points whose preference sets overlap (J-linkage style).
+    take: Callable[[int, NDArray[np.bool_]], NDArray[np.bool_]] | None = None,
+) -> tuple[list[int], NDArray[np.int64]]:
+    """Greedy set cover over the columns of a (points, candidates) inlier
+    matrix.
 
-    A point prefers every hypothesis within ``inlier_eps``; clusters carry the
-    intersection of their members' preferences and merge greedily by smallest
-    Jaccard distance until every remaining pair is disjoint. Returns one label
-    per residual row: clusters smaller than ``min_cluster`` become outliers
-    (-1), and survivors are numbered by falling size, ties broken by their
-    lowest row.
+    Repeatedly takes the column with the most rows not yet covered, the
+    first on ties, while that gain is positive and at least
+    ``min_cluster``. The taken column's new rows are labeled with its index
+    in take order. The rows then counted as covered are the column's own,
+    or with ``take`` the mask ``take(column, new)`` returns for the mask
+    ``new`` of its new rows; that mask must hold ``new``. Returns the taken
+    columns in order and one label per row (-1 for rows no taken column
+    labeled).
     """
-    prefs = np.asarray(residuals, dtype=np.float64) <= inlier_eps
-    labels = np.full(len(prefs), -1, dtype=np.int64)
-    active = np.nonzero(prefs.any(axis=1))[0]
-    if len(active) == 0:
-        return labels
-
-    # Collapse identical preference rows first; they merge immediately anyway.
-    uniq, inverse = np.unique(prefs[active], axis=0, return_inverse=True)
-    members: list[list[int]] = [[] for _ in range(len(uniq))]
-    for point, group in zip(active, inverse):
-        members[group].append(int(point))
-    cluster_ps = uniq.astype(np.float64)
-    merged = _jlinkage_merge(cluster_ps, members)
-
-    clusters = [mem for mem in merged if len(mem) >= min_cluster]
-    clusters.sort(key=lambda mem: (-len(mem), min(mem)))
-    for ci, mem in enumerate(clusters):
-        labels[mem] = ci
-    return labels
-
-
-def _jlinkage_merge(ps: NDArray[np.float64], members: list[list[int]]) -> list[list[int]]:
-    """Greedy smallest-Jaccard merging; mutates and returns member lists."""
-    import heapq
-
-    alive = np.ones(len(members), dtype=bool)
-    sizes = ps.sum(axis=1)
-    stamp = np.zeros(len(members), dtype=np.int64)
-    heap: list = []
-
-    def push(i: int) -> None:
-        """Queue row ``i`` with its nearest live partner, the first on ties."""
-        others = np.nonzero(alive)[0]
-        others = others[others != i]
-        if len(others) == 0:
-            return
-        inter = ps[others] @ ps[i]
-        union = sizes[others] + sizes[i] - inter
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dist = 1.0 - np.where(union > 0, inter / union, 0.0)
-        k = int(np.argmin(dist))
-        j = int(others[k])
-        heapq.heappush(heap, (float(dist[k]), i, j, stamp[i], stamp[j]))
-
-    for i in range(len(members)):
-        push(i)
-    while heap:
-        dist, i, j, si, sj = heapq.heappop(heap)
-        if not alive[i] or not alive[j] or stamp[i] != si or stamp[j] != sj:
-            if alive[i] and stamp[i] == si:
-                push(i)
-            continue
-        if dist >= 1.0 - 1e-12:
+    cover = np.asarray(cover, dtype=bool)
+    labels = np.full(len(cover), -1, dtype=np.int64)
+    covered = np.zeros(len(cover), dtype=bool)
+    chosen: list[int] = []
+    while cover.shape[1]:
+        gains = np.count_nonzero(cover[~covered], axis=0)
+        column = int(np.argmax(gains))
+        if gains[column] < max(min_cluster, 1):
             break
-        # Merge j into i: preferences intersect, members concatenate.
-        ps[i] = ps[i] * ps[j]
-        sizes[i] = ps[i].sum()
-        members[i].extend(members[j])
-        alive[j] = False
-        stamp[i] += 1
-        push(i)
-    return [members[i] for i in np.nonzero(alive)[0]]
+        new = cover[:, column] & ~covered
+        labels[new] = len(chosen)
+        chosen.append(column)
+        covered |= cover[:, column] if take is None else take(column, new)
+    return chosen, labels
 
 
 # ---------------------------------------------------------------------------
@@ -570,35 +526,19 @@ def refine_coverage(
     edge_points,
     config: PipelineConfig = PipelineConfig(),
 ) -> CircleLabeling:
-    """Greedy set cover over the fitted circles.
+    """``cluster_labels``' greedy set cover over the fitted circles.
 
-    Circles are selected in order of how many still-uncovered edge points
-    they explain (within ``inlier_eps``); a selection adding fewer than
-    ``min_cluster`` new points stops the process. The selected circles are
-    returned in selection order, and each point is labeled with the first of
-    them that covers it. Both values come from ``config``. Duplicate circles
+    A circle covers the edge points within ``inlier_eps`` of it, and the
+    cover stops at a gain below ``min_cluster``; both values come from
+    ``config``. The taken circles are returned in take order, and each point
+    is labeled with the first of them that covers it. Duplicate circles
     never reach the cover: ``mcfs`` rejects them when they are fitted.
     """
-    inlier_eps, min_cluster = config.inlier_eps, config.min_cluster
     pts = as_points(edge_points)
-    n = len(pts)
-    labels = np.full(n, -1, dtype=np.int64)
     if not circles:
-        return CircleLabeling(labels, [])
-    cover = np.column_stack([c.distance(pts) <= inlier_eps for c in circles])
-
-    chosen: list[int] = []
-    covered = np.zeros(n, dtype=bool)
-    available = list(range(len(circles)))
-    while available:
-        gains = np.array([np.count_nonzero(cover[:, c] & ~covered) for c in available])
-        at = int(np.argmax(gains))
-        if gains[at] < min_cluster:
-            break
-        c = available.pop(at)
-        labels[cover[:, c] & ~covered] = len(chosen)
-        chosen.append(c)
-        covered |= cover[:, c]
+        return CircleLabeling(np.full(len(pts), -1, dtype=np.int64), [])
+    chosen, labels = cluster_labels(residual_matrix(pts, circles) <= config.inlier_eps,
+                                    config.min_cluster)
     return CircleLabeling(labels, [circles[c] for c in chosen])
 
 
@@ -694,24 +634,28 @@ def mcfs(edge_points, config: PipelineConfig = PipelineConfig(),
     so few of those points may lie within ``inlier_eps`` of the exact rim.
 
     MCFS then fits the points the rims leave. Each round runs hypothesis
-    generation, residual calculation, preference clustering and
-    outlier-rejecting fits on the still-unclaimed points, and stops once a
-    round contributes no new circle. A round draws ``_HYPOTHESES_PER_POINT``
-    hypotheses per unclaimed point, at most ``_MAX_HYPOTHESES``, and its
-    clustering reads at most ``_CLUSTER_CAP`` of the points, picked by
-    ``strided_indices``. Without an accepted rim, round 0 raises
-    ``ValueError`` on a degenerate point set; with one, a remainder too
-    small or degenerate to draw from just ends the rounds. A recovery sweep
-    then fits the dense components the rounds left.
+    generation and mean shift on the still-unclaimed points, and stops once
+    a round contributes no new circle. The round's modes go through
+    ``cluster_labels``' greedy cover: each mode it takes settles its new
+    inliers into a circle on the unclaimed points, and an admitted circle
+    claims its band at once; the band's points count as covered, and so do
+    a turned-down mode's own inliers. A round draws
+    ``_HYPOTHESES_PER_POINT`` hypotheses per unclaimed point, at most
+    ``_MAX_HYPOTHESES``, and its cover reads at most ``_CLUSTER_CAP`` of the
+    points, picked by ``strided_indices``. Without an accepted rim, round 0
+    raises ``ValueError`` on a degenerate point set; with one, a remainder
+    too small or degenerate to draw from just ends the rounds. A recovery
+    sweep then fits the dense components the rounds left.
 
     One rule decides when two circles are the same hole: their centers and
     radii agree within ``max(inlier_eps, 3 * spacing)``. An MCFS circle that
     duplicates a circle already admitted, an accepted rim or an earlier
-    MCFS circle, is rejected when it is fitted and claims no band. A greedy
-    set cover over the points the rims leave picks among the MCFS circles.
-    In the labeling the rims come first, each labeling its band points,
-    then the set cover's circles. ``config`` supplies ``inlier_eps``,
-    ``eta``, ``bandwidth``, ``min_cluster`` and the hypotheses' ``seed``.
+    MCFS circle, is rejected when it is fitted and claims no band. The same
+    greedy cover (``refine_coverage``) over the points the rims leave picks
+    among the MCFS circles. In the labeling the rims come first, each
+    labeling its band points, then the set cover's circles. ``config``
+    supplies ``inlier_eps``, ``eta``, ``bandwidth``, ``min_cluster`` and the
+    hypotheses' ``seed``.
     """
     pts = as_points(edge_points)
     n = len(pts)
@@ -787,27 +731,29 @@ def mcfs(edge_points, config: PipelineConfig = PipelineConfig(),
         hyps = reduce_hypotheses(hyps, config.bandwidth, scale=max(diag, 1e-12),
                                  max_modes=_MAX_MODELS)
 
-        cluster_idx = remaining[strided_indices(len(remaining), _CLUSTER_CAP)]
-        clusters = cluster_labels(residual_matrix(pts[cluster_idx], hyps), eps, min_cluster)
-
-        # Clusters come ordered by size; accepted circles immediately claim
-        # their edge band so a weaker candidate cannot ride on support that a
-        # better circle already explains.
+        sample = strided_indices(len(remaining), _CLUSTER_CAP)
         claimed = np.zeros(len(remaining), dtype=bool)
-        for ci in range(clusters.max(initial=-1) + 1):
+
+        def take(mode: int, new: NDArray[np.bool_]) -> NDArray[np.bool_]:
+            """Settle the mode's new inliers into a circle; an admitted one
+            claims its edge band at once, so a weaker mode cannot ride on
+            support that a better circle already explains. A turned-down
+            mode still covers its own inliers."""
             field = subset[~claimed]
-            if len(field) < min_cluster:
-                break
-            circle = accept(pts[cluster_idx[clusters == ci]], field)
-            if circle is not None:
-                claimed |= circle.distance(subset) <= band
+            if len(field) >= min_cluster:
+                circle = accept(subset[sample[new]], field)
+                if circle is not None:
+                    claimed[circle.distance(subset) <= band] = True
+            return new | claimed[sample]
+
+        cluster_labels(residual_matrix(subset[sample], hyps) <= eps, min_cluster, take)
         # An accepted circle claims at least its supporters. The earlier
         # rounds' bands are already gone from ``remaining``.
         if not claimed.any():
             break
         remaining = remaining[~claimed]
 
-    # Recovery sweep: a structure the preference clustering kept missing is
+    # Recovery sweep: a structure the rounds' covers kept missing is
     # still present as a dense leftover component; fit those directly.
     if len(remaining) >= min_cluster:
         field = pts[remaining]

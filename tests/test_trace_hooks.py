@@ -35,6 +35,8 @@ def test_every_hook_target_exists(spans):
 def test_hypothesis_spans_open_under_mcfs(spans):
     # The benchmark's hypotheses-drawn and modes-kept counts are read from
     # these two spans, so both functions must stay calls that mcfs makes.
+    # Its clustering time is read from the greedy cover's span, which both
+    # an MCFS round and the final set cover open.
     t = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
     ring = np.column_stack([np.cos(t), np.sin(t), np.zeros_like(t)])
     pts = np.vstack([ring, np.array([5.0, 0.0, 0.0]) + 1.5 * ring])
@@ -48,6 +50,9 @@ def test_hypothesis_spans_open_under_mcfs(spans):
         inside = [s for s in tracer.spans if s.name == name]
         assert inside, names
         assert all(tracer.spans[s.parent].name == "features.mcfs" for s in inside)
+    parents = {tracer.spans[s.parent].name for s in tracer.spans
+               if s.name == "features.cluster_labels"}
+    assert parents == {"features.mcfs", "features.refine_coverage"}, names
     first = next(s for s in tracer.spans if s.name == "features.generate_hypotheses")
     expected = min(features._HYPOTHESES_PER_POINT * len(pts), features._MAX_HYPOTHESES)
     assert first.counts["drawn"] == expected == 4000
