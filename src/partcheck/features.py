@@ -11,8 +11,9 @@ first: each one the edge points support claims its edge band. MCFS fits the
 edge points left over. Its circle candidates are generated from random
 3-point samples and compressed by mean shift. A greedy set cover over the
 modes' inliers clusters the points: each mode it takes seeds a fit with
-iterative outlier rejection. A second run of the same cover, over the fitted
-circles, finally prunes them.
+iterative outlier rejection, and plain least-squares refits of that fit's
+support among the unclaimed points center it on the rim. A second run of the
+same cover, over the fitted circles, finally prunes them.
 
 The samples are drawn one triple at a time, so the random stream depends on
 the seed alone; their circumcircles are computed in vectorized blocks as the
@@ -546,29 +547,25 @@ def _settle_circle(seed_points: Points, field_points: Points,
                    config: PipelineConfig) -> Circle3D | None:
     """Fit a circle to the seed set, then let it center itself on the field.
 
-    The seed is often a skewed subset of the structure; alternating between
-    collecting the fit's support among all field points and refitting slides
-    the support arc onto the full rim.
-    """
+    The seed is often a skewed subset of the structure, so its fit rejects
+    outliers. Refitting the fit's support among all field points (within
+    ``inlier_eps``) with ``fit_circle_lsq`` slides the support arc onto the
+    full rim; at most six such rounds run, until the circle moves less than
+    ``eta``, and the circle they end on is returned."""
     try:
         circle, _ = fit_circle_iterative(seed_points, config)
-        best = circle
-        best_support = int((circle.distance(field_points) <= config.inlier_eps).sum())
         for _ in range(6):
             support = circle.distance(field_points) <= config.inlier_eps
             if support.sum() < 3:
                 break
-            updated, _ = fit_circle_iterative(field_points[support], config)
-            count = int((updated.distance(field_points) <= config.inlier_eps).sum())
-            if count > best_support:
-                best, best_support = updated, count
+            updated = fit_circle_lsq(field_points[support])
             done = _parameter_change(updated, circle) < config.eta
             circle = updated
             if done:
                 break
     except FitError:
         return None
-    return best
+    return circle
 
 
 def _leftover_components(points: Points, radius: float, min_size: int):

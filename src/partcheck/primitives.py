@@ -11,11 +11,12 @@ terms: fidelity (mean inlier-to-surface distance), simplicity (primitive
 count relative to the maximum supportable count) and completeness (fraction
 of points left unassigned). Refinement applies the split or merge operation
 with the largest energy decrease until no operation helps. Splits and merges
-refit their primitives cold, from the same initial estimates region growing
-uses. A split adds a primitive and its halves keep subsets of the inliers, so
-it can lower the energy by at most ``omega_f * S / A - omega_s /
-max_primitives``, with S the primitive's inlier distance sum and A the
-assigned count; refinement tries only the splits this bound leaves room for.
+refit cold by region growing's rule, which tries every kind (``_best_kind_fit``),
+so they may change a kind, and any two adjacent primitives may merge. A split
+adds a primitive and its halves keep subsets of the inliers, so it can lower
+the energy by at most ``omega_f * S / A - omega_s / max_primitives``, with S
+the primitive's inlier distance sum and A the assigned count; refinement
+tries only the splits this bound leaves room for.
 """
 
 from __future__ import annotations
@@ -493,8 +494,7 @@ def region_grow(cloud: PointCloud, config: PipelineConfig = PipelineConfig()) ->
     rank[np.argsort(curv, kind="stable")] = np.arange(n)
     regions.sort(key=lambda members: rank[members].min())
 
-    kinds = tuple(PrimitiveKind)
-    fitted = (_band_fit(pts, normals, members, config.inlier_eps, min_points, kinds)
+    fitted = (_band_fit(pts, normals, members, config.inlier_eps, min_points)
               for members in regions)
     return Configuration(
         points=pts,
@@ -525,16 +525,15 @@ def _fit_subset(pts: Points, normals: Points | None):
     return pts[idx], None if normals is None else normals[idx]
 
 
-def _best_kind_fit(pts: Points, normals: Points | None, inlier_eps: float,
-                   kinds: tuple[PrimitiveKind, ...]):
-    """Fit each of ``kinds`` and keep the lowest geometric RMS, with a 5% plane
-    edge; returns ``(shape, distance of every point)`` or None if none fits.
+def _best_kind_fit(pts: Points, normals: Points | None, inlier_eps: float):
+    """Fit each kind and keep the lowest geometric RMS, with a 5% plane edge;
+    returns ``(shape, distance of every point)`` or None if none fits. Region
+    growing, ``split`` and ``merge`` all choose their kinds by this rule.
 
-    ``kinds`` are tried in declared order (plane, sphere, cylinder, cone),
-    whatever order they come in, and no kind is tried once an earlier one
-    leaves an RMS at or below ``inlier_eps / 4`` (Schnabel, Wahl & Klein,
-    "Efficient RANSAC for Point-Cloud Shape Detection", CGF 2007: the
-    cheapest adequate kind). So a curved surface that an earlier kind fits
+    The kinds are tried in declared order (plane, sphere, cylinder, cone),
+    and no kind is tried once an earlier one leaves an RMS at or below
+    ``inlier_eps / 4`` (Schnabel, Wahl & Klein, "Efficient RANSAC for
+    Point-Cloud Shape Detection", CGF 2007: the cheapest adequate kind). So a curved surface that an earlier kind fits
     to within ``inlier_eps / 4`` takes the earlier kind:
 
     - a cone shallow enough for a cylinder to fit it is labelled a cylinder:
@@ -561,7 +560,7 @@ def _best_kind_fit(pts: Points, normals: Points | None, inlier_eps: float,
     rms: dict[PrimitiveKind, float] = {}
     adequate = _ADEQUATE_RMS_FRACTION * inlier_eps
     for kind in PrimitiveKind:  # declared plane, sphere, cylinder, cone
-        if kind not in kinds or len(fit_pts) < MIN_SAMPLE[kind]:
+        if len(fit_pts) < MIN_SAMPLE[kind]:
             continue
         if rms and min(rms.values()) <= adequate:
             break
@@ -580,14 +579,13 @@ def _best_kind_fit(pts: Points, normals: Points | None, inlier_eps: float,
 
 
 def _band_fit(points: Points, normals: Points | None, indices: NDArray[np.int64],
-              inlier_eps: float, min_points: int,
-              kinds: tuple[PrimitiveKind, ...]) -> Primitive | None:
-    """Fit the best of ``kinds`` to ``points[indices]`` and keep the points
-    within ``inlier_eps`` of it; None if fewer than ``min_points`` remain."""
+              inlier_eps: float, min_points: int) -> Primitive | None:
+    """Fit the best kind to ``points[indices]`` and keep the points within
+    ``inlier_eps`` of it; None if fewer than ``min_points`` remain."""
     if len(indices) < min_points:
         return None
     fitted = _best_kind_fit(points[indices], None if normals is None else normals[indices],
-                            inlier_eps, kinds)
+                            inlier_eps)
     if fitted is None:
         return None
     shape, dist = fitted
@@ -625,12 +623,13 @@ def _adjacent(config: Configuration, a: Primitive, b: Primitive,
 def split(config: Configuration, prim_index: int) -> tuple[Configuration, bool]:
     """Divide one primitive in two; returns (config, applied).
 
-    Each side is refitted cold with the primitive's kind and keeps its points
-    within ``inlier_eps`` of the fit, a subset of the primitive's inliers; so
-    a split lowers the energy by at most ``omega_f * S / A - omega_s /
-    max_primitives`` (see ``refine``). The original configuration is
-    returned unchanged with ``applied=False`` when the primitive is too small
-    or either side loses its support.
+    Each side is refitted cold with the kind that fits it best
+    (``_band_fit``), which may differ from the primitive's, and keeps its
+    points within ``inlier_eps`` of the fit, a subset of the primitive's
+    inliers; so a split lowers the energy by at most ``omega_f * S / A -
+    omega_s / max_primitives`` (see ``refine``). The original configuration
+    is returned unchanged with ``applied=False`` when the primitive is too
+    small or either side loses its support.
     """
     prim = config.primitives[prim_index]
     if len(prim.inliers) < 2 * config.min_points:
@@ -644,7 +643,7 @@ def split(config: Configuration, prim_index: int) -> tuple[Configuration, bool]:
     pb = pts[np.argmax(along)]
     to_a = np.linalg.norm(pts - pa, axis=1) <= np.linalg.norm(pts - pb, axis=1)
     halves = [_band_fit(config.points, config.normals, group, config.tunables.inlier_eps,
-                        config.min_points, (prim.kind,))
+                        config.min_points)
               for group in (prim.inliers[to_a], prim.inliers[~to_a])]
     if any(half is None for half in halves):
         return config, False
@@ -654,15 +653,16 @@ def split(config: Configuration, prim_index: int) -> tuple[Configuration, bool]:
 
 
 def merge(config: Configuration, i: int, j: int) -> tuple[Configuration, bool]:
-    """Fuse two same-kind adjacent primitives, refitted cold with their kind;
-    returns (config, applied)."""
+    """Fuse two adjacent primitives of any kinds, refitted cold with the kind
+    that fits their joined inliers best (``_band_fit``); returns (config,
+    applied)."""
     if i == j:
         raise ValueError("cannot merge a primitive with itself")
     a, b = config.primitives[i], config.primitives[j]
-    if a.kind != b.kind or not _adjacent(config, a, b):
+    if not _adjacent(config, a, b):
         return config, False
     merged = _band_fit(config.points, config.normals, np.concatenate([a.inliers, b.inliers]),
-                       config.tunables.inlier_eps, config.min_points, (a.kind,))
+                       config.tunables.inlier_eps, config.min_points)
     if merged is None:
         return config, False
     lo, hi = sorted((i, j))

@@ -792,13 +792,26 @@ class TestMCFS:
         r_avg, r_max, _, _ = errors
         assert r_max < 3 * 0.02
 
-    def test_sixteen_hole_plate(self):
-        scene = plate_scene(holes=16, spacing=0.45, noise=0.005, seed=0)
-        cloud = estimate_normals_and_curvature(scene.cloud, k=16)
-        idx = detect_edge_points(cloud, edge_radius(cloud))
-        labeling = mcfs(cloud.points[idx], PipelineConfig(seed=7))
-        fn, fp, _ = score_circles(labeling.circles, scene.truth.circles, match_tol=1.0)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
+    def test_sixteen_hole_plate(self, seed):
+        # No part level, so no rim is predicted: MCFS finds all 16 alone.
+        edges, truth = sixteen_hole_plate_edges()
+        labeling = mcfs(edges, PipelineConfig(seed=seed))
+        fn, fp, _ = score_circles(labeling.circles, truth, match_tol=1.0)
         assert fn == 0 and fp == 0
+
+    def test_every_circle_settles_on_its_rim(self):
+        # Half the points are outliers; each circle settles onto its rim
+        # from the support its refits find among the unclaimed points.
+        scene = circles_scene(circles=5, outlier_frac=0.5, seed=3)
+        labeling = mcfs(scene.cloud.points, PipelineConfig(seed=0))
+        truth = scene.truth.circles
+        pairs = match_circles(labeling.circles, truth, 0.1)
+        assert sorted(j for _, j in pairs) == list(range(len(truth)))
+        for i, j in pairs:
+            fitted = labeling.circles[i]
+            assert abs(fitted.radius - truth[j].radius) <= 0.005
+            assert np.linalg.norm(fitted.center - truth[j].center) <= 0.01
 
     def test_stops_at_first_idle_round(self, monkeypatch):
         # One circle: round 0 claims it, and round 1 claims nothing and ends
@@ -1117,6 +1130,15 @@ class TestMatchCircles:
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError, match="match_tol must be positive"):
             match_circles([], [], 0.0)
+
+
+@functools.cache
+def sixteen_hole_plate_edges():
+    """The edge points of a rim-less 16-hole plate scan, and its truth circles."""
+    scene = plate_scene(holes=16, spacing=0.45, noise=0.005, seed=0)
+    cloud = estimate_normals_and_curvature(scene.cloud, k=16)
+    idx = detect_edge_points(cloud, edge_radius(cloud))
+    return cloud.points[idx], scene.truth.circles
 
 
 @functools.cache

@@ -228,12 +228,37 @@ def test_thin_plate_top_face_is_one_plane():
 BRACKET = "bracket a=30 b=20 c=15 spacing=0.5 noise=0.005 rot_deg=20 trans_frac=0.1"
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dented_bracket_reads_only_planes(seed):
+    # Region growing fits the dented sheet as one cone; refinement splits
+    # it, refitting each side over every kind, and planes win.
+    scene = generate_synthetic_scene(
+        parse_scene_spec(BRACKET + " defect_depth=0.3 defect_radius=4"), seed=seed)
+    report = run_pipeline(scene.cloud, scene.mesh, PipelineConfig())
+    assert {row.kind for row in report.primitive_rows} == {"plane"}
+
+
+@pytest.mark.parametrize("depth", [1, -1])
+def test_dented_plate_keeps_every_rim(depth):
+    # A dent (depth 1) or a bump (depth -1) of radius 20 in the top face:
+    # refinement turns the face's cone back into planes, so the face's
+    # rims are predicted from the bores again and every hole is matched.
+    scene = generate_synthetic_scene(parse_scene_spec(
+        "plate spacing=0.9 noise=0.005 rot_deg=20 trans_frac=0.1 "
+        f"defect_depth={depth} defect_radius=20"), seed=1)
+    report = run_pipeline(scene.cloud, scene.mesh, PipelineConfig(),
+                          truth_circles=scene.truth.circles)
+    assert "cone" not in {row.kind for row in report.primitive_rows}
+    assert report.f_n == 0 and report.f_p == 0
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="dented points join no primitive")
 def test_dent_shows_at_the_part_level():
     # A 0.3 deep dent of radius 4 in one sheet: the global level sees it
-    # (e_global 0.065), but the dented sheet is fitted as a cone and the
-    # dented points are left unassigned, so e_part_max reads 0.0056.
+    # (e_global 0.065), and the dented sheet reads as planes, so the kinds
+    # hold; but the dented points are left unassigned, so e_part_max reads
+    # 0.0043 and fails here.
     scene = generate_synthetic_scene(
         parse_scene_spec(BRACKET + " defect_depth=0.3 defect_radius=4"), seed=1)
     report = run_pipeline(scene.cloud, scene.mesh, PipelineConfig())

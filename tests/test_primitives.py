@@ -132,8 +132,9 @@ class TestFitPrimitive:
         once = primitives._fit_cone_once
         monkeypatch.setattr(primitives, "_fit_cone_once",
                             lambda *a: calls.append(1) or once(*a))
-        fitted = primitives._best_kind_fit(pts, normals_of(pts), eps, (PrimitiveKind.CONE,))
-        assert fitted is not None and isinstance(fitted[0], Cone)
+        cone, _ = primitives._fit_cone(pts, normals_of(pts),
+                                       adequate_rms=primitives._ADEQUATE_RMS_FRACTION * eps)
+        assert isinstance(cone, Cone)
         assert len(calls) == trials
 
     @pytest.mark.parametrize("generator, tried", [
@@ -153,7 +154,7 @@ class TestFitPrimitive:
         fit_shape = primitives._fit_shape
         monkeypatch.setattr(primitives, "_fit_shape", lambda kind, *a, **k:
                             calls.append(kind.value) or fit_shape(kind, *a, **k))
-        shape, _ = primitives._best_kind_fit(pts, normals_of(pts), eps, tuple(PrimitiveKind))
+        shape, _ = primitives._best_kind_fit(pts, normals_of(pts), eps)
         assert calls == tried
         assert shape.kind.value == tried[-1]
 
@@ -172,7 +173,7 @@ class TestFitPrimitive:
         # exactly, but an earlier adequate kind stops it.
         eps = PipelineConfig().inlier_eps
         pts, normals = cylinder_strip(r_factor * 16.0 / eps, 4.0, width)
-        shape, _ = primitives._best_kind_fit(pts, normals, eps, tuple(PrimitiveKind))
+        shape, _ = primitives._best_kind_fit(pts, normals, eps)
         assert shape.kind is kind
         _, cylinder_rms = _fit_shape(PrimitiveKind.CYLINDER, pts, normals)
         assert cylinder_rms < 1e-6
@@ -193,13 +194,13 @@ class TestFitPrimitive:
         pts += rng.normal(scale=0.12, size=pts.shape)
         rms = {}
         for only in (PrimitiveKind.PLANE, PrimitiveKind.CYLINDER):
-            _, dist = primitives._best_kind_fit(pts, normals, eps, (only,))
-            rms[only] = np.sqrt(np.mean(dist ** 2))
+            shape, _ = _fit_shape(only, *primitives._fit_subset(pts, normals))
+            rms[only] = np.sqrt(np.mean(shape.distance(pts) ** 2))
         assert primitives._ADEQUATE_RMS_FRACTION * eps < rms[PrimitiveKind.CYLINDER]
         assert rms[PrimitiveKind.CYLINDER] < rms[PrimitiveKind.PLANE]
         assert (rms[PrimitiveKind.PLANE] <= 1.05 * rms[PrimitiveKind.CYLINDER]) == (
             kind is PrimitiveKind.PLANE)
-        shape, _ = primitives._best_kind_fit(pts, normals, eps, tuple(PrimitiveKind))
+        shape, _ = primitives._best_kind_fit(pts, normals, eps)
         assert shape.kind is kind
 
     def test_a_strip_plane_reaches_the_adequate_rms_where_the_docstring_says(self):
@@ -222,7 +223,8 @@ class TestFitPrimitive:
         _, evecs = np.linalg.eigh(primitives._normal_moments(normals))
         assert abs(evecs[2, 2]) > 0.99
         eps = PipelineConfig().inlier_eps
-        cone, _ = primitives._best_kind_fit(pts, normals, eps, (PrimitiveKind.CONE,))
+        cone, _ = primitives._fit_cone(pts, normals,
+                                       adequate_rms=primitives._ADEQUATE_RMS_FRACTION * eps)
         assert cone.half_angle == pytest.approx(half_angle, abs=1e-4)
         assert np.abs(cone.apex).max() < 1e-3
 
@@ -468,7 +470,7 @@ class TestRegionGrow:
         min_points = config.min_points or max(30, n // 500)
         expected = [r for r in per_visit_regions(cloud, config) if len(r) >= min_points]
         fitted = (primitives._band_fit(cloud.points, cloud.normals, members, config.inlier_eps,
-                                       min_points, tuple(PrimitiveKind))
+                                       min_points)
                   for members in expected)
         want = [p for p in fitted if p is not None]
 
@@ -711,22 +713,24 @@ class TestMerge:
         assert len(out.primitives) == 1
         assert inlier_rms(out.primitives[0]) == pytest.approx(halves_rms, abs=5e-3)
 
-    def test_kind_mismatch_rejected(self):
+    def test_merges_primitives_of_different_kinds(self):
+        # One plane in two halves, the right one labelled a cylinder of
+        # radius 50 that its points lie within 0.01 of: the merge refits
+        # the joined inliers over every kind, and the plane wins.
         rng = np.random.default_rng(16)
-        pts = np.vstack([plane_points(rng, n=100),
-                         cylinder_points(rng, radius=1.0, n=100) + (0, 0, 5.0)])
-        plane_fit, _ = _fit_shape(PrimitiveKind.PLANE, pts[:100])
-        cyl_fit, _ = _fit_shape(PrimitiveKind.CYLINDER, pts[100:], normals_of(pts[100:]))
-        config = Configuration(
-            points=pts,
-            primitives=[
-                Primitive(plane_fit, np.arange(100)),
-                Primitive(cyl_fit, np.arange(100, 200)),
-            ],
-            min_points=20,
-        )
-        _, applied = merge(config, 0, 1)
-        assert not applied
+        pts = plane_points(rng, n=400) + rng.normal(scale=0.002, size=(400, 3))
+        left = np.nonzero(pts[:, 0] <= 0)[0]
+        right = np.nonzero(pts[:, 0] > 0)[0]
+        plane_fit, _ = _fit_shape(PrimitiveKind.PLANE, pts[left])
+        cylinder = primitives.Cylinder(np.array([1.0, 0.0, -50.0]), np.array([0.0, 1.0, 0.0]),
+                                       50.0)
+        assert cylinder.distance(pts[right]).max() < PipelineConfig().inlier_eps
+        config = Configuration(points=pts, min_points=30, primitives=[
+            Primitive(plane_fit, left), Primitive(cylinder, right)])
+        out, applied = merge(config, 0, 1)
+        assert applied
+        assert [p.kind for p in out.primitives] == [PrimitiveKind.PLANE]
+        assert len(out.primitives[0].inliers) == 400
 
     @pytest.mark.parametrize("offset, adjacent, needs_tree", [
         ((0.0, 0.0, 0.0), True, True),      # the same plane sampled twice
@@ -782,6 +786,39 @@ def oversegmented_cube():
             forced += 1
     assert len(work.primitives) == 6 + forced
     return work
+
+
+def ridge_under_one_cone() -> Configuration:
+    """Two 2 x 2 planes meeting in a ridge at 8 degrees either side of flat,
+    fitted together as one cone."""
+    g = np.stack(np.meshgrid(np.linspace(0, 2, 20), np.linspace(0, 2, 20), [0.0]),
+                 axis=-1).reshape(-1, 3)
+    angle = np.deg2rad(8.0)
+    side = np.column_stack([g[:, 0] * np.cos(angle), g[:, 1], g[:, 0] * np.sin(angle)])
+    pts = np.vstack([side * [-1.0, 1.0, 1.0], side[20:]])
+    pts += np.random.default_rng(0).normal(scale=0.002, size=pts.shape)
+    normals = normals_of(pts)
+    cone, _ = _fit_shape(PrimitiveKind.CONE, pts, normals)
+    return Configuration(points=pts, primitives=[Primitive(cone, np.arange(len(pts)))],
+                         min_points=20, normals=normals)
+
+
+class TestKindChange:
+    def test_split_turns_a_cone_over_two_planes_into_two_planes(self):
+        config = ridge_under_one_cone()
+        out, applied = split(config, 0)
+        assert applied
+        assert [p.kind for p in out.primitives] == [PrimitiveKind.PLANE] * 2
+        for prim in out.primitives:
+            assert len(prim.inliers) >= 380
+            assert abs(prim.shape.normal[0]) == pytest.approx(np.sin(np.deg2rad(8.0)), abs=0.01)
+
+    def test_refine_keeps_the_two_planes(self):
+        # Splitting the cone into two planes lowers the energy.
+        config = ridge_under_one_cone()
+        refined = refine(config)
+        assert [p.kind for p in refined.primitives] == [PrimitiveKind.PLANE] * 2
+        assert energy(refined).total < energy(config).total
 
 
 class TestRefine:
