@@ -32,7 +32,8 @@ class PipelineConfig:
     The readers, stage by stage:
 
     - registration: ``pipeline._register`` (``outlier_k``,
-      ``outlier_stddev_mult``, ``normals_k`` as the least scan size,
+      ``outlier_stddev_mult``, ``normals_k`` as the least scan size and as
+      the width of the neighbor table that ``remove_outliers``' query makes,
       ``seed`` for CAD sampling).
     - part: ``pipeline._part`` (``normals_k``, the neighbors that normals
       are estimated from and region growing joins over),

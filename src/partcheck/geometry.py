@@ -72,15 +72,20 @@ class PointCloud:
     """Ordered 3D points with optional per-point channels.
 
     Optional channels must match the point count. Normals are unit length.
-    ``neighbors`` is the k-nearest-neighbor index table the normals were
-    estimated from, one row per point, nearest first; it indexes this
-    cloud's points, so a sub-cloud does not carry it.
+    ``neighbors`` is the scan's k-nearest-neighbor index table, one row per
+    point, nearest first: ``remove_outliers`` makes it with its own query,
+    and the normals are estimated from it. ``spacing`` is the median
+    distance from a point to its nearest other point, which
+    ``estimate_normals_and_curvature`` reads off the table. Both describe
+    this cloud's points, so a sub-cloud carries neither; a rigid motion
+    keeps them.
     """
 
     points: Points
     normals: Points | None = None
     curvatures: NDArray[np.float64] | None = None
     neighbors: NDArray[np.intp] | None = None
+    spacing: float | None = None
 
     def __post_init__(self):
         pts = as_points(self.points)
@@ -112,12 +117,15 @@ class PointCloud:
             if nb.size and (nb.min() < 0 or nb.max() >= n):
                 raise ValueError("neighbor index out of range")
             object.__setattr__(self, "neighbors", nb)
+        if self.spacing is not None and not 0.0 <= self.spacing < np.inf:
+            raise ValueError("spacing must be finite and non-negative")
 
     def __len__(self) -> int:
         return len(self.points)
 
     def select(self, which) -> "PointCloud":
-        """Sub-cloud for an index array or boolean mask, keeping all channels."""
+        """Sub-cloud for an index array or boolean mask, keeping the normals
+        and curvatures; the neighbor table and spacing are dropped."""
         return PointCloud(
             points=self.points[which],
             normals=None if self.normals is None else self.normals[which],
@@ -517,7 +525,8 @@ def _subdivide_for_queries(tri: NDArray[np.float64]) -> NDArray[np.float64]:
 # ---------------------------------------------------------------------------
 
 def estimate_normals_and_curvature(cloud: PointCloud, k: int) -> PointCloud:
-    """Attach PCA normals and surface-variation curvature to a cloud.
+    """Attach PCA normals, surface-variation curvature and the spacing to a
+    cloud.
 
     The normal at a point is the smallest-eigenvalue direction of its
     (k+1)-neighborhood covariance; curvature is lam_min / (lam1+lam2+lam3),
@@ -525,8 +534,12 @@ def estimate_normals_and_curvature(cloud: PointCloud, k: int) -> PointCloud:
     Normals are unoriented, with the sign their eigenvector came with: every
     consumer reads them up to sign (region growing compares ``|n_i . n_j|``,
     the cylinder axis comes from their second moment and the cone apex from
-    tangent planes). The (n, k+1) neighbor table goes into ``neighbors``:
-    region growing joins points over the same neighborhoods.
+    tangent planes). The neighborhoods are the rows of the cloud's (n, k+1)
+    ``neighbors`` table, the one ``remove_outliers`` made; a cloud without
+    one is queried here, and the table it gets is kept: region growing joins
+    points over the same neighborhoods. ``spacing`` is the median distance
+    to the table's column 1, the nearest other point, which is
+    ``median_spacing`` of the points.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
@@ -534,8 +547,11 @@ def estimate_normals_and_curvature(cloud: PointCloud, k: int) -> PointCloud:
     n = len(pts)
     if n < k + 1:
         raise ValueError(f"cloud must have at least k+1 = {k + 1} points")
-    tree = cKDTree(pts)
-    _, idx = tree.query(pts, k=k + 1)
+    idx = cloud.neighbors
+    if idx is None:
+        _, idx = cKDTree(pts).query(pts, k=k + 1)
+    elif idx.shape[1] != k + 1:
+        raise ValueError(f"the neighbor table has {idx.shape[1]} columns; k = {k} needs k+1")
     nb = pts[idx]
     centered = nb - nb.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / (k + 1)
@@ -562,28 +578,44 @@ def estimate_normals_and_curvature(cloud: PointCloud, k: int) -> PointCloud:
         normals[degenerate] = (0.0, 0.0, 1.0)
         curv[degenerate] = 0.0
 
-    return replace(cloud, normals=normals, curvatures=curv, neighbors=idx)
+    spacing = float(np.median(np.linalg.norm(pts[idx[:, 1]] - pts, axis=1)))
+    return replace(cloud, normals=normals, curvatures=curv, neighbors=idx, spacing=spacing)
 
 
-def remove_outliers(cloud: PointCloud, k: int,
-                    stddev_mult: float) -> tuple[PointCloud, int]:
+def remove_outliers(cloud: PointCloud, k: int, stddev_mult: float,
+                    normals_k: int) -> tuple[PointCloud, int]:
     """Statistical outlier removal by mean k-NN distance thresholding.
 
     Drops every point whose mean distance to its k nearest neighbors exceeds
-    the global mean by more than ``stddev_mult`` standard deviations. Returns
-    the filtered cloud and the number of removed points.
+    the global mean by more than ``stddev_mult`` standard deviations; an
+    infinite multiple keeps every point. Returns the filtered cloud and the
+    number of removed points.
+
+    The one query that measures those distances reaches ``normals_k``
+    neighbors too, and the filtered cloud carries its (m, normals_k + 1)
+    ``neighbors`` table, the one ``estimate_normals_and_curvature`` reads.
+    A row that names a dropped point is queried again among the kept ones.
+    With ``normals_k`` kept points or fewer there is no full table, and the
+    cloud carries none.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = len(cloud)
-    if n <= 1 or not np.isfinite(stddev_mult):
+    if n <= 1:
         return cloud, 0
-    kk = min(k, n - 1)
-    d, _ = cKDTree(cloud.points).query(cloud.points, k=kk + 1)
-    mean_d = d[:, 1:].mean(axis=1)
-    threshold = mean_d.mean() + stddev_mult * mean_d.std()
-    # Guard against float jitter expelling points from perfectly regular data.
-    keep = mean_d <= threshold + 1e-12 * max(threshold, 1.0)
-    if keep.all():
-        return cloud, 0
-    return cloud.select(keep), int(n - keep.sum())
+    d, idx = cKDTree(cloud.points).query(cloud.points, k=min(max(k, normals_k), n - 1) + 1)
+    keep = np.ones(n, dtype=bool)
+    if np.isfinite(stddev_mult):
+        mean_d = d[:, 1:k + 1].mean(axis=1)
+        threshold = mean_d.mean() + stddev_mult * mean_d.std()
+        # Guard against float jitter expelling points from perfectly regular data.
+        keep = mean_d <= threshold + 1e-12 * max(threshold, 1.0)
+    kept = cloud.select(keep)
+    if len(kept) > normals_k:
+        rows = idx[keep, :normals_k + 1]
+        table = (np.cumsum(keep) - 1)[rows]
+        stale = ~keep[rows].all(axis=1)
+        if stale.any():
+            _, table[stale] = cKDTree(kept.points).query(kept.points[stale], k=normals_k + 1)
+        kept = replace(kept, neighbors=table)
+    return kept, int(n - len(kept))

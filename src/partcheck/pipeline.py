@@ -9,9 +9,11 @@ against the reference circles, which are a supplied table or, without one,
 none), then the report and its output files. The rims come from the part
 level first: a fitted cylinder meeting a plane normal to its axis gives its
 rim exactly, where the edge points support it. MCFS fits the edge points
-those rims leave. Each stage is timed, and any failure aborts with the
-stage name; a scan too small to estimate normals on is rejected as input
-before registration.
+those rims leave. The outlier filter's k-NN query is the scan's only one:
+the normals, region growing and the tensor-voting radius read its table,
+which a rigid motion leaves valid. Each stage is timed, and any failure
+aborts with the stage name; a scan too small to estimate normals on is
+rejected as input before registration.
 The report serializes to a stable key/value document or an aligned
 human-readable table.
 
@@ -42,7 +44,6 @@ from .geometry import (
     TriangleMesh,
     distinct_rows,
     estimate_normals_and_curvature,
-    median_spacing,
     remove_outliers,
     sample_mesh,
 )
@@ -380,6 +381,7 @@ def run_pipeline(
         e_global = global_error(surface_dist)
     with _stage("part", times):
         enriched, refined, patch_dists, e_part = _part(registered, surface_dist, config)
+        del registered  # with its neighbor table, out of the feature stage (see _part)
     with _stage("feature", times):
         edge_idx, labeling, n_reference, f_n, f_p, e_comp = _feature(
             enriched, refined, truth_circles, config)
@@ -438,13 +440,15 @@ _CAD_SAMPLES = 50_000
 
 def _register(scan: PointCloud, mesh: TriangleMesh, config: PipelineConfig):
     """Drop the scan's repeated points and outliers and register the scan
-    to ``_CAD_SAMPLES`` CAD samples; returns the fit, the registered scan and
-    the outlier count. Only the first copy of a repeated point is kept (not
-    counted as an outlier): repeats would zero the point spacing."""
+    to ``_CAD_SAMPLES`` CAD samples; returns the fit, the registered scan,
+    which carries the outlier filter's neighbor table, and the outlier count.
+    Only the first copy of a repeated point is kept (not counted as an
+    outlier): repeats would zero the point spacing."""
     first, _ = distinct_rows(scan.points)
     if len(first) < len(scan):
         scan = scan.select(first)
-    filtered, removed = remove_outliers(scan, config.outlier_k, config.outlier_stddev_mult)
+    filtered, removed = remove_outliers(scan, config.outlier_k, config.outlier_stddev_mult,
+                                        config.normals_k)
     if len(filtered) < config.normals_k + 1:
         raise StageError("input", ValueError(
             f"{len(filtered)} scan points remain after outlier removal and dropping "
@@ -457,8 +461,10 @@ def _part(registered: PointCloud, surface_dist: np.ndarray, config: PipelineConf
     """Segment the registered scan into primitives and measure each patch."""
     enriched = estimate_normals_and_curvature(registered, config.normals_k)
     refined = prim.refine(prim.region_grow(enriched, config))
-    # Only region growing reads the neighbor table. Dropping it keeps it out
-    # of the feature stage, whose tensor voting sets the run's peak memory.
+    # Only region growing reads the neighbor table, which the outlier filter
+    # made. Dropping it here and with ``registered`` in ``run_pipeline`` keeps
+    # it out of the feature stage, whose tensor voting sets the run's peak
+    # memory; the spacing read off it stays.
     enriched = replace(enriched, neighbors=None)
     # ``enriched`` holds the registered points in the same order, so the
     # global stage's distances index directly by inlier.
@@ -478,7 +484,7 @@ def _feature(enriched: PointCloud, refined: prim.Configuration,
     normal to its axis, come first, and MCFS fits the edge points they
     leave.
     """
-    radius = config.tensor_radius_factor * median_spacing(enriched.points)
+    radius = config.tensor_radius_factor * enriched.spacing
     edge_idx = feat.detect_edge_points(enriched, radius, config)
     edge_idx = edge_idx[feat.off_crease_mask(
         enriched.points[edge_idx], refined, radius, np.deg2rad(config.region_angle_deg))]

@@ -1,6 +1,7 @@
 """Core geometry: spatial queries, mesh distance, sampling, local estimates."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,8 +110,14 @@ class TestCarriers:
 
     def test_sub_cloud_drops_the_neighbor_table(self):
         cloud = PointCloud(points=np.arange(9.0).reshape(3, 3),
-                           neighbors=np.array([[0, 1], [1, 0], [2, 1]]))
+                           neighbors=np.array([[0, 1], [1, 0], [2, 1]]), spacing=5.0)
         assert cloud.select([0, 2]).neighbors is None
+        assert cloud.select([0, 2]).spacing is None
+
+    @pytest.mark.parametrize("spacing", [-1.0, np.nan, np.inf])
+    def test_spacing_validation(self, spacing):
+        with pytest.raises(ValueError):
+            PointCloud(points=np.zeros((2, 3)), spacing=spacing)
 
     def test_rigid_transform_validation(self):
         with pytest.raises(ValueError):
@@ -566,6 +573,20 @@ class TestNormalsCurvature:
         expected = cKDTree(cloud.points).query(cloud.points, k=13)[1]
         assert np.array_equal(enriched.neighbors, expected)
 
+    def test_reads_the_table_it_is_given(self):
+        # Every row names the same 13 points, so every normal is theirs.
+        cloud = sphere_cloud(np.random.default_rng(33), n=300)
+        table = np.tile(np.arange(13), (300, 1))
+        enriched = estimate_normals_and_curvature(replace(cloud, neighbors=table), k=12)
+        assert np.array_equal(enriched.neighbors, table)
+        assert np.abs(np.abs(enriched.normals @ enriched.normals[0]) - 1.0).max() < 1e-12
+        with pytest.raises(ValueError, match="13 columns"):
+            estimate_normals_and_curvature(replace(cloud, neighbors=table), k=8)
+
+    def test_spacing_is_the_median_spacing(self):
+        cloud = sphere_cloud(np.random.default_rng(34), n=500)
+        assert estimate_normals_and_curvature(cloud, k=12).spacing == median_spacing(cloud.points)
+
     def test_preconditions(self):
         cloud = PointCloud(points=np.random.default_rng(0).normal(size=(10, 3)))
         with pytest.raises(ValueError):
@@ -584,7 +605,7 @@ class TestRemoveOutliers:
         plane = rng.uniform(0, 1, size=(400, 3))
         plane[:, 2] = 0.0
         pts = np.vstack([plane, [[50.0, 50.0, 100.0]]])
-        cloud, removed = remove_outliers(PointCloud(points=pts), k=8, stddev_mult=2.0)
+        cloud, removed = remove_outliers(PointCloud(points=pts), k=8, stddev_mult=2.0, normals_k=16)
         assert removed == 1
         assert len(cloud) == 400
         # Brute-force recomputation of the rule agrees.
@@ -597,12 +618,31 @@ class TestRemoveOutliers:
     def test_uniform_ring_keeps_all(self):
         t = np.linspace(0, 2 * np.pi, 200, endpoint=False)
         ring = np.column_stack([np.cos(t), np.sin(t), np.zeros_like(t)])
-        _, removed = remove_outliers(PointCloud(points=ring), k=4, stddev_mult=2.0)
+        _, removed = remove_outliers(PointCloud(points=ring), k=4, stddev_mult=2.0, normals_k=16)
         assert removed == 0
 
     def test_infinite_mult_is_identity(self):
         rng = np.random.default_rng(23)
         cloud = PointCloud(points=rng.normal(size=(100, 3)))
-        out, removed = remove_outliers(cloud, k=8, stddev_mult=np.inf)
+        out, removed = remove_outliers(cloud, k=8, stddev_mult=np.inf, normals_k=16)
         assert removed == 0
         assert np.array_equal(out.points, cloud.points)
+
+    @pytest.mark.parametrize("n, stddev_mult", [
+        (300, 2.0), (300, np.inf), (17, np.inf), (16, np.inf), (17, 2.0)])
+    def test_kept_cloud_carries_the_normals_table(self, n, stddev_mult):
+        # The filter's one query makes the table the normals read. A row that
+        # named a dropped point is queried again, and a cloud left with
+        # normals_k points or fewer gets no table, where cKDTree would fill
+        # the missing columns with the index n.
+        pts = np.random.default_rng(37).normal(size=(n, 3))
+        pts[-1] = 50.0  # a far point, dropped at a finite multiple
+        out, removed = remove_outliers(PointCloud(points=pts), k=8,
+                                       stddev_mult=stddev_mult, normals_k=16)
+        assert len(out) == n - removed
+        if len(out) <= 16:
+            assert out.neighbors is None
+            return
+        assert np.array_equal(out.neighbors, cKDTree(out.points).query(out.points, k=17)[1])
+        fresh = estimate_normals_and_curvature(PointCloud(points=out.points), k=16)
+        assert np.array_equal(estimate_normals_and_curvature(out, k=16).normals, fresh.normals)

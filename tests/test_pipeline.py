@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from scipy.spatial import cKDTree
 
 from partcheck import features, meshio
 from partcheck.features import Circle3D
 from partcheck.cli import EXIT_INPUT_ERROR, EXIT_STAGE_ERROR, main
-from partcheck.geometry import PointCloud
+from partcheck.geometry import PointCloud, median_spacing, remove_outliers
 from partcheck.pipeline import (
     PipelineConfig,
     _feature,
     _part,
+    _register,
     _render_human,
     emit_report,
     generate_synthetic_scene,
@@ -145,6 +147,45 @@ def test_repeated_scan_points_are_dropped(scene, report):
     assert int(again.pop("scan_points")) == 2 * int(single.pop("scan_points"))
     assert ({k: v for k, v in again.items() if not k.startswith("time_")}
             == {k: v for k, v in single.items() if not k.startswith("time_")})
+
+
+def test_registered_scan_carries_the_outlier_filters_table(scene):
+    # One k-NN query of the scan serves the outlier filter and the normals:
+    # the registered scan carries its table, bit for bit the table a fresh
+    # query of the registered points gives, rows that named a dropped point
+    # included.
+    config = PipelineConfig()
+    _, registered, removed = _register(scene.cloud, scene.mesh, config)
+    k = config.normals_k + 1
+    expected = cKDTree(registered.points).query(registered.points, k=k)[1]
+    assert np.array_equal(registered.neighbors, expected)
+    filtered, _ = remove_outliers(scene.cloud, config.outlier_k, config.outlier_stddev_mult,
+                                  config.normals_k)
+    whole = cKDTree(scene.cloud.points)
+    _, kept = whole.query(filtered.points)
+    requeried = ~np.isin(whole.query(filtered.points, k=k)[1], kept).all(axis=1)
+    assert removed > 0 and requeried.any()
+
+
+def test_tensor_voting_radius_comes_off_the_table(scene, monkeypatch):
+    # The part level reads the spacing off the neighbor table: the radius
+    # the edges are voted over is the one median_spacing's own query gives.
+    seen = []
+    detect = features.detect_edge_points
+
+    def spy(cloud, radius, config):
+        seen.append(radius)
+        return detect(cloud, radius, config)
+
+    monkeypatch.setattr(features, "detect_edge_points", spy)
+    config = PipelineConfig()
+    _, registered, _ = _register(scene.cloud, scene.mesh, config)
+    surface_dist = scene.mesh.distance_index().query(registered.points)
+    enriched, refined, _, _ = _part(registered, surface_dist, config)
+    _feature(enriched, refined, None, config)
+    spacing = median_spacing(enriched.points)
+    assert enriched.spacing == spacing
+    assert seen == [config.tensor_radius_factor * spacing]
 
 
 def test_one_repeated_point_exits_2(scene_files, tmp_path):
