@@ -15,16 +15,16 @@ iterative outlier rejection, and plain least-squares refits of that fit's
 support among the unclaimed points center it on the rim. A second run of the
 same cover, over the fitted circles, finally prunes them.
 
-The samples are drawn one triple at a time, so the random stream depends on
-the seed alone; their circumcircles are computed in vectorized blocks as the
-rows ``[cx, cy, cz, nx, ny, nz, r]`` (center, unit normal, radius) of one
-array, and only the mean-shift representatives become ``Circle3D``. Modes
-that meet reach identical coordinates, so each mean-shift step queries each
-distinct mode once, and the converged modes are grouped over their distinct
-values alone. A mean-shift step reads the balls of each block of nearby
-modes as one array of (query, data) index pairs; grouping queries its balls
-as lists. Both run in blocks of rows, which bounds the memory the balls
-take.
+The samples are drawn as arrays of triples, so the random stream depends on
+the seed alone; their circumcircles are the rows ``[cx, cy, cz, nx, ny, nz,
+r]`` (center, unit normal, radius) of one array, and only the mean-shift
+representatives become ``Circle3D``. Modes that meet reach identical
+coordinates, so each mean-shift step queries each distinct mode once, and
+the converged modes are grouped over their distinct values alone. A
+mean-shift step reads the balls of each block of nearby modes as one array
+of (query, data) index pairs. Grouping finds the distinct modes that have a
+neighbour with one nearest-neighbour query and reads only their balls. Both
+read balls in blocks of rows, which bounds the memory they take.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ from numpy.typing import NDArray
 from scipy.optimize import least_squares, linear_sum_assignment
 from scipy.spatial import cKDTree
 
+from . import geometry
 from .config import PipelineConfig
 from .geometry import (PointCloud, Points, Vec3, as_points, canonical_sign, components,
-                       distinct_rows, median_spacing, strided_indices, unit)
+                       distinct_rows, strided_indices, unit)
 from .primitives import (Configuration, FitError, PrimitiveKind, _adjacent, _ortho_basis,
                          _pratt_circle_2d)
 
@@ -234,11 +235,11 @@ def generate_hypotheses(edge_points, count: int, seed: int) -> NDArray[np.float6
     while still reaching every scale up to ``NEIGHBOR_POOL`` neighbors (all
     ``n - 1`` others on a smaller set).
 
-    The draws stay scalar, one triple at a time, so the random stream is
-    fixed by the seed alone; the circumcircles are fitted in blocks. Each
-    block holds as many triples as circles are still missing, so it never
-    draws past the one that completes ``count``, and collinear triples are
-    replaced by a further block.
+    The triples are drawn as arrays, one block at a time, so the random
+    stream is fixed by the seed alone. Each block holds as many triples as
+    circles are still missing; a triple that repeats an index or is
+    collinear is dropped and replaced by a further block. After ``100 *
+    count`` triples the set counts as degenerate.
     """
     pts = as_points(edge_points)
     n = len(pts)
@@ -258,21 +259,23 @@ def generate_hypotheses(edge_points, count: int, seed: int) -> NDArray[np.float6
     attempts = 0
     limit = 100 * max(count, 1)
     while len(out) < count:
-        triples: list[tuple[int, int, int]] = []
-        while len(triples) < count - len(out):
-            attempts += 1
-            if attempts > limit:
-                raise ValueError("degenerate edge set")
-            i = int(rng.integers(n))
-            prefix = int(np.exp(rng.uniform(log_lo, log_hi)))
-            prefix = min(max(prefix, 2), pool)
-            j, k = (int(neighbors[i, 1 + v])
-                    for v in rng.choice(prefix, size=2, replace=False))
-            if j == k or i in (j, k):
-                continue
-            triples.append((i, j, k))
-        a, b, c = pts[np.array(triples).T]
-        centers, radii, normals, collinear = _circumcircles(a, b, c)
+        m = min(count - len(out), limit - attempts)
+        if m == 0:
+            raise ValueError("degenerate edge set")
+        attempts += m
+        i = rng.integers(n, size=m)
+        prefix = np.exp(rng.uniform(log_lo, log_hi, size=m)).astype(np.int64)
+        prefix = np.clip(prefix, 2, pool)
+        # A uniform pair of distinct prefix positions: b skips over a.
+        a = rng.integers(prefix)
+        b = rng.integers(prefix - 1)
+        b += b >= a
+        j, k = neighbors[i, 1 + a], neighbors[i, 1 + b]
+        # Duplicate points can put another index than i in column 0, so a
+        # companion can be i itself.
+        distinct = (i != j) & (i != k) & (j != k)
+        centers, radii, normals, collinear = _circumcircles(
+            pts[i[distinct]], pts[j[distinct]], pts[k[distinct]])
         keep = ~collinear
         normals = normals[keep] / np.linalg.norm(normals[keep], axis=1)[:, None]
         rows = np.column_stack([centers[keep], canonical_sign(normals), radii[keep]])
@@ -296,21 +299,32 @@ def _group_modes(modes: NDArray[np.float64], radius: float) -> NDArray[np.int64]
     Greedy in index order: each mode not yet assigned opens a group and takes
     every unassigned mode within ``radius`` of it. Equal modes always share a
     group, so the pass runs over the distinct modes alone.
+
+    A mode with no neighbour within ``radius`` opens its own group, so only
+    the modes that have one are visited one by one, their balls read in
+    blocks of rows; then each mode's group is numbered by counting the
+    groups opened before its own.
     """
     first, inverse = distinct_rows(modes)
     distinct = modes[first]
-    assigned = np.full(len(distinct), -1, dtype=np.int64)
-    groups = 0
     tree = cKDTree(distinct)
-    for lo in range(0, len(distinct), _BALL_BLOCK):
-        block = tree.query_ball_point(distinct[lo:lo + _BALL_BLOCK], radius)
-        for i, near in enumerate(block, start=lo):
-            if assigned[i] >= 0:
-                continue
-            near = np.asarray(near, dtype=np.int64)
-            assigned[near[assigned[near] < 0]] = groups
-            groups += 1
-    return assigned[inverse]
+    # The nearest other mode of each; the query's bound is strict, and the
+    # balls below are exact, so any bound above ``radius`` serves.
+    nearest, _ = tree.query(distinct, k=2, distance_upper_bound=2.0 * radius)
+    linked = np.flatnonzero(np.isfinite(nearest[:, 1]))
+    # The mode that opened each mode's group.
+    owner = np.arange(len(distinct))
+    for lo in range(0, len(linked), _BALL_BLOCK):
+        rows = linked[lo:lo + _BALL_BLOCK]
+        for i, ball in zip(rows, tree.query_ball_point(distinct[rows], radius)):
+            # Every earlier mode is settled: an unassigned one in i's ball
+            # would have opened a group and taken i.
+            if owner[i] == i:
+                ball = np.asarray(ball, dtype=np.int64)
+                ball = ball[owner[ball] == ball]
+                owner[ball] = i
+    opens = owner == np.arange(len(distinct))
+    return (np.cumsum(opens) - 1)[owner][inverse]
 
 
 def _ball_means(tree: cKDTree, data: NDArray[np.float64], queries: NDArray[np.float64],
@@ -660,7 +674,8 @@ def mcfs(edge_points, config: PipelineConfig = PipelineConfig(),
         raise ValueError("need at least 3 edge points")
     diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
     max_radius = _MAX_RADIUS_FACTOR * max(diag, np.finfo(float).tiny)
-    spacing = median_spacing(pts)
+    # Looked up in its module, so that a wrapper installed there sees it.
+    spacing = geometry.median_spacing(pts)
     eps = config.inlier_eps
     min_cluster = config.min_cluster
 

@@ -360,8 +360,8 @@ class TestGenerateHypotheses:
             generate_hypotheses(pts, 10, seed=0)
 
     def test_random_stream_is_pinned(self):
-        # Values recorded from the scalar one-triple-at-a-time implementation;
-        # a change to the draws moves every row after it and every sum.
+        # Values recorded from the array draw, one block of triples at a
+        # time; a change to the draws moves every row after it and every sum.
         rng = np.random.default_rng(21)
         t = np.sort(rng.uniform(0.0, 2.0 * np.pi, 80))
         u, v = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8])
@@ -371,20 +371,39 @@ class TestGenerateHypotheses:
         assert len(hyps) == 200
         rows = hyps[:, [0, 1, 2, 6]]
         expected = {
-            0: [0.49836518403025926, -1.0099534811013653, 1.9873911353165967, 1.503918233795517],
-            1: [0.22906635568180045, -1.3362808624979658, 1.5933199572182777, 0.9317061521007255],
-            2: [0.40367186652453413, 0.11326267974885473, 0.9399141779605695, 2.024389098841222],
-            57: [0.5146925842034686, -1.077274757781398, 2.5880143751191818, 1.1637657144252396],
-            123: [0.49395633978703707, -1.0089493544252868, 2.001581013994946, 1.4966831536412755],
-            198: [0.7155166457880977, -0.5188709496000516, -1.2661831400457153, 4.410535653901912],
-            199: [1.0750066018897046, -0.2509752296312374, 2.942896210171514, 0.1918037452879289],
+            0: [0.4854204157047976, -1.008482765401976, 1.98872069980052, 1.498376075068614],
+            1: [0.4467231323728055, -0.960601489141473, 2.0516901721431196, 1.5591787699847628],
+            2: [0.5425462078215291, -1.0083959746359996, 2.033170837296302, 1.4658987951361426],
+            57: [0.5163198751335072, -0.7711803076349455, 1.814538836626257, 1.5281283409306932],
+            123: [0.3172593462220592, -0.8048390796730573, 1.80674887276716, 1.3540437605537765],
+            198: [0.43734102865815994, -1.0056076653820356, 1.881183193272663, 1.5833693069268846],
+            199: [1.585152721890075, -0.08800021648523515, 1.7643168255405506, 0.9917004145061835],
         }
         for i, row in expected.items():
             np.testing.assert_allclose(rows[i], row, rtol=0, atol=1e-9)
         np.testing.assert_allclose(
             rows.sum(axis=0),
-            [120.25850594010682, -181.09065904282073, 409.66804342171787, 306.00704559015395],
+            [101.52068880691606, -182.82778113160634, 398.1629982212872, 305.76759564695305],
             rtol=0, atol=1e-9)
+
+    def test_duplicate_points_give_finite_rows(self):
+        # Each point three times over: the nearest-neighbor table can name
+        # another copy of a point first, so a companion can be the first
+        # point itself, and a triple can hold two copies of one point.
+        c = Circle3D(np.array([1.0, 0.0, -2.0]), 1.5, np.array([0.0, 1.0, 1.0]))
+        pts = np.repeat(circle_points(c, 40, rng=np.random.default_rng(4), noise=0.01), 3, axis=0)
+        for seed in range(5):
+            hyps = generate_hypotheses(pts, 150, seed=seed)
+            assert hyps.shape == (150, 7)
+            assert np.isfinite(hyps).all()
+
+    def test_draw_limit_on_locally_collinear_set(self):
+        # Two far-apart lines, each longer than the neighbor pool: every
+        # triple is collinear, though the set as a whole is not.
+        line = np.outer(np.arange(features.NEIGHBOR_POOL + 40, dtype=float), [1.0, 0.0, 0.0])
+        pts = np.vstack([line, line + [0.0, 1e6, 0.0]])
+        with pytest.raises(ValueError, match="degenerate edge set"):
+            generate_hypotheses(pts, 5, seed=0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
@@ -453,16 +472,20 @@ class TestReduceHypotheses:
         assert mode.radius == hyps[0, 6]
 
     def test_neighbor_lists_stay_bounded(self):
-        # 700 hypotheses of one circle all lie within one bandwidth of each
-        # other, so a whole-set ball table holds 700 x 700 pairs and gathers
-        # as many 7-d rows (37 MB traced); blocks of rows hold a fraction of
-        # that.
-        c = Circle3D(np.zeros(3), 1.0, np.array([0.0, 0.0, 1.0]))
-        pts = circle_points(c, 80, rng=np.random.default_rng(1), noise=1e-4)
-        hyps = generate_hypotheses(pts, 700, seed=3)
+        # 700 distinct hypotheses within a tenth of the bandwidth of one
+        # circle's row all lie within one bandwidth of each other, so a
+        # whole-set ball table holds 700 x 700 pairs and gathers as many 7-d
+        # rows (37 MB traced); blocks of rows hold a fraction of that. Every
+        # ball holds them all, so they reach one mode in one step.
+        bandwidth = 0.05
+        row = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
+        offsets = np.random.default_rng(1).uniform(-1.0, 1.0, size=(700, 7))
+        hyps = row + offsets * (0.1 * bandwidth / np.sqrt(7))
+        assert len(np.unique(hyps, axis=0)) == len(hyps)
+        assert np.linalg.norm(hyps - row, axis=1).max() <= 0.1 * bandwidth
         tracemalloc.start()
         try:
-            modes = reduce_hypotheses(hyps, bandwidth=0.05, scale=bbox_diagonal(pts),
+            modes = reduce_hypotheses(hyps, bandwidth=bandwidth, scale=1.0,
                                       max_modes=len(hyps))
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -564,6 +587,25 @@ class TestReduceHypotheses:
         assert np.array_equal(assigned, expected)
         # Many groups take more than one mode, so the greedy order matters.
         assert 1 < groups < len(modes) - 300
+
+    @settings(max_examples=200, deadline=None)
+    @given(modes=arrays(np.float64, st.tuples(st.integers(1, 40), st.just(3)),
+                        elements=st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])),
+           radius=st.sampled_from([0.0, 0.5, 1.0, 4.0]))
+    def test_grouping_matches_greedy_scan_on_any_set(self, modes, radius):
+        # The pairwise scan above, on small sets. Halves and their squares
+        # are exact, so a distance equal to the radius reads the same to the
+        # tree as to the scan. Rows repeat often, 0.0 and -0.0 are the same
+        # mode, and a radius of 0 leaves no distinct mode a neighbour while 4
+        # spans the whole cube.
+        expected = np.full(len(modes), -1, dtype=np.int64)
+        groups = 0
+        for i in range(len(modes)):
+            if expected[i] < 0:
+                d = np.linalg.norm(modes - modes[i], axis=1)
+                expected[(expected < 0) & (d <= radius)] = groups
+                groups += 1
+        assert np.array_equal(_group_modes(modes, radius), expected)
 
 
 class TestResidualMatrix:

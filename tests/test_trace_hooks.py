@@ -58,6 +58,19 @@ def test_hypothesis_spans_open_under_mcfs(spans):
     assert first.counts["drawn"] == expected == 4000
 
 
+def test_mcfs_spacing_query_opens_under_mcfs(spans):
+    # The tracer wraps median_spacing in the geometry module, so mcfs must
+    # look it up there for its edge spacing to be timed.
+    t = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
+    ring = np.column_stack([np.cos(t), np.sin(t), np.zeros_like(t)])
+    tracer = spans.Tracer()
+    with tracer.installed():
+        features.mcfs(ring, PipelineConfig(seed=3))
+    inside = [s for s in tracer.spans if s.name == "geometry.median_spacing"]
+    assert inside, [s.name for s in tracer.spans]
+    assert all(tracer.spans[s.parent].name == "features.mcfs" for s in inside)
+
+
 def test_traced_run_reads_every_hook(spans):
     # The benchmark's count lambdas read hooked functions' arguments by
     # position or name (``refine``'s first as ``config``), so a whole traced
