@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import re
 import struct
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -77,20 +77,70 @@ def _parse_ply_header(blob: bytes, path: str):
     return fmt, [e for e in elements if e[2]], blob[end.end():]
 
 
+def _ascii_cast(dtype: np.dtype) -> type:
+    """The type an ASCII token of a ``dtype`` property parses as."""
+    return np.float64 if dtype.kind == "f" else np.int64
+
+
+def _list_layout(fields: list, lengths: list) -> np.dtype:
+    """One row's record type, each list property with its length in ``lengths``."""
+    return np.dtype([(field, [("count", dt["count"]), ("items", dt["items"], (k,))])
+                     if dt.names else (field, dt) for (field, dt), k in zip(fields, lengths)])
+
+
 class _AsciiBody:
     """The whitespace-separated values of an ASCII PLY body, read in file order."""
 
     def __init__(self, body: bytes):
-        self.tokens = iter(body.split())
+        self.tokens = body.split()
+        self.at = 0
+
+    def _next(self, k: int) -> list:
+        out = self.tokens[self.at:self.at + k]
+        self.at += len(out)
+        return out
 
     def block(self, fields: list, count: int) -> np.ndarray:
         width = len(fields)
-        values = [float(t) for t in islice(self.tokens, width * count)]
+        values = [float(t) for t in self._next(width * count)]
         return np.array(values[:len(values) // width * width]).reshape(-1, width)
 
     def take(self, dtype: np.dtype, k: int) -> list:
         cast = float if dtype.kind == "f" else int
-        return [cast(next(self.tokens)) for _ in range(k)]
+        tokens = self._next(k)
+        if len(tokens) < k:
+            raise StopIteration
+        return [cast(t) for t in tokens]
+
+    def fixed(self, fields: list, count: int) -> dict | None:
+        """Every row at once, as {property: column} with a list property's
+        items a (count, k) array, when all ``count`` rows are whole and every
+        list has the first row's length k; else None, nothing consumed."""
+        lengths, width = [], 0
+        try:
+            for _, dt in fields:
+                lengths.append(int(self.tokens[self.at + width]) if dt.names else 0)
+                width += 1 + lengths[-1]
+        except (IndexError, ValueError):
+            return None
+        tokens = self.tokens[self.at:self.at + width * count]
+        if min(lengths) < 0 or len(tokens) < width * count:
+            return None
+        table = np.array(tokens).reshape(count, width)
+        columns, col = {}, 0
+        try:
+            for (field, dt), k in zip(fields, lengths):
+                if not dt.names:
+                    columns[field] = table[:, col].astype(_ascii_cast(dt)).astype(np.float64)
+                elif (table[:, col].astype(np.int64) != k).any():
+                    return None
+                else:
+                    columns[field] = table[:, col + 1:col + 1 + k].astype(_ascii_cast(dt["items"]))
+                col += 1 + (k if dt.names else 0)
+        except ValueError:  # a bad token: ``take`` names its row
+            return None
+        self.at += width * count
+        return columns
 
 
 class _BinaryBody(io.BytesIO):
@@ -106,13 +156,43 @@ class _BinaryBody(io.BytesIO):
         fmt = f"<{k}{dtype.char}"
         return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
 
+    def fixed(self, fields: list, count: int) -> dict | None:
+        """Every row at once, as {property: column} with a list property's
+        items a (count, k) array, when all ``count`` rows are whole and every
+        list has the first row's length k; else None, nothing consumed."""
+        start = self.tell()
+        lengths = []
+        try:
+            for _, dt in fields:
+                lengths.append(self.take(dt["count"], 1)[0] if dt.names else 0)
+                if lengths[-1] < 0:
+                    break
+                self.seek(dt["items"].itemsize * lengths[-1] if dt.names else dt.itemsize,
+                          io.SEEK_CUR)
+        except struct.error:
+            lengths.append(-1)
+        self.seek(start)
+        if len(lengths) < len(fields) or min(lengths) < 0:
+            return None
+        dtype = _list_layout(fields, lengths)
+        chunk = self.read(dtype.itemsize * count)
+        rows = np.frombuffer(chunk, dtype, len(chunk) // dtype.itemsize)
+        if len(rows) < count or any(dt.names and (rows[field]["count"] != k).any()
+                                    for (field, dt), k in zip(fields, lengths)):
+            self.seek(start)
+            return None
+        return {field: rows[field]["items"] if dt.names else rows[field].astype(np.float64)
+                for field, dt in fields}
+
 
 def _read_ply(path: str | Path):
     """Return {element: {property: values}} and the face element's first list property.
 
     An element of scalars reads as one float64 table (``block``, short where the
-    body ends); an element with a list property reads row by row (``take``),
-    each list kept as a sequence.
+    body ends). An element with a list property reads as one block too when
+    every row's lists have the first row's lengths (``fixed``), each list
+    column a (rows, length) array; any other reads row by row (``take``),
+    each list kept as a sequence, and reports where its data ends or fails.
     """
     path = Path(path)
     try:
@@ -122,7 +202,7 @@ def _read_ply(path: str | Path):
     fmt, elements, body = _parse_ply_header(blob, str(path))
     reader = _AsciiBody(body) if fmt == "ascii" else _BinaryBody(body)
     data: dict[str, dict] = {}
-    faces: list = []
+    faces: list | np.ndarray = []
     for name, count, fields in elements:
         row = None
         ends = f"{path}: declared {count} {name} rows, data ends at row"
@@ -133,13 +213,15 @@ def _read_ply(path: str | Path):
                     raise MeshIOError(f"{ends} {len(table)}")
                 data[name] = {field: table[:, i] for i, (field, _) in enumerate(fields)}
                 continue
-            columns: dict[str, list] = {field: [] for field, _ in fields}
-            for row in range(count):
-                for field, dt in fields:
-                    k = reader.take(dt["count"], 1)[0] if dt.names else 1
-                    if k < 0:
-                        raise ValueError(f"negative list length {k}")
-                    columns[field].append(reader.take(dt["items"] if dt.names else dt, k))
+            columns = reader.fixed(fields, count)
+            if columns is None:
+                columns = {field: [] for field, _ in fields}
+                for row in range(count):
+                    for field, dt in fields:
+                        k = reader.take(dt["count"], 1)[0] if dt.names else 1
+                        if k < 0:
+                            raise ValueError(f"negative list length {k}")
+                        columns[field].append(reader.take(dt["items"] if dt.names else dt, k))
         except (StopIteration, struct.error):  # take ran past the end of the body
             raise MeshIOError(f"{ends} {row}") from None
         except ValueError as exc:
@@ -169,14 +251,19 @@ def _vertices_from_ply(data: dict, path: str) -> tuple[np.ndarray, np.ndarray | 
     return pts, normals
 
 
-def _fan_triangulate(faces: list[list[int]], path: str) -> np.ndarray:
+def _fan_triangulate(faces: list[list[int]] | np.ndarray, path: str) -> np.ndarray:
     """Triangles ``(f[0], f[j], f[j + 1])`` for ``j = 1 .. len(f) - 2``, face by
-    face in file order: ``sample_mesh`` draws triangles by index."""
-    lengths = np.fromiter(map(len, faces), np.int64, len(faces))
+    face in file order: ``sample_mesh`` draws triangles by index. ``faces`` is
+    a sequence of faces or, all of one length, a (faces, length) array."""
+    if isinstance(faces, np.ndarray):
+        lengths = np.full(len(faces), faces.shape[1], dtype=np.int64)
+        flat = faces.astype(np.int64).reshape(-1)
+    else:
+        lengths = np.fromiter(map(len, faces), np.int64, len(faces))
+        flat = np.fromiter(chain.from_iterable(faces), np.int64, int(lengths.sum()))
     short = np.flatnonzero(lengths < 3)
     if len(short):
         raise MeshIOError(f"{path}: face {short[0]} has fewer than 3 vertices")
-    flat = np.fromiter(chain.from_iterable(faces), np.int64, int(lengths.sum()))
     fans = lengths - 2
     # Each triangle's face start in ``flat``, and its j.
     start = np.repeat(np.cumsum(lengths) - lengths, fans)
@@ -241,7 +328,7 @@ def load_mesh(path: str | Path) -> TriangleMesh:
     else:
         data, faces = _read_ply(path)
         vertices, _ = _vertices_from_ply(data, str(path))
-    if not faces:
+    if len(faces) == 0:
         raise MeshIOError(f"{path}: empty mesh (no faces)")
     tris = _fan_triangulate(faces, str(path))
     n = len(vertices)

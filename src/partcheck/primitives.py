@@ -5,6 +5,13 @@ Region growing joins two points when one is among the other's normal
 neighbors, both are flatter than ``region_curv_thresh`` and their normals
 are within ``region_angle_deg``. Its regions are the connected components
 of that symmetric graph, ordered by their flattest point, members ascending.
+Each region tries the kinds plane, sphere, cylinder, cone, with the cylinder
+before the sphere when its normals lie near a great circle of the Gauss
+image, and stops at the first that fits it adequately. The sphere, cylinder
+and cone fits are least-squares polishes with analytic Jacobians (Lukács,
+Marshall & Martin, "Faithful least-squares fitting of spheres, cylinders,
+cones and tori for reliable segmentation", ECCV 1998), and the cone races
+its three start axes for a few evaluations before finishing one.
 
 A configuration of primitives is scored by a weighted energy with three
 terms: fidelity (mean inlier-to-surface distance), simplicity (primitive
@@ -145,11 +152,12 @@ class Primitive:
 # ---------------------------------------------------------------------------
 
 def _max_nfev(n_params: int) -> int:
-    # least_squares' nfev leaves out the calls of its 2-point Jacobian, so
-    # this allows about 50 * (n_params + 1) trial steps (350 for a cone),
-    # each costing n_params more residual calls when its Jacobian is taken.
-    # Converging cone fits take up to about 290 Jacobians, so a tighter cap
-    # would change which fits succeed.
+    # Every fit passes an analytic Jacobian, so least_squares' nfev counts
+    # residual evaluations only, one per trial step, and each accepted step
+    # takes one Jacobian evaluation more (njev). This allows
+    # 50 * (n_params + 1) trial steps (350 for a cone). A cone start on the
+    # dented bracket converges after 273, so a tighter cap would change
+    # which fits succeed.
     return 50 * (n_params + 1)
 
 
@@ -157,12 +165,19 @@ def _rms(residuals: NDArray[np.float64]) -> float:
     return float(np.sqrt(np.mean(residuals * residuals)))
 
 
-def _polish(fun, x0, bounds=None):
-    kwargs = {"method": "trf", "max_nfev": _max_nfev(len(x0))}
+def _polish(fun, jac, x0, bounds=None, max_nfev=None):
+    kwargs = {"method": "trf", "jac": jac, "max_nfev": max_nfev or _max_nfev(len(x0))}
     if bounds is not None:
         kwargs["bounds"] = bounds
     result = least_squares(fun, np.asarray(x0, dtype=np.float64), **kwargs)
     return result.x, _rms(result.fun), result.status != 0
+
+
+def _unit_rows(v: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Each row over its length; a zero row, where the gradient of a length
+    is undefined, stays zero."""
+    length = np.linalg.norm(v, axis=1)
+    return v / np.where(length > 0.0, length, 1.0)[:, None]
 
 
 def _ortho_basis(w: Vec3):
@@ -187,7 +202,11 @@ def _fit_sphere(pts: Points):
     # Algebraic fit: |p|^2 = 2 c.p + (r^2 - |c|^2), linear in (c, t).
     a = np.column_stack([2.0 * pts, np.ones(len(pts))])
     b = (pts * pts).sum(axis=1)
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+    sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    if rank < 4:
+        # Coplanar points: the center can move off their plane unopposed, and
+        # the polish would start on the saddle where the Jacobian leaves it.
+        raise FitError("degenerate sphere (coplanar points)")
     center = sol[:3]
     r2 = sol[3] + center @ center
     if not np.isfinite(r2) or r2 <= 0:
@@ -197,7 +216,11 @@ def _fit_sphere(pts: Points):
     def residual(x):
         return np.linalg.norm(pts - x[:3], axis=1) - x[3]
 
-    x, rms, converged = _polish(residual, x0)
+    def jac(x):
+        # d|p - c| / dc is minus the unit vector from c to p; d/dr is -1.
+        return np.column_stack([-_unit_rows(pts - x[:3]), np.full(len(pts), -1.0)])
+
+    x, rms, converged = _polish(residual, jac, x0)
     shape = Sphere(x[:3].copy(), float(x[3]))
     if not converged:
         raise FitError("sphere fit did not converge")
@@ -272,15 +295,30 @@ def _fit_cylinder(pts: Points, normals: Points | None):
         r0 = float(np.linalg.norm(xy, axis=1).mean())
     x0 = np.array([cx, cy, 0.0, 0.0, max(r0, 1e-9)])
 
-    def residual(x):
-        w = unit(w0 + x[2] * u0 + x[3] * v0)
-        c = centroid + x[0] * u0 + x[1] * v0
-        u = pts - c
+    def radial(x):
+        """The axis' unnormalized length, each point's height along the axis
+        and its radial vector from it."""
+        raw = w0 + x[2] * u0 + x[3] * v0
+        w = unit(raw)
+        u = pts - (centroid + x[0] * u0 + x[1] * v0)
         h = u @ w
-        return np.linalg.norm(u - h[:, None] * w, axis=1) - x[4]
+        return float(np.linalg.norm(raw)), h, u - h[:, None] * w
+
+    def residual(x):
+        return np.linalg.norm(radial(x)[2], axis=1) - x[4]
+
+    def jac(x):
+        # With q^ the radial direction: moving the anchor by dc changes |q|
+        # by -q^.dc, and turning the axis by dw changes it by -h q^.dw. A
+        # step in x[2] turns w by the part of u0 normal to w over |raw|, and
+        # q^ is normal to w, so q^.dw = q^.u0 / |raw| (v0 likewise for x[3]).
+        length, h, q = radial(x)
+        qu, qv = (_unit_rows(q) @ np.column_stack([u0, v0])).T
+        return np.column_stack([-qu, -qv, -h * qu / length, -h * qv / length,
+                                np.full(len(pts), -1.0)])
 
     lower = np.array([-np.inf, -np.inf, -np.inf, -np.inf, 1e-12])
-    x, rms, converged = _polish(residual, x0, bounds=(lower, np.inf))
+    x, rms, converged = _polish(residual, jac, x0, bounds=(lower, np.inf))
     w = unit(w0 + x[2] * u0 + x[3] * v0)
     c = centroid + x[0] * u0 + x[1] * v0
     anchor = c + ((centroid - c) @ w) * w
@@ -297,11 +335,11 @@ def _cone_from_params(w0, u0, v0, x) -> Cone:
     return Cone(np.asarray(x[:3], dtype=float).copy(), w, float(x[5]))
 
 
-def _fit_cone_once(pts: Points, normals: Points, w0: Vec3):
+def _fit_cone_once(pts: Points, normals: Points, w0: Vec3, max_nfev: int | None = None):
     """Least-squares cone with ``w0`` as the initial axis and, as the initial
-    apex, the point nearest every tangent plane. An apex farther than the
-    size limit from the data is rejected: such a cone is a cylinder or a
-    plane in disguise."""
+    apex, the point nearest every tangent plane, run for at most ``max_nfev``
+    residual evaluations (default ``_max_nfev``); returns ``(shape, rms,
+    converged)``."""
     # Every tangent plane of a cone passes through the apex.
     b = (normals * pts).sum(axis=1)
     apex0, *_ = np.linalg.lstsq(normals, b, rcond=None)
@@ -313,45 +351,83 @@ def _fit_cone_once(pts: Points, normals: Points, w0: Vec3):
     alpha0 = float(np.arcsin(sin_a))
     x0 = np.array([apex0[0], apex0[1], apex0[2], 0.0, 0.0, alpha0])
     u0, v0 = _ortho_basis(w0)
+    turns = np.column_stack([u0, v0])
 
     def residual(x):
         return _cone_from_params(w0, u0, v0, x).distance(pts)
 
+    def jac(x):
+        # In front of the apex the residual is |g|, g = rho cos(a) - h sin(a),
+        # with rho the radial distance and h the height along the axis w.
+        # Moving the apex by dc changes rho by -q^.dc (q^ the radial
+        # direction) and h by -w.dc. Turning w by dw changes rho by -h q^.dw
+        # and h by q.dw; a step in x[3] or x[4] turns w by the part of u0 or
+        # v0 normal to w over |raw|. And dg/da = -(rho sin(a) + h cos(a)).
+        # Behind the apex the residual is |u|, the distance to the apex.
+        raw = w0 + x[3] * u0 + x[4] * v0
+        length = float(np.linalg.norm(raw))
+        w = raw / length
+        u = pts - x[:3]
+        h = u @ w
+        q = u - h[:, None] * w
+        rho = np.linalg.norm(q, axis=1)
+        sin_x, cos_x = np.sin(x[5]), np.cos(x[5])
+        along = rho * sin_x + h * cos_x
+        q_hat = _unit_rows(q)
+        d_turn = -(cos_x * h[:, None] * (q_hat @ turns) + sin_x * (q @ turns)) / length
+        front = np.column_stack([sin_x * w - cos_x * q_hat, d_turn, -along])
+        front *= np.sign(rho * cos_x - h * sin_x)[:, None]
+        behind = np.column_stack([-_unit_rows(u), np.zeros((len(pts), 3))])
+        return np.where((along <= 0.0)[:, None], behind, front)
+
     lower = np.array([-np.inf] * 5 + [0.01])
     upper = np.array([np.inf] * 5 + [np.pi / 2 - 0.01])
-    x, rms, converged = _polish(residual, x0, bounds=(lower, upper))
-    if not converged:
-        raise FitError("cone fit did not converge")
-    shape = _cone_from_params(w0, u0, v0, x)
-    extent = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-    centroid = pts.mean(axis=0)
-    if float(np.linalg.norm(shape.apex - centroid)) > _SIZE_LIMIT_FACTOR * max(extent, 1e-12):
-        raise FitError("degenerate cone (apex out of range)")
-    return shape, rms
+    x, rms, converged = _polish(residual, jac, x0, bounds=(lower, upper), max_nfev=max_nfev)
+    return _cone_from_params(w0, u0, v0, x), rms, converged
 
 
 def _fit_cone(pts: Points, normals: Points | None, adequate_rms: float = 0.0):
     """Cone fit with each eigenvector of the normal moment as the initial
     axis, smallest eigenvalue first: the axis is the smallest for shallow
-    cones and the largest for steep ones. The first converged fit with an
-    RMS at or below ``adequate_rms`` ends the trials; otherwise all three
-    run and the lowest RMS wins."""
+    cones and the largest for steep ones.
+
+    Each start first runs for ``_CONE_RACE_NFEV`` residual evaluations, and
+    one that converges within them to an RMS at or below ``adequate_rms``,
+    with its apex within the size limit, ends the trials. Otherwise only
+    the start with the lowest RMS after the race is finished: run again to
+    ``_max_nfev`` unless it has already converged. It wins unless it does
+    not converge or its apex lies farther than the size limit from the
+    data, which makes a cylinder or a plane in disguise; then the next start
+    is finished, if its raced RMS is within ``_CONE_RACE_TIE`` times the
+    lowest, and so on. The fit fails when no start so finished wins."""
+    extent = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    reach = _SIZE_LIMIT_FACTOR * max(extent, 1e-12)
+    centroid = pts.mean(axis=0)
+
+    def in_range(shape: Cone) -> bool:
+        return float(np.linalg.norm(shape.apex - centroid)) <= reach
+
     _, evecs = np.linalg.eigh(_normal_moments(normals))
-    best = None
-    last_err: FitError | None = None
+    raced = []
     for col in range(3):
-        try:
-            shape, rms = _fit_cone_once(pts, normals, unit(evecs[:, col]))
-        except FitError as exc:
-            last_err = exc
-            continue
-        if best is None or rms < best[1]:
-            best = (shape, rms)
-        if rms <= adequate_rms:
+        w0 = unit(evecs[:, col])
+        shape, rms, converged = _fit_cone_once(pts, normals, w0, _CONE_RACE_NFEV)
+        if converged and rms <= adequate_rms and in_range(shape):
+            return shape, rms
+        raced.append((rms, w0, shape, converged))
+    raced.sort(key=lambda start: start[0])
+    for rms, w0, shape, converged in raced:
+        if rms > _CONE_RACE_TIE * raced[0][0]:
             break
-    if best is None:
-        raise last_err if last_err is not None else FitError("cone fit failed")
-    return best
+        if not converged:
+            shape, rms, converged = _fit_cone_once(pts, normals, w0)
+        if not converged:
+            error = FitError("cone fit did not converge")
+        elif not in_range(shape):
+            error = FitError("degenerate cone (apex out of range)")
+        else:
+            return shape, rms
+    raise error
 
 
 def _fit_shape(kind: PrimitiveKind, pts: Points, normals: Points | None = None,
@@ -466,10 +542,11 @@ def region_grow(cloud: PointCloud, config: PipelineConfig = PipelineConfig()) ->
     ``min_points`` are dropped unfitted; the rest come ordered by their
     flattest point (its rank in a stable curvature sort), members
     ascending. Each region is fitted with the kinds in the order plane,
-    sphere, cylinder, cone, stopping at the first that fits it to within
-    ``inlier_eps / 4`` RMS, and takes the best of those fitted (see
-    ``_best_kind_fit``). All values come from ``config``; a ``min_points``
-    of 0 there means max(30, n / 500).
+    sphere, cylinder, cone, or plane, cylinder, sphere, cone when its normals
+    lie near a great circle of the Gauss image, stopping at the first that
+    fits it to within ``inlier_eps / 4`` RMS, and takes the best of those
+    fitted (see ``_best_kind_fit``). All values come from ``config``; a
+    ``min_points`` of 0 there means max(30, n / 500).
     """
     if cloud.normals is None or cloud.curvatures is None or cloud.neighbors is None:
         raise ValueError("region_grow needs normals, curvatures and their neighbor table")
@@ -517,6 +594,37 @@ _FIT_SAMPLE_CAP = 2000
 # 0.0101, cylinder 0.276).
 _ADEQUATE_RMS_FRACTION = 0.25
 
+# The normals of a cylinder lie on a great circle of the Gauss image: their
+# second moment (``_normal_moments``) has one eigenvalue near 0 and a middle
+# one that grows with the arc they span, 0.5 for a whole turn. A region whose
+# smallest eigenvalue is at most the first bound and whose middle one is at
+# least the second tries the cylinder before the sphere (Chaperon & Goulette,
+# "Extracting cylinders in full 3D data using a random sampling method and
+# the Gaussian image", VMV 2001). On the benchmark parts' fit subsets the
+# smallest and middle eigenvalues read 0.0008-0.0045 and 0.49-0.50 on
+# plate's bores and 0.0013 and 0.50 on collage's cylinder; at most 0.0005
+# and 0.0007 on planes; 0.16-0.18 and 0.41 on collage's cones and 0.31 and
+# 0.31 on its sphere. A 20-degree sphere cap reads 0.030 and 0.030.
+_GREAT_CIRCLE_SMALLEST = 0.01
+_GREAT_CIRCLE_MIDDLE = 0.1
+
+# A cone start that does not end adequate within this many residual
+# evaluations races the other starts for as many, and only the lowest RMS
+# then runs on to ``_max_nfev``. After the race the starts read RMS 0.166,
+# 0.890 and 0.069 on the dented bracket's sheet region (1,163 points) and
+# 1.81, 2.92 and 0.128 on the dented plate's top face (1,984 points). Run to
+# the end they take 52, 273 and 17 evaluations on the bracket and 350 (the
+# cap), 350 and 21 on the plate, and in both only the third keeps its apex
+# within the size limit. Collage's cones end adequate on their first start
+# after 5. A race cannot tell apart starts whose RMS is within
+# ``_CONE_RACE_TIE`` times the lowest, so each of those is finished in turn
+# while the ones before it fail. Two planes meeting at a 16-degree ridge
+# read 0.0231, 0.0281 and 0.088 after the race: the first runs off to an
+# apex 30 extents away, and the second converges to the cone. The starts
+# above read 2.4 times the lowest or more.
+_CONE_RACE_NFEV = 10
+_CONE_RACE_TIE = 1.5
+
 
 def _fit_subset(pts: Points, normals: Points | None):
     """Evenly strided subsample in the points' order, for a region their
@@ -525,16 +633,33 @@ def _fit_subset(pts: Points, normals: Points | None):
     return pts[idx], None if normals is None else normals[idx]
 
 
+def _kind_order(normals: Points | None) -> tuple[PrimitiveKind, ...]:
+    """Plane, sphere, cylinder, cone; the cylinder before the sphere when the
+    normals lie near a great circle (see ``_GREAT_CIRCLE_SMALLEST``)."""
+    kinds = tuple(PrimitiveKind)
+    if normals is None or len(normals) == 0:
+        return kinds
+    smallest, middle, _ = np.linalg.eigvalsh(_normal_moments(normals))
+    if smallest <= _GREAT_CIRCLE_SMALLEST and middle >= _GREAT_CIRCLE_MIDDLE:
+        plane, sphere, cylinder, cone = kinds
+        return plane, cylinder, sphere, cone
+    return kinds
+
+
 def _best_kind_fit(pts: Points, normals: Points | None, inlier_eps: float):
     """Fit each kind and keep the lowest geometric RMS, with a 5% plane edge;
     returns ``(shape, distance of every point)`` or None if none fits. Region
     growing, ``split`` and ``merge`` all choose their kinds by this rule.
 
-    The kinds are tried in declared order (plane, sphere, cylinder, cone),
-    and no kind is tried once an earlier one leaves an RMS at or below
+    The kinds are tried in the order plane, sphere, cylinder, cone, except
+    that the cylinder comes before the sphere when the normals lie near a
+    great circle of the Gauss image, as a cylinder's do (``_kind_order``).
+    No kind is tried once an earlier one leaves an RMS at or below
     ``inlier_eps / 4`` (Schnabel, Wahl & Klein, "Efficient RANSAC for
-    Point-Cloud Shape Detection", CGF 2007: the cheapest adequate kind). So a curved surface that an earlier kind fits
-    to within ``inlier_eps / 4`` takes the earlier kind:
+    Point-Cloud Shape Detection", CGF 2007: the cheapest adequate kind). So
+    a bore's adequate cylinder ends its trials before any sphere is fitted,
+    and a curved surface that an earlier kind fits to within
+    ``inlier_eps / 4`` takes the earlier kind:
 
     - a cone shallow enough for a cylinder to fit it is labelled a cylinder:
       over a length l, a half-angle below about ``0.87 * inlier_eps / l``
@@ -549,6 +674,8 @@ def _best_kind_fit(pts: Points, normals: Points | None, inlier_eps: float):
       up until the plane takes it, unless the size limit rejects the sphere
       first.
 
+    A strip whose normals span less than about 65 degrees of arc has a
+    middle eigenvalue below 0.1 and keeps the sphere before the cylinder.
     If the scan's noise exceeds ``inlier_eps / 4``, every kind is always
     tried. The same rule holds within the cone fit: its axis trials stop at
     the first that fits the subsample to within ``inlier_eps / 4`` (see
@@ -559,7 +686,7 @@ def _best_kind_fit(pts: Points, normals: Points | None, inlier_eps: float):
     fits: dict[PrimitiveKind, tuple[Shape, NDArray[np.float64]]] = {}
     rms: dict[PrimitiveKind, float] = {}
     adequate = _ADEQUATE_RMS_FRACTION * inlier_eps
-    for kind in PrimitiveKind:  # declared plane, sphere, cylinder, cone
+    for kind in _kind_order(fit_normals):
         if len(fit_pts) < MIN_SAMPLE[kind]:
             continue
         if rms and min(rms.values()) <= adequate:

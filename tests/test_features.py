@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
+from scipy.optimize._numdiff import approx_derivative
 from scipy.spatial import cKDTree
 
 from partcheck import features
@@ -779,6 +780,32 @@ class TestIterativeCircleFit:
                          rng.uniform(-2, 2, (50, 3))])
         _, inliers = fit_circle_iterative(pts, PipelineConfig(inlier_eps=0.1))
         assert len(inliers) <= len(pts)
+
+
+class TestCircleFit:
+    def test_polish_jacobian_matches_central_differences(self, monkeypatch):
+        # fit_circle_lsq hands MINPACK's lmder its residual's Jacobian; at
+        # seeded random parameters it equals 3-point differences within
+        # 1e-6 relative.
+        rng = np.random.default_rng(34)
+        normal = np.array([0.2, -0.1, 1.0]) / np.linalg.norm([0.2, -0.1, 1.0])
+        c = Circle3D(np.array([0.5, -1.0, 2.0]), 1.3, normal)
+        problems = []
+        least_squares = features.least_squares
+
+        def recording(fun, x0, jac, **kwargs):
+            problems.append((fun, jac))
+            return least_squares(fun, x0, jac=jac, **kwargs)
+
+        monkeypatch.setattr(features, "least_squares", recording)
+        fitted = fit_circle_lsq(circle_points(c, 80, rng=rng, noise=0.01))
+        assert fitted.radius == pytest.approx(1.3, abs=0.01)
+        (fun, jac), = problems
+        for _ in range(5):
+            # In-plane center offsets and radius, as the polish parametrizes them.
+            x = np.array([0.0, 0.0, 1.3]) + rng.normal(scale=0.4, size=3)
+            numeric = approx_derivative(fun, x, method="3-point")
+            assert np.abs(jac(x) - numeric).max() <= 1e-6 * np.abs(numeric).max()
 
 
 class TestRefineCoverage:

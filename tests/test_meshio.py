@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from partcheck import meshio
 from partcheck.geometry import PointCloud, TriangleMesh
 from partcheck.meshio import (
     MeshIOError,
@@ -266,6 +267,54 @@ class TestMeshLoading:
         path.write_bytes(binary_ply(SQUARE_VERTICES + faces, body[:-2]))
         with pytest.raises(MeshIOError, match="declared 2 face rows, data ends at row 1"):
             load_mesh(path)
+
+    @pytest.mark.parametrize("ascii_mode", [False, True])
+    def test_mixed_triangle_and_quad_faces_fan_in_order(self, tmp_path, ascii_mode):
+        # Rows of different lengths cannot be read as one block; row by row
+        # they fan in file order.
+        faces = [(0, 1, 2), (0, 1, 2, 3), (1, 2, 3)]
+        path = tmp_path / "mixed.ply"
+        header = SQUARE_VERTICES + "element face 3\nproperty list uchar int vertex_indices\n"
+        if ascii_mode:
+            rows = "".join(" ".join(map(str, (len(f), *f))) + "\n" for f in faces)
+            path.write_text(f"ply\nformat ascii 1.0\n{header}end_header\n"
+                            "0 0 0\n1 0 0\n1 1 0\n0 1 0\n" + rows)
+        else:
+            path.write_bytes(binary_ply(header, SQUARE_BODY + b"".join(
+                struct.pack(f"<B{len(f)}i", len(f), *f) for f in faces)))
+        assert load_mesh(path).triangles.tolist() == [[0, 1, 2], [0, 1, 2], [0, 2, 3],
+                                                      [1, 2, 3]]
+
+    @pytest.mark.parametrize("ascii_mode", [False, True])
+    def test_truncated_triangle_faces_name_the_row_where_data_ends(self, tmp_path, ascii_mode):
+        # Three triangles declared, one and a half written.
+        path = tmp_path / "cut.ply"
+        header = SQUARE_VERTICES + "element face 3\nproperty list uchar int vertex_indices\n"
+        if ascii_mode:
+            path.write_text(f"ply\nformat ascii 1.0\n{header}end_header\n"
+                            "0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n3 0 2\n")
+        else:
+            body = SQUARE_BODY + struct.pack("<B3i", 3, 0, 1, 2) + struct.pack("<B2i", 3, 0, 2)
+            path.write_bytes(binary_ply(header, body))
+        with pytest.raises(MeshIOError, match="declared 3 face rows, data ends at row 1"):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("ascii_mode", [False, True])
+    def test_one_block_read_equals_the_row_by_row_read(self, tmp_path, monkeypatch, ascii_mode):
+        # Every face has 3 corners, so the face element reads as one block;
+        # with that read turned off, row by row gives the same arrays.
+        rng = np.random.default_rng(35)
+        mesh = TriangleMesh(vertices=rng.normal(size=(40, 3)),
+                            triangles=[rng.choice(40, 3, replace=False) for _ in range(30)])
+        path = tmp_path / "mesh.ply"
+        save_mesh(path, mesh, ascii_mode=ascii_mode)
+        block = load_mesh(path)
+        monkeypatch.setattr(meshio._AsciiBody, "fixed", lambda *a: None)
+        monkeypatch.setattr(meshio._BinaryBody, "fixed", lambda *a: None)
+        rows = load_mesh(path)
+        assert block.vertices.tobytes() == rows.vertices.tobytes()
+        assert block.triangles.tobytes() == rows.triangles.tobytes()
+        assert block.triangles.tolist() == mesh.triangles.tolist()
 
     def test_ply_mesh_round_trip(self, tmp_path):
         path = tmp_path / "cube.obj"
