@@ -61,6 +61,11 @@ def tensor_vote(cloud: PointCloud, radius: float, sigma: float) -> NDArray[np.fl
     q the offset vector between the two points. The projector is symmetric in
     q, so each unordered pair is evaluated once and credited to both ends.
     Returns the (n, 3, 3) array of symmetric positive semi-definite tensors.
+
+    ``sigma`` enters as ``exp(-|q| / sigma^2)``, a length over a squared
+    length, so it is the one length parameter that does not scale with the
+    part: a part drawn 10 times larger with every other length scaled keeps
+    its edge set only with ``sigma`` scaled by sqrt(10).
     """
     if cloud.curvatures is None:
         raise ValueError("tensor voting needs per-point curvatures")

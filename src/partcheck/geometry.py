@@ -142,7 +142,12 @@ class PointCloud:
 
 @dataclass(eq=False)
 class TriangleMesh:
-    """Indexed triangle mesh used as the reference CAD geometry."""
+    """Indexed triangle mesh used as the reference CAD geometry.
+
+    Construction measures every triangle once and keeps its area and its unit
+    normal, oriented by the winding (``areas()``, ``normals()``). Like
+    ``distance_index()``, the kept arrays describe the mesh as constructed.
+    """
 
     vertices: Points
     triangles: NDArray[np.int64]
@@ -156,9 +161,12 @@ class TriangleMesh:
             raise ValueError("mesh has no triangles")
         if tris.min() < 0 or tris.max() >= len(self.vertices):
             raise ValueError("triangle index out of range")
-        areas = _triangle_areas(self.vertices, tris)
-        if (areas == 0.0).any():
+        cross = _triangle_cross(self.vertices, tris)
+        lengths = np.linalg.norm(cross, axis=1)
+        self._areas = 0.5 * lengths
+        if (self._areas == 0.0).any():
             raise ValueError("mesh contains degenerate (zero-area) triangles")
+        self._normals = cross / lengths[:, None]
         self.triangles = tris
         self._distance_index: MeshDistance | None = None
 
@@ -171,7 +179,12 @@ class TriangleMesh:
         return self.vertices[self.triangles]
 
     def areas(self) -> NDArray[np.float64]:
-        return _triangle_areas(self.vertices, self.triangles)
+        """Per-triangle areas, shape (T,)."""
+        return self._areas
+
+    def normals(self) -> NDArray[np.float64]:
+        """Per-triangle unit normals, oriented by the winding, shape (T, 3)."""
+        return self._normals
 
     def distance_index(self) -> "MeshDistance":
         """Lazy shared acceleration structure for exact surface distances."""
@@ -180,14 +193,15 @@ class TriangleMesh:
         return self._distance_index
 
 
-def _triangle_areas(vertices: Points, triangles: NDArray[np.int64]) -> NDArray[np.float64]:
+def _triangle_cross(vertices: Points, triangles: NDArray[np.int64]) -> NDArray[np.float64]:
+    """Each triangle's edge cross product: its normal times twice its area."""
     tv = vertices[triangles]
-    cross = np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0])
-    return 0.5 * np.linalg.norm(cross, axis=1)
+    return np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0])
 
 
 def clean_triangles(vertices: Points, triangles) -> NDArray[np.int64]:
-    """Drop index-degenerate and zero-area triangles; used by all loaders."""
+    """Drop index-degenerate and zero-area triangles, which ``TriangleMesh``
+    rejects; used by all loaders."""
     tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
     ok = (
         (tris[:, 0] != tris[:, 1])
@@ -197,7 +211,7 @@ def clean_triangles(vertices: Points, triangles) -> NDArray[np.int64]:
     tris = tris[ok]
     if len(tris) == 0:
         return tris
-    areas = _triangle_areas(as_points(vertices), tris)
+    areas = 0.5 * np.linalg.norm(_triangle_cross(as_points(vertices), tris), axis=1)
     return tris[areas > 0.0]
 
 
@@ -323,8 +337,7 @@ def sample_mesh(mesh: TriangleMesh, count: int, seed: int) -> PointCloud:
     rng = np.random.default_rng(seed)
     areas = mesh.areas()
     tri_idx = rng.choice(len(mesh), size=count, p=areas / areas.sum())
-    corners = mesh.triangle_vertices
-    tv = corners[tri_idx]
+    tv = mesh.vertices[mesh.triangles[tri_idx]]
     # Square-root reparameterization gives a uniform density over each triangle.
     r = np.sqrt(rng.random(count))
     s = rng.random(count)
@@ -332,10 +345,7 @@ def sample_mesh(mesh: TriangleMesh, count: int, seed: int) -> PointCloud:
     b = (r * (1.0 - s))[:, None]
     c = (r * s)[:, None]
     pts = a * tv[:, 0] + b * tv[:, 1] + c * tv[:, 2]
-    # Per triangle, then per sample: no sample-sized temporaries.
-    cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-    normals = cross / np.linalg.norm(cross, axis=1, keepdims=True)
-    return PointCloud(points=pts, normals=normals[tri_idx])
+    return PointCloud(points=pts, normals=mesh.normals()[tri_idx])
 
 
 def _closest_on_triangles(p, a, b, c):

@@ -2,7 +2,10 @@
 
 PLY is read and written in the ``ascii`` and ``binary_little_endian``
 formats, binary unless ``ascii_mode=True``. The reader takes any elements,
-every PLY scalar type and list properties with an integer length; point
+every PLY scalar type and list properties with an integer length. One reader
+serves both formats: an ASCII body is parsed once into float64 records and
+read as a binary body whose every value is a float64, so a value of an
+integer type, a list's length among them, must be a whole number. Point
 clouds keep the vertex x/y/z and optional nx/ny/nz, and meshes the face
 element's list property, with polygon faces fan-triangulated. Malformed
 input raises ``MeshIOError`` naming the file and where the fault is.
@@ -77,159 +80,134 @@ def _parse_ply_header(blob: bytes, path: str):
     return fmt, [e for e in elements if e[2]], blob[end.end():]
 
 
-def _ascii_cast(dtype: np.dtype) -> type:
-    """The type an ASCII token of a ``dtype`` property parses as."""
-    return np.float64 if dtype.kind == "f" else np.int64
+def _ascii_records(body: bytes) -> tuple[bytes, str | None]:
+    """An ASCII body's values as float64 records, in file order up to the first
+    token that is not a number, and that token's error (None if there is none)."""
+    tokens = body.split()
+    rest = iter(tokens)
+    try:
+        return np.fromiter(map(float, rest), np.float64, len(tokens)).tobytes(), None
+    except ValueError as exc:  # ``rest`` stops just past the token
+        good = len(tokens) - len(list(rest)) - 1
+        return np.fromiter(map(float, tokens[:good]), np.float64, good).tobytes(), str(exc)
 
 
-def _list_layout(fields: list, lengths: list) -> np.dtype:
-    """One row's record type, each list property with its length in ``lengths``."""
-    return np.dtype([(field, [("count", dt["count"]), ("items", dt["items"], (k,))])
-                     if dt.names else (field, dt) for (field, dt), k in zip(fields, lengths)])
+def _whole(values: np.ndarray) -> bool:
+    """Whether every one of ``values`` is a whole number."""
+    return bool(np.isfinite(values).all() and (np.floor(values) == values).all())
 
 
-class _AsciiBody:
-    """The whitespace-separated values of an ASCII PLY body, read in file order."""
+class _Body(io.BytesIO):
+    """The records of a PLY body, read in file order: a binary body's of the
+    declared types, an ASCII body's (``_ascii_records``) each a float64, where a
+    value of an integer type must be a whole number and reads as an integer."""
 
-    def __init__(self, body: bytes):
-        self.tokens = body.split()
-        self.at = 0
+    def __init__(self, body: bytes, ascii_mode: bool):
+        super().__init__(body)
+        self.ascii = ascii_mode
 
-    def _next(self, k: int) -> list:
-        out = self.tokens[self.at:self.at + k]
-        self.at += len(out)
-        return out
-
-    def block(self, fields: list, count: int) -> np.ndarray:
-        width = len(fields)
-        values = [float(t) for t in self._next(width * count)]
-        return np.array(values[:len(values) // width * width]).reshape(-1, width)
-
-    def take(self, dtype: np.dtype, k: int) -> list:
-        cast = float if dtype.kind == "f" else int
-        tokens = self._next(k)
-        if len(tokens) < k:
-            raise StopIteration
-        return [cast(t) for t in tokens]
-
-    def fixed(self, fields: list, count: int) -> dict | None:
-        """Every row at once, as {property: column} with a list property's
-        items a (count, k) array, when all ``count`` rows are whole and every
-        list has the first row's length k; else None, nothing consumed."""
-        lengths, width = [], 0
-        try:
-            for _, dt in fields:
-                lengths.append(int(self.tokens[self.at + width]) if dt.names else 0)
-                width += 1 + lengths[-1]
-        except (IndexError, ValueError):
-            return None
-        tokens = self.tokens[self.at:self.at + width * count]
-        if min(lengths) < 0 or len(tokens) < width * count:
-            return None
-        table = np.array(tokens).reshape(count, width)
-        columns, col = {}, 0
-        try:
-            for (field, dt), k in zip(fields, lengths):
-                if not dt.names:
-                    columns[field] = table[:, col].astype(_ascii_cast(dt)).astype(np.float64)
-                elif (table[:, col].astype(np.int64) != k).any():
-                    return None
-                else:
-                    columns[field] = table[:, col + 1:col + 1 + k].astype(_ascii_cast(dt["items"]))
-                col += 1 + (k if dt.names else 0)
-        except ValueError:  # a bad token: ``take`` names its row
-            return None
-        self.at += width * count
-        return columns
-
-
-class _BinaryBody(io.BytesIO):
-    """The little-endian records of a binary PLY body, read in file order."""
-
-    def block(self, fields: list, count: int) -> np.ndarray:
-        dtype = np.dtype(fields)
-        chunk = self.read(dtype.itemsize * count)
-        rows = np.frombuffer(chunk, dtype, len(chunk) // dtype.itemsize)
-        return structured_to_unstructured(rows, np.float64)
+    def record(self, dtype: np.dtype) -> np.dtype:
+        """The type a ``dtype`` value is stored as."""
+        return np.dtype("<f8") if self.ascii else dtype
 
     def take(self, dtype: np.dtype, k: int) -> tuple:
-        fmt = f"<{k}{dtype.char}"
-        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
+        fmt = f"<{k}{self.record(dtype).char}"
+        values = struct.unpack(fmt, self.read(struct.calcsize(fmt)))
+        if not (self.ascii and dtype.kind in "iu"):
+            return values
+        wrong = [v for v in values if not v.is_integer()]
+        if wrong:
+            raise ValueError(f"{_PLY_TYPE_NAME[dtype.str]} value {wrong[0]:g} "
+                             "is not a whole number")
+        return tuple(map(int, values))
+
+    def row(self, fields: list) -> list[tuple]:
+        """The next row's values, a tuple per property."""
+        values = []
+        for _, dt in fields:
+            k = self.take(dt["count"], 1)[0] if dt.names else 1
+            if k < 0:
+                raise ValueError(f"negative list length {k}")
+            values.append(self.take(dt["items"] if dt.names else dt, k))
+        return values
 
     def fixed(self, fields: list, count: int) -> dict | None:
-        """Every row at once, as {property: column} with a list property's
-        items a (count, k) array, when all ``count`` rows are whole and every
-        list has the first row's length k; else None, nothing consumed."""
+        """Up to ``count`` rows at once, as {property: column}, each list's items
+        a (rows, k) array with k its length in the first row. Short where the body
+        ends in an element without a list; None, nothing consumed, where it ends
+        in one with a list, where a list's length is not the first row's, or
+        where a value breaks ``take``'s or ``row``'s rules."""
         start = self.tell()
-        lengths = []
         try:
-            for _, dt in fields:
-                lengths.append(self.take(dt["count"], 1)[0] if dt.names else 0)
-                if lengths[-1] < 0:
-                    break
-                self.seek(dt["items"].itemsize * lengths[-1] if dt.names else dt.itemsize,
-                          io.SEEK_CUR)
-        except struct.error:
-            lengths.append(-1)
-        self.seek(start)
-        if len(lengths) < len(fields) or min(lengths) < 0:
+            lengths = [len(values) for values in self.row(fields)]
+        except (struct.error, ValueError):
             return None
-        dtype = _list_layout(fields, lengths)
+        finally:
+            self.seek(start)
+        # One row's record type, each list with its length in ``lengths``.
+        rec = self.record
+        dtype = np.dtype([(field, [("count", rec(dt["count"])), ("items", rec(dt["items"]), (k,))])
+                          if dt.names else (field, rec(dt))
+                          for (field, dt), k in zip(fields, lengths)])
         chunk = self.read(dtype.itemsize * count)
         rows = np.frombuffer(chunk, dtype, len(chunk) // dtype.itemsize)
-        if len(rows) < count or any(dt.names and (rows[field]["count"] != k).any()
-                                    for (field, dt), k in zip(fields, lengths)):
+        columns = {field: rows[field]["items"] if dt.names else rows[field] for field, dt in fields}
+        integral = [field for field, dt in fields
+                    if self.ascii and (dt["items"] if dt.names else dt).kind in "iu"]
+        if (any(dt.names and (len(rows) < count or (rows[field]["count"] != k).any())
+                for (field, dt), k in zip(fields, lengths))
+                or not all(_whole(columns[field]) for field in integral)):
             self.seek(start)
             return None
-        return {field: rows[field]["items"] if dt.names else rows[field].astype(np.float64)
-                for field, dt in fields}
+        return {**columns, **{field: columns[field].astype(np.int64) for field in integral}}
 
 
-def _read_ply(path: str | Path):
+def _read_ply(path: Path):
     """Return {element: {property: values}} and the face element's first list property.
 
-    An element of scalars reads as one float64 table (``block``, short where the
-    body ends). An element with a list property reads as one block too when
-    every row's lists have the first row's lengths (``fixed``), each list
-    column a (rows, length) array; any other reads row by row (``take``),
-    each list kept as a sequence, and reports where its data ends or fails.
+    Both formats read through one ``_Body``, an ASCII body once parsed into
+    float64 records (``_ascii_records``). Every element reads as one block
+    (``fixed``), each list's items a (rows, length) array, except one whose
+    lists change length or that holds a fault the block cannot place, which
+    reads row by row (``row``), each list a sequence. Scalar columns are
+    float64, integer list items integers. A list length must be a whole number
+    of 0 or more and an integer-typed value whole, which only ASCII can break.
+    Errors name the element and the row where the data ends, where the first
+    token that is not a number stands, or where a value breaks a rule.
     """
-    path = Path(path)
     try:
         blob = path.read_bytes()
     except OSError as exc:
         raise MeshIOError(f"{path}: {exc}") from exc
     fmt, elements, body = _parse_ply_header(blob, str(path))
-    reader = _AsciiBody(body) if fmt == "ascii" else _BinaryBody(body)
+    bad_token = None
+    if fmt == "ascii":
+        body, bad_token = _ascii_records(body)
+    reader = _Body(body, fmt == "ascii")
     data: dict[str, dict] = {}
     faces: list | np.ndarray = []
     for name, count, fields in elements:
         row = None
-        ends = f"{path}: declared {count} {name} rows, data ends at row"
         try:
-            if not any(dt.names for _, dt in fields):
-                table = reader.block(fields, count)
-                if len(table) < count:
-                    raise MeshIOError(f"{ends} {len(table)}")
-                data[name] = {field: table[:, i] for i, (field, _) in enumerate(fields)}
-                continue
             columns = reader.fixed(fields, count)
             if columns is None:
                 columns = {field: [] for field, _ in fields}
                 for row in range(count):
-                    for field, dt in fields:
-                        k = reader.take(dt["count"], 1)[0] if dt.names else 1
-                        if k < 0:
-                            raise ValueError(f"negative list length {k}")
-                        columns[field].append(reader.take(dt["items"] if dt.names else dt, k))
-        except (StopIteration, struct.error):  # take ran past the end of the body
-            raise MeshIOError(f"{ends} {row}") from None
+                    for (field, _), values in zip(fields, reader.row(fields)):
+                        columns[field].append(values)
+            else:
+                row = len(next(iter(columns.values())))
+                if row < count:
+                    raise struct.error
+        except struct.error:  # the body ends in ``row``, at ``bad_token`` if there is one
+            raise MeshIOError(f"{path}: {name} {row}: {bad_token}" if bad_token else
+                              f"{path}: declared {count} {name} rows, data ends at row {row}") \
+                from None
         except ValueError as exc:
             where = name if row is None else f"{name} {row}"
             raise MeshIOError(f"{path}: {where}: {exc}") from exc
         data[name] = {field: columns[field] if dt.names
-                      else np.asarray(columns[field], dtype=np.float64).reshape(-1)
-                      for field, dt in fields}
+                      else np.array(columns[field], np.float64).ravel() for field, dt in fields}
         if name == "face":
             faces = next((columns[field] for field, dt in fields if dt.names), faces)
     return data, faces
@@ -243,12 +221,22 @@ def _vertices_from_ply(data: dict, path: str) -> tuple[np.ndarray, np.ndarray | 
     bad = ~np.isfinite(pts).all(axis=1)
     if bad.any():
         raise MeshIOError(f"{path}: non-finite coordinate at vertex {int(bad.argmax())}")
-    normals = None
     if all(c in vert for c in ("nx", "ny", "nz")):
-        normals = np.column_stack([vert["nx"], vert["ny"], vert["nz"]])
-        lengths = np.linalg.norm(normals, axis=1)
-        normals = None if (lengths < 1e-12).any() else normals / lengths[:, None]
-    return pts, normals
+        return pts, _unit_normals(np.column_stack([vert["nx"], vert["ny"], vert["nz"]]))
+    return pts, None
+
+
+def _unit_normals(normals: np.ndarray) -> np.ndarray | None:
+    """The file's normals scaled to unit length; None if any has length 0."""
+    lengths = np.linalg.norm(normals, axis=1)
+    return None if (lengths < 1e-12).any() else normals / lengths[:, None]
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeshIOError(f"{path}: {exc}") from exc
 
 
 def _fan_triangulate(faces: list[list[int]] | np.ndarray, path: str) -> np.ndarray:
@@ -277,22 +265,18 @@ def load_point_cloud(path: str | Path) -> PointCloud:
     if not path.exists():
         raise MeshIOError(f"{path}: file not found")
     if path.suffix.lower() == ".ply":
-        data, _ = _read_ply(path)
-        pts, normals = _vertices_from_ply(data, str(path))
-        if len(pts) == 0:
-            raise MeshIOError(f"{path}: empty point cloud")
-        return PointCloud(points=pts, normals=normals)
-    return _load_xyz(path)
+        pts, normals = _vertices_from_ply(_read_ply(path)[0], str(path))
+    else:
+        pts, normals = _read_xyz(path)
+    if len(pts) == 0:
+        raise MeshIOError(f"{path}: empty point cloud")
+    return PointCloud(points=pts, normals=normals)
 
 
-def _load_xyz(path: Path) -> PointCloud:
+def _read_xyz(path: Path) -> tuple[np.ndarray, np.ndarray | None]:
     rows = []
     normal_rows = []
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MeshIOError(f"{path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -308,14 +292,9 @@ def _load_xyz(path: Path) -> PointCloud:
         rows.append(values[:3])
         if len(values) >= 6:
             normal_rows.append(values[3:6])
-    if not rows:
-        raise MeshIOError(f"{path}: empty point cloud")
-    normals = None
-    if len(normal_rows) == len(rows):
-        normals = np.asarray(normal_rows)
-        lengths = np.linalg.norm(normals, axis=1)
-        normals = None if (lengths < 1e-12).any() else normals / lengths[:, None]
-    return PointCloud(points=np.asarray(rows), normals=normals)
+    if rows and len(normal_rows) == len(rows):
+        return np.asarray(rows), _unit_normals(np.asarray(normal_rows))
+    return np.asarray(rows), None
 
 
 def load_mesh(path: str | Path) -> TriangleMesh:
@@ -346,11 +325,7 @@ def load_mesh(path: str | Path) -> TriangleMesh:
 def _read_obj(path: Path) -> tuple[np.ndarray, list[list[int]]]:
     vertices: list[list[float]] = []
     faces: list[list[int]] = []
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MeshIOError(f"{path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         tokens = line.split()
         if not tokens:
             continue

@@ -30,6 +30,9 @@ end_header
 0 1 0
 """
 
+# ASCII_PLY_3's vertex element.
+TRIANGLE_VERTICES = "element vertex 3\nproperty float x\nproperty float y\nproperty float z\n"
+
 # Put in place of ASCII_PLY_3's end_header, it declares one face; the
 # test appends the face row after the vertices.
 FACE_ELEMENT = "element face 1\nproperty list uchar int vertex_indices\nend_header"
@@ -246,6 +249,12 @@ class TestMeshLoading:
         with pytest.raises(MeshIOError, match=re.escape(f"{path}: face 1 names vertex 7")):
             load_mesh(path)
 
+    def test_ascii_vertex_with_a_bad_token_names_its_row(self, tmp_path):
+        path = tmp_path / "bad_token.ply"
+        path.write_text(ASCII_PLY_3.replace("1 0 0", "1 x 0"))
+        with pytest.raises(MeshIOError, match=re.escape(f"{path}: vertex 1: ") + ".*'x'"):
+            load_point_cloud(path)
+
     def test_ply_face_with_a_bad_token_errors(self, tmp_path):
         path = tmp_path / "bad_token.ply"
         path.write_text(ASCII_PLY_3.replace("end_header", FACE_ELEMENT) + "3 0 1 x\n")
@@ -301,20 +310,62 @@ class TestMeshLoading:
 
     @pytest.mark.parametrize("ascii_mode", [False, True])
     def test_one_block_read_equals_the_row_by_row_read(self, tmp_path, monkeypatch, ascii_mode):
-        # Every face has 3 corners, so the face element reads as one block;
-        # with that read turned off, row by row gives the same arrays.
+        # Every face has 3 corners, so each element reads as one block; with
+        # that read turned off, the vertices and the faces read row by row
+        # give the same arrays, and so do a cloud's normals and colors.
         rng = np.random.default_rng(35)
         mesh = TriangleMesh(vertices=rng.normal(size=(40, 3)),
                             triangles=[rng.choice(40, 3, replace=False) for _ in range(30)])
-        path = tmp_path / "mesh.ply"
-        save_mesh(path, mesh, ascii_mode=ascii_mode)
-        block = load_mesh(path)
-        monkeypatch.setattr(meshio._AsciiBody, "fixed", lambda *a: None)
-        monkeypatch.setattr(meshio._BinaryBody, "fixed", lambda *a: None)
-        rows = load_mesh(path)
+        normals = rng.normal(size=(40, 3))
+        cloud = PointCloud(points=mesh.vertices,
+                           normals=normals / np.linalg.norm(normals, axis=1)[:, None])
+        mesh_path, cloud_path = tmp_path / "mesh.ply", tmp_path / "cloud.ply"
+        save_mesh(mesh_path, mesh, ascii_mode=ascii_mode)
+        save_point_cloud(cloud_path, cloud, ascii_mode=ascii_mode,
+                         colors=rng.integers(0, 256, (40, 3)).astype(np.uint8))
+        block, block_cloud = load_mesh(mesh_path), load_point_cloud(cloud_path)
+        monkeypatch.setattr(meshio._Body, "fixed", lambda *a: None)
+        rows, rows_cloud = load_mesh(mesh_path), load_point_cloud(cloud_path)
         assert block.vertices.tobytes() == rows.vertices.tobytes()
         assert block.triangles.tobytes() == rows.triangles.tobytes()
         assert block.triangles.tolist() == mesh.triangles.tolist()
+        assert block_cloud.points.tobytes() == rows_cloud.points.tobytes()
+        assert block_cloud.normals.tobytes() == rows_cloud.normals.tobytes()
+
+    @pytest.mark.parametrize("ascii_mode", [False, True])
+    def test_truncated_vertices_name_the_row_where_data_ends(self, tmp_path, monkeypatch,
+                                                             ascii_mode):
+        # Four vertices declared, two and a half written: the element has no
+        # list, so the row comes from the one block read, and only the first
+        # row, which gives the block its layout, is read on its own.
+        path = tmp_path / "cut.ply"
+        if ascii_mode:
+            path.write_text(f"ply\nformat ascii 1.0\n{SQUARE_VERTICES}end_header\n"
+                            "0 0 0\n1 0 0\n1 1\n")
+        else:
+            path.write_bytes(binary_ply(SQUARE_VERTICES, SQUARE_BODY[:8 * 8]))
+        rows_read = []
+        row = meshio._Body.row
+        monkeypatch.setattr(meshio._Body, "row", lambda *a: rows_read.append(1) or row(*a))
+        with pytest.raises(MeshIOError, match=re.escape(
+                f"{path}: declared 4 vertex rows, data ends at row 2")):
+            load_point_cloud(path)
+        assert len(rows_read) == 1
+
+    def test_a_missing_vertex_reads_the_same_in_both_formats(self, tmp_path):
+        header = TRIANGLE_VERTICES + "element face 1\nproperty list uchar int vertex_indices\n"
+        ascii_path, binary_path = tmp_path / "ascii.ply", tmp_path / "binary.ply"
+        ascii_path.write_text(f"ply\nformat ascii 1.0\n{header}end_header\n"
+                              "0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n")
+        binary_path.write_bytes(binary_ply(header, struct.pack(
+            "<9fB3i", 0, 0, 0, 1, 0, 0, 0, 1, 0, 3, 0, 1, 7)))
+        messages = []
+        for path in (ascii_path, binary_path):
+            with pytest.raises(MeshIOError) as error:
+                load_mesh(path)
+            messages.append(str(error.value).replace(str(path), "<path>"))
+        assert messages[0] == messages[1] == (
+            "<path>: face 0 names vertex 7 (counted from 0), but the file has 3 vertices")
 
     def test_ply_mesh_round_trip(self, tmp_path):
         path = tmp_path / "cube.obj"
@@ -456,4 +507,35 @@ def test_rejected_input_names_the_file(tmp_path, name, content, message):
         path.write_bytes(content)
     load = load_mesh if name.startswith("part") else load_point_cloud
     with pytest.raises(MeshIOError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+        load(path)
+
+
+FACES = "element face {}\nproperty list uchar int vertex_indices\n"
+
+
+@pytest.mark.parametrize("elements, rows, message", [
+    pytest.param(TRIANGLE_VERTICES + FACES.format(1), "3 0 1.5 2",
+                 "face 0: int value 1.5 is not a whole number", id="face-index"),
+    pytest.param(TRIANGLE_VERTICES + FACES.format(2), "3 0 1 2\n3 0 1.5 2",
+                 "face 1: int value 1.5 is not a whole number", id="face-index-in-a-block"),
+    pytest.param(TRIANGLE_VERTICES + FACES.format(2), "3 0 1 2\n2.5 0 1 2",
+                 "face 1: uchar value 2.5 is not a whole number", id="list-length"),
+    pytest.param(TRIANGLE_VERTICES + FACES.format(2), "3 0 1 2\n4 0 1 2 0.5",
+                 "face 1: int value 0.5 is not a whole number", id="lists-of-two-lengths"),
+    pytest.param(TRIANGLE_VERTICES + FACES.format(2) + "property uchar flags\n",
+                 "3 0 1 2 1\n3 0 1 2 7.5", "face 1: uchar value 7.5 is not a whole number",
+                 id="uchar-beside-a-list"),
+    pytest.param(TRIANGLE_VERTICES + "property uchar red\n", "0 0 0 1\n1 0 0 7.5\n0 1 0 2",
+                 "vertex 1: uchar value 7.5 is not a whole number", id="uchar-without-a-list"),
+])
+def test_ascii_integer_values_must_be_whole(tmp_path, elements, rows, message):
+    # An ASCII body is read as float64 records, so a value of an integer
+    # type, a list's length among them, is checked whole, with or without a
+    # list in its element, and whether the element reads as one block or
+    # row by row.
+    path = tmp_path / "fraction.ply"
+    vertices = "" if "face" not in elements else "0 0 0\n1 0 0\n0 1 0\n"
+    path.write_text(f"ply\nformat ascii 1.0\n{elements}end_header\n{vertices}{rows}\n")
+    load = load_mesh if "face" in elements else load_point_cloud
+    with pytest.raises(MeshIOError, match=re.escape(f"{path}: {message}")):
         load(path)
