@@ -302,15 +302,14 @@ def distinct_rows(rows: NDArray[np.float64]) -> tuple[NDArray[np.int64], NDArray
     return first[order], rank[inverse]
 
 
-def components(n: int, pairs: NDArray[np.int64], min_size: int = 1) -> list[NDArray[np.int64]]:
+def components(graph, min_size: int = 1) -> list[NDArray[np.int64]]:
     """The connected components of at least ``min_size`` nodes of the
-    undirected graph on ``range(n)`` with the (m, 2) rows of ``pairs`` as
-    edges: ascending index arrays, ordered by their lowest index."""
+    undirected graph whose scipy sparse (n, n) adjacency matrix is ``graph``
+    (an entry in either triangle joins its row and column): ascending index
+    arrays, ordered by their lowest index."""
     # Imported here: scipy.sparse.csgraph costs milliseconds to import.
-    from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
-    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
     _, labels = connected_components(graph, directed=False)
     sizes = np.bincount(labels)
     order = np.argsort(labels, kind="stable")
@@ -534,6 +533,13 @@ def _subdivide_for_queries(tri: NDArray[np.float64]) -> NDArray[np.float64]:
 # Local surface estimates and pre-filtering
 # ---------------------------------------------------------------------------
 
+# Rows per block of the outlier filter's k-NN query and of the normals'
+# covariances. A block's temporaries take about 1 KB a row at k = 16, so the
+# working set stays near 4 MB whatever the scan's size; each row's result
+# does not depend on the block it falls in.
+_ROW_BLOCK = 4096
+
+
 def estimate_normals_and_curvature(cloud: PointCloud, k: int) -> PointCloud:
     """Attach PCA normals, surface-variation curvature and the spacing to a
     cloud.
@@ -562,14 +568,18 @@ def estimate_normals_and_curvature(cloud: PointCloud, k: int) -> PointCloud:
         _, idx = cKDTree(pts).query(pts, k=k + 1)
     elif idx.shape[1] != k + 1:
         raise ValueError(f"the neighbor table has {idx.shape[1]} columns; k = {k} needs k+1")
-    nb = pts[idx]
-    centered = nb - nb.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / (k + 1)
-    evals, evecs = np.linalg.eigh(cov)
-    evals = np.clip(evals, 0.0, None)
+    evals = np.empty((n, 3))
+    normals = np.empty((n, 3))
+    for lo in range(0, n, _ROW_BLOCK):
+        block = slice(lo, lo + _ROW_BLOCK)
+        nb = pts[idx[block]]
+        centered = nb - nb.mean(axis=1, keepdims=True)
+        cov = np.einsum("nki,nkj->nij", centered, centered) / (k + 1)
+        evals[block], evecs = np.linalg.eigh(cov)
+        normals[block] = evecs[:, :, 0]
+    np.clip(evals, 0.0, None, out=evals)
     total = evals.sum(axis=1)
 
-    normals = np.ascontiguousarray(evecs[:, :, 0])
     curv = np.zeros(n)
     ok = total > 0.0
     curv[ok] = evals[ok, 0] / total[ok]
@@ -610,21 +620,40 @@ def remove_outliers(cloud: PointCloud, k: int, stddev_mult: float,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not stddev_mult >= 0:
+        raise ValueError(f"stddev_mult must be at least 0, got {stddev_mult}")
     n = len(cloud)
     if n <= 1:
         return cloud, 0
-    d, idx = cKDTree(cloud.points).query(cloud.points, k=min(max(k, normals_k), n - 1) + 1)
+    pts = cloud.points
+    tree = cKDTree(pts)
+    reach = min(max(k, normals_k), n - 1) + 1
+    width = min(normals_k + 1, reach)
+    mean_d = np.empty(n)
+    cols = np.empty((n, width), dtype=np.intp)
+    for lo in range(0, n, _ROW_BLOCK):
+        block = slice(lo, lo + _ROW_BLOCK)
+        d, idx = tree.query(pts[block], k=reach)
+        mean_d[block] = d[:, 1:k + 1].mean(axis=1)
+        cols[block] = idx[:, :width]
     keep = np.ones(n, dtype=bool)
     if np.isfinite(stddev_mult):
-        mean_d = d[:, 1:k + 1].mean(axis=1)
         threshold = mean_d.mean() + stddev_mult * mean_d.std()
         # Guard against float jitter expelling points from perfectly regular data.
         keep = mean_d <= threshold + 1e-12 * max(threshold, 1.0)
     kept = cloud.select(keep)
     if len(kept) > normals_k:
-        rows = idx[keep, :normals_k + 1]
-        table = (np.cumsum(keep) - 1)[rows]
-        stale = ~keep[rows].all(axis=1)
+        # Kept rows move up in place (a row never moves down), and their
+        # entries become kept indices.
+        rank = np.cumsum(keep) - 1
+        stale = np.empty(len(kept), dtype=bool)
+        m = 0
+        for lo in range(0, n, _ROW_BLOCK):
+            rows = cols[lo:lo + _ROW_BLOCK][keep[lo:lo + _ROW_BLOCK]]
+            stale[m:m + len(rows)] = ~keep[rows].all(axis=1)
+            cols[m:m + len(rows)] = rank[rows]
+            m += len(rows)
+        table = cols[:m]
         if stale.any():
             _, table[stale] = cKDTree(kept.points).query(kept.points[stale], k=normals_k + 1)
         kept = replace(kept, neighbors=table)

@@ -37,6 +37,7 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 from scipy.optimize import least_squares
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .config import PipelineConfig
@@ -565,8 +566,13 @@ def region_grow(cloud: PointCloud, config: PipelineConfig = PipelineConfig()) ->
     for c, column in enumerate(near.T):
         cos = (normals[:, None, :] @ normals[column][:, :, None])[:, 0, 0]
         joined[:, c] &= np.abs(cos) >= cos_thresh
-    i, c = np.nonzero(joined)
-    regions = components(n, np.column_stack([i, near[i, c]]), min_points)
+    # The join graph as a CSR matrix straight off the table: row i holds the
+    # neighbors it joins, in table order.
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(joined.sum(axis=1), out=indptr[1:])
+    graph = csr_matrix((np.ones(indptr[-1]), near[joined].astype(np.int32), indptr),
+                       shape=(n, n))
+    regions = components(graph, min_points)
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(curv, kind="stable")] = np.arange(n)
     regions.sort(key=lambda members: rank[members].min())

@@ -159,6 +159,20 @@ class TestTensorVoting:
         with pytest.raises(ValueError):
             tensor_vote(cloud, radius=1.0, sigma=0.5)
 
+    @pytest.mark.parametrize("radius", [np.nan, 0.0, -1.0])
+    def test_rejects_a_radius_that_is_not_positive(self, radius):
+        # A NaN radius would find no pair and leave every tensor zero.
+        cloud = PointCloud(points=np.eye(3), curvatures=np.array([0.1, 0.2, 0.3]))
+        with pytest.raises(ValueError, match="radius must be positive"):
+            tensor_vote(cloud, radius=radius, sigma=0.5)
+
+    @pytest.mark.parametrize("sigma", [np.nan, 0.0, -0.5])
+    def test_rejects_a_sigma_that_is_not_positive(self, sigma):
+        # sigma = 0 would divide by zero and leave every tensor zero.
+        cloud = PointCloud(points=np.eye(3), curvatures=np.array([0.1, 0.2, 0.3]))
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            tensor_vote(cloud, radius=2.0, sigma=sigma)
+
 
 class TestDetectEdgePoints:
     def test_flat_plane_empty(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
 from scipy.stats import chisquare
 
@@ -409,24 +410,31 @@ def graphs(draw):
     return n, draw(st.lists(st.tuples(node, node), max_size=60))
 
 
+def adjacency(n: int, pairs) -> coo_matrix:
+    """The (n, n) sparse adjacency matrix with an entry at each row of
+    ``pairs``."""
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+
+
 class TestComponents:
     @given(graphs(), st.integers(1, 4))
     def test_matches_breadth_first_search(self, graph, min_size):
         # Edge lists with self-loops and repeated rows, in either direction.
         n, pairs = graph
-        got = components(n, np.array(pairs, dtype=np.int64).reshape(-1, 2), min_size)
+        got = components(adjacency(n, pairs), min_size)
         want = [c for c in bfs_components(n, pairs) if len(c) >= min_size]
         assert [c.tolist() for c in got] == want
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_no_pairs_leaves_every_node_alone(self, n):
-        got = components(n, np.empty((0, 2), dtype=np.int64))
+        got = components(adjacency(n, []))
         assert [c.tolist() for c in got] == [[i] for i in range(n)]
-        assert components(n, np.empty((0, 2), dtype=np.int64), min_size=2) == []
+        assert components(adjacency(n, []), min_size=2) == []
 
     def test_ascending_members_ordered_by_lowest_index(self):
-        pairs = np.array([[5, 1], [6, 3], [3, 0], [6, 6], [4, 2], [2, 4]])
-        got = components(7, pairs)
+        pairs = [[5, 1], [6, 3], [3, 0], [6, 6], [4, 2], [2, 4]]
+        got = components(adjacency(7, pairs))
         assert [c.tolist() for c in got] == [[0, 3, 6], [1, 5], [2, 4]]
 
 
@@ -627,6 +635,13 @@ class TestRemoveOutliers:
         out, removed = remove_outliers(cloud, k=8, stddev_mult=np.inf, normals_k=16)
         assert removed == 0
         assert np.array_equal(out.points, cloud.points)
+
+    @pytest.mark.parametrize("stddev_mult", [np.nan, -1.0])
+    def test_rejects_a_multiple_that_is_negative_or_nan(self, stddev_mult):
+        # A NaN multiple would keep every point, as an infinite one does.
+        cloud = PointCloud(points=np.random.default_rng(24).normal(size=(100, 3)))
+        with pytest.raises(ValueError, match="stddev_mult must be at least 0"):
+            remove_outliers(cloud, k=8, stddev_mult=stddev_mult, normals_k=16)
 
     @pytest.mark.parametrize("n, stddev_mult", [
         (300, 2.0), (300, np.inf), (17, np.inf), (16, np.inf), (17, 2.0)])

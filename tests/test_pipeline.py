@@ -1,14 +1,18 @@
 """End to end: the report's round trip and the command line's exit codes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from scipy.spatial import cKDTree
 
-from partcheck import features, meshio
+from partcheck import features, geometry, meshio
+from partcheck import primitives as prim
 from partcheck.features import Circle3D
 from partcheck.cli import EXIT_INPUT_ERROR, EXIT_STAGE_ERROR, main
-from partcheck.geometry import PointCloud, median_spacing, remove_outliers
+from partcheck.geometry import (PointCloud, estimate_normals_and_curvature, median_spacing,
+                                remove_outliers)
 from partcheck.pipeline import (
     PipelineConfig,
     _feature,
@@ -23,6 +27,7 @@ from partcheck.pipeline import (
     report_fields,
     run_pipeline,
 )
+from partcheck.synth import plate_scene
 
 # Two primitives and 444 points: the smallest scene that runs every stage.
 SPEC = "collage count=2 spacing=0.2 noise=0.01 rot_deg=20 trans_frac=0.1"
@@ -186,6 +191,67 @@ def test_tensor_voting_radius_comes_off_the_table(scene, monkeypatch):
     spacing = median_spacing(enriched.points)
     assert enriched.spacing == spacing
     assert seen == [config.tensor_radius_factor * spacing]
+
+
+def _per_point_stages(cloud: PointCloud, peaks: dict | None = None) -> dict:
+    """The outputs of the four per-point stages on ``cloud``, each stage's
+    traced peak in bytes in ``peaks`` when given."""
+    config = PipelineConfig()
+
+    def run(name, fn, *args):
+        if peaks is None:
+            return fn(*args)
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return out
+
+    filtered, _ = run("outliers", remove_outliers, cloud, config.outlier_k,
+                      config.outlier_stddev_mult, config.normals_k)
+    enriched = run("normals", estimate_normals_and_curvature, filtered, config.normals_k)
+    grown = run("regions", prim.region_grow, enriched, config)
+    tensors = run("tensors", features.tensor_vote, enriched,
+                  config.tensor_radius_factor * enriched.spacing, config.tensor_sigma)
+    return {"kept": filtered.points, "table": filtered.neighbors, "normals": enriched.normals,
+            "curvatures": enriched.curvatures, "tensors": tensors,
+            "regions": [p.inliers for p in grown.primitives]}
+
+
+@pytest.fixture(scope="module")
+def blocked_plate():
+    # 11,888 points and 145,709 voting pairs: three row blocks, nine pair blocks.
+    return plate_scene(width=50, height=40, holes=4, spacing=0.6, seed=0).cloud
+
+
+@pytest.mark.parametrize("size", [97, 10 ** 9])
+def test_block_size_changes_no_bit(blocked_plate, monkeypatch, size):
+    # Each row's result comes from its row alone and each tensor entry is one
+    # sum in pair order, so a small odd block and one whole block read the
+    # same bits as the default blocks.
+    want = _per_point_stages(blocked_plate)
+    monkeypatch.setattr(geometry, "_ROW_BLOCK", size)
+    monkeypatch.setattr(features, "_VOTE_BLOCK", size)
+    got = _per_point_stages(blocked_plate)
+    for name in ("kept", "table", "normals", "curvatures", "tensors"):
+        assert np.array_equal(got[name], want[name]), name
+    assert len(got["regions"]) == len(want["regions"])
+    assert all(np.array_equal(a, b) for a, b in zip(got["regions"], want["regions"]))
+
+
+def test_per_point_stages_hold_bounded_memory():
+    # 47,185 points. Each stage works in fixed-size blocks, so its traced
+    # peak reads 11, 8, 18 and 6 MB (filter, normals, region growing,
+    # tensor voting); building each stage's whole (n, k) or per-pair working
+    # set at once took 29, 51, 50 and 70 MB.
+    cloud = plate_scene(width=50, height=40, holes=4, spacing=0.3, seed=0).cloud
+    peaks = {}
+    _per_point_stages(cloud, peaks)
+    bounds = {"outliers": 20e6, "normals": 20e6, "regions": 30e6, "tensors": 25e6}
+    assert len(cloud) > 45_000
+    assert all(peaks[name] < bound for name, bound in bounds.items()), peaks
 
 
 def test_one_repeated_point_exits_2(scene_files, tmp_path):
