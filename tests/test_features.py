@@ -154,6 +154,18 @@ class TestTensorVoting:
         assert np.array_equal(tensors, tensors.transpose(0, 2, 1))
         assert np.linalg.eigvalsh(tensors).min() >= -1e-12
 
+    def test_edge_scores_agree_with_lapack_in_any_block(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        cloud = PointCloud(points=rng.uniform(0, 1, size=(300, 3)),
+                           curvatures=rng.uniform(0, 0.3, 300))
+        tensors = tensor_vote(cloud, radius=0.2, sigma=0.5)
+        scores = edge_scores(tensors)
+        lam = np.clip(np.linalg.eigvalsh(tensors), 0.0, None)
+        want = (lam[:, 0] + lam[:, 1]) / lam[:, 2]
+        assert np.allclose(scores, want, rtol=1e-12, atol=0)
+        monkeypatch.setattr(features.geometry, "_ROW_BLOCK", 7)
+        assert np.array_equal(edge_scores(tensors), scores)
+
     def test_requires_curvatures(self):
         cloud = PointCloud(points=np.zeros((5, 3)))
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.spatial import cKDTree
@@ -524,6 +524,93 @@ def fibonacci_sphere(n=2000, radius=1.0) -> PointCloud:
     r = np.sqrt(1.0 - z * z)
     pts = radius * np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
     return PointCloud(points=pts)
+
+
+# Each family's spectrum as a function of two draws u, v in [0, 1].
+SPECTRA = {
+    "random": lambda u, v: (2 * u - 1, 2 * u - 1 + 0.05 + v, 2 * u - 1 + 0.1 + v + u),
+    "planar": lambda u, v: (1e-3 * u, 1.0, 1.0 + 1e-3 * v),
+    "planar, lam1 = lam2": lambda u, v: (1e-3 * u, 1.0, 1.0),
+    "collinear": lambda u, v: (0.0, 0.0, 0.1 + v),
+    "lam0 = lam1 < lam2": lambda u, v: (0.9 * u, 0.9 * u, 1.0),
+    "lam0 near lam1": lambda u, v: (0.5, 0.5 + 0.5 * 10 ** (-6 + 5 * u), 1.0),
+    "isotropic": lambda u, v: (0.1 + v,) * 3,
+    "zero": lambda u, v: (0.0, 0.0, 0.0),
+}
+# The families whose smallest eigenvalue is at least 5% of max|lam| from
+# the next: the closed form solves every row.
+SEPARATED_NORMAL = {"random", "planar", "planar, lam1 = lam2"}
+# The families whose smallest eigenvector is not unique: LAPACK solves them.
+FALLBACK = {"collinear", "lam0 = lam1 < lam2", "isotropic", "zero"}
+
+
+@st.composite
+def spectra(draw):
+    """A family name and a stack of 8 matrices with its spectrum, each turned
+    by a random rotation and scaled by 1e-6, 1 or 1e6."""
+    family = draw(st.sampled_from(sorted(SPECTRA)))
+    unit_draw = st.floats(0.0, 1.0)
+    lam = np.array(SPECTRA[family](draw(unit_draw), draw(unit_draw)))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = np.array([rot @ np.diag(lam * scale) @ rot.T
+                     for rot in (random_rigid(rng).rotation for _ in range(8))])
+    # Exactly symmetric, as the six entries describe it.
+    upper = np.triu(mats)
+    return family, upper + np.triu(upper, 1).transpose(0, 2, 1)
+
+
+def entries_of(mats):
+    return np.array([mats[:, a, b] for a, b in geometry.SYM3_ENTRIES])
+
+
+class TestSym3Eigen:
+    @settings(max_examples=300, deadline=None)
+    @given(spectra())
+    def test_agrees_with_lapack(self, drawn):
+        family, mats = drawn
+        lam, vec, fallback = geometry.sym3_eigh(entries_of(mats))
+        want, want_vec = np.linalg.eigh(mats)
+        top = np.abs(want).max(axis=1, keepdims=True)
+        assert np.isfinite(lam).all() and np.isfinite(vec).all()
+        assert np.abs(np.linalg.norm(vec, axis=1) - 1.0).max() < 1e-12
+        assert (np.diff(lam, axis=1) >= 0).all()
+        assert (np.abs(lam - want) <= 1e-7 * top).all()
+        closed_form = np.setdiff1d(np.arange(len(mats)), fallback)
+        angle = np.linalg.norm(np.cross(vec, want_vec[:, :, 0]), axis=1)
+        assert (angle[closed_form] <= 1e-10).all()
+        assert np.array_equal(lam[closed_form],
+                              geometry.sym3_eigvalsh(entries_of(mats))[closed_form])
+        if family == "random":
+            assert (np.abs(lam - want) <= 1e-10 * top).all()
+        if family in SEPARATED_NORMAL:
+            assert len(fallback) == 0
+        if family in FALLBACK:
+            assert fallback.tolist() == list(range(len(mats)))
+        assert np.array_equal(lam[fallback], want[fallback])
+        assert np.array_equal(vec[fallback], want_vec[fallback, :, 0])
+
+    def test_each_axis_aligned_normal(self):
+        # With the normal along axis k, the rows of A - lam0 I other than k
+        # give the only nonzero cross product: each of the three is needed.
+        diagonals = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 3.0], [3.0, 2.0, 1.0]])
+        entries = np.vstack([diagonals.T, np.zeros((3, 3))])
+        lam, vec, fallback = geometry.sym3_eigh(entries)
+        assert len(fallback) == 0
+        assert np.allclose(lam, [1.0, 2.0, 3.0], rtol=0, atol=1e-14)
+        assert np.array_equal(np.abs(vec), np.eye(3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(spectra())
+    def test_eigenvalues_alone_agree_with_lapack(self, drawn):
+        family, mats = drawn
+        lam = geometry.sym3_eigvalsh(entries_of(mats))
+        want = np.linalg.eigvalsh(mats)
+        top = np.abs(want).max(axis=1, keepdims=True)
+        assert np.isfinite(lam).all()
+        assert (np.diff(lam, axis=1) >= 0).all()
+        tol = 1e-10 if family == "random" else 1e-7
+        assert (np.abs(lam - want) <= tol * top).all()
 
 
 class TestNormalsCurvature:

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from partcheck import geometry
 from partcheck.features import Circle3D
 from partcheck.geometry import PointCloud, TriangleMesh
 from partcheck.pipeline import (
@@ -130,6 +131,30 @@ def test_lengths_are_compared_divided_by_s():
     assert report_differences(expected, scaled) == [
         f"{key}: {expected[key]} != {scaled[key]}" for key in
         ("e_global", "primitive.0.params", "circle.0.radius", "config.eta")]
+
+
+def _lapack_matrices(entries):
+    entries = np.asarray(entries)
+    mats = np.empty((entries.shape[1], 3, 3))
+    for entry, (a, b) in zip(entries, geometry.SYM3_ENTRIES):
+        mats[:, a, b] = mats[:, b, a] = entry
+    return mats
+
+
+def _lapack_eigh(entries):
+    lam, vectors = np.linalg.eigh(_lapack_matrices(entries))
+    return lam, vectors[:, :, 0], np.arange(len(lam))
+
+
+@pytest.mark.parametrize("name", ["plate", "collage"])
+def test_closed_form_eigensolvers_leave_the_report(request, monkeypatch, name):
+    # The normals' and the edge scores' 3x3 eigenproblems solved by LAPACK,
+    # one call a matrix, give the report the closed-form solvers give.
+    scene, fast = request.getfixturevalue(name)
+    monkeypatch.setattr(geometry, "sym3_eigh", _lapack_eigh)
+    monkeypatch.setattr(geometry, "sym3_eigvalsh",
+                        lambda entries: np.linalg.eigvalsh(_lapack_matrices(entries)))
+    assert report_differences(transformed_report(scene), fast) == []
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -1,6 +1,7 @@
 """End to end: the report's round trip and the command line's exit codes."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -194,9 +195,18 @@ def test_tensor_voting_radius_comes_off_the_table(scene, monkeypatch):
 
 
 def _per_point_stages(cloud: PointCloud, peaks: dict | None = None) -> dict:
-    """The outputs of the four per-point stages on ``cloud``, each stage's
-    traced peak in bytes in ``peaks`` when given."""
+    """The outputs of the per-point stages on ``cloud``, each stage's traced
+    peak in bytes in ``peaks`` when given. ``tracemalloc`` does not see the
+    array ``cKDTree.query_pairs`` returns, so ``peaks["pairs"]`` holds the
+    bytes of the pair lists tensor voting asked for."""
     config = PipelineConfig()
+    pair_bytes = []
+
+    class Tree(cKDTree):
+        def query_pairs(self, *args, **kwargs):
+            pairs = super().query_pairs(*args, **kwargs)
+            pair_bytes.append(16 * len(pairs))
+            return pairs
 
     def run(name, fn, *args):
         if peaks is None:
@@ -213,10 +223,14 @@ def _per_point_stages(cloud: PointCloud, peaks: dict | None = None) -> dict:
                       config.outlier_stddev_mult, config.normals_k)
     enriched = run("normals", estimate_normals_and_curvature, filtered, config.normals_k)
     grown = run("regions", prim.region_grow, enriched, config)
-    tensors = run("tensors", features.tensor_vote, enriched,
-                  config.tensor_radius_factor * enriched.spacing, config.tensor_sigma)
+    with mock.patch.object(features, "cKDTree", Tree):
+        tensors = run("tensors", features.tensor_vote, enriched,
+                      config.tensor_radius_factor * enriched.spacing, config.tensor_sigma)
+    scores = run("edges", features.edge_scores, tensors)
+    if peaks is not None:
+        peaks["pairs"] = sum(pair_bytes)
     return {"kept": filtered.points, "table": filtered.neighbors, "normals": enriched.normals,
-            "curvatures": enriched.curvatures, "tensors": tensors,
+            "curvatures": enriched.curvatures, "tensors": tensors, "scores": scores,
             "regions": [p.inliers for p in grown.primitives]}
 
 
@@ -243,13 +257,16 @@ def test_block_size_changes_no_bit(blocked_plate, monkeypatch, size):
 
 def test_per_point_stages_hold_bounded_memory():
     # 47,185 points. Each stage works in fixed-size blocks, so its traced
-    # peak reads 11, 8, 18 and 6 MB (filter, normals, region growing,
-    # tensor voting); building each stage's whole (n, k) or per-pair working
-    # set at once took 29, 51, 50 and 70 MB.
+    # peak reads 11, 8, 18, 7 and 1 MB (filter, normals, region growing,
+    # tensor voting, edge scores); building each stage's whole (n, k) or
+    # per-pair working set at once took 29, 51, 50, 70 and 2.7 MB. Tensor
+    # voting also holds its 9.3 MB pair list, which the trace does not see.
     cloud = plate_scene(width=50, height=40, holes=4, spacing=0.3, seed=0).cloud
     peaks = {}
     _per_point_stages(cloud, peaks)
-    bounds = {"outliers": 20e6, "normals": 20e6, "regions": 30e6, "tensors": 25e6}
+    peaks["tensors"] += peaks.pop("pairs")
+    bounds = {"outliers": 20e6, "normals": 20e6, "regions": 30e6, "tensors": 25e6,
+              "edges": 2e6}
     assert len(cloud) > 45_000
     assert all(peaks[name] < bound for name, bound in bounds.items()), peaks
 
