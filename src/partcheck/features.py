@@ -55,7 +55,7 @@ NEIGHBOR_POOL = 768
 # ---------------------------------------------------------------------------
 
 # Voting pairs per block of the accumulation. A block's temporaries take
-# about 110 bytes a pair, under 2 MB beside the pair list and the tensors,
+# about 110 bytes a pair, under 2 MB beside the pair list and the sums,
 # whatever the scan's size.
 _VOTE_BLOCK = 16_384
 
@@ -66,17 +66,14 @@ def tensor_vote(cloud: PointCloud, radius: float, sigma: float) -> NDArray[np.fl
     Each neighbor j of point i contributes
     ``exp(-|q|/sigma^2) * |k_i - k_j| * (I - q q^T / |q|^2)`` with
     q the offset vector between the two points. The projector is symmetric in
-    q, so each unordered pair of points within ``radius`` casts one vote. The
-    votes are credited in two passes over the pair list, in blocks of
-    ``_VOTE_BLOCK`` pairs: the first credits each pair's first point, the
-    second its other point, each in pair order. Every tensor entry is thus
-    one sum in a fixed order, whatever the block size. Each pair's offset
-    and its square length are formed on coordinate columns
-    (``qx*qx + qy*qy + qz*qz``, the sum over an (m, 3) row in the same
-    order), and a block whose pairs are all distinct points skips dropping
-    the coincident ones; the tensors are those of the row-wise form bit for
-    bit. Returns the (n, 3, 3) array of symmetric positive semi-definite
-    tensors.
+    q, so each unordered pair of points within ``radius`` casts one vote,
+    computed once and credited to both of its points. The pair list is read
+    in blocks of ``_VOTE_BLOCK`` pairs, each block row-major, so every
+    point's sum runs over its pairs in pair order, whatever the block size.
+    Each pair's offset and its square length are formed on coordinate
+    columns (``qx*qx + qy*qy + qz*qz``), and coincident pairs are dropped.
+    Returns the (6, n) sums in ``geometry.SYM3_ENTRIES`` order, the entries
+    of n symmetric positive semi-definite tensors.
 
     ``sigma`` enters as ``exp(-|q| / sigma^2)``, a length over a squared
     length, so it is the one length parameter that does not scale with the
@@ -90,52 +87,47 @@ def tensor_vote(cloud: PointCloud, radius: float, sigma: float) -> NDArray[np.fl
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     curv = cloud.curvatures
-    n = len(cloud.points)
     columns = cloud.points.T.copy()
     pairs = cKDTree(cloud.points).query_pairs(radius, output_type="ndarray")
-    sums = np.zeros((len(SYM3_ENTRIES), n))
-    for end in (0, 1):
-        for lo in range(0, len(pairs), _VOTE_BLOCK):
-            pi = pairs[lo:lo + _VOTE_BLOCK, 0]
-            pj = pairs[lo:lo + _VOTE_BLOCK, 1]
-            q = [column[pi] - column[pj] for column in columns]
-            q2 = q[0] * q[0] + q[1] * q[1] + q[2] * q[2]
-            ok = q2 > 1e-24
-            if not ok.all():
-                pi, pj, q2 = pi[ok], pj[ok], q2[ok]
-                q = [qa[ok] for qa in q]
-            w = np.exp(-np.sqrt(q2) / (sigma * sigma)) * np.abs(curv[pi] - curv[pj])
-            f = w / q2
-            at = pj if end else pi
-            for row, (a, b) in zip(sums, SYM3_ENTRIES):
-                value = -f * q[a] * q[b]
-                if a == b:
-                    value += w
-                np.add.at(row, at, value)
-
-    tensors = np.empty((n, 3, 3))
-    for row, (a, b) in zip(sums, SYM3_ENTRIES):
-        tensors[:, a, b] = tensors[:, b, a] = row
-    return tensors
+    sums = np.zeros((len(SYM3_ENTRIES), len(cloud.points)))
+    for lo in range(0, len(pairs), _VOTE_BLOCK):
+        block = pairs[lo:lo + _VOTE_BLOCK]
+        pi, pj = block.T
+        q = [column[pi] - column[pj] for column in columns]
+        q2 = q[0] * q[0] + q[1] * q[1] + q[2] * q[2]
+        ok = q2 > 1e-24
+        if not ok.all():
+            block, q2 = block[ok], q2[ok]
+            pi, pj = block.T
+            q = [qa[ok] for qa in q]
+        w = np.exp(-np.sqrt(q2) / (sigma * sigma)) * np.abs(curv[pi] - curv[pj])
+        f = w / q2
+        at = block.ravel()
+        for row, (a, b) in zip(sums, SYM3_ENTRIES):
+            value = -f * q[a] * q[b]
+            if a == b:
+                value += w
+            np.add.at(row, at, np.repeat(value, 2))
+    return sums
 
 
-def edge_scores(tensors: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Per-point (lam2 + lam3) / lam1 ratio, lam1 the largest eigenvalue;
-    NaN where the tensor vanishes.
+def edge_scores(sums: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Per-point (lam2 + lam3) / lam1 ratio of the (6, n) ``tensor_vote``
+    sums, lam1 the largest eigenvalue; NaN where the tensor vanishes.
 
-    The eigenvalues of each ``tensor_vote`` tensor are clamped at 0, since
-    round-off can push a PSD tensor's smallest one below. They come from
-    ``geometry.sym3_eigvalsh`` in closed form, ``geometry._ROW_BLOCK``
-    tensors at a time, with no row falling back to LAPACK: the score only
-    needs lam1 and the trace. lam1 holds to about 1e-14 relative where it
-    stands apart from lam2; where the two agree to within about 1e-4, it
-    holds to about 1e-8, and so does the score. On the benchmark scenes the
-    scores agree with LAPACK's to 6e-14 relative and the edge sets are equal.
+    The eigenvalues are clamped at 0, since round-off can push a PSD
+    tensor's smallest one below. They come from ``geometry.sym3_eigvalsh``
+    in closed form, on ``geometry._ROW_BLOCK`` columns of the sums at a
+    time, with no row falling back to LAPACK: the score only needs lam1 and
+    the trace. lam1 holds to about 1e-14 relative where it stands apart from
+    lam2; where the two agree to within about 1e-4, it holds to about 1e-8,
+    and so does the score. On the benchmark scenes the scores agree with
+    LAPACK's to 6e-14 relative and the edge sets are equal.
     """
-    out = np.full(len(tensors), np.nan)
-    for lo in range(0, len(tensors), geometry._ROW_BLOCK):
-        block = tensors[lo:lo + geometry._ROW_BLOCK]
-        lam = geometry.sym3_eigvalsh([block[:, a, b] for a, b in SYM3_ENTRIES])
+    n = sums.shape[1]
+    out = np.full(n, np.nan)
+    for lo in range(0, n, geometry._ROW_BLOCK):
+        lam = geometry.sym3_eigvalsh(sums[:, lo:lo + geometry._ROW_BLOCK])
         np.clip(lam, 0.0, None, out=lam)
         ok = lam[:, 2] > 0.0
         out[lo:lo + geometry._ROW_BLOCK][ok] = (lam[ok, 1] + lam[ok, 0]) / lam[ok, 2]

@@ -2,9 +2,8 @@
 spatial queries, surface sampling and local differential estimates.
 
 All coordinates are in model units; the CLI and reports treat them as
-millimeters. ``PointCloud`` and ``RigidTransform`` are frozen. ``TriangleMesh``
-is not: it builds its ``MeshDistance`` index on first use and caches it, so
-share a mesh across threads only after calling ``distance_index()``.
+millimeters. ``PointCloud``, ``TriangleMesh`` and ``RigidTransform`` are
+frozen.
 """
 
 from __future__ import annotations
@@ -140,35 +139,35 @@ class PointCloud:
         )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TriangleMesh:
     """Indexed triangle mesh used as the reference CAD geometry.
 
     Construction measures every triangle once and keeps its area and its unit
-    normal, oriented by the winding (``areas()``, ``normals()``). Like
-    ``distance_index()``, the kept arrays describe the mesh as constructed.
+    normal, oriented by the winding (``areas()``, ``normals()``).
     """
 
     vertices: Points
     triangles: NDArray[np.int64]
 
     def __post_init__(self):
-        self.vertices = as_points(self.vertices)
+        vertices = as_points(self.vertices)
         tris = np.asarray(self.triangles, dtype=np.int64)
         if tris.ndim != 2 or tris.shape[1] != 3:
             raise ValueError(f"expected (T, 3) triangle indices, got {tris.shape}")
         if len(tris) == 0:
             raise ValueError("mesh has no triangles")
-        if tris.min() < 0 or tris.max() >= len(self.vertices):
+        if tris.min() < 0 or tris.max() >= len(vertices):
             raise ValueError("triangle index out of range")
-        cross = _triangle_cross(self.vertices, tris)
+        cross = _triangle_cross(vertices, tris)
         lengths = np.linalg.norm(cross, axis=1)
-        self._areas = 0.5 * lengths
-        if (self._areas == 0.0).any():
+        areas = 0.5 * lengths
+        if (areas == 0.0).any():
             raise ValueError("mesh contains degenerate (zero-area) triangles")
-        self._normals = cross / lengths[:, None]
-        self.triangles = tris
-        self._distance_index: MeshDistance | None = None
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "triangles", tris)
+        object.__setattr__(self, "_areas", areas)
+        object.__setattr__(self, "_normals", cross / lengths[:, None])
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -185,12 +184,6 @@ class TriangleMesh:
     def normals(self) -> NDArray[np.float64]:
         """Per-triangle unit normals, oriented by the winding, shape (T, 3)."""
         return self._normals
-
-    def distance_index(self) -> "MeshDistance":
-        """Lazy shared acceleration structure for exact surface distances."""
-        if self._distance_index is None:
-            self._distance_index = MeshDistance(self)
-        return self._distance_index
 
 
 def _triangle_cross(vertices: Points, triangles: NDArray[np.int64]) -> NDArray[np.float64]:
@@ -617,12 +610,19 @@ def sym3_eigh(entries: NDArray[np.float64]
         vectors[:, axis] = v * inv
     fallback = np.flatnonzero(~ok)
     if len(fallback):
-        mats = np.empty((len(fallback), 3, 3))
-        for entry, (a, b) in zip(entries, SYM3_ENTRIES):
-            mats[:, a, b] = mats[:, b, a] = entry[fallback]
-        lam[fallback], evecs = np.linalg.eigh(mats)
+        lam[fallback], evecs = np.linalg.eigh(sym3_matrices(np.asarray(entries)[:, fallback]))
         vectors[fallback] = evecs[:, :, 0]
     return lam, vectors, fallback
+
+
+def sym3_matrices(entries: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The (m, 3, 3) symmetric matrices given as the (6, m) array of their
+    ``SYM3_ENTRIES``, for the solvers that take whole matrices."""
+    entries = np.asarray(entries)
+    mats = np.empty((entries.shape[1], 3, 3))
+    for entry, (a, b) in zip(entries, SYM3_ENTRIES):
+        mats[:, a, b] = mats[:, b, a] = entry
+    return mats
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from . import primitives as prim
 from . import registration as reg
 from .config import PipelineConfig
 from .geometry import (
+    MeshDistance,
     PointCloud,
     TriangleMesh,
     distinct_rows,
@@ -376,7 +377,7 @@ def run_pipeline(
     with _stage("registration", times):
         fit, registered, removed = _register(scan, mesh, config)
     with _stage("global", times):
-        surface_dist = mesh.distance_index().query(registered.points)
+        surface_dist = MeshDistance(mesh).query(registered.points)
         e_reg = reg.registration_error(surface_dist)
         e_global = global_error(surface_dist)
     with _stage("part", times):

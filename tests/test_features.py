@@ -39,9 +39,9 @@ from partcheck.features import (
     score_circles,
     tensor_vote,
 )
-from partcheck.geometry import (PointCloud, RigidTransform, canonical_sign,
+from partcheck.geometry import (SYM3_ENTRIES, PointCloud, RigidTransform, canonical_sign,
                                 estimate_normals_and_curvature, median_spacing,
-                                strided_indices)
+                                strided_indices, sym3_matrices)
 from partcheck.primitives import Configuration, Cylinder, FitError, Plane, Primitive
 from partcheck.synth import circles_scene, cube_scene, plate_scene
 
@@ -119,9 +119,9 @@ class TestTensorVoting:
         rng = np.random.default_rng(0)
         pts = rng.uniform(0, 1, size=(50, 3))
         cloud = PointCloud(points=pts, curvatures=np.full(50, 0.25))
-        tensors = tensor_vote(cloud, radius=0.5, sigma=0.5)
-        assert np.abs(tensors).max() == 0.0
-        assert np.isnan(edge_scores(tensors)).all()
+        sums = tensor_vote(cloud, radius=0.5, sigma=0.5)
+        assert np.abs(sums).max() == 0.0
+        assert np.isnan(edge_scores(sums)).all()
 
     def test_isolated_point_undefined(self):
         pts = np.array([[0, 0, 0], [10, 0, 0], [0, 10, 0.0]])
@@ -129,28 +129,49 @@ class TestTensorVoting:
         scores = edge_scores(tensor_vote(cloud, radius=0.5, sigma=0.5))
         assert np.isnan(scores).all()
 
-    def test_two_neighbor_hand_case(self):
-        # Explicit arithmetic for a point with two neighbors.
-        pts = np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.0, 0.4, 0.0]])
-        curv = np.array([0.30, 0.10, 0.05])
-        sigma = 0.5
-        cloud = PointCloud(points=pts, curvatures=curv)
-        tensors = tensor_vote(cloud, radius=1.0, sigma=sigma)
-
+    @staticmethod
+    def hand_tensor(pts, curv, i, sigma):
+        """Explicit arithmetic for point i's votes from every point not at
+        its position."""
         expected = np.zeros((3, 3))
-        for j, q in ((1, np.array([-0.3, 0.0, 0.0])), (2, np.array([0.0, -0.4, 0.0]))):
+        for j in range(len(pts)):
+            q = pts[i] - pts[j]
             qn = np.linalg.norm(q)
+            if qn == 0.0:
+                continue
             mu = np.exp(-qn / sigma ** 2)
-            dk = abs(curv[0] - curv[j])
+            dk = abs(curv[i] - curv[j])
             projector = np.eye(3) - np.outer(q, q) / (qn * qn)
             expected += mu * dk * projector
-        assert np.abs(tensors[0] - expected).max() < 1e-12
+        return expected
+
+    def test_two_neighbor_hand_case(self):
+        # A point with two neighbors.
+        pts = np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.0, 0.4, 0.0]])
+        curv = np.array([0.30, 0.10, 0.05])
+        cloud = PointCloud(points=pts, curvatures=curv)
+        sums = tensor_vote(cloud, radius=1.0, sigma=0.5)
+        assert sums.shape == (len(SYM3_ENTRIES), 3)
+        tensors = sym3_matrices(sums)
+        assert np.abs(tensors[0] - self.hand_tensor(pts, curv, 0, 0.5)).max() < 1e-12
+
+    def test_a_coincident_pair_casts_no_vote(self):
+        # Points 0 and 1 coincide: their offset has no direction, so the
+        # pair is dropped, and each twin keeps the votes of the other two.
+        pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.0, 0.4, 0.0]])
+        curv = np.array([0.30, 0.20, 0.10, 0.05])
+        cloud = PointCloud(points=pts, curvatures=curv)
+        tensors = sym3_matrices(tensor_vote(cloud, radius=1.0, sigma=0.5))
+        assert np.isfinite(tensors).all()
+        for twin in (0, 1):
+            want = self.hand_tensor(pts, curv, twin, 0.5)
+            assert np.abs(tensors[twin] - want).max() < 1e-12
 
     def test_tensors_are_psd_and_reconstruct(self):
         rng = np.random.default_rng(1)
         pts = rng.uniform(0, 1, size=(200, 3))
         cloud = PointCloud(points=pts, curvatures=rng.uniform(0, 0.3, 200))
-        tensors = tensor_vote(cloud, radius=0.3, sigma=0.5)
+        tensors = sym3_matrices(tensor_vote(cloud, radius=0.3, sigma=0.5))
         assert np.array_equal(tensors, tensors.transpose(0, 2, 1))
         assert np.linalg.eigvalsh(tensors).min() >= -1e-12
 
@@ -158,13 +179,13 @@ class TestTensorVoting:
         rng = np.random.default_rng(2)
         cloud = PointCloud(points=rng.uniform(0, 1, size=(300, 3)),
                            curvatures=rng.uniform(0, 0.3, 300))
-        tensors = tensor_vote(cloud, radius=0.2, sigma=0.5)
-        scores = edge_scores(tensors)
-        lam = np.clip(np.linalg.eigvalsh(tensors), 0.0, None)
+        sums = tensor_vote(cloud, radius=0.2, sigma=0.5)
+        scores = edge_scores(sums)
+        lam = np.clip(np.linalg.eigvalsh(sym3_matrices(sums)), 0.0, None)
         want = (lam[:, 0] + lam[:, 1]) / lam[:, 2]
         assert np.allclose(scores, want, rtol=1e-12, atol=0)
         monkeypatch.setattr(features.geometry, "_ROW_BLOCK", 7)
-        assert np.array_equal(edge_scores(tensors), scores)
+        assert np.array_equal(edge_scores(sums), scores)
 
     def test_requires_curvatures(self):
         cloud = PointCloud(points=np.zeros((5, 3)))

@@ -177,18 +177,18 @@ def outlier_plate():
 
 class TestMeshDistance:
     def test_perpendicular_drop(self):
-        d = UNIT_SQUARE.distance_index().query((0.5, 0.5, 2.0))
+        d = MeshDistance(UNIT_SQUARE).query((0.5, 0.5, 2.0))
         assert d[0] == pytest.approx(2.0)
 
     def test_vertex_on_mesh(self):
-        d = UNIT_SQUARE.distance_index().query((0.0, 0.0, 0.0))
+        d = MeshDistance(UNIT_SQUARE).query((0.0, 0.0, 0.0))
         assert d[0] == pytest.approx(0.0)
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(3)
         mesh = make_random_mesh(rng, n_tris=100)
         queries = rng.uniform(-7, 7, size=(200, 3))
-        got = mesh.distance_index().query(queries)
+        got = MeshDistance(mesh).query(queries)
         for i, q in enumerate(queries):
             assert got[i] == pytest.approx(reference_mesh_distance(q, mesh), abs=1e-12)
 
@@ -196,10 +196,10 @@ class TestMeshDistance:
         rng = np.random.default_rng(4)
         mesh = make_random_mesh(rng, n_tris=30)
         on_surface = sample_mesh(mesh, 300, seed=1).points
-        d = mesh.distance_index().query(on_surface)
+        d = MeshDistance(mesh).query(on_surface)
         assert d.max() < 1e-9
         off = on_surface + np.array([0.0, 0.0, 50.0])
-        assert mesh.distance_index().query(off).min() > 1.0
+        assert MeshDistance(mesh).query(off).min() > 1.0
 
     def test_mixed_triangle_sizes(self):
         # One giant facet next to tiny ones must not break exactness.
@@ -212,7 +212,7 @@ class TestMeshDistance:
         tris = np.vstack([np.asarray(tris), small.triangles + offset])
         mesh = TriangleMesh(vertices=verts, triangles=tris)
         queries = rng.uniform(-3, 10, size=(100, 3))
-        got = mesh.distance_index().query(queries)
+        got = MeshDistance(mesh).query(queries)
         for i, q in enumerate(queries):
             assert got[i] == pytest.approx(reference_mesh_distance(q, mesh), abs=1e-12)
 
@@ -222,7 +222,7 @@ class TestMeshDistance:
         # from several triangles, and the pruned query must still return
         # bit for bit the minimum over every triangle in the ball.
         verts, tris = _ring_to_rect_mesh((0.0, 0.0), (-5.0, -5.0), (5.0, 5.0), 2.0, 0.0)
-        index = TriangleMesh(vertices=verts, triangles=tris).distance_index()
+        index = MeshDistance(TriangleMesh(vertices=verts, triangles=tris))
         a, b = verts[tris[:, 0]], verts[tris[:, 1]]
         lift = np.array([0.0, 0.0, 0.3])
         pts = np.vstack([verts, verts + lift, 0.5 * (a + b), 0.5 * (a + b) + lift,
@@ -253,7 +253,7 @@ class TestMeshDistance:
         facet = p + [[1e-3, 0.0, 0.501], [-1e-3, 1e-3, 0.501], [-1e-3, -1e-3, 0.501]]
         mesh = TriangleMesh(vertices=np.vstack([[[0.0, 0, 0], corner, [0, 1, 0]], facet]),
                             triangles=np.array([[0, 1, 2], [3, 4, 5]]))
-        index = mesh.distance_index()
+        index = MeshDistance(mesh)
         _, nearest = index._tree.query(p)
         assert nearest == 1
         assert index.query(p)[0] == pytest.approx(0.5, abs=1e-12)
@@ -264,7 +264,7 @@ class TestMeshDistance:
         # where one block of the whole cloud takes 26 MB.
         scene = plate_scene(width=50, height=40, holes=4, spacing=0.6, seed=0)
         pts = scene.cloud.points
-        index = scene.mesh.distance_index()
+        index = MeshDistance(scene.mesh)
         tracemalloc.start()
         try:
             index.query(pts)
@@ -279,7 +279,7 @@ class TestMeshDistance:
         # ties by index), but not a single distance.
         pts = outlier_plate.cloud.points
         perm = np.random.default_rng(6).permutation(len(pts))
-        index = outlier_plate.mesh.distance_index()
+        index = MeshDistance(outlier_plate.mesh)
         assert len(pts) > 4 * geometry._QUERY_BLOCK
         assert np.array_equal(index.query(pts[perm]), index.query(pts)[perm])
 
@@ -288,7 +288,7 @@ class TestMeshDistance:
         # points and every outlier: the pruned query must equal the
         # minimum bit for bit.
         pts = outlier_plate.cloud.points
-        index = outlier_plate.mesh.distance_index()
+        index = MeshDistance(outlier_plate.mesh)
         got = index.query(pts)
         outliers = np.flatnonzero(outlier_plate.truth.labels == -1)
         which = np.union1d(strided_indices(len(pts), 100), outliers)
@@ -302,7 +302,7 @@ class TestMeshDistance:
         # The face cells around the holes are slivers whose bounding
         # spheres overlap; the sphere bound alone leaves about 12 exact
         # tests a point here, the box bound about 4.
-        index = outlier_plate.mesh.distance_index()
+        index = MeshDistance(outlier_plate.mesh)
         tested = []
         distances = index._distances
         monkeypatch.setattr(index, "_distances",
@@ -312,7 +312,7 @@ class TestMeshDistance:
         assert sum(tested) <= 7 * len(pts)
 
     def test_empty_and_non_finite_queries(self):
-        index = UNIT_SQUARE.distance_index()
+        index = MeshDistance(UNIT_SQUARE)
         assert index.query(np.empty((0, 3))).shape == (0,)
         with pytest.raises(ValueError):
             index.query([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])

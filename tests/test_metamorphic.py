@@ -133,16 +133,8 @@ def test_lengths_are_compared_divided_by_s():
         ("e_global", "primitive.0.params", "circle.0.radius", "config.eta")]
 
 
-def _lapack_matrices(entries):
-    entries = np.asarray(entries)
-    mats = np.empty((entries.shape[1], 3, 3))
-    for entry, (a, b) in zip(entries, geometry.SYM3_ENTRIES):
-        mats[:, a, b] = mats[:, b, a] = entry
-    return mats
-
-
 def _lapack_eigh(entries):
-    lam, vectors = np.linalg.eigh(_lapack_matrices(entries))
+    lam, vectors = np.linalg.eigh(geometry.sym3_matrices(entries))
     return lam, vectors[:, :, 0], np.arange(len(lam))
 
 
@@ -153,7 +145,7 @@ def test_closed_form_eigensolvers_leave_the_report(request, monkeypatch, name):
     scene, fast = request.getfixturevalue(name)
     monkeypatch.setattr(geometry, "sym3_eigh", _lapack_eigh)
     monkeypatch.setattr(geometry, "sym3_eigvalsh",
-                        lambda entries: np.linalg.eigvalsh(_lapack_matrices(entries)))
+                        lambda entries: np.linalg.eigvalsh(geometry.sym3_matrices(entries)))
     assert report_differences(transformed_report(scene), fast) == []
 
 

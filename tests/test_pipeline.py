@@ -12,8 +12,8 @@ from partcheck import features, geometry, meshio
 from partcheck import primitives as prim
 from partcheck.features import Circle3D
 from partcheck.cli import EXIT_INPUT_ERROR, EXIT_STAGE_ERROR, main
-from partcheck.geometry import (PointCloud, estimate_normals_and_curvature, median_spacing,
-                                remove_outliers)
+from partcheck.geometry import (MeshDistance, PointCloud, estimate_normals_and_curvature,
+                                median_spacing, remove_outliers)
 from partcheck.pipeline import (
     PipelineConfig,
     _feature,
@@ -186,7 +186,7 @@ def test_tensor_voting_radius_comes_off_the_table(scene, monkeypatch):
     monkeypatch.setattr(features, "detect_edge_points", spy)
     config = PipelineConfig()
     _, registered, _ = _register(scene.cloud, scene.mesh, config)
-    surface_dist = scene.mesh.distance_index().query(registered.points)
+    surface_dist = MeshDistance(scene.mesh).query(registered.points)
     enriched, refined, _, _ = _part(registered, surface_dist, config)
     _feature(enriched, refined, None, config)
     spacing = median_spacing(enriched.points)
@@ -257,7 +257,7 @@ def test_block_size_changes_no_bit(blocked_plate, monkeypatch, size):
 
 def test_per_point_stages_hold_bounded_memory():
     # 47,185 points. Each stage works in fixed-size blocks, so its traced
-    # peak reads 11, 8, 18, 7 and 1 MB (filter, normals, region growing,
+    # peak reads 11, 8, 18, 5 and 1 MB (filter, normals, region growing,
     # tensor voting, edge scores); building each stage's whole (n, k) or
     # per-pair working set at once took 29, 51, 50, 70 and 2.7 MB. Tensor
     # voting also holds its 9.3 MB pair list, which the trace does not see.
@@ -287,7 +287,7 @@ def test_cube_has_no_circles():
         parse_scene_spec("cube side=4 spacing=0.25 rot_deg=15"), seed=1)
     cloud = PointCloud(points=scene.truth.transform.apply(scene.cloud.points))
     config = PipelineConfig()
-    surface_dist = scene.mesh.distance_index().query(cloud.points)
+    surface_dist = MeshDistance(scene.mesh).query(cloud.points)
     enriched, refined, _, _ = _part(cloud, surface_dist, config)
     assert [p.kind.value for p in refined.primitives] == ["plane"] * 6
     _, labeling, n_reference, f_n, f_p, _ = _feature(enriched, refined, None, config)

@@ -11,6 +11,7 @@ from scipy.optimize._numdiff import approx_derivative
 from partcheck import geometry, primitives
 from partcheck.config import PipelineConfig
 from partcheck.geometry import (
+    MeshDistance,
     PointCloud,
     RigidTransform,
     TriangleMesh,
@@ -813,7 +814,38 @@ def two_parallel_planes(rng, n_side=12, extent=1.0, separation=1.0):
     return np.vstack([a, b])
 
 
+def scattered_cube(rng, corner, n=64, side=4.0):
+    """``n`` points uniform in a cube of ``side`` from ``corner``: no kind of
+    fit holds 20 of them within an ``inlier_eps`` of 0.1."""
+    return rng.uniform(corner, np.add(corner, side), size=(n, 3))
+
+
+def unsupported_split(case: str) -> Configuration:
+    """One plane-labelled primitive whose split leaves a half without support."""
+    rng = np.random.default_rng(20)
+    grid = np.stack(np.meshgrid(np.linspace(0, 1, 8), np.linspace(0, 1, 8), [0.0]),
+                    axis=-1).reshape(-1, 3)
+    if case == "lopsided":
+        # The far half holds 5 points, under min_points.
+        far = np.column_stack([np.linspace(9, 10, 5), np.zeros(5), np.zeros(5)])
+        pts, min_points = np.vstack([plane_points(rng, n=45, extent=0.5), far]), 20
+    elif case == "scatter":
+        # The far half has 64 points, but its best fit holds under 20 of them.
+        pts, min_points = np.vstack([grid, scattered_cube(rng, (3.0, -1.5, -2.0))]), 20
+    else:
+        # Each half holds 2 points, fewer than any kind's fit needs.
+        pts, min_points = np.array([[0, 0, 0], [0.1, 0, 0], [1, 0, 0], [1.1, 0, 0.0]]), 2
+    return plane_config(pts, [np.arange(len(pts))], min_points=min_points)
+
+
 class TestSplit:
+    @pytest.mark.parametrize("case", ["lopsided", "scatter", "too small to fit"])
+    def test_a_half_without_support_stops_the_split(self, case):
+        config = unsupported_split(case)
+        out, applied = split(config, 0)
+        assert not applied
+        assert out is config
+
     def test_separates_merged_parallel_planes(self):
         rng = np.random.default_rng(12)
         pts = two_parallel_planes(rng)
@@ -907,6 +939,23 @@ class TestMerge:
                 raise AssertionError("the bounding boxes already rule this pair out")
             monkeypatch.setattr(primitives, "cKDTree", no_tree)
         assert _adjacent(config, *config.primitives, gap) == adjacent
+
+    def test_adjacent_scattered_blobs_do_not_merge(self):
+        # Two cubes of scatter side by side, with a point of each on either
+        # side of their common face: the joined points hold no fit, so
+        # neither merge nor refine changes the configuration.
+        rng = np.random.default_rng(21)
+        a = np.vstack([scattered_cube(rng, (0.0, 0.0, 0.0)), [3.95, 2.0, 2.0]])
+        b = np.vstack([scattered_cube(rng, (4.0, 0.0, 0.0)), [4.05, 2.0, 2.0]])
+        config = plane_config(np.vstack([a, b]), [np.arange(65), np.arange(65, 130)],
+                              min_points=20)
+        assert _adjacent(config, *config.primitives)
+        out, applied = merge(config, 0, 1)
+        assert not applied
+        assert out is config
+        ops = []
+        assert refine(config, on_apply=lambda *args: ops.append(args)) is config
+        assert ops == []
 
     def test_distant_planes_not_adjacent(self):
         rng = np.random.default_rng(17)
@@ -1127,7 +1176,7 @@ class TestPartLevelError:
             groups.append(np.arange(at, at + 60))
             at += 60
         pts = np.vstack(chunks)
-        surface_dist = SQUARE.distance_index().query(pts)
+        surface_dist = MeshDistance(SQUARE).query(pts)
         return surface_dist, plane_config(pts, groups, min_points=30, eps=1.0)
 
     def test_two_patch_arithmetic(self):
@@ -1154,7 +1203,7 @@ class TestPartLevelError:
     def test_no_patch_gives_none(self):
         pts = np.random.default_rng(0).normal(size=(10, 3))
         config = Configuration(points=pts, primitives=[], min_points=3)
-        assert part_level_error(patch_distances(config, SQUARE.distance_index().query(pts))) is None
+        assert part_level_error(patch_distances(config, MeshDistance(SQUARE).query(pts))) is None
 
     def test_one_query_serves_every_patch(self):
         # The part level indexes one whole-cloud query by inlier; each patch
@@ -1164,7 +1213,7 @@ class TestPartLevelError:
         pts = scene.cloud.points
         groups = np.array_split(np.random.default_rng(24).permutation(len(pts)), 5)
         config = plane_config(pts, groups, min_points=30, eps=1.0)
-        index = scene.mesh.distance_index()
+        index = MeshDistance(scene.mesh)
         whole = index.query(pts)
         per_set = np.array([index.query(pts[g]).mean() for g in groups])
         assert len(scene.mesh) > 100 and len(pts) > 2 * geometry._QUERY_BLOCK

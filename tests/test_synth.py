@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from partcheck.geometry import MeshDistance
 from partcheck.synth import SceneSpec, generate_synthetic_scene, parse_scene_spec
 
 SMALL_PLATE = "plate width=20 height=20 holes=4 spacing=0.5"
@@ -40,7 +41,7 @@ def test_plate_with_an_empty_cell():
     pts = truth.transform.apply(scene.cloud.points)
     empty_cell = (truth.labels == 0) & (pts[:, 0] > 15.5) & (pts[:, 1] > 15.5)
     assert empty_cell.sum() > 150
-    assert scene.mesh.distance_index().query(pts[empty_cell]).max() < 1e-9
+    assert MeshDistance(scene.mesh).query(pts[empty_cell]).max() < 1e-9
 
 
 def test_spec_read_from_a_file(tmp_path):
