@@ -11,11 +11,12 @@ from pathlib import Path
 import numpy as np
 
 
-# Least valid value of each integer field. A 0 in min_points asks for the
-# value derived from the scan. The normal estimator, whose neighborhoods
-# region growing also joins over, needs a k of at least 3.
+# Least valid value of each integer field. min_points is a plain count, the
+# same for every scan: a rule that grew with the point count (n / 500) left
+# the bores of many-hole plates below it, unfitted. The normal estimator,
+# whose neighborhoods region growing also joins over, needs a k of at least 3.
 _INT_MINIMUMS = {
-    "outlier_k": 1, "min_cluster": 1, "normals_k": 3, "min_points": 0, "seed": 0,
+    "outlier_k": 1, "min_cluster": 1, "normals_k": 3, "min_points": 1, "seed": 0,
 }
 
 
@@ -59,7 +60,7 @@ class PipelineConfig:
     edge_threshold: float = 1.05
     tensor_sigma: float = 0.5
     tensor_radius_factor: float = 4.0
-    min_points: int = 0                 # 0 = max(30, n / 500)
+    min_points: int = 30
     outlier_k: int = 8
     outlier_stddev_mult: float = 2.0
     normals_k: int = 16

@@ -62,6 +62,12 @@ def canonical_sign(v) -> NDArray[np.float64]:
     return np.where(np.take_along_axis(zyx, first[..., None], axis=-1) < 0.0, -v, v)
 
 
+def rms(values) -> float:
+    """Root mean square: the one form of every RMS the report and the fits
+    read (global error, fit residuals, ICP's point-to-plane residual)."""
+    return float(np.sqrt(np.mean(values * values)))
+
+
 # ---------------------------------------------------------------------------
 # Core carriers
 # ---------------------------------------------------------------------------

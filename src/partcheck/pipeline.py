@@ -46,6 +46,7 @@ from .geometry import (
     distinct_rows,
     estimate_normals_and_curvature,
     remove_outliers,
+    rms,
     sample_mesh,
 )
 from .synth import SyntheticScene, generate_synthetic_scene, parse_scene_spec
@@ -302,7 +303,7 @@ def global_error(surface_dist: np.ndarray) -> float:
     ``surface_dist`` is ``MeshDistance.query`` over every registered point;
     E_reg is its mean, and the part level takes its patch means from it.
     """
-    return float(np.sqrt(np.mean(surface_dist * surface_dist)))
+    return rms(surface_dist)
 
 
 _PALETTE = np.array([

@@ -41,7 +41,7 @@ from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .config import PipelineConfig
-from .geometry import (PointCloud, Points, Vec3, as_points, canonical_sign, components,
+from .geometry import (PointCloud, Points, Vec3, as_points, canonical_sign, components, rms,
                        strided_indices, unit)
 
 
@@ -162,16 +162,12 @@ def _max_nfev(n_params: int) -> int:
     return 50 * (n_params + 1)
 
 
-def _rms(residuals: NDArray[np.float64]) -> float:
-    return float(np.sqrt(np.mean(residuals * residuals)))
-
-
 def _polish(fun, jac, x0, bounds=None, max_nfev=None):
     kwargs = {"method": "trf", "jac": jac, "max_nfev": max_nfev or _max_nfev(len(x0))}
     if bounds is not None:
         kwargs["bounds"] = bounds
     result = least_squares(fun, np.asarray(x0, dtype=np.float64), **kwargs)
-    return result.x, _rms(result.fun), result.status != 0
+    return result.x, rms(result.fun), result.status != 0
 
 
 def _unit_rows(v: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -195,7 +191,7 @@ def _fit_plane(pts: Points):
     _, evecs = np.linalg.eigh(cov)
     normal = canonical_sign(evecs[:, 0])
     shape = Plane(normal, float(normal @ centroid))
-    return shape, _rms(shape.distance(pts))
+    return shape, rms(shape.distance(pts))
 
 
 def _fit_sphere(pts: Points):
@@ -455,13 +451,12 @@ class Configuration:
     """A set of primitives with disjoint inlier index sets over one cloud.
 
     ``tunables`` is the record the set was grown under: ``energy`` reads its
-    weights, and ``split`` and ``merge`` its inlier band. ``min_points`` is
-    the least primitive size, resolved from ``tunables.min_points``.
+    weights, ``split`` and ``merge`` its inlier band, and every primitive
+    holds at least its ``min_points`` inliers.
     """
 
     points: Points
     primitives: list[Primitive]
-    min_points: int
     tunables: PipelineConfig = PipelineConfig()
     normals: Points | None = None
 
@@ -469,8 +464,6 @@ class Configuration:
         self.points = as_points(self.points)
         if self.normals is not None:
             self.normals = as_points(self.normals)
-        if self.min_points < 1:
-            raise ValueError("min_points must be >= 1")
         n = len(self.points)
         all_inliers = np.concatenate([p.inliers for p in self.primitives]) \
             if self.primitives else np.empty(0, dtype=np.int64)
@@ -479,7 +472,7 @@ class Configuration:
         if len(all_inliers) and np.bincount(all_inliers).max() > 1:
             raise ValueError("inlier sets of distinct primitives must be disjoint")
         for p in self.primitives:
-            if len(p.inliers) < self.min_points:
+            if len(p.inliers) < self.tunables.min_points:
                 raise ValueError("every primitive needs at least min_points inliers")
         if self.max_primitives < len(self.primitives):
             raise ValueError("more primitives than n // min_points allows")
@@ -494,7 +487,7 @@ class Configuration:
 
     @property
     def max_primitives(self) -> int:
-        return self.n // self.min_points
+        return self.n // self.tunables.min_points
 
     def labels(self) -> NDArray[np.int64]:
         out = np.full(self.n, -1, dtype=np.int64)
@@ -546,14 +539,13 @@ def region_grow(cloud: PointCloud, config: PipelineConfig = PipelineConfig()) ->
     sphere, cylinder, cone, or plane, cylinder, sphere, cone when its normals
     lie near a great circle of the Gauss image, stopping at the first that
     fits it to within ``inlier_eps / 4`` RMS, and takes the best of those
-    fitted (see ``_best_kind_fit``). All values come from ``config``; a
-    ``min_points`` of 0 there means max(30, n / 500).
+    fitted (see ``_best_kind_fit``). All values come from ``config``;
+    ``min_points`` is a plain count, 30 by default, whatever the scan's size.
     """
     if cloud.normals is None or cloud.curvatures is None or cloud.neighbors is None:
         raise ValueError("region_grow needs normals, curvatures and their neighbor table")
     pts = cloud.points
     n = len(pts)
-    min_points = config.min_points or max(30, n // 500)
     normals = cloud.normals
     curv = cloud.curvatures
 
@@ -572,17 +564,16 @@ def region_grow(cloud: PointCloud, config: PipelineConfig = PipelineConfig()) ->
     np.cumsum(joined.sum(axis=1), out=indptr[1:])
     graph = csr_matrix((np.ones(indptr[-1]), near[joined].astype(np.int32), indptr),
                        shape=(n, n))
-    regions = components(graph, min_points)
+    regions = components(graph, config.min_points)
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(curv, kind="stable")] = np.arange(n)
     regions.sort(key=lambda members: rank[members].min())
 
-    fitted = (_band_fit(pts, normals, members, config.inlier_eps, min_points)
+    fitted = (_band_fit(pts, normals, members, config.inlier_eps, config.min_points)
               for members in regions)
     return Configuration(
         points=pts,
         primitives=[p for p in fitted if p is not None],
-        min_points=min_points,
         tunables=config,
         normals=normals,
     )
@@ -690,23 +681,23 @@ def _best_kind_fit(pts: Points, normals: Points | None, inlier_eps: float):
     """
     fit_pts, fit_normals = _fit_subset(pts, normals)
     fits: dict[PrimitiveKind, tuple[Shape, NDArray[np.float64]]] = {}
-    rms: dict[PrimitiveKind, float] = {}
+    fit_rms: dict[PrimitiveKind, float] = {}
     adequate = _ADEQUATE_RMS_FRACTION * inlier_eps
     for kind in _kind_order(fit_normals):
         if len(fit_pts) < MIN_SAMPLE[kind]:
             continue
-        if rms and min(rms.values()) <= adequate:
+        if fit_rms and min(fit_rms.values()) <= adequate:
             break
         try:
             shape, _ = _fit_shape(kind, fit_pts, fit_normals, adequate_rms=adequate)
         except FitError:
             continue
         fits[kind] = (shape, shape.distance(pts))
-        rms[kind] = _rms(fits[kind][1])
+        fit_rms[kind] = rms(fits[kind][1])
     if not fits:
         return None
-    best = min(rms, key=rms.get)
-    if PrimitiveKind.PLANE in rms and rms[PrimitiveKind.PLANE] <= 1.05 * rms[best]:
+    best = min(fit_rms, key=fit_rms.get)
+    if PrimitiveKind.PLANE in fit_rms and fit_rms[PrimitiveKind.PLANE] <= 1.05 * fit_rms[best]:
         best = PrimitiveKind.PLANE
     return fits[best]
 
@@ -735,7 +726,13 @@ def _band_fit(points: Points, normals: Points | None, indices: NDArray[np.int64]
 def _adjacent(config: Configuration, a: Primitive, b: Primitive,
               gap: float | None = None) -> bool:
     """Whether an inlier of ``a`` lies within ``gap`` of one of ``b``
-    (default ``2 * inlier_eps``, the gap ``refine``'s merges use)."""
+    (default ``2 * inlier_eps``, the gap ``refine``'s merges use).
+
+    That default lies below the benchmark parts' point spacing, so none of
+    their merges passes here; the crease filter's gap of
+    ``tensor_radius_factor`` spacings left their reports as they are but
+    sent every bore-face pair of the plate on to ``_band_fit``, and
+    ``refine`` took seconds there instead of hundredths."""
     pa = config.points[a.inliers]
     pb = config.points[b.inliers]
     if len(pa) > len(pb):
@@ -765,7 +762,7 @@ def split(config: Configuration, prim_index: int) -> tuple[Configuration, bool]:
     small or either side loses its support.
     """
     prim = config.primitives[prim_index]
-    if len(prim.inliers) < 2 * config.min_points:
+    if len(prim.inliers) < 2 * config.tunables.min_points:
         return config, False
     pts = config.points[prim.inliers]
     centered = pts - pts.mean(axis=0)
@@ -776,7 +773,7 @@ def split(config: Configuration, prim_index: int) -> tuple[Configuration, bool]:
     pb = pts[np.argmax(along)]
     to_a = np.linalg.norm(pts - pa, axis=1) <= np.linalg.norm(pts - pb, axis=1)
     halves = [_band_fit(config.points, config.normals, group, config.tunables.inlier_eps,
-                        config.min_points)
+                        config.tunables.min_points)
               for group in (prim.inliers[to_a], prim.inliers[~to_a])]
     if any(half is None for half in halves):
         return config, False
@@ -795,7 +792,7 @@ def merge(config: Configuration, i: int, j: int) -> tuple[Configuration, bool]:
     if not _adjacent(config, a, b):
         return config, False
     merged = _band_fit(config.points, config.normals, np.concatenate([a.inliers, b.inliers]),
-                       config.tunables.inlier_eps, config.min_points)
+                       config.tunables.inlier_eps, config.tunables.min_points)
     if merged is None:
         return config, False
     lo, hi = sorted((i, j))

@@ -22,14 +22,13 @@ choose on a sample and fit on all points, after Rusinkiewicz & Levoy,
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
-from .geometry import PointCloud, Points, RigidTransform, strided_indices
+from .geometry import PointCloud, Points, RigidTransform, rms, strided_indices
 
 
 class NoCorrespondencesError(RuntimeError):
@@ -134,17 +133,29 @@ def coarse_candidates(source: PointCloud, target: PointCloud,
         )
         return [RigidTransform(np.eye(3), ct - cs)]
     rotations = _coarse_rotations(axes_s, axes_t, evals_s, evals_t)
-    tree = _target_tree(_probe(target).points)
-    for ranked in _ranked_candidates(tree, _probe(source).points, cs, ct, rotations):
+    translations = [ct - r @ cs for r in rotations]
+    tree, probe = _target_tree(_probe(target).points), _probe(source).points
+    # Poses move points as RigidTransform.apply does (contiguous p @ r.T + t),
+    # so the costs are those of the transforms returned.
+    order = range(len(rotations))
+    if len(rotations) > _RESCORED:
+        rough = np.ascontiguousarray(probe[::_ROUGH_STRIDE])
+        moved = np.stack([rough @ r.T + t for r, t in zip(rotations, translations)])
+        order = np.argsort(_capped_cost(tree, moved), kind="stable")
+    scored: list[tuple[float, int]] = []
+    for start in range(0, len(order), _RESCORED):
+        scored.extend((_capped_cost(tree, probe @ rotations[i].T + translations[i]), i)
+                      for i in order[start:start + _RESCORED])
+        scored.sort()
         # Keep rotations that genuinely differ from better-ranked ones.
-        distinct: list[RigidTransform] = []
-        for cand in ranked:
-            if all(_rotation_gap(cand.rotation, kept.rotation) > np.deg2rad(10.0)
-                   for kept in distinct):
-                distinct.append(cand)
+        distinct: list[int] = []
+        for _, i in scored:
+            if all(_rotation_gap(rotations[i], rotations[j]) > np.deg2rad(10.0)
+                   for j in distinct):
+                distinct.append(i)
             if len(distinct) >= count:
-                return distinct
-    return distinct
+                return [RigidTransform(rotations[i], translations[i]) for i in distinct]
+    return [RigidTransform(rotations[i], translations[i]) for i in distinct]
 
 
 def _rotation_gap(r1: np.ndarray, r2: np.ndarray) -> float:
@@ -197,24 +208,6 @@ def _coarse_rotations(axes_s, axes_t, evals_s, evals_t) -> list[np.ndarray]:
     # The spin acts inside the target's eigenframe, whose axes are sorted by
     # descending eigenvalue as indexed above.
     return [axes_t @ spin @ signs @ axes_s.T for signs in _SIGN_COMBOS for spin in spins]
-
-
-def _ranked_candidates(tree, probe, cs, ct, rotations) -> Iterator[list[RigidTransform]]:
-    """Yield the candidates scored on the whole source ``probe`` so far,
-    sorted by (cost, index), with ``_RESCORED`` more of the rough ranking
-    each time."""
-    candidates = [RigidTransform(r, ct - r @ cs) for r in rotations]
-    order = range(len(candidates))
-    if len(candidates) > _RESCORED:
-        rough = probe[::_ROUGH_STRIDE]
-        costs = _capped_cost(tree, np.stack([c.apply(rough) for c in candidates]))
-        order = np.argsort(costs, kind="stable")
-    scored: list[tuple[float, int]] = []
-    for start in range(0, len(order), _RESCORED):
-        scored.extend((_capped_cost(tree, candidates[i].apply(probe)), i)
-                      for i in order[start:start + _RESCORED])
-        scored.sort()
-        yield [candidates[i] for _, i in scored]
 
 
 def icp_refine(
@@ -272,7 +265,7 @@ def icp_refine(
         q = target.points[idx[keep]]
         n = target.normals[idx[keep]]
         residual = np.einsum("ij,ij->i", q - p, n)
-        rmse = float(np.sqrt(np.mean(residual * residual)))
+        rmse = rms(residual)
         if rmse > prev_rmse:
             transform = prev_transform
             rmse = prev_rmse

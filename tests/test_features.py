@@ -273,7 +273,7 @@ def two_plane_config(angle_deg: float) -> Configuration:
         points=np.vstack([floor, face]),
         primitives=[Primitive(Plane(floor_n, 0.0), np.arange(n)),
                     Primitive(Plane(face_n, 0.0), np.arange(n, n + len(face)))],
-        min_points=10)
+        tunables=PipelineConfig(min_points=10))
 
 
 class TestOffCreaseMask:
@@ -1049,7 +1049,7 @@ def bore(cylinder: Cylinder, planes) -> Configuration:
     shapes = [cylinder, *planes]
     return Configuration(points=np.zeros((len(shapes), 3)),
                          primitives=[Primitive(shape, [i]) for i, shape in enumerate(shapes)],
-                         min_points=1)
+                         tunables=PipelineConfig(min_points=1))
 
 
 Z = np.array([0.0, 0.0, 1.0])

@@ -621,11 +621,9 @@ class TestRegionGrow:
         # match bit for bit.
         cloud = enriched_cloud(generate_synthetic_scene(spec, seed=1).cloud.points)
         config = PipelineConfig()
-        n = len(cloud)
-        min_points = config.min_points or max(30, n // 500)
-        expected = [r for r in per_visit_regions(cloud, config) if len(r) >= min_points]
+        expected = [r for r in per_visit_regions(cloud, config) if len(r) >= config.min_points]
         fitted = (primitives._band_fit(cloud.points, cloud.normals, members, config.inlier_eps,
-                                       min_points)
+                                       config.min_points)
                   for members in expected)
         want = [p for p in fitted if p is not None]
 
@@ -719,14 +717,13 @@ def per_visit_regions(cloud: PointCloud, config: PipelineConfig) -> list[np.ndar
 def plane_config(points, groups, min_points, weights=(0.6, 0.25, 0.15), eps=0.1,
                  kind=PrimitiveKind.PLANE):
     tunables = PipelineConfig(omega_f=weights[0], omega_s=weights[1], omega_c=weights[2],
-                              inlier_eps=eps)
+                              inlier_eps=eps, min_points=min_points)
     prims = []
     for idx in groups:
         idx = np.asarray(idx, dtype=np.int64)
         shape, _ = _fit_shape(kind, points[idx])
         prims.append(Primitive(shape, idx))
-    return Configuration(points=points, primitives=prims, min_points=min_points,
-                         tunables=tunables)
+    return Configuration(points=points, primitives=prims, tunables=tunables)
 
 
 class TestEnergy:
@@ -746,7 +743,7 @@ class TestEnergy:
 
     def test_empty_configuration(self):
         pts = np.random.default_rng(0).normal(size=(100, 3))
-        config = Configuration(points=pts, primitives=[], min_points=10)
+        config = Configuration(points=pts, primitives=[], tunables=PipelineConfig(min_points=10))
         terms = energy(config)
         assert terms.total == pytest.approx(0.15)
         assert terms.fidelity == 0.0
@@ -790,8 +787,9 @@ class TestEnergy:
     def test_validation(self):
         pts = np.zeros((20, 3))
         with pytest.raises(ValueError):
-            Configuration(points=pts, primitives=[], min_points=10,
-                          tunables=PipelineConfig(omega_f=0.5, omega_s=0.5, omega_c=0.5))
+            Configuration(points=pts, primitives=[],
+                          tunables=PipelineConfig(omega_f=0.5, omega_s=0.5, omega_c=0.5,
+                                                  min_points=10))
         plane, _ = _fit_shape(PrimitiveKind.PLANE,
                               np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0.0]]))
         overlapping = [
@@ -800,7 +798,7 @@ class TestEnergy:
         ]
         pts = np.random.default_rng(0).normal(size=(20, 3))
         with pytest.raises(ValueError, match="disjoint"):
-            Configuration(points=pts, primitives=overlapping, min_points=3)
+            Configuration(points=pts, primitives=overlapping, tunables=PipelineConfig(min_points=3))
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +852,7 @@ class TestSplit:
         config = Configuration(
             points=pts,
             primitives=[Primitive(merged_fit, np.arange(n))],
-            min_points=20,
+            tunables=PipelineConfig(min_points=20),
         )
         out, applied = split(config, 0)
         assert applied
@@ -911,7 +909,7 @@ class TestMerge:
         cylinder = primitives.Cylinder(np.array([1.0, 0.0, -50.0]), np.array([0.0, 1.0, 0.0]),
                                        50.0)
         assert cylinder.distance(pts[right]).max() < PipelineConfig().inlier_eps
-        config = Configuration(points=pts, min_points=30, primitives=[
+        config = Configuration(points=pts, tunables=PipelineConfig(min_points=30), primitives=[
             Primitive(plane_fit, left), Primitive(cylinder, right)])
         out, applied = merge(config, 0, 1)
         assert applied
@@ -1003,7 +1001,7 @@ def ridge_under_one_cone() -> Configuration:
     normals = normals_of(pts)
     cone, _ = _fit_shape(PrimitiveKind.CONE, pts, normals)
     return Configuration(points=pts, primitives=[Primitive(cone, np.arange(len(pts)))],
-                         min_points=20, normals=normals)
+                         tunables=PipelineConfig(min_points=20), normals=normals)
 
 
 class TestKindChange:
@@ -1075,7 +1073,7 @@ class TestRefine:
         config = Configuration(
             points=pts,
             primitives=[Primitive(merged_fit, np.arange(len(pts)))],
-            min_points=20,
+            tunables=PipelineConfig(min_points=20),
         )
         refined = refine(config)
         assert len(refined.primitives) == 2
@@ -1202,7 +1200,7 @@ class TestPartLevelError:
 
     def test_no_patch_gives_none(self):
         pts = np.random.default_rng(0).normal(size=(10, 3))
-        config = Configuration(points=pts, primitives=[], min_points=3)
+        config = Configuration(points=pts, primitives=[], tunables=PipelineConfig(min_points=3))
         assert part_level_error(patch_distances(config, MeshDistance(SQUARE).query(pts))) is None
 
     def test_one_query_serves_every_patch(self):

@@ -287,6 +287,20 @@ class TestCoarse:
         coarse_candidates(source, target)
         assert [len(pts) for _, pts in calls] == [len(_probe(source))] * 4
 
+    def test_fewer_distinct_rotations_than_asked_returns_them_all(self):
+        # No spin: the four sign flips are all the rotations there are, so
+        # asking for ten walks the whole ranking and returns four.
+        rng = np.random.default_rng(1)
+        source = blob_cloud(rng)
+        target = PointCloud(points=RigidTransform(rotation_about_z(90.0), np.ones(3))
+                            .apply(source.points))
+        candidates, _, order = exhaustive_ranking(source, target)
+        assert len(candidates) == 4
+        expected = [candidates[i] for i in distinct_walk(candidates, order, 10)]
+        found = coarse_candidates(source, target, count=10)
+        assert len(found) == 4
+        assert same_transforms(found, expected)
+
     def test_rescores_more_until_count_distinct(self, monkeypatch):
         source, target = spun_blob()
         candidates, costs, _ = exhaustive_ranking(source, target)
